@@ -36,13 +36,6 @@ _UNITS_COMMENT = "# units: frequencies in omega_f = 1, times in 1/omega_f\n"
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output file path")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap on worker threads (computation is single-worker, so any "
-        "positive cap is honored)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,13 +90,7 @@ def _check(parser, ok: bool, message: str) -> None:
         parser.error(message)  # exits 2
 
 
-def _validate_common(parser, args) -> None:
-    if args.threads is not None:
-        _check(parser, args.threads >= 1, "--threads must be >= 1")
-
-
 def cmd_response(parser, args) -> int:
-    _validate_common(parser, args)
     _check(parser, args.tf > 0, "--tf must be positive")
     _check(parser, args.omega0 > 0, "--omega0 must be positive")
     _check(parser, args.xmax > 0, "--xmax must be positive")
@@ -131,7 +118,6 @@ def cmd_response(parser, args) -> int:
 
 
 def cmd_benchmark(parser, args) -> int:
-    _validate_common(parser, args)
     _check(parser, args.tf_points >= 4, "--tf-points must be >= 4 (fit needs it)")
     _check(parser, args.tf_min > 0, "--tf-min must be positive")
     _check(parser, args.tf_max > args.tf_min, "--tf-max must exceed --tf-min")
@@ -145,7 +131,6 @@ def cmd_benchmark(parser, args) -> int:
 
 
 def cmd_train(parser, args) -> int:
-    _validate_common(parser, args)
     _check(parser, 2 <= args.bits <= 8, "--bits must be in [2, 8]")
     _check(parser, args.hidden >= 1, "--hidden must be >= 1")
     _check(parser, args.iters >= 1, "--iters must be >= 1")
@@ -163,7 +148,6 @@ def cmd_train(parser, args) -> int:
 
 
 def cmd_synthesize(parser, args) -> int:
-    _validate_common(parser, args)
     _check(parser, args.cycles >= 1, "--cycles must be >= 1")
     if args.target == "rect":
         _check(parser, args.m1 < args.m2, "--m1 must be below --m2")

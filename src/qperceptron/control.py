@@ -13,12 +13,12 @@ fields in omegaf.
 from __future__ import annotations
 
 import csv
-import io
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+
+from ._io import open_text
 
 __all__ = [
     "ControlSchedule",
@@ -281,31 +281,21 @@ def schedule_to_csv(schedule: ControlSchedule, path_or_buf, n_samples: int = 100
     else:
         ts = np.linspace(0.0, schedule.tf, n_samples)
         oms = schedule.omega(ts)
-    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with open_text(path_or_buf, "w") as fh:
         wr = csv.writer(fh)
         wr.writerow(["t", "omega"])
         for t, om in zip(ts, oms):
             wr.writerow([repr(float(t)), repr(float(om))])
-    finally:
-        if own:
-            fh.close()
 
 
 def schedule_from_csv(path_or_buf) -> ControlSchedule:
     """Read a waveform written by schedule_to_csv as a tabulated schedule."""
-    own = isinstance(path_or_buf, (str, bytes, os.PathLike))
-    fh = open(path_or_buf, newline="") if own else path_or_buf
-    try:
+    with open_text(path_or_buf) as fh:
         rd = csv.reader(fh)
         header = next(rd)
         if [h.strip() for h in header] != ["t", "omega"]:
             raise ValueError(f"expected header 't,omega', got {header!r}")
         rows = [(float(a), float(b)) for a, b in rd]
-    finally:
-        if own:
-            fh.close()
     ts = np.array([r[0] for r in rows])
     oms = np.array([r[1] for r in rows])
     return tabulated_schedule(ts, oms)

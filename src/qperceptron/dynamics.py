@@ -23,14 +23,15 @@ fixed-order and bitwise reproducible.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
 
+from ._io import open_text
 from .control import eigensystem, faquad_schedule, linear_schedule, optimal_design_field
 
 __all__ = [
@@ -210,6 +211,23 @@ def _qmul(a1, x1, y1, z1, a2, x2, y2, z2):
 _CHUNK = 1 << 14
 
 
+@functools.lru_cache(maxsize=None)
+def _bit_reversal(bits: int) -> np.ndarray:
+    """Row order for the pairwise product tree over 2**bits steps.
+
+    Row p holds step r[p], where r[p] is p with its `bits` bits reversed.
+    Then every adjacent pair of steps (2j, 2j+1) sits in rows (p, p + half)
+    and its product lands in row p, again in bit-reversed order, so each
+    tree level multiplies two contiguous halves.  The pairs, and the order
+    of each product, are those of the time-ordered tree.
+    """
+    r = np.zeros(1, dtype=np.int64)
+    for _ in range(bits):
+        r = np.concatenate([2 * r, 2 * r + 1])
+    r.flags.writeable = False
+    return r
+
+
 def _propagate(schedule, xs: np.ndarray, spec: _GridSpec, level: int):
     """Total propagator quaternion over the level-`level` grid for each x."""
     n = spec.steps(level)
@@ -220,65 +238,71 @@ def _propagate(schedule, xs: np.ndarray, spec: _GridSpec, level: int):
     BZ = np.zeros(cols)
     for start in range(0, n, _CHUNK):
         ts = spec.edge_block(level, start, min(start + _CHUNK, n))
-        dts = np.diff(ts)
         tmid = (ts[1:] + ts[:-1]) / 2.0
-        om = np.broadcast_to(
-            np.asarray(schedule.omega(tmid), dtype=float), tmid.shape
-        )[:, None]
-        dt = dts[:, None]
+        om = np.broadcast_to(np.asarray(schedule.omega(tmid), dtype=float), tmid.shape)
+        # pad to a power of two with identity steps, in bit-reversed row order
+        m = tmid.size
+        order = _bit_reversal((m - 1).bit_length())
+        idle = order >= m
+        rows = np.where(idle, 0, order)
+        om = om[rows][:, None]
+        dt = np.diff(ts)[rows][:, None]
         E = np.hypot(om, xs[None, :])
-        # gap bound: sqrt(Omega^2 + x^2) >= |Omega| along the whole run
-        assert np.all(E >= np.abs(om))
         phi = E * (dt / 2.0)
         s = np.sin(phi) / E
         a = np.cos(phi)
         bx = s * om
         bz = s * xs[None, :]
-        m = a.shape[0]
-        if m & (m - 1):  # pad to a power of two with identity steps
-            pad = 1 << (m - 1).bit_length()
-            ap = np.ones((pad, cols))
-            bxp = np.zeros((pad, cols))
-            bzp = np.zeros((pad, cols))
-            ap[:m], bxp[:m], bzp[:m] = a, bx, bz
-            a, bx, bz = ap, bxp, bzp
+        if rows.size > m:
+            a[idle] = 1.0
+            bx[idle] = 0.0
+            bz[idle] = 0.0
         by = np.zeros_like(a)
         while a.shape[0] > 1:
-            # later step on the left: pair (2j, 2j+1) -> q[2j+1] * q[2j]
+            # later step on the left: rows (p, p + h) hold steps (2j, 2j+1)
+            h = a.shape[0] // 2
             a, bx, by, bz = _qmul(
-                a[1::2], bx[1::2], by[1::2], bz[1::2],
-                a[0::2], bx[0::2], by[0::2], bz[0::2],
+                a[h:], bx[h:], by[h:], bz[h:],
+                a[:h], bx[:h], by[:h], bz[:h],
             )
         A, BX, BY, BZ = _qmul(a[0], bx[0], by[0], bz[0], A, BX, BY, BZ)
     return A, BX, BY, BZ
 
 
-def _apply(q, psi0: TwoLevelState) -> np.ndarray:
-    """Amplitude pairs U psi0; U = a + i(bx sx + by sy + bz sz) with
+def _unitaries(q) -> np.ndarray:
+    """(n, 2, 2) matrices of U = a + i(bx sx + by sy + bz sz) with
     sz = diag(-1, +1), sy = [[0, -i], [i, 0]] in the (|0>, |1>) ordering."""
     a, bx, by, bz = q
-    p0, p1 = complex(psi0.amp0), complex(psi0.amp1)
-    out0 = (a - 1j * bz) * p0 + (1j * bx - by) * p1
-    out1 = (1j * bx + by) * p0 + (a + 1j * bz) * p1
-    return np.stack([out0, out1], axis=-1)
+    U = np.empty((a.size, 2, 2), dtype=complex)
+    U[:, 0, 0] = a - 1j * bz
+    U[:, 0, 1] = 1j * bx - by
+    U[:, 1, 0] = 1j * bx + by
+    U[:, 1, 1] = a + 1j * bz
+    return U
 
 
-def _converged_sweep(schedule, xs, psi0, reduce_fn, tol):
+def _apply(q, psi0: TwoLevelState) -> np.ndarray:
+    """(n, 2) amplitude pairs U psi0."""
+    U = _unitaries(q)
+    return U[:, :, 0] * complex(psi0.amp0) + U[:, :, 1] * complex(psi0.amp1)
+
+
+def _converged_sweep(schedule, xs, reduce_fn, tol):
     """Halve the grid until reduce_fn's output moves less than tol.
 
-    reduce_fn maps the (n_x, 2) final-amplitude array to a float array;
-    convergence is max-abs change between consecutive halvings.
+    reduce_fn maps the total quaternion (a, bx, by, bz), one entry per x, to
+    a float array; convergence is the max-abs change between consecutive
+    halvings.  Returns the last quaternion and its reduction.
     """
     spec = _grid_spec(schedule, float(np.max(np.abs(xs))) if xs.size else 0.0)
-    fin = _apply(_propagate(schedule, xs, spec, 0), psi0)
-    cur = reduce_fn(fin)
+    cur = reduce_fn(_propagate(schedule, xs, spec, 0))
     for level in range(1, _MAX_HALVINGS + 1):
-        fin = _apply(_propagate(schedule, xs, spec, level), psi0)
-        nxt = reduce_fn(fin)
+        q = _propagate(schedule, xs, spec, level)
+        nxt = reduce_fn(q)
         delta = float(np.max(np.abs(nxt - cur))) if np.size(nxt) else 0.0
         cur = nxt
         if delta < tol:
-            return fin, cur
+            return q, cur
     raise RuntimeError(f"integration did not converge to {tol} in {_MAX_HALVINGS} halvings")
 
 
@@ -296,21 +320,8 @@ def schedule_propagators(schedule, x_values, tol: float = 1e-9) -> np.ndarray:
         return np.empty((0, 2, 2), dtype=complex)
     if not np.all(np.isfinite(xs)):
         raise ValueError("x values must be finite")
-    spec = _grid_spec(schedule, float(np.max(np.abs(xs))))
-    q = _propagate(schedule, xs, spec, 0)
-    for level in range(1, _MAX_HALVINGS + 1):
-        q2 = _propagate(schedule, xs, spec, level)
-        delta = max(float(np.max(np.abs(b - a))) for a, b in zip(q, q2))
-        q = q2
-        if delta < tol:
-            a, bx, by, bz = q
-            U = np.empty((xs.size, 2, 2), dtype=complex)
-            U[:, 0, 0] = a - 1j * bz
-            U[:, 0, 1] = 1j * bx - by
-            U[:, 1, 0] = 1j * bx + by
-            U[:, 1, 1] = a + 1j * bz
-            return U
-    raise RuntimeError(f"integration did not converge to {tol} in {_MAX_HALVINGS} halvings")
+    q, _ = _converged_sweep(schedule, xs, np.stack, tol)
+    return _unitaries(q)
 
 
 def evolve_two_level(schedule, x: float, psi0: TwoLevelState, tol: float = 1e-9) -> TwoLevelState:
@@ -323,9 +334,8 @@ def evolve_two_level(schedule, x: float, psi0: TwoLevelState, tol: float = 1e-9)
     if abs(psi0.norm() - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
     xs = np.array([float(x)])
-    fin, _ = _converged_sweep(
-        schedule, xs, psi0, lambda f: np.concatenate([f.real, f.imag], axis=None), tol
-    )
+    q, _ = _converged_sweep(schedule, xs, lambda q: _apply(q, psi0).view(float), tol)
+    fin = _apply(q, psi0)
     return TwoLevelState(complex(fin[0, 0]), complex(fin[0, 1]))
 
 
@@ -351,9 +361,8 @@ def response_curve(schedule, x_grid, ptol: float = 1e-8):
         return []
     if not np.all(np.isfinite(xs)):
         raise ValueError("x grid must be finite")
-    fin, P = _converged_sweep(
-        schedule, xs, TwoLevelState.plus(), lambda f: np.abs(f[:, 1]) ** 2, ptol
-    )
+    plus = TwoLevelState.plus()
+    _, P = _converged_sweep(schedule, xs, lambda q: np.abs(_apply(q, plus)[:, 1]) ** 2, ptol)
     return list(zip(xs.tolist(), P.tolist()))
 
 
@@ -380,10 +389,13 @@ def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201, ptol: f
     xs = np.linspace(-x_max, x_max, n_points)
     g0, g1 = _ground_amplitudes(schedule.omegaf, xs)
 
-    def overlaps(fin):
+    plus = TwoLevelState.plus()
+
+    def overlaps(q):
+        fin = _apply(q, plus)
         return np.abs(g0 * fin[:, 0] + g1 * fin[:, 1]) ** 2
 
-    _, ov = _converged_sweep(schedule, xs, TwoLevelState.plus(), overlaps, ptol)
+    _, ov = _converged_sweep(schedule, xs, overlaps, ptol)
     # fixed-order trapezoid; uniform grid
     dx = xs[1] - xs[0]
     integral = (float(np.sum(ov)) - 0.5 * (ov[0] + ov[-1])) * dx
@@ -474,16 +486,10 @@ def benchmark_ramps(
 
 
 def _write_rows(path_or_buf, header, rows):
-    def emit(fh):
+    with open_text(path_or_buf, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
-        with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-    else:
-        emit(path_or_buf)
 
 
 def response_to_csv(pairs, path_or_buf) -> None:

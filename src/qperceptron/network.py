@@ -9,14 +9,15 @@ Effective weights are mask * J.
 
 Because all gate controls are diagonal and no qubit is ever re-targeted,
 measuring the hidden qubits is never needed: the output excitation of the
-quantum circuit equals a classical mixture over hidden configurations
-(classical_mixture_oracle), which is the identity the training module's
-gradients are built on.
+quantum circuit equals a classical mixture over hidden configurations.
+That mixture is computed in one place, this module's _MixtureEngine, which
+serves classical_mixture_oracle here and the cross entropy, its analytic
+gradient and the optimizer in the training module.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from .activation import ALGEBRAIC, ActivationKind, cao_arctan, df_dx, eval_f
 from .register import (
     PerceptronGateSpec,
-    QuantumRegister,
     apply_hardware_perceptron,
     apply_ideal_perceptron,
     excitation_probability,
@@ -167,31 +167,79 @@ def forward(net: NetworkSpec, input_bits: str, schedule=None):
     return reg, excitation_probability(reg, net.n_total - 1)
 
 
-def _mixture_tables(net: NetworkSpec, input_bits: str):
-    """All hidden configurations at once, vectorized.
+_CLAMP = 1e-12
 
-    Returns (P, f_out): branch probabilities and output activation per
-    hidden configuration, each of length 2**n_hidden.  Source values enter
-    as sz eigenvalues: inputs fixed at +/-1 by the bits, hidden at +/-1 by
-    the configuration, output column zeroed (nothing sources the output).
+
+def _cross_entropy(p: np.ndarray, Y: np.ndarray):
+    """Mean binary cross entropy, p clamped to [1e-12, 1 - 1e-12] inside the
+    logs.  Returns (cost, clamped p)."""
+    pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
+    return float(-np.mean(Y * np.log(pc) + (1.0 - Y) * np.log(1.0 - pc))), pc
+
+
+class _MixtureEngine:
+    """Mixture sums of one topology over a list of input bitstrings.
+
+    Precomputes the (samples, configurations, qubits) source tensor once;
+    each probability, cost or gradient evaluation is then a handful of dense
+    array ops.  Source values enter as sz eigenvalues: inputs fixed at +/-1
+    by the bits, hidden qubits at +/-1 by the configuration, the output
+    column zeroed (nothing sources the output).  ``labels`` are the targets
+    the cross-entropy ``cost`` compares against.
     """
-    _check_bits(net, input_bits)
-    M = net.n_hidden
-    N = net.n_inputs
-    cfg = np.arange(1 << M)
-    # hidden qubit h (global index N+h) -> column of +/-1 values
-    Z = 2.0 * ((cfg[:, None] >> np.arange(M)[None, :]) & 1) - 1.0
-    V = np.empty(((1 << M), net.n_total))
-    V[:, :N] = 2.0 * np.array([int(c) for c in input_bits]) - 1.0
-    V[:, N : N + M] = Z
-    V[:, -1] = 0.0
-    W = net.effective_weights()
-    X = V @ W.T - net.b  # activation field of every perceptron, per config
-    f_hid = eval_f(net.activation, X[:, N : N + M]) if M else np.ones(((1 << M), 0))
-    bern = np.where(Z > 0, f_hid, 1.0 - f_hid)
-    P = np.prod(bern, axis=1) if M else np.ones(1)
-    f_out = eval_f(net.activation, X[:, -1])
-    return P, f_out, X, V, f_hid, Z
+
+    def __init__(self, net: NetworkSpec, inputs: Sequence[str], labels=()):
+        self.net = net
+        N, M, n = net.n_inputs, net.n_hidden, net.n_total
+        S, C = len(inputs), 1 << M
+        cfg = np.arange(C)
+        self.Z = 2.0 * ((cfg[:, None] >> np.arange(M)[None, :]) & 1) - 1.0
+        V = np.empty((S, C, n))
+        for i, x in enumerate(inputs):
+            V[i, :, :N] = 2.0 * np.array([int(c) for c in x]) - 1.0
+        V[:, :, N : N + M] = self.Z[None, :, :]
+        V[:, :, n - 1] = 0.0
+        self.V = V
+        self.Y = np.array(labels, dtype=float)
+        self.N, self.M, self.n, self.S, self.C = N, M, n, S, C
+
+    def probabilities(self, J: np.ndarray, b: np.ndarray):
+        net = self.net
+        W = net.mask * J
+        X = self.V @ W.T - b
+        kind = net.activation
+        N, M = self.N, self.M
+        f_hid = eval_f(kind, X[:, :, N : N + M])
+        bern = np.where(self.Z[None] > 0, f_hid, 1.0 - f_hid)
+        P = np.prod(bern, axis=2) if M else np.ones((self.S, self.C))
+        f_out = eval_f(kind, X[:, :, -1])
+        p = np.einsum("sc,sc->s", P, f_out)
+        return p, (X, bern, P, f_out)
+
+    def cost(self, J, b, want_grad=False):
+        p, (X, bern, P, f_out) = self.probabilities(J, b)
+        cost, pc = _cross_entropy(p, self.Y)
+        if not want_grad:
+            return cost, p, None, None
+        Y = self.Y
+        kind = self.net.activation
+        N, M, n = self.N, self.M, self.n
+        wvec = (pc - Y) / (pc * (1.0 - pc)) / self.S  # dC/dp per sample
+        dfo = df_dx(kind, X[:, :, -1])
+        dJ = np.zeros((n, n))
+        db = np.zeros(n)
+        out_fac = P * dfo  # (S, C)
+        dJ[n - 1] = np.einsum("s,sc,sck->k", wvec, out_fac, self.V)
+        db[n - 1] = -float(np.einsum("s,sc->", wvec, out_fac))
+        if M:
+            dfh = df_dx(kind, X[:, :, N : N + M])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                G = np.where(bern > 0, self.Z[None] * dfh / bern, 0.0)
+            T = G * (P * f_out)[:, :, None]  # (S, C, M)
+            dJ[N : N + M] = np.einsum("s,scm,sck->mk", wvec, T, self.V)
+            db[N : N + M] = -np.einsum("s,scm->m", wvec, T)
+        dJ *= self.net.mask
+        return cost, p, dJ, db
 
 
 def classical_mixture_oracle(net: NetworkSpec, input_bits: str) -> float:
@@ -200,8 +248,9 @@ def classical_mixture_oracle(net: NetworkSpec, input_bits: str) -> float:
     Exact for these circuits: diagonal controls and single-targeting make
     the hidden qubits behave as independent classical coins per branch.
     """
-    P, f_out, *_ = _mixture_tables(net, input_bits)
-    return float(P @ f_out)
+    _check_bits(net, input_bits)
+    p, _ = _MixtureEngine(net, [input_bits]).probabilities(net.J, net.b)
+    return float(p[0])
 
 
 @dataclass(frozen=True)
@@ -297,11 +346,7 @@ def layer_hamiltonian_forward(net: NetworkSpec, input_bits: str, schedule):
     len(layer_sizes) * schedule.tf.
     """
     _require_strictly_layered(net)
-    _check_bits(net, input_bits)
-    reg = init_basis(net.n_total, input_bits + "0" * (net.n_total - net.n_inputs))
-    for gate in net.gates(schedule):
-        reg = apply_hardware_perceptron(reg, gate)
-    return reg, excitation_probability(reg, net.n_total - 1)
+    return forward(net, input_bits, schedule)
 
 
 def protocol_duration(net: NetworkSpec, schedule) -> float:
@@ -310,7 +355,7 @@ def protocol_duration(net: NetworkSpec, schedule) -> float:
 
 
 def _activation_tag(kind: ActivationKind) -> str:
-    if kind.variant == "cao_arctan":
+    if kind.variant == "cao":
         return f"cao_arctan:{kind.k}"
     return kind.variant
 

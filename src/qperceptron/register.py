@@ -21,12 +21,12 @@ frozen read-only.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
 
+from ._io import open_text
 from .activation import ActivationKind, chi
 from .dynamics import schedule_propagators
 
@@ -165,8 +165,11 @@ def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> Qu
         raise ValueError("gate is in hardware mode; use apply_hardware_perceptron")
     _validate_gate(reg, gate)
     i0, i1 = _pair_indices(reg.n_qubits, gate.target)
-    x = _pair_fields(reg, gate, i0)
-    ang = chi(gate.activation, x)
+    return _rotate_pairs(reg, i0, i1, chi(gate.activation, _pair_fields(reg, gate, i0)))
+
+
+def _rotate_pairs(reg: QuantumRegister, i0, i1, ang) -> QuantumRegister:
+    """Rotate each (i0, i1) amplitude pair by [[c, -s], [s, c]] at its angle."""
     c, s = np.cos(ang), np.sin(ang)
     a = reg.amplitudes
     out = np.empty_like(a)
@@ -255,15 +258,8 @@ def conditional_probability(reg, condition_qubits, condition_bits, query_qubit) 
 
 def register_to_csv(reg: QuantumRegister, path_or_buf) -> None:
     """Debug dump: one row per basis state, ``index,bitstring,re,im``."""
-
-    def emit(fh):
+    with open_text(path_or_buf, "w") as fh:
         fh.write("index,bitstring,re,im\n")
         for i, amp in enumerate(reg.amplitudes):
             bits = format(i, f"0{reg.n_qubits}b")
             fh.write(f"{i},{bits},{float(amp.real)!r},{float(amp.imag)!r}\n")
-
-    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
-        with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-    else:
-        emit(path_or_buf)

@@ -18,15 +18,15 @@ count lies between M1 and M2"; per-cycle thresholds absorb any offset.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import least_squares
 
+from ._io import open_text
 from .activation import ActivationKind, ALGEBRAIC, chi, dchi_dx
-from .register import QuantumRegister, _pair_indices
+from .register import QuantumRegister, _pair_indices, _rotate_pairs
 
 __all__ = [
     "Rectangle",
@@ -275,14 +275,7 @@ def apply_composition(
     x = np.zeros(i0.size)
     for k, w in srcs.items():
         x += w * ((i0 >> (n - 1 - k)) & 1)
-    ang = composition_angle(spec, x)
-    c, s = np.cos(ang), np.sin(ang)
-    amps = np.array(reg.amplitudes)
-    a0 = amps[i0].copy()
-    a1 = amps[i1].copy()
-    amps[i0] = c * a0 - s * a1
-    amps[i1] = s * a0 + c * a1
-    return QuantumRegister(n, amps)
+    return _rotate_pairs(reg, i0, i1, composition_angle(spec, x))
 
 
 def composition_to_csv(
@@ -293,14 +286,7 @@ def composition_to_csv(
     tgt = target_angle(target, x)
     ang = composition_angle(result.spec, x)
     exc = np.sin(ang) ** 2
-
-    def emit(fh):
+    with open_text(path_or_buf, "w") as fh:
         fh.write("x,target_angle,fitted_angle,fitted_excitation\n")
         for xi, ti, ai, ei in zip(x, tgt, ang, exc):
             fh.write(f"{float(xi)!r},{float(ti)!r},{float(ai)!r},{float(ei)!r}\n")
-
-    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
-        with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-    else:
-        emit(path_or_buf)

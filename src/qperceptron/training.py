@@ -3,9 +3,10 @@
 Training never simulates the statevector: because forward(Ideal) equals the
 classical mixture over hidden configurations exactly, the cost and its
 analytic gradient are computed from that sum directly, vectorized over
-(samples x configurations).  The gradient differentiates each gate through
-the activation derivative per configuration; entries masked out by the
-topology get an exactly-zero gradient.
+(samples x configurations), by the network module's _MixtureEngine.  The
+gradient differentiates each gate through the activation derivative per
+configuration; entries masked out by the topology get an exactly-zero
+gradient.
 
 The optimizer is plain gradient descent with a backtracking line search
 (halve the step until the cost strictly decreases), restarted from seeded
@@ -15,14 +16,13 @@ fixed-order, so a fixed seed gives a bit-identical report.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from .activation import df_dx, eval_f
-from .network import NetworkSpec, forward, network_to_json
+from ._io import open_text
+from .network import NetworkSpec, _cross_entropy, _MixtureEngine, forward, network_to_json
 from .register import QuantumRegister, apply_ideal_perceptron, conditional_probability
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "report_to_json",
 ]
 
-_CLAMP = 1e-12
 _GRAD_TOL = 1e-8
 _COST_TOL = 1e-12
 
@@ -93,70 +92,13 @@ def prime_dataset(n_bits: int) -> Dataset:
     return Dataset(n_bits, tuple(pairs))
 
 
-class _MixtureEngine:
-    """Dataset-wide mixture sums for one topology.
-
-    Precomputes the (samples, configurations, qubits) source tensor once;
-    each cost/gradient evaluation is then a handful of dense array ops.
-    """
-
-    def __init__(self, net: NetworkSpec, dataset: Dataset):
-        if net.activation.variant == "step":
-            raise ValueError("step activation is not differentiable; cannot train")
-        if dataset.n_bits != net.n_inputs:
-            raise ValueError("dataset width must match the network inputs")
-        self.net = net
-        N, M, n = net.n_inputs, net.n_hidden, net.n_total
-        S, C = dataset.size, 1 << M
-        cfg = np.arange(C)
-        self.Z = 2.0 * ((cfg[:, None] >> np.arange(M)[None, :]) & 1) - 1.0
-        V = np.empty((S, C, n))
-        for i, (x, _) in enumerate(dataset.pairs):
-            V[i, :, :N] = 2.0 * np.array([int(c) for c in x]) - 1.0
-        V[:, :, N : N + M] = self.Z[None, :, :]
-        V[:, :, n - 1] = 0.0
-        self.V = V
-        self.Y = np.array([y for _, y in dataset.pairs])
-        self.N, self.M, self.n, self.S, self.C = N, M, n, S, C
-
-    def probabilities(self, J: np.ndarray, b: np.ndarray):
-        net = self.net
-        W = net.mask * J
-        X = self.V @ W.T - b
-        kind = net.activation
-        N, M = self.N, self.M
-        f_hid = eval_f(kind, X[:, :, N : N + M])
-        bern = np.where(self.Z[None] > 0, f_hid, 1.0 - f_hid)
-        P = np.prod(bern, axis=2) if M else np.ones((self.S, self.C))
-        f_out = eval_f(kind, X[:, :, -1])
-        p = np.einsum("sc,sc->s", P, f_out)
-        return p, (X, f_hid, bern, P, f_out)
-
-    def cost(self, J, b, want_grad=False):
-        p, (X, f_hid, bern, P, f_out) = self.probabilities(J, b)
-        pc = np.clip(p, _CLAMP, 1.0 - _CLAMP)
-        Y = self.Y
-        cost = float(-np.mean(Y * np.log(pc) + (1.0 - Y) * np.log(1.0 - pc)))
-        if not want_grad:
-            return cost, p, None, None
-        kind = self.net.activation
-        N, M, n = self.N, self.M, self.n
-        wvec = (pc - Y) / (pc * (1.0 - pc)) / self.S  # dC/dp per sample
-        dfo = df_dx(kind, X[:, :, -1])
-        dJ = np.zeros((n, n))
-        db = np.zeros(n)
-        out_fac = P * dfo  # (S, C)
-        dJ[n - 1] = np.einsum("s,sc,sck->k", wvec, out_fac, self.V)
-        db[n - 1] = -float(np.einsum("s,sc->", wvec, out_fac))
-        if M:
-            dfh = df_dx(kind, X[:, :, N : N + M])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                G = np.where(bern > 0, self.Z[None] * dfh / bern, 0.0)
-            T = G * (P * f_out)[:, :, None]  # (S, C, M)
-            dJ[N : N + M] = np.einsum("s,scm,sck->mk", wvec, T, self.V)
-            db[N : N + M] = -np.einsum("s,scm->m", wvec, T)
-        dJ *= self.net.mask
-        return cost, p, dJ, db
+def _engine(net: NetworkSpec, dataset: Dataset) -> _MixtureEngine:
+    """Mixture engine over the dataset, for the differentiable entry points."""
+    if net.activation.variant == "step":
+        raise ValueError("step activation is not differentiable; cannot train")
+    if dataset.n_bits != net.n_inputs:
+        raise ValueError("dataset width must match the network inputs")
+    return _MixtureEngine(net, [x for x, _ in dataset.pairs], [y for _, y in dataset.pairs])
 
 
 def cross_entropy_cost(net: NetworkSpec, dataset: Dataset, schedule=None) -> float:
@@ -165,19 +107,15 @@ def cross_entropy_cost(net: NetworkSpec, dataset: Dataset, schedule=None) -> flo
     Probabilities are clamped to [1e-12, 1 - 1e-12] inside the logs.  With
     a schedule the forward passes run in hardware mode (slow; no gradients).
     """
-    if schedule is not None:
-        ps = np.array([forward(net, x, schedule)[1] for x, _ in dataset.pairs])
-        Y = np.array([y for _, y in dataset.pairs])
-        pc = np.clip(ps, _CLAMP, 1.0 - _CLAMP)
-        return float(-np.mean(Y * np.log(pc) + (1.0 - Y) * np.log(1.0 - pc)))
-    eng = _MixtureEngine(net, dataset)
-    return eng.cost(net.J, net.b)[0]
+    if schedule is None:
+        return _engine(net, dataset).cost(net.J, net.b)[0]
+    ps = np.array([forward(net, x, schedule)[1] for x, _ in dataset.pairs])
+    return _cross_entropy(ps, np.array([y for _, y in dataset.pairs]))[0]
 
 
 def cost_gradient(net: NetworkSpec, dataset: Dataset):
     """Analytic (dJ, db) of the cross entropy; masked entries are exactly 0."""
-    eng = _MixtureEngine(net, dataset)
-    _, _, dJ, db = eng.cost(net.J, net.b, want_grad=True)
+    _, _, dJ, db = _engine(net, dataset).cost(net.J, net.b, want_grad=True)
     return dJ, db
 
 
@@ -243,7 +181,7 @@ def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainRepo
     Stops early once a restart classifies every sample correctly with cost
     at or below config.target_cost.
     """
-    eng = _MixtureEngine(net0, dataset)
+    eng = _engine(net0, dataset)
     mask = net0.mask
     n = net0.n_total
     best = None
@@ -304,21 +242,14 @@ def batch_state_forward(net: NetworkSpec, dataset: Dataset) -> List[float]:
 
 def dataset_to_csv(dataset: Dataset, path_or_buf) -> None:
     """CSV with header ``x_bits,y``; bitstrings kept as text."""
-
-    def emit(fh):
+    with open_text(path_or_buf, "w") as fh:
         fh.write("x_bits,y\n")
         for x, y in dataset.pairs:
             fh.write(f"{x},{float(y)!r}\n")
 
-    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
-        with open(path_or_buf, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-    else:
-        emit(path_or_buf)
-
 
 def dataset_from_csv(path_or_buf) -> Dataset:
-    def parse(fh):
+    with open_text(path_or_buf) as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "x_bits,y":
             raise ValueError(f"expected 'x_bits,y' header, got {header!r}")
@@ -329,14 +260,9 @@ def dataset_from_csv(path_or_buf) -> Dataset:
                 continue
             x, y = line.split(",")
             pairs.append((x.strip(), float(y)))
-        if not pairs:
-            raise ValueError("empty dataset file")
-        return Dataset(len(pairs[0][0]), tuple(pairs))
-
-    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
-        with open(path_or_buf, "r", encoding="utf-8") as fh:
-            return parse(fh)
-    return parse(path_or_buf)
+    if not pairs:
+        raise ValueError("empty dataset file")
+    return Dataset(len(pairs[0][0]), tuple(pairs))
 
 
 def report_to_json(report: TrainReport) -> str:

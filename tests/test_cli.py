@@ -86,18 +86,11 @@ class TestResponse:
             ["--xmax", "-1"],
             ["--epsilon-ctrl", "-0.1"],
             ["--schedule", "cubic"],
-            ["--threads", "0"],
         ],
     )
     def test_flag_validation_exits_2(self, tmp_path, flags, capsys):
         rc = main(["response", *flags, "--out", str(tmp_path / "x.csv")])
         assert rc == 2
-
-    def test_threads_cap_accepted(self, tmp_path):
-        out = tmp_path / "t.csv"
-        rc = main(["response", "--tf", "2", "--omega0", "20", "--xmax", "1",
-                   "--points", "3", "--threads", "2", "--out", str(out)])
-        assert rc == 0
 
 
 class TestBenchmark:

@@ -4,7 +4,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qperceptron.activation import ALGEBRAIC, LOGISTIC, eval_f
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qperceptron.activation import ALGEBRAIC, LOGISTIC, STEP, cao_arctan, eval_f
 from qperceptron.control import faquad_schedule
 from qperceptron.network import (
     ApproximatorSpec,
@@ -87,20 +90,21 @@ class TestNetworkSpec:
             )
 
     def test_json_round_trip(self):
-        rng = np.random.default_rng(1)
-        net = layered_net(3, [2], rng, activation=LOGISTIC)
-        doc = network_to_json(net)
-        back = network_from_json(doc)
-        assert back.n_inputs == net.n_inputs
-        assert back.layer_sizes == net.layer_sizes
-        assert np.array_equal(back.mask, net.mask)
-        assert np.array_equal(back.J, net.J)
-        assert np.array_equal(back.b, net.b)
-        assert back.activation == net.activation
         import json
 
-        keys = set(json.loads(doc))
-        assert keys == {"n_inputs", "layer_sizes", "mask", "J", "b", "activation"}
+        for kind in (ALGEBRAIC, LOGISTIC, STEP, cao_arctan(1), cao_arctan(3)):
+            rng = np.random.default_rng(1)
+            net = layered_net(3, [2], rng, activation=kind)
+            doc = network_to_json(net)
+            back = network_from_json(doc)
+            assert back.n_inputs == net.n_inputs
+            assert back.layer_sizes == net.layer_sizes
+            assert np.array_equal(back.mask, net.mask)
+            assert np.array_equal(back.J, net.J)
+            assert np.array_equal(back.b, net.b)
+            assert back.activation == net.activation
+            keys = set(json.loads(doc))
+            assert keys == {"n_inputs", "layer_sizes", "mask", "J", "b", "activation"}
 
 
 class TestForwardAndOracle:
@@ -141,6 +145,31 @@ class TestForwardAndOracle:
         for bits in all_bits(2):
             _, p = forward(skip, bits)
             assert abs(p - classical_mixture_oracle(skip, bits)) < 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_oracle_equals_forward_on_random_feed_forward_masks(self, data):
+        kind = data.draw(st.sampled_from([ALGEBRAIC, LOGISTIC, STEP, cao_arctan(2)]))
+        N = data.draw(st.integers(2, 3))
+        H = data.draw(st.integers(0, 3))
+        n = N + H + 1
+        # dyadic weights: every field is exact in any summation order, so
+        # both paths put the step threshold on the same side; cao fields
+        # stay inside its [-pi/4, pi/4] domain (at most 6 sources + bias)
+        unit = 1.0 / 64.0 if kind.variant == "cao" else 0.25
+        level = st.integers(-6, 6) if kind.variant == "cao" else st.integers(-12, 12)
+        mask = np.zeros((n, n))
+        J = np.zeros((n, n))
+        b = np.zeros(n)
+        for j in range(N, n):
+            b[j] = unit * data.draw(level)
+            for k in range(j):
+                mask[j, k] = data.draw(st.integers(0, 1))
+                J[j, k] = unit * data.draw(level)
+        net = NetworkSpec(N, (H, 1) if H else (1,), mask, J, b, kind)
+        for bits in all_bits(N):
+            _, p = forward(net, bits)
+            assert abs(p - classical_mixture_oracle(net, bits)) < 1e-10
 
     def test_no_hidden_layer_closed_form(self):
         # output reads the inputs directly: p = f(sum w s - theta) exactly
