@@ -2,11 +2,14 @@
 import io
 import json
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from qperceptron import dynamics
 from qperceptron.activation import ALGEBRAIC, eval_CS, eval_f
 from qperceptron.control import faquad_schedule, linear_schedule, perturbed_schedule
 from qperceptron.dynamics import (
@@ -118,6 +121,75 @@ class TestEvolveClosedForms:
 
         with pytest.raises(ValueError):
             evolve_two_level(Junk(), 0.0, TwoLevelState.ground())
+
+
+class TestIntegratorRobustness:
+    def test_zero_field_is_identity(self):
+        # Omega = x = 0 everywhere: H = 0, so |+> comes back unchanged, and
+        # neither the step nor the dt-rule check divides by the zero energy
+        sched = linear_schedule(0.0, 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fin = evolve_two_level(sched, 0.0, TwoLevelState.plus())
+        r = 1.0 / math.sqrt(2.0)
+        assert abs(fin.amp0 - r) < 1e-12
+        assert abs(fin.amp1 - r) < 1e-12
+
+    def test_nan_drive_fails_fast(self):
+        class NanDrive:
+            tf = 1.0
+
+            def omega(self, t):
+                return np.full(np.shape(t), np.nan)
+
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="not finite"):
+            evolve_two_level(NanDrive(), 0.5, TwoLevelState.plus())
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_nan_between_grid_points_names_level(self):
+        # finite on the probe grid and the step edges, NaN at the first
+        # Gauss node of the base grid: the level-0 sweep must stop there
+        base = linear_schedule(2.0, 1.0, 1.0)
+        lo, hi = dynamics._grid_spec(base, 1.0).edge_block(0, 0, 1)
+        node = (lo + hi) / 2.0 - (math.sqrt(3.0) / 6.0) * (hi - lo)
+
+        class HoledDrive:
+            tf = base.tf
+            domega = base.domega
+
+            def omega(self, t):
+                t = np.asarray(t, dtype=float)
+                return np.where(np.abs(t - node) < 1e-12, np.nan, base.omega(t))
+
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="level 0"):
+            evolve_two_level(HoledDrive(), 1.0, TwoLevelState.plus())
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_nonconvergence_reports_delta_history(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_HALVINGS", 2)
+        sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
+        with pytest.raises(RuntimeError, match="did not converge") as err:
+            evolve_two_level(sched, 1.0, TwoLevelState.plus(), tol=0.0)
+        history = str(err.value).split("max change per halving:")[1]
+        deltas = [float(v) for v in history.split(",")]
+        assert len(deltas) == 2
+        assert deltas[0] > deltas[1] > 0.0
+
+
+class TestConvergenceOrder:
+    def test_fourth_order_per_halving(self):
+        # Magnus-4: each halving cuts the error 16-fold.  A wrong sign on
+        # the commutator (sy) term still converges, but only 4-fold.
+        sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
+        xs = np.array([-3.0, 0.5, 2.0])
+        spec = dynamics._grid_spec(sched, 3.0)
+        ref = np.stack(dynamics._propagate(sched, xs, spec, 9))
+        err = [np.abs(np.stack(dynamics._propagate(sched, xs, spec, level)) - ref).max()
+               for level in range(3)]
+        for coarse, fine in zip(err, err[1:]):
+            assert 14.0 <= coarse / fine <= 18.0
 
 
 class TestResponseCurve:
