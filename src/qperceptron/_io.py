@@ -1,4 +1,4 @@
-"""Path-or-stream handling shared by the package's CSV readers and writers."""
+"""Path-or-stream handling and the float-row CSV writer shared by the package."""
 from __future__ import annotations
 
 import contextlib
@@ -18,3 +18,11 @@ def open_text(path_or_buf, mode: str = "r"):
             yield fh
     else:
         yield path_or_buf
+
+
+def write_rows(path_or_buf, header: str, rows) -> None:
+    """Write ``header``, then each row as comma-separated float reprs, LF-terminated."""
+    with open_text(path_or_buf, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 
+from ._io import write_rows
 from .activation import ALGEBRAIC, eval_f
 from .control import (
     faquad_schedule,
@@ -110,10 +111,7 @@ def cmd_response(parser, args) -> int:
             f"# schedule={args.schedule} tf={args.tf!r} omega0={args.omega0!r} "
             f"epsilon_ctrl={args.epsilon_ctrl!r}\n"
         )
-        fh.write("x,p_excite,g_ideal\n")
-        for x, p in curve:
-            g = float(eval_f(ALGEBRAIC, x))
-            fh.write(f"{float(x)!r},{float(p)!r},{g!r}\n")
+        write_rows(fh, "x,p_excite,g_ideal", ((x, p, eval_f(ALGEBRAIC, x)) for x, p in curve))
     return 0
 
 

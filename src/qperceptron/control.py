@@ -4,8 +4,10 @@ The hardware protocol drives H(t) = -1/2 [Omega(t) sx + x sz] from a large
 transverse field Omega(0) = omega0 down to omegaf, dragging the ground
 state from |+> to the sigmoid superposition.  This module builds the two
 ramp families studied here (linear and constant-adiabaticity "faquad"),
-their perturbed variants, the instantaneous eigensystem, and the
-adiabatic-parameter diagnostics used to compare them.
+their perturbed variants, tabulated waveforms and the time-reversed,
+sign-flipped drive that undoes a passage, all as the one schedule type
+``ControlSchedule``; plus the instantaneous eigensystem and the
+adiabatic-parameter diagnostics used to compare the ramps.
 
 Units: omegaf is the frequency unit (set it to 1), times are in 1/omegaf,
 fields in omegaf.
@@ -13,12 +15,14 @@ fields in omegaf.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ._io import open_text
+from ._io import open_text, write_rows
 
 __all__ = [
     "ControlSchedule",
@@ -28,6 +32,7 @@ __all__ = [
     "faquad_schedule",
     "perturbed_schedule",
     "tabulated_schedule",
+    "reversed_negated",
     "eigensystem",
     "adiabatic_mu",
     "adiabatic_diagnostics",
@@ -45,65 +50,37 @@ def _w_of_omega(omega, x_ref):
     return x_ref * x_ref / (h * (h + omega))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSchedule:
     """A transverse-field waveform Omega(t) on [0, tf].
 
-    ``kind`` is one of ``linear``, ``faquad``, ``perturbed``, ``tabulated``.
-    ``omega0``/``omegaf`` are the design endpoints; for the perturbed kind
-    they keep the *base* schedule's values and evaluation intentionally
-    overshoots them by the degradation term.  ``samples`` holds the (t,
-    Omega) table for the tabulated kind and is None otherwise.
+    Built by the factories below, which close ``field`` and ``slope`` (the
+    vectorised Omega(t) and dOmega/dt) over their parameters.  ``kind`` is
+    a label only: ``linear``, ``faquad``, ``perturbed``, ``tabulated`` or
+    ``reversed``.  ``omega0``/``omegaf`` are the design endpoints; for the
+    perturbed kind they keep the *base* schedule's values and evaluation
+    intentionally overshoots them by the degradation term.  ``samples``
+    holds the (t, Omega) table of the tabulated kind and is None otherwise.
+    Equality and hashing are by identity.
     """
 
     kind: str
     omega0: float
     omegaf: float
     tf: float
-    x_ref: float = 0.0
-    epsilon_ctrl: float = 0.0
+    field: Callable = dataclasses.field(repr=False)
+    slope: Callable = dataclasses.field(repr=False)
     samples: tuple = None
-    base: "ControlSchedule" = field(default=None, repr=False)
 
     def omega(self, t):
         """Field value(s) at time t (scalar or array)."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "linear":
-            out = self.omega0 + (self.omegaf - self.omega0) * (t / self.tf)
-        elif self.kind == "faquad":
-            w0 = _w_of_omega(self.omega0, self.x_ref)
-            wf = _w_of_omega(self.omegaf, self.x_ref)
-            w = w0 + (t / self.tf) * (wf - w0)
-            out = abs(self.x_ref) * (1.0 - w) / np.sqrt(w * (2.0 - w))
-        elif self.kind == "perturbed":
-            ramp = self.base.omega0 + (self.base.omegaf - self.base.omega0) * (t / self.tf)
-            out = self.base.omega(t) + self.epsilon_ctrl * ramp
-        else:
-            ts, oms = self.samples
-            out = np.interp(t, ts, oms)
-        return out if out.ndim else float(out)
+        out = self.field(np.asarray(t, dtype=float))
+        return out if np.ndim(out) else float(out)
 
     def domega(self, t):
-        """Time derivative of the field, analytic where the kind allows."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "linear":
-            out = np.full(t.shape, (self.omegaf - self.omega0) / self.tf)
-        elif self.kind == "faquad":
-            w0 = _w_of_omega(self.omega0, self.x_ref)
-            wf = _w_of_omega(self.omegaf, self.x_ref)
-            w = w0 + (t / self.tf) * (wf - w0)
-            # dOmega/dw = -|x|/(w(2-w))^{3/2}; dw/dt = (wf-w0)/tf
-            out = abs(self.x_ref) * (w * (2.0 - w)) ** -1.5 * (w0 - wf) / self.tf
-        elif self.kind == "perturbed":
-            out = self.base.domega(t) + self.epsilon_ctrl * (
-                (self.base.omegaf - self.base.omega0) / self.tf
-            )
-        else:
-            ts, oms = self.samples
-            # central differences on the stored grid
-            grad = np.gradient(oms, ts)
-            out = np.interp(t, ts, grad)
-        return out if out.ndim else float(out)
+        """Time derivative of the field (scalar or array)."""
+        out = self.slope(np.asarray(t, dtype=float))
+        return out if np.ndim(out) else float(out)
 
 
 def linear_schedule(omega0: float, omegaf: float, tf: float) -> ControlSchedule:
@@ -116,7 +93,12 @@ def linear_schedule(omega0: float, omegaf: float, tf: float) -> ControlSchedule:
         raise ValueError("tf must be positive")
     if omega0 < omegaf or omegaf < 0:
         raise ValueError("need omega0 >= omegaf >= 0")
-    return ControlSchedule("linear", float(omega0), float(omegaf), float(tf))
+    omega0, omegaf, tf = float(omega0), float(omegaf), float(tf)
+    return ControlSchedule(
+        "linear", omega0, omegaf, tf,
+        field=lambda t: omega0 + (omegaf - omega0) * (t / tf),
+        slope=lambda t: np.full(t.shape, (omegaf - omega0) / tf),
+    )
 
 
 def faquad_schedule(omega0: float, omegaf: float, tf: float, x_ref: float) -> ControlSchedule:
@@ -134,7 +116,20 @@ def faquad_schedule(omega0: float, omegaf: float, tf: float, x_ref: float) -> Co
         raise ValueError("need omega0 > omegaf > 0")
     if x_ref == 0:
         raise ValueError("x_ref = 0 has no avoided crossing; mu is undefined")
-    return ControlSchedule("faquad", float(omega0), float(omegaf), float(tf), float(x_ref))
+    omega0, omegaf, tf, x_ref = float(omega0), float(omegaf), float(tf), float(x_ref)
+    w0 = _w_of_omega(omega0, x_ref)
+    wf = _w_of_omega(omegaf, x_ref)
+
+    def field(t):
+        w = w0 + (t / tf) * (wf - w0)
+        return abs(x_ref) * (1.0 - w) / np.sqrt(w * (2.0 - w))
+
+    def slope(t):
+        w = w0 + (t / tf) * (wf - w0)
+        # dOmega/dw = -|x|/(w(2-w))^{3/2}; dw/dt = (wf-w0)/tf
+        return abs(x_ref) * (w * (2.0 - w)) ** -1.5 * (w0 - wf) / tf
+
+    return ControlSchedule("faquad", omega0, omegaf, tf, field, slope)
 
 
 def perturbed_schedule(base: ControlSchedule, epsilon_ctrl: float) -> ControlSchedule:
@@ -148,31 +143,49 @@ def perturbed_schedule(base: ControlSchedule, epsilon_ctrl: float) -> ControlSch
         raise ValueError("perturbation is defined relative to a faquad base")
     if epsilon_ctrl < 0:
         raise ValueError("epsilon_ctrl must be >= 0")
+    eps = float(epsilon_ctrl)
+    omega0, omegaf, tf = base.omega0, base.omegaf, base.tf
+    drift = eps * ((omegaf - omega0) / tf)
     return ControlSchedule(
-        "perturbed",
-        base.omega0,
-        base.omegaf,
-        base.tf,
-        base.x_ref,
-        float(epsilon_ctrl),
-        base=base,
+        "perturbed", omega0, omegaf, tf,
+        field=lambda t: base.field(t) + eps * (omega0 + (omegaf - omega0) * (t / tf)),
+        slope=lambda t: base.slope(t) + drift,
     )
 
 
 def tabulated_schedule(ts, omegas) -> ControlSchedule:
-    """Schedule defined by an ordered (t, Omega) table; linear interpolation."""
-    ts = np.asarray(ts, dtype=float)
-    omegas = np.asarray(omegas, dtype=float)
+    """Schedule defined by an ordered (t, Omega) table; linear interpolation.
+
+    The slope interpolates central differences on the stored grid.
+    """
+    ts = np.array(ts, dtype=float)
+    omegas = np.array(omegas, dtype=float)
     if ts.ndim != 1 or ts.shape != omegas.shape or ts.size < 2:
         raise ValueError("need matching 1-d arrays with at least two samples")
     if not np.all(np.diff(ts) > 0) or ts[0] != 0:
         raise ValueError("sample times must start at 0 and increase strictly")
+    ts.flags.writeable = omegas.flags.writeable = False
+    grad = np.gradient(omegas, ts)
     return ControlSchedule(
-        "tabulated",
-        float(omegas[0]),
-        float(omegas[-1]),
-        float(ts[-1]),
-        samples=(ts.copy(), omegas.copy()),
+        "tabulated", float(omegas[0]), float(omegas[-1]), float(ts[-1]),
+        field=lambda t: np.interp(t, ts, omegas),
+        slope=lambda t: np.interp(t, ts, grad),
+        samples=(ts, omegas),
+    )
+
+
+def reversed_negated(schedule) -> ControlSchedule:
+    """Time-reversed, sign-flipped drive Omega'(t) = -Omega(tf - t).
+
+    Evolving with this schedule and the longitudinal field negated undoes
+    the original evolution exactly: both fields must flip so that H'(t) =
+    -H(tf - t), which turns the time-ordered product into its inverse.
+    """
+    tf = schedule.tf
+    return ControlSchedule(
+        "reversed", -schedule.omegaf, -schedule.omega0, tf,
+        field=lambda t: -schedule.omega(tf - t),
+        slope=lambda t: schedule.domega(tf - t),
     )
 
 
@@ -275,17 +288,17 @@ def optimal_design_field(omegaf: float, omega0_ratio: float = 1e4) -> float:
 
 
 def schedule_to_csv(schedule: ControlSchedule, path_or_buf, n_samples: int = 1001) -> None:
-    """Write the waveform as CSV with header ``t,omega``, increasing t."""
-    if schedule.kind == "tabulated":
+    """Write the waveform as CSV with header ``t,omega``, increasing t.
+
+    A tabulated schedule writes its knots; any other samples n_samples
+    uniform times on [0, tf].
+    """
+    if schedule.samples is not None:
         ts, oms = schedule.samples
     else:
         ts = np.linspace(0.0, schedule.tf, n_samples)
         oms = schedule.omega(ts)
-    with open_text(path_or_buf, "w") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "omega"])
-        for t, om in zip(ts, oms):
-            wr.writerow([repr(float(t)), repr(float(om))])
+    write_rows(path_or_buf, "t,omega", zip(ts, oms))
 
 
 def schedule_from_csv(path_or_buf) -> ControlSchedule:

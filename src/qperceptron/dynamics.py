@@ -40,8 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from ._io import open_text
-from .control import eigensystem, faquad_schedule, linear_schedule, optimal_design_field
+from ._io import write_rows
+from .control import (eigensystem, faquad_schedule, linear_schedule, optimal_design_field,
+                      reversed_negated)
 
 __all__ = [
     "TwoLevelState",
@@ -89,31 +90,6 @@ class TwoLevelState:
 
     def norm(self) -> float:
         return math.sqrt(abs(self.amp0) ** 2 + abs(self.amp1) ** 2)
-
-
-class _ReversedNegated:
-    """Adapter evaluating Omega'(t) = -Omega(tf - t) of a base schedule."""
-
-    def __init__(self, base):
-        self.base = base
-        self.tf = base.tf
-        self.kind = "reversed"
-
-    def omega(self, t):
-        return -self.base.omega(self.tf - np.asarray(t, dtype=float))
-
-    def domega(self, t):
-        return self.base.domega(self.tf - np.asarray(t, dtype=float))
-
-
-def reversed_negated(schedule) -> _ReversedNegated:
-    """Time-reversed, sign-flipped drive.
-
-    Evolving with this schedule and the longitudinal field negated undoes
-    the original evolution exactly: both fields must flip so that H'(t) =
-    -H(tf - t), which turns the time-ordered product into its inverse.
-    """
-    return _ReversedNegated(schedule)
 
 
 def _validate_schedule(schedule):
@@ -174,7 +150,8 @@ def _grid_spec(schedule, x_absmax: float) -> _GridSpec:
     The local step-rate r(t) = max of the three dt-rule reciprocals is
     accumulated on a dense probe grid, edges go at uniform quantiles of its
     integral, and the result is verified (in bounded blocks) against the dt
-    rules evaluated conservatively at step endpoints.
+    rules evaluated conservatively at step endpoints.  The slope comes from
+    the schedule's ``domega``, or from finite differences if it has none.
     """
     tf = schedule.tf
     # probe grid: uniform body plus geometric head to resolve steep starts
@@ -183,12 +160,13 @@ def _grid_spec(schedule, x_absmax: float) -> _GridSpec:
         tf * np.geomspace(1e-9, 1.0, 2049),
         [0.0],
     ]))
+    domega = getattr(schedule, "domega", None)
     for _ in range(8):
         om = np.asarray(schedule.omega(probe), dtype=float)
-        try:
-            dom = np.asarray(schedule.domega(probe), dtype=float)
-        except Exception:
+        if domega is None:
             dom = np.gradient(om, probe)
+        else:
+            dom = np.asarray(domega(probe), dtype=float)
         rate = np.hypot(om, x_absmax) / _PHASE
         rate = np.maximum(rate, _MIN_STEPS / tf)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -520,22 +498,15 @@ def benchmark_ramps(
     return FidelityReport(tf, inf_lin, inf_faq, c0, c1, c2)
 
 
-def _write_rows(path_or_buf, header, rows):
-    with open_text(path_or_buf, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def response_to_csv(pairs, path_or_buf) -> None:
     """Write a response curve as CSV with header ``x,p_excite``."""
-    _write_rows(path_or_buf, "x,p_excite", pairs)
+    write_rows(path_or_buf, "x,p_excite", pairs)
 
 
 def report_to_csv(report: FidelityReport, path_or_buf) -> None:
     """Write a benchmark report as CSV, header ``tf,infid_linear,infid_faquad``."""
     rows = zip(report.tf_grid, report.infidelity_linear, report.infidelity_faquad)
-    _write_rows(path_or_buf, "tf,infid_linear,infid_faquad", rows)
+    write_rows(path_or_buf, "tf,infid_linear,infid_faquad", rows)
 
 
 def fit_constants_json(report: FidelityReport) -> str:

@@ -28,6 +28,7 @@ import numpy as np
 
 from ._io import open_text
 from .activation import ActivationKind, chi
+from .control import ControlSchedule
 from .dynamics import schedule_propagators
 
 __all__ = [
@@ -90,7 +91,7 @@ class PerceptronGateSpec:
     weights: Mapping[int, float] = field(default_factory=dict)
     bias: float = 0.0
     activation: ActivationKind = ActivationKind("algebraic")
-    schedule: Optional[object] = None
+    schedule: Optional[ControlSchedule] = None
 
     def __post_init__(self):
         if self.target in self.weights:

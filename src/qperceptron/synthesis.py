@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Tuple, Union
 import numpy as np
 from scipy.optimize import least_squares
 
-from ._io import open_text
+from ._io import write_rows
 from .activation import ActivationKind, ALGEBRAIC, chi, dchi_dx
 from .register import QuantumRegister, _pair_indices, _rotate_pairs
 
@@ -286,7 +286,5 @@ def composition_to_csv(
     tgt = target_angle(target, x)
     ang = composition_angle(result.spec, x)
     exc = np.sin(ang) ** 2
-    with open_text(path_or_buf, "w") as fh:
-        fh.write("x,target_angle,fitted_angle,fitted_excitation\n")
-        for xi, ti, ai, ei in zip(x, tgt, ang, exc):
-            fh.write(f"{float(xi)!r},{float(ti)!r},{float(ai)!r},{float(ei)!r}\n")
+    rows = zip(x, tgt, ang, exc)
+    write_rows(path_or_buf, "x,target_angle,fitted_angle,fitted_excitation", rows)

@@ -21,6 +21,7 @@ from qperceptron.control import (
     linear_schedule,
     optimal_design_field,
     perturbed_schedule,
+    reversed_negated,
     schedule_from_csv,
     schedule_to_csv,
     tabulated_schedule,
@@ -248,3 +249,60 @@ class TestCsvRoundTrip:
             tabulated_schedule([0.0, 0.0, 1.0], [1, 2, 3])
         with pytest.raises(ValueError):
             tabulated_schedule([0.5, 1.0], [1, 2])
+
+    def test_line_ends_are_lf(self, tmp_path):
+        # every kind, to a stream and to a path: rows end in "\n" only
+        table = tabulated_schedule([0.0, 0.5, 2.0], [9.0, 3.0, 1.0])
+        for s in (linear_schedule(10, 1, 2), table):
+            buf = io.StringIO()
+            schedule_to_csv(s, buf, n_samples=5)
+            path = tmp_path / f"{s.kind}.csv"
+            schedule_to_csv(s, path, n_samples=5)
+            assert "\r" not in buf.getvalue()
+            assert path.read_bytes() == buf.getvalue().encode("ascii")
+
+
+def every_kind():
+    """One schedule of each kind the factories build."""
+    faq = faquad_schedule(100, 1, 10, X_STAR)
+    return [
+        linear_schedule(100, 1, 10),
+        faq,
+        perturbed_schedule(faq, 0.2),
+        tabulated_schedule([0.0, 0.5, 2.0, 4.0], [40.0, 9.0, 3.0, 1.0]),
+        reversed_negated(faq),
+    ]
+
+
+class TestScheduleType:
+    def test_scalar_equals_array_element(self):
+        for s in every_kind():
+            ts = np.linspace(0.0, s.tf, 9)
+            for f in (s.omega, s.domega):
+                arr = f(ts)
+                assert isinstance(arr, np.ndarray) and arr.shape == ts.shape
+                for t, want in zip(ts, arr):
+                    got = f(float(t))
+                    assert type(got) is float, (s.kind, f.__name__)
+                    assert got == want, (s.kind, f.__name__, t)
+
+    def test_adiabatic_mu_scalar_on_perturbed(self):
+        p = perturbed_schedule(faquad_schedule(100, 1, 10, X_STAR), 0.1)
+        mu = adiabatic_mu(p, X_STAR, 2.5)
+        assert type(mu) is float
+        assert mu == adiabatic_mu(p, X_STAR, np.array([2.5]))[0]
+
+    def test_reversed_endpoints(self):
+        for s in every_kind()[:4]:
+            r = reversed_negated(s)
+            assert r.kind == "reversed" and r.tf == s.tf
+            assert r.omega0 == -s.omegaf and r.omegaf == -s.omega0
+            assert r.omega(0.0) == -s.omega(s.tf)
+            assert r.omega(s.tf) == -s.omega(0.0)
+            assert r.domega(1.0) == s.domega(s.tf - 1.0)
+
+    def test_equality_is_identity(self):
+        for s in every_kind():
+            twin = type(s)(s.kind, s.omega0, s.omegaf, s.tf, s.field, s.slope, s.samples)
+            assert s == s and s != twin
+            assert len({s, twin}) == 2

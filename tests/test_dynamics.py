@@ -343,3 +343,37 @@ class TestFitAndBenchmark:
         fit = json.loads(fit_constants_json(rep))
         assert set(fit) == {"c0", "c1", "c2"}
         assert fit["c0"] == 3.0
+
+
+class TestScheduleInterface:
+    def test_reversed_drive_average_fidelity(self):
+        sched = faquad_schedule(100.0, 1.0, 6.0, X_REF)
+        rev = reversed_negated(sched)
+        assert rev.omegaf == -sched.omega0
+        f = average_fidelity(rev, x_max=3.0, n_points=5)
+        assert 0.0 <= f <= 1.0
+
+    def test_raising_domega_propagates(self):
+        base = linear_schedule(2.0, 1.0, 1.0)
+
+        class BadSlope:
+            tf = base.tf
+            omega = base.omega
+
+            def domega(self, t):
+                raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            evolve_two_level(BadSlope(), 1.0, TwoLevelState.plus())
+
+    def test_missing_domega_uses_finite_differences(self):
+        base = faquad_schedule(100.0, 1.0, 5.0, X_REF)
+
+        class FieldOnly:
+            tf = base.tf
+            omega = base.omega
+
+        got = evolve_two_level(FieldOnly(), 1.0, TwoLevelState.plus())
+        want = evolve_two_level(base, 1.0, TwoLevelState.plus())
+        assert abs(got.amp0 - want.amp0) < 1e-8
+        assert abs(got.amp1 - want.amp1) < 1e-8
