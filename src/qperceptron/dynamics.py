@@ -23,8 +23,9 @@ that resolves the near-vertical start of constant-adiabaticity ramps; the
 grid is then midpoint-halved, each halving cutting the error 16-fold, until
 the requested quantity converges.  Single-state evolutions converge the
 final amplitudes to 1e-9; grid sweeps (response curves, fidelity averages)
-converge every reported probability to 1e-8.  A non-finite drive fails
-with ValueError instead of running every halving.
+converge every reported probability to 1e-8.  A non-finite drive, or one
+whose base grid would exceed 2^27 steps (a drive vanishing on [0, tf]),
+fails with ValueError instead of running every halving.
 
 Evolutions for distinct x values are an independent vectorized map over one
 shared time grid; reductions over the x grid (the fidelity trapezoid) are
@@ -66,6 +67,9 @@ _MAX_HALVINGS = 16
 _PHASE = 0.16
 _MIN_STEPS = 62.5
 _SLOPE = 0.032
+# base steps a grid may need before construction gives up (the largest grid
+# in the tests, the criterion-4 linear ramp, needs 4.6e6)
+_MAX_BASE_STEPS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -167,14 +171,25 @@ def _grid_spec(schedule, x_absmax: float) -> _GridSpec:
             dom = np.gradient(om, probe)
         else:
             dom = np.asarray(domega(probe), dtype=float)
-        rate = np.hypot(om, x_absmax) / _PHASE
-        rate = np.maximum(rate, _MIN_STEPS / tf)
+        phase = np.hypot(om, x_absmax) / _PHASE
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(np.abs(om) > 0, np.abs(dom) / np.abs(om) / _SLOPE, 0.0)
-        rate = np.maximum(rate, slope)
+        rate = np.maximum(np.maximum(phase, _MIN_STEPS / tf), slope)
         cum = np.concatenate([[0.0], np.cumsum(np.diff(probe) * (rate[1:] + rate[:-1]) / 2.0)])
         if not math.isfinite(cum[-1]):
             raise ValueError("drive omega(t) or its slope is not finite on [0, tf]")
+        if cum[-1] > _MAX_BASE_STEPS:
+            rules = {
+                f"phase rule dt <= {_PHASE} / sqrt(Omega^2 + x^2)": phase,
+                f"ramp rule dt <= tf / {_MIN_STEPS}": np.full(probe.shape, _MIN_STEPS / tf),
+                f"slope rule dt <= {_SLOPE} |Omega / dOmega|": slope,
+            }
+            rule = max(rules, key=lambda k: np.trapezoid(rules[k], probe))
+            raise ValueError(
+                f"step grid needs about {cum[-1]:.3g} base steps, over the budget of "
+                f"{_MAX_BASE_STEPS}; the {rule} dominates, peaking at "
+                f"t = {probe[np.argmax(rules[rule])]:.6g}"
+            )
         n = int(math.ceil(cum[-1] * 1.05)) + 1
         spec = _GridSpec(tf, probe, cum, n)
         # conservative check: dt against the rule at the worse endpoint

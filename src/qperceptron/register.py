@@ -13,8 +13,10 @@ Conventions, fixed once for the whole package:
   |0> maps to sqrt(1-f)|0> + sqrt(f)|1> (matrix [[c, -s], [s, c]] on the
   (amp0, amp1) pair).
 
-Gates act in O(2^n) by iterating over target amplitude pairs grouped by
-source configuration; no 2^n x 2^n matrix is ever materialized.  Registers
+Gates act in O(2^n) on the amplitudes viewed as a (2,)*n tensor with qubit
+k on axis k: the target's two halves are slices of its axis, and the field,
+angle or propagator is computed once per source configuration and broadcast
+over the other axes; no 2^n x 2^n matrix is ever materialized.  Registers
 are values: every operation returns a new register and amplitude arrays are
 frozen read-only.
 """
@@ -74,9 +76,6 @@ class QuantumRegister:
             raise ValueError(f"register norm-squared {norm} is not 1")
         object.__setattr__(self, "amplitudes", _frozen(self.amplitudes))
 
-    def bit(self, index: int, qubit: int) -> int:
-        return (index >> (self.n_qubits - 1 - qubit)) & 1
-
 
 @dataclass(frozen=True)
 class PerceptronGateSpec:
@@ -122,61 +121,72 @@ def _check_qubit(reg: QuantumRegister, q: int):
         raise IndexError(f"qubit {q} out of range for {reg.n_qubits}-qubit register")
 
 
-def _pair_indices(n: int, target: int):
-    """Indices (i0, i1) of all amplitude pairs split by the target bit."""
-    shift = n - 1 - target
-    stride = 1 << shift
-    idx = np.arange(1 << (n - 1))
-    low = idx & (stride - 1)
-    high = (idx >> shift) << (shift + 1)
-    i0 = high | low
-    return i0, i0 | stride
+def _view(amps: np.ndarray, n: int, qubits, bits) -> np.ndarray:
+    """Flat amplitudes as a (2,)*n tensor view, qubit k on axis k, keeping
+    each listed qubit at its bit.
+
+    This reshape is the one place that knows the bit order (qubit 0 is the
+    most significant bit).  A kept bit is a length-1 slice, so every axis
+    keeps its place; a qubit asked for both bits keeps nothing.
+    """
+    sel = [slice(None)] * n
+    for q, b in zip(qubits, bits):
+        keep = slice(b, b + 1)
+        sel[q] = keep if sel[q] in (slice(None), keep) else slice(0)
+    return amps.reshape((2,) * n)[tuple(sel)]
 
 
-def _pair_fields(reg, gate, i0):
-    """Activation field x = sum w_k z_k - bias for each pair's source bits."""
-    x = np.full(i0.shape, -float(gate.bias))
-    n = reg.n_qubits
-    for k, w in gate.weights.items():
-        z = 2.0 * ((i0 >> (n - 1 - k)) & 1) - 1.0
-        x = x + w * z
+def _sector_field(n: int, weights, offset: float, levels) -> np.ndarray:
+    """offset + sum_k w_k levels[s_k] for every source configuration.
+
+    Source k's axis has length 2 and every other axis length 1, so the
+    field broadcasts against the target halves.  The terms are added in
+    the order of ``weights``.
+    """
+    x = np.full((1,) * n, offset)
+    for k, w in weights.items():
+        shape = [1] * n
+        shape[k] = 2
+        x = x + w * np.reshape(levels, shape)
     return x
 
 
-def _validate_gate(reg, gate):
+def _update_pairs(reg: QuantumRegister, target: int, update) -> QuantumRegister:
+    """Replace each target pair (amp0, amp1) by update(amp0, amp1), where
+    amp0 and amp1 are the two halves of the target axis."""
+    n, a = reg.n_qubits, reg.amplitudes
+    out = np.empty_like(a)
+    new0, new1 = update(_view(a, n, [target], [0]), _view(a, n, [target], [1]))
+    _view(out, n, [target], [0])[...] = new0
+    _view(out, n, [target], [1])[...] = new1
+    return QuantumRegister(n, out)
+
+
+def _rotate_pairs(reg: QuantumRegister, target: int, ang) -> QuantumRegister:
+    """Rotate each target pair by [[c, -s], [s, c]] at its sector's angle."""
+    c, s = np.cos(ang), np.sin(ang)
+    return _update_pairs(reg, target, lambda a0, a1: (c * a0 - s * a1, s * a0 + c * a1))
+
+
+def _gate_field(reg, gate) -> np.ndarray:
+    """Activation field x = sum w_k z_k - bias of each source sector."""
     _check_qubit(reg, gate.target)
     for k in gate.weights:
         _check_qubit(reg, int(k))
+    return _sector_field(reg.n_qubits, gate.weights, -float(gate.bias), (-1.0, 1.0))
 
 
 def apply_hadamard(reg: QuantumRegister, target: int) -> QuantumRegister:
     _check_qubit(reg, target)
-    i0, i1 = _pair_indices(reg.n_qubits, target)
-    a = reg.amplitudes
     r = 1.0 / math.sqrt(2.0)
-    out = np.empty_like(a)
-    out[i0] = r * (a[i0] + a[i1])
-    out[i1] = r * (a[i0] - a[i1])
-    return QuantumRegister(reg.n_qubits, out)
+    return _update_pairs(reg, target, lambda a0, a1: (r * (a0 + a1), r * (a0 - a1)))
 
 
 def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
     """Exact conditional rotation by chi(x) on the target (O(2^n))."""
     if gate.mode != "ideal":
         raise ValueError("gate is in hardware mode; use apply_hardware_perceptron")
-    _validate_gate(reg, gate)
-    i0, i1 = _pair_indices(reg.n_qubits, gate.target)
-    return _rotate_pairs(reg, i0, i1, chi(gate.activation, _pair_fields(reg, gate, i0)))
-
-
-def _rotate_pairs(reg: QuantumRegister, i0, i1, ang) -> QuantumRegister:
-    """Rotate each (i0, i1) amplitude pair by [[c, -s], [s, c]] at its angle."""
-    c, s = np.cos(ang), np.sin(ang)
-    a = reg.amplitudes
-    out = np.empty_like(a)
-    out[i0] = c * a[i0] - s * a[i1]
-    out[i1] = s * a[i0] + c * a[i1]
-    return QuantumRegister(reg.n_qubits, out)
+    return _rotate_pairs(reg, gate.target, chi(gate.activation, _gate_field(reg, gate)))
 
 
 def _gauge_fix(U: np.ndarray) -> np.ndarray:
@@ -192,7 +202,6 @@ def apply_hardware_perceptron(
     reg: QuantumRegister,
     gate: PerceptronGateSpec,
     strip_sector_phases: bool = False,
-    tol: float = 1e-9,
 ) -> QuantumRegister:
     """Adiabatic protocol on the target: Hadamard, then the driven ramp per
     source sector with x fixed by that sector's configuration.
@@ -204,27 +213,25 @@ def apply_hardware_perceptron(
     """
     if gate.mode != "hardware":
         raise ValueError("gate is in ideal mode; use apply_ideal_perceptron")
-    _validate_gate(reg, gate)
+    x = _gate_field(reg, gate)
     reg = apply_hadamard(reg, gate.target)
-    i0, i1 = _pair_indices(reg.n_qubits, gate.target)
-    x = _pair_fields(reg, gate, i0)
     xu, inv = np.unique(x, return_inverse=True)
-    U = schedule_propagators(gate.schedule, xu, tol=tol)
+    U = schedule_propagators(gate.schedule, xu)
     if strip_sector_phases:
         U = _gauge_fix(U)
-    u = U[inv]
-    a = reg.amplitudes
-    out = np.empty_like(a)
-    out[i0] = u[:, 0, 0] * a[i0] + u[:, 0, 1] * a[i1]
-    out[i1] = u[:, 1, 0] * a[i0] + u[:, 1, 1] * a[i1]
-    return QuantumRegister(reg.n_qubits, out)
+    u = U.transpose(1, 2, 0)[:, :, inv.reshape(x.shape)]  # entry u[i, j] per sector
+    return _update_pairs(reg, gate.target, lambda a0, a1: (
+        u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1))
+
+
+def _norm2(psi: np.ndarray) -> float:
+    return float(np.sum(np.abs(psi) ** 2))
 
 
 def excitation_probability(reg: QuantumRegister, qubit: int) -> float:
     """P(qubit = 1) = (1 + <sz>) / 2."""
     _check_qubit(reg, qubit)
-    bits = (np.arange(reg.amplitudes.size) >> (reg.n_qubits - 1 - qubit)) & 1
-    return float(np.sum(np.abs(reg.amplitudes[bits == 1]) ** 2))
+    return _norm2(_view(reg.amplitudes, reg.n_qubits, [qubit], [1]))
 
 
 def z_expectation(reg: QuantumRegister, qubit: int) -> float:
@@ -244,17 +251,11 @@ def conditional_probability(reg, condition_qubits, condition_bits, query_qubit) 
     for q in conds:
         _check_qubit(reg, q)
     _check_qubit(reg, query_qubit)
-    n = reg.n_qubits
-    idx = np.arange(reg.amplitudes.size)
-    mask = np.ones(idx.size, dtype=bool)
-    for q, b in zip(conds, bits):
-        mask &= ((idx >> (n - 1 - q)) & 1) == b
-    p2 = np.abs(reg.amplitudes) ** 2
-    p_cond = float(np.sum(p2[mask]))
+    a, n = reg.amplitudes, reg.n_qubits
+    p_cond = _norm2(_view(a, n, conds, bits))
     if p_cond < 1e-30:
         raise ZeroProbabilityError("conditioning event has zero probability")
-    hit = mask & (((idx >> (n - 1 - query_qubit)) & 1) == 1)
-    return float(np.sum(p2[hit])) / p_cond
+    return _norm2(_view(a, n, conds + [int(query_qubit)], bits + [1])) / p_cond
 
 
 def register_to_csv(reg: QuantumRegister, path_or_buf) -> None:

@@ -17,6 +17,7 @@ count lies between M1 and M2"; per-cycle thresholds absorb any offset.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple, Union
@@ -26,7 +27,7 @@ from scipy.optimize import least_squares
 
 from ._io import write_rows
 from .activation import ActivationKind, ALGEBRAIC, chi, dchi_dx
-from .register import QuantumRegister, _pair_indices, _rotate_pairs
+from .register import QuantumRegister, _rotate_pairs, _sector_field
 
 __all__ = [
     "Rectangle",
@@ -191,12 +192,9 @@ def _fit_once(kind, tgt, x, orients, w0, th0):
 
 
 def _orientation_patterns(n):
-    pats = []
-    for bits in range(1 << n):
-        pat = tuple(1 if (bits >> i) & 1 == 0 else -1 for i in range(n))
-        if any(o == 1 for o in pat):  # all-reversed stacks cannot reach angle > 0
-            pats.append(pat)
-    return pats
+    # pattern j reverses cycle i where bit i of j is set
+    pats = (p[::-1] for p in itertools.product((1, -1), repeat=n))
+    return [p for p in pats if 1 in p]  # all-reversed stacks cannot reach angle > 0
 
 
 def synthesize(
@@ -271,11 +269,8 @@ def apply_composition(
             raise ValueError(f"source qubit {k} out of range")
         if k == target_qubit:
             raise ValueError("target cannot be its own source")
-    i0, i1 = _pair_indices(n, target_qubit)
-    x = np.zeros(i0.size)
-    for k, w in srcs.items():
-        x += w * ((i0 >> (n - 1 - k)) & 1)
-    return _rotate_pairs(reg, i0, i1, composition_angle(spec, x))
+    x = _sector_field(n, srcs, 0.0, (0.0, 1.0))
+    return _rotate_pairs(reg, target_qubit, composition_angle(spec, x))
 
 
 def composition_to_csv(

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from qperceptron.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def read_csv(path):
@@ -205,11 +209,15 @@ class TestSynthesize:
 
 class TestEntryPoint:
     def test_console_script_usage_error(self, tmp_path):
+        # pyproject's pythonpath does not reach child processes
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "qperceptron.cli", "response",
              "--points", "0", "--out", str(tmp_path / "x.csv")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 2
         assert "points" in proc.stderr

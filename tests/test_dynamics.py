@@ -11,7 +11,8 @@ from scipy.integrate import solve_ivp
 
 from qperceptron import dynamics
 from qperceptron.activation import ALGEBRAIC, eval_CS, eval_f
-from qperceptron.control import faquad_schedule, linear_schedule, perturbed_schedule
+from qperceptron.control import (faquad_schedule, linear_schedule, perturbed_schedule,
+                                 tabulated_schedule)
 from qperceptron.dynamics import (
     FidelityReport,
     TwoLevelState,
@@ -25,6 +26,7 @@ from qperceptron.dynamics import (
     response_curve,
     response_to_csv,
     reversed_negated,
+    schedule_propagators,
 )
 
 X_REF = 1.2720196495140690
@@ -166,6 +168,20 @@ class TestIntegratorRobustness:
         with pytest.raises(ValueError, match="level 0"):
             evolve_two_level(HoledDrive(), 1.0, TwoLevelState.plus())
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("omega_end", [5.3e-59, 1e-12])
+    def test_vanishing_drive_exceeds_step_budget(self, omega_end):
+        # the slope rule dt <= 0.032 |Omega / dOmega| shrinks without bound
+        # as Omega -> 0 at t = 1: 3.8e9 base steps for 1e-12, more than a
+        # C long for 5.3e-59; both must fail at once and name the rule
+        sched = tabulated_schedule([0.0, 1.0], [1.0, omega_end])
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="over the budget") as err:
+            schedule_propagators(sched, [0.0])
+        assert time.perf_counter() - t0 < 1.0
+        msg = str(err.value)
+        assert f"{dynamics._MAX_BASE_STEPS}" in msg
+        assert "slope rule" in msg and "t = 1" in msg
 
     def test_nonconvergence_reports_delta_history(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_MAX_HALVINGS", 2)
