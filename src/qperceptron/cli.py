@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from ._io import write_rows
+from ._io import open_text, write_rows
 from .activation import ALGEBRAIC, eval_f
 from .control import (
     faquad_schedule,
@@ -35,6 +35,16 @@ __all__ = ["main", "build_parser"]
 _UNITS_COMMENT = "# units: frequencies in omega_f = 1, times in 1/omega_f\n"
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float flag: anything but a finite number is a flag error."""
+    try:
+        if np.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output file path")
 
@@ -49,17 +59,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("response", help="excitation response curve CSV")
     p.add_argument("--schedule", choices=["linear", "faquad"], default="faquad")
-    p.add_argument("--tf", type=float, default=10.0)
-    p.add_argument("--omega0", type=float, default=100.0)
-    p.add_argument("--xmax", type=float, default=10.0)
+    p.add_argument("--tf", type=_finite, default=10.0)
+    p.add_argument("--omega0", type=_finite, default=100.0)
+    p.add_argument("--xmax", type=_finite, default=10.0)
     p.add_argument("--points", type=int, default=201)
-    p.add_argument("--epsilon-ctrl", type=float, default=0.0)
+    p.add_argument("--epsilon-ctrl", type=_finite, default=0.0)
     _add_common(p)
     p.set_defaults(func=cmd_response)
 
     p = sub.add_parser("benchmark", help="linear vs faquad infidelity CSV + fit JSON")
-    p.add_argument("--tf-min", type=float, default=1.0)
-    p.add_argument("--tf-max", type=float, default=30.0)
+    p.add_argument("--tf-min", type=_finite, default=1.0)
+    p.add_argument("--tf-max", type=_finite, default=30.0)
     p.add_argument("--tf-points", type=int, default=13)
     _add_common(p)
     p.set_defaults(func=cmd_benchmark)
@@ -75,9 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="fit a conditional-gate response, write CSV")
     p.add_argument("--target", choices=["rect", "peak"], default="rect")
-    p.add_argument("--m1", type=float, default=0.0,
+    p.add_argument("--m1", type=_finite, default=0.0,
                    help="rect: lower edge; peak: center")
-    p.add_argument("--m2", type=float, default=2.0,
+    p.add_argument("--m2", type=_finite, default=2.0,
                    help="rect: upper edge; peak: width (> 0)")
     p.add_argument("--cycles", type=int, default=2)
     _add_common(p)
@@ -105,7 +115,7 @@ def cmd_response(parser, args) -> int:
         sched = perturbed_schedule(sched, args.epsilon_ctrl)
     grid = np.linspace(-args.xmax, args.xmax, args.points)
     curve = response_curve(sched, grid)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open_text(args.out, "w") as fh:
         fh.write(_UNITS_COMMENT)
         fh.write(
             f"# schedule={args.schedule} tf={args.tf!r} omega0={args.omega0!r} "
@@ -121,7 +131,7 @@ def cmd_benchmark(parser, args) -> int:
     _check(parser, args.tf_max > args.tf_min, "--tf-max must exceed --tf-min")
     tf_grid = np.geomspace(args.tf_min, args.tf_max, args.tf_points)
     report = benchmark_ramps(tf_grid, n_points=21)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open_text(args.out, "w") as fh:
         fh.write(_UNITS_COMMENT)
         report_to_csv(report, fh)
     print(fit_constants_json(report))
@@ -138,7 +148,7 @@ def cmd_train(parser, args) -> int:
         max_iters=args.iters, seed=args.seed, restarts=args.restarts
     )
     report = train(net0, prime_dataset(args.bits), config)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open_text(args.out, "w") as fh:
         fh.write(report_to_json(report))
         fh.write("\n")
     print(f"accuracy={report.accuracy!r} final_cost={report.cost_trace[-1]!r}")
@@ -157,7 +167,7 @@ def cmd_synthesize(parser, args) -> int:
         target = Peak(args.m1, args.m2)
         grid = np.linspace(args.m1 - 4 * args.m2, args.m1 + 4 * args.m2, 161)
     result = synthesize(target, args.cycles, grid)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with open_text(args.out, "w") as fh:
         fh.write(_UNITS_COMMENT)
         fh.write(f"# residual={result.residual!r} converged={result.converged}\n")
         composition_to_csv(result, target, grid, fh)

@@ -60,7 +60,8 @@ class ControlSchedule:
     ``reversed``.  ``omega0``/``omegaf`` are the design endpoints; for the
     perturbed kind they keep the *base* schedule's values and evaluation
     intentionally overshoots them by the degradation term.  ``samples``
-    holds the (t, Omega) table of the tabulated kind and is None otherwise.
+    holds the (t, Omega) knots of a tabulated drive (mirrored for a reversed
+    one), each a step edge of the integrator, and is None otherwise.
     Equality and hashing are by identity.
     """
 
@@ -182,10 +183,12 @@ def reversed_negated(schedule) -> ControlSchedule:
     -H(tf - t), which turns the time-ordered product into its inverse.
     """
     tf = schedule.tf
+    samples = getattr(schedule, "samples", None)
     return ControlSchedule(
         "reversed", -schedule.omegaf, -schedule.omega0, tf,
         field=lambda t: -schedule.omega(tf - t),
         slope=lambda t: schedule.domega(tf - t),
+        samples=samples and (tf - samples[0][::-1], -samples[1][::-1]),
     )
 
 

@@ -17,15 +17,18 @@ product.  Unitarity is exact up to roundoff, so the norm is conserved to
 ~1e-13 even over 1e7 steps, and a vanishing field (Omega = x = 0) gives the
 identity step.
 
-Step-size policy: the base grid obeys dt <= min(0.16 / sqrt(Omega^2 +
-x_max^2), tf / 62.5) plus a relative-slope cap dt <= 0.032 |Omega / dOmega|
-that resolves the near-vertical start of constant-adiabaticity ramps; the
-grid is then midpoint-halved, each halving cutting the error 16-fold, until
-the requested quantity converges.  Single-state evolutions converge the
-final amplitudes to 1e-9; grid sweeps (response curves, fidelity averages)
-converge every reported probability to 1e-8.  A non-finite drive, or one
-whose base grid would exceed 2^27 steps (a drive vanishing on [0, tf]),
-fails with ValueError instead of running every halving.
+Step-size policy: the base grid is built in one pass.  Its steps follow
+the tightest of dt <= 0.16 / sqrt(Omega^2 + x_max^2), dt <= tf / 62.5 and
+a relative-slope cap dt <= 0.032 |Omega / dOmega| (for the near-vertical
+start of constant-adiabaticity ramps), and every interior knot of a
+tabulated drive is a step edge, so that no step straddles a kink.  The grid
+is then midpoint-halved, each halving cutting the error 16-fold, until the
+requested quantity converges; that loop, not a re-check of the rules, is
+the accuracy guarantee.  Single-state evolutions converge the final
+amplitudes to 1e-9; grid sweeps (response curves, fidelity averages)
+converge every reported probability to 1e-8.  A non-finite x or drive, or
+a drive whose base grid would exceed 2^27 steps (a drive vanishing on
+[0, tf]), fails with ValueError instead of running every halving.
 
 Evolutions for distinct x values are an independent vectorized map over one
 shared time grid; reductions over the x grid (the fidelity trapezoid) are
@@ -102,27 +105,26 @@ def _validate_schedule(schedule):
         raise ValueError("invalid schedule: needs tf > 0 and omega(t)")
 
 
+@dataclass(frozen=True)
 class _GridSpec:
     """Step-edge generator for one schedule: edges are never all in memory.
 
-    The base grid is equidistributed (edges at uniform quantiles of the
-    integrated step-rate); halving level L subdivides every base interval
-    into 2**L equal steps, which is what repeated midpoint insertion
-    produces. ``edge_block`` regenerates any contiguous run of edges from
-    the (small) probe-grid quantile table, so a ramp needing 1e8 steps
-    costs chunk-sized arrays instead of the full grid.
+    Segment s of the base grid starts at base index ``first[s]`` on its
+    breakpoint ``starts[s]`` (0, then each interior knot); its edges sit at
+    quantiles ``lo[s] + k * step[s]`` of the step-rate integral ``cum`` on
+    the ``probe`` grid.  Halving level L splits every base step into 2**L
+    equal steps.  ``edge_block`` regenerates any run of edges from these
+    small tables, so a ramp of 1e8 steps costs chunk-sized arrays.
     """
 
-    __slots__ = ("tf", "probe", "cum", "n")
-
-    def __init__(self, tf, probe, cum, n):
-        self.tf = tf
-        self.probe = probe
-        self.cum = cum
-        self.n = n
-
-    def steps(self, level: int) -> int:
-        return self.n << level
+    tf: float
+    probe: np.ndarray
+    cum: np.ndarray
+    n: int
+    first: np.ndarray
+    lo: np.ndarray
+    step: np.ndarray
+    starts: np.ndarray
 
     def edge_block(self, level: int, lo: int, hi: int) -> np.ndarray:
         """Edges for global step-edge indices lo..hi (inclusive) at a level."""
@@ -132,81 +134,69 @@ class _GridSpec:
         frac = (idx - (j << level)).astype(float) * (0.5 ** level)
         jlo = int(j[0])
         jhi = int(j[-1]) + 1
-        step = self.cum[-1] / n
-        q = np.arange(jlo, jhi + 1, dtype=float) * step
+        jj = np.arange(jlo, jhi + 1, dtype=np.int64)
+        seg = np.searchsorted(self.first, jj, side="right") - 1
+        q = self.lo[seg] + (jj - self.first[seg]) * self.step[seg]
         base = np.interp(q, self.cum, self.probe)
-        if jlo == 0:
-            base[0] = 0.0
+        # every segment starts exactly on its breakpoint, the grid ends on tf
+        start = jj == self.first[seg]
+        base[start] = self.starts[seg[start]]
         if jhi == n:
             base[-1] = tf
         left = base[j - jlo]
         out = left + (base[j - jlo + 1] - left) * frac
-        if lo == 0:
-            out[0] = 0.0
         if hi == (n << level):
             out[-1] = tf
         return out
 
 
 def _grid_spec(schedule, x_absmax: float) -> _GridSpec:
-    """Base grid honoring the step-size policy.
+    """Base grid honoring the step-size policy, built in one pass.
 
-    The local step-rate r(t) = max of the three dt-rule reciprocals is
-    accumulated on a dense probe grid, edges go at uniform quantiles of its
-    integral, and the result is verified (in bounded blocks) against the dt
-    rules evaluated conservatively at step endpoints.  The slope comes from
-    the schedule's ``domega``, or from finite differences if it has none.
+    The step rate, the largest of the three dt-rule reciprocals, is
+    integrated on a probe grid that holds every breakpoint (the interior
+    knots of a ``samples`` table).  Each segment between breakpoints gets
+    ceil(1.05 * its integral) + 1 base steps; no edge is re-checked.  The
+    slope is ``domega``, or finite differences if the schedule has none.
     """
     tf = schedule.tf
+    samples = getattr(schedule, "samples", None)
+    knots = np.asarray(samples[0][1:-1] if samples is not None else [], dtype=float)
     # probe grid: uniform body plus geometric head to resolve steep starts
     probe = np.unique(np.concatenate([
         np.linspace(0.0, tf, 4097),
         tf * np.geomspace(1e-9, 1.0, 2049),
         [0.0],
+        knots,
     ]))
+    om = np.asarray(schedule.omega(probe), dtype=float)
     domega = getattr(schedule, "domega", None)
-    for _ in range(8):
-        om = np.asarray(schedule.omega(probe), dtype=float)
-        if domega is None:
-            dom = np.gradient(om, probe)
-        else:
-            dom = np.asarray(domega(probe), dtype=float)
-        phase = np.hypot(om, x_absmax) / _PHASE
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(np.abs(om) > 0, np.abs(dom) / np.abs(om) / _SLOPE, 0.0)
-        rate = np.maximum(np.maximum(phase, _MIN_STEPS / tf), slope)
-        cum = np.concatenate([[0.0], np.cumsum(np.diff(probe) * (rate[1:] + rate[:-1]) / 2.0)])
-        if not math.isfinite(cum[-1]):
-            raise ValueError("drive omega(t) or its slope is not finite on [0, tf]")
-        if cum[-1] > _MAX_BASE_STEPS:
-            rules = {
-                f"phase rule dt <= {_PHASE} / sqrt(Omega^2 + x^2)": phase,
-                f"ramp rule dt <= tf / {_MIN_STEPS}": np.full(probe.shape, _MIN_STEPS / tf),
-                f"slope rule dt <= {_SLOPE} |Omega / dOmega|": slope,
-            }
-            rule = max(rules, key=lambda k: np.trapezoid(rules[k], probe))
-            raise ValueError(
-                f"step grid needs about {cum[-1]:.3g} base steps, over the budget of "
-                f"{_MAX_BASE_STEPS}; the {rule} dominates, peaking at "
-                f"t = {probe[np.argmax(rules[rule])]:.6g}"
-            )
-        n = int(math.ceil(cum[-1] * 1.05)) + 1
-        spec = _GridSpec(tf, probe, cum, n)
-        # conservative check: dt against the rule at the worse endpoint
-        ok = True
-        for lo in range(0, n, 1 << 20):
-            hi = min(lo + (1 << 20), n)
-            edges = spec.edge_block(0, lo, hi)
-            e_end = np.hypot(np.asarray(schedule.omega(edges), dtype=float), x_absmax)
-            dt = np.diff(edges)
-            if not (np.all(dt * np.maximum(e_end[1:], e_end[:-1]) <= _PHASE * (1 + 1e-9))
-                    and np.all(dt * _MIN_STEPS <= tf * (1 + 1e-9))):
-                ok = False
-                break
-        if ok:
-            return spec
-        probe = np.unique(np.concatenate([probe, (probe[1:] + probe[:-1]) / 2.0]))
-    raise RuntimeError("step-grid construction did not satisfy the dt rule")
+    dom = np.gradient(om, probe) if domega is None else np.asarray(domega(probe), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rules = {
+            f"phase rule dt <= {_PHASE} / sqrt(Omega^2 + x^2)": np.hypot(om, x_absmax) / _PHASE,
+            f"ramp rule dt <= tf / {_MIN_STEPS}": np.full(probe.shape, _MIN_STEPS / tf),
+            f"slope rule dt <= {_SLOPE} |Omega / dOmega|":
+                np.where(np.abs(om) > 0, np.abs(dom) / np.abs(om) / _SLOPE, 0.0),
+        }
+    rate = np.maximum.reduce(list(rules.values()))
+    cum = np.concatenate([[0.0], np.cumsum(np.diff(probe) * (rate[1:] + rate[:-1]) / 2.0)])
+    if not math.isfinite(cum[-1]):
+        raise ValueError("drive omega(t) or its slope is not finite on [0, tf]")
+    if cum[-1] > _MAX_BASE_STEPS:
+        rule = max(rules, key=lambda k: np.trapezoid(rules[k], probe))
+        raise ValueError(
+            f"step grid needs about {cum[-1]:.3g} base steps, over the budget of "
+            f"{_MAX_BASE_STEPS}; the {rule} dominates, peaking at "
+            f"t = {probe[np.argmax(rules[rule])]:.6g}"
+        )
+    # a mirrored knot tf - t can round onto tf or onto its neighbour
+    starts = np.unique(np.concatenate([[0.0], knots[knots < tf]]))
+    at = np.searchsorted(probe, np.append(starts, tf))
+    width = np.diff(cum[at])
+    per_seg = np.ceil(width * 1.05).astype(np.int64) + 1
+    return _GridSpec(tf, probe, cum, int(per_seg.sum()), np.cumsum(per_seg) - per_seg,
+                     cum[at[:-1]], width / per_seg, starts)
 
 
 def _qmul(a1, x1, y1, z1, a2, x2, y2, z2):
@@ -241,7 +231,7 @@ def _bit_reversal(bits: int) -> np.ndarray:
 
 def _propagate(schedule, xs: np.ndarray, spec: _GridSpec, level: int):
     """Total propagator quaternion over the level-`level` grid for each x."""
-    n = spec.steps(level)
+    n = spec.n << level
     cols = xs.shape[0]
     A = np.ones(cols)
     BX = np.zeros(cols)
@@ -313,9 +303,11 @@ def _converged_sweep(schedule, xs, reduce_fn, tol):
     reduce_fn maps the total quaternion (a, bx, by, bz), one entry per x, to
     a float array; convergence is the max-abs change between consecutive
     halvings.  Returns the last quaternion and its reduction.  A non-finite
-    reduction fails at once, naming its level; failing to converge reports
-    the change at every halving.
+    x, or reduction (named by its level), fails at once; failing to converge
+    reports the change at every halving.
     """
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x values must be finite")
     spec = _grid_spec(schedule, float(np.max(np.abs(xs))) if xs.size else 0.0)
     deltas = []
     for level in range(_MAX_HALVINGS + 1):
@@ -346,8 +338,6 @@ def schedule_propagators(schedule, x_values, tol: float = 1e-9) -> np.ndarray:
     xs = np.asarray(x_values, dtype=float)
     if xs.size == 0:
         return np.empty((0, 2, 2), dtype=complex)
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("x values must be finite")
     q, _ = _converged_sweep(schedule, xs, np.stack, tol)
     return _unitaries(q)
 
@@ -387,8 +377,6 @@ def response_curve(schedule, x_grid, ptol: float = 1e-8):
     xs = np.asarray(x_grid, dtype=float)
     if xs.size == 0:
         return []
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("x grid must be finite")
     plus = TwoLevelState.plus()
     _, P = _converged_sweep(schedule, xs, lambda q: np.abs(_apply(q, plus)[:, 1]) ** 2, ptol)
     return list(zip(xs.tolist(), P.tolist()))
@@ -412,8 +400,8 @@ def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201, ptol: f
     each x is the ground state at the schedule's design omegaf.
     """
     _validate_schedule(schedule)
-    if not (x_max > 0) or n_points < 2:
-        raise ValueError("need x_max > 0 and n_points >= 2")
+    if not (0 < x_max < math.inf) or n_points < 2:
+        raise ValueError("need finite x_max > 0 and n_points >= 2")
     xs = np.linspace(-x_max, x_max, n_points)
     g0, g1 = _ground_amplitudes(schedule.omegaf, xs)
 

@@ -303,16 +303,13 @@ def build_universal_approximator(classical, lambda_lin: float = None) -> Network
         raise ValueError("lambda_lin must be positive")
     M, N = classical.w.shape
     n = N + M + 1
-    mask = np.zeros((n, n))
     J = np.zeros((n, n))
     b = np.zeros(n)
-    mask[N : N + M, :N] = 1.0
     J[N : N + M, :N] = classical.w
     b[N : N + M] = classical.theta
-    mask[-1, N : N + M] = 1.0
     J[-1, N : N + M] = lam * classical.alpha
     b[-1] = lam * classical.theta_out
-    return NetworkSpec(N, (M, 1), mask, J, b, ALGEBRAIC)
+    return NetworkSpec(N, (M, 1), layered_network(N, (M,)).mask, J, b, ALGEBRAIC)
 
 
 def approximator_readout(p_out: float, lambda_lin: float,

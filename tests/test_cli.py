@@ -90,6 +90,11 @@ class TestResponse:
             ["--xmax", "-1"],
             ["--epsilon-ctrl", "-0.1"],
             ["--schedule", "cubic"],
+            ["--xmax", "inf"],
+            ["--tf", "inf"],
+            ["--omega0", "inf"],
+            ["--epsilon-ctrl", "inf"],
+            ["--tf", "nan"],
         ],
     )
     def test_flag_validation_exits_2(self, tmp_path, flags, capsys):
@@ -119,6 +124,8 @@ class TestBenchmark:
             ["--tf-points", "3"],
             ["--tf-min", "0", "--tf-max", "5"],
             ["--tf-min", "5", "--tf-max", "5"],
+            ["--tf-max", "inf"],
+            ["--tf-min", "-inf"],
         ],
     )
     def test_flag_validation_exits_2(self, tmp_path, flags, capsys):
@@ -200,6 +207,8 @@ class TestSynthesize:
             ["--target", "peak", "--m1", "0", "--m2", "0"],
             ["--cycles", "0"],
             ["--target", "sawtooth"],
+            ["--m2", "inf"],
+            ["--target", "peak", "--m1", "nan"],
         ],
     )
     def test_flag_validation_exits_2(self, tmp_path, flags, capsys):

@@ -128,7 +128,7 @@ class TestEvolveClosedForms:
 class TestIntegratorRobustness:
     def test_zero_field_is_identity(self):
         # Omega = x = 0 everywhere: H = 0, so |+> comes back unchanged, and
-        # neither the step nor the dt-rule check divides by the zero energy
+        # neither the step nor the step-rate rules divide by the zero energy
         sched = linear_schedule(0.0, 0.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -169,6 +169,21 @@ class TestIntegratorRobustness:
             evolve_two_level(HoledDrive(), 1.0, TwoLevelState.plus())
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("call", [
+        lambda s: evolve_two_level(s, np.nan, TwoLevelState.plus()),
+        lambda s: perceptron_protocol(s, np.inf),
+        lambda s: schedule_propagators(s, [0.0, -np.inf]),
+    ], ids=["evolve_nan", "protocol_inf", "propagators_inf"])
+    def test_nonfinite_x_is_named(self, call):
+        with pytest.raises(ValueError, match="x values must be finite"):
+            call(linear_schedule(2.0, 1.0, 1.0))
+
+    def test_nonfinite_x_max_is_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite x_max"):
+                average_fidelity(linear_schedule(2.0, 1.0, 1.0), x_max=np.inf)
+
     @pytest.mark.parametrize("omega_end", [5.3e-59, 1e-12])
     def test_vanishing_drive_exceeds_step_budget(self, omega_end):
         # the slope rule dt <= 0.032 |Omega / dOmega| shrinks without bound
@@ -206,6 +221,55 @@ class TestConvergenceOrder:
                for level in range(3)]
         for coarse, fine in zip(err, err[1:]):
             assert 14.0 <= coarse / fine <= 18.0
+
+
+def piecewise_oracle(schedule, x, psi0, rtol=1e-12):
+    """DOP853 restarted at every knot of a tabulated drive, so that no
+    solver step straddles a kink; returns the final (amp0, amp1)."""
+    y = np.array([psi0.amp0, psi0.amp1], dtype=complex)
+
+    def rhs(t, y):
+        om = float(schedule.omega(t))
+        return 0.5j * np.array([om * y[1] - x * y[0], om * y[0] + x * y[1]])
+
+    ts = schedule.samples[0]
+    for a, b in zip(ts[:-1], ts[1:]):
+        y = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=rtol / 10).y[:, -1]
+    return y
+
+
+class TestKinkedDrives:
+    # piecewise-linear tables: every interior knot is a base-grid edge, so
+    # each Magnus step sees a smooth drive and keeps its fourth order
+    def test_kink_table_at_zero_field(self):
+        sched = tabulated_schedule([0, 1, 2, 4, 5, 6, 7, 8, 9, 10],
+                                   [1, 1, 4, 1, 1, 1, 1, 1, 1, 1])
+        psi0 = TwoLevelState.ground()
+        fin = evolve_two_level(sched, 0.0, psi0)
+        want = piecewise_oracle(sched, 0.0, psi0)
+        assert abs(fin.amp0 - want[0]) < 1e-9
+        assert abs(fin.amp1 - want[1]) < 1e-9
+
+    def test_kink_table_response_meets_tolerance(self):
+        sched = tabulated_schedule([0.0, 0.7, 2.5], [21.2, 4.6, 46.4])
+        [(_, p)] = response_curve(sched, [1.2])
+        want = piecewise_oracle(sched, 1.2, TwoLevelState.plus())
+        assert abs(p - abs(want[1]) ** 2) < 1e-8
+
+    @pytest.mark.parametrize("x", [0.0, 0.7])
+    def test_kink_table_propagator_is_unitary(self, x):
+        sched = tabulated_schedule([0.0, 0.25, 1.25, 1.375, 1.5, 2.5],
+                                   [0.5, 1.0, 1.0, 2.0, 0.5, 0.5])
+        U = schedule_propagators(sched, [x])[0]
+        assert np.max(np.abs(U @ U.conj().T - np.eye(2))) < 1e-13
+
+    def test_knots_are_base_edges(self):
+        table = tabulated_schedule([0.0, 0.3, 1.1, 1.7, 2.5], [40.0, 3.0, 9.0, 0.5, 2.0])
+        for sched in (table, reversed_negated(table)):
+            spec = dynamics._grid_spec(sched, 2.0)
+            edges = spec.edge_block(0, 0, spec.n)
+            knots = sched.samples[0][1:-1]
+            assert np.all(np.isin(knots, edges))
 
 
 class TestResponseCurve:
