@@ -181,14 +181,22 @@ def reversed_negated(schedule) -> ControlSchedule:
     Evolving with this schedule and the longitudinal field negated undoes
     the original evolution exactly: both fields must flip so that H'(t) =
     -H(tf - t), which turns the time-ordered product into its inverse.
+
+    Knots closer than an ulp of tf - t mirror onto one time; the mirrored
+    table keeps the last knot of each such run, so its times increase
+    strictly (t = 0 cannot collide, and the knot at tf is kept).
     """
     tf = schedule.tf
     samples = getattr(schedule, "samples", None)
+    if samples is not None:
+        ts, oms = tf - samples[0][::-1], -samples[1][::-1]
+        keep = np.append(np.diff(ts) > 0, True)
+        samples = (ts[keep], oms[keep])
     return ControlSchedule(
         "reversed", -schedule.omegaf, -schedule.omega0, tf,
         field=lambda t: -schedule.omega(tf - t),
         slope=lambda t: schedule.domega(tf - t),
-        samples=samples and (tf - samples[0][::-1], -samples[1][::-1]),
+        samples=samples,
     )
 
 

@@ -16,9 +16,11 @@ Conventions, fixed once for the whole package:
 Gates act in O(2^n) on the amplitudes viewed as a (2,)*n tensor with qubit
 k on axis k: the target's two halves are slices of its axis, and the field,
 angle or propagator is computed once per source configuration and broadcast
-over the other axes; no 2^n x 2^n matrix is ever materialized.  Registers
-are values: every operation returns a new register and amplitude arrays are
-frozen read-only.
+over the other axes; no 2^n x 2^n matrix is ever materialized.  A hardware
+gate integrates the ramp only for the occupied source configurations, those
+holding any nonzero amplitude: an unoccupied one has only exact zeros, which
+every propagator leaves exactly zero.  Registers are values: every operation
+returns a new register and amplitude arrays are frozen read-only.
 """
 from __future__ import annotations
 
@@ -83,7 +85,7 @@ class PerceptronGateSpec:
 
     ``schedule is None`` selects the ideal (exact rotation) mode; a control
     schedule selects the hardware mode, which runs the full adiabatic
-    protocol per source sector.
+    protocol per occupied source sector.
     """
 
     target: int
@@ -204,7 +206,14 @@ def apply_hardware_perceptron(
     strip_sector_phases: bool = False,
 ) -> QuantumRegister:
     """Adiabatic protocol on the target: Hadamard, then the driven ramp per
-    source sector with x fixed by that sector's configuration.
+    occupied source sector with x fixed by that sector's configuration.
+
+    A source sector is occupied when any of its amplitudes is nonzero.  An
+    unoccupied sector's amplitudes are exactly zero, so any unitary leaves
+    them exactly zero and no observable can tell which one acted: only the
+    occupied sectors' fields are integrated, and the time grid is sized by
+    their largest |x|.  From a basis input every first-layer gate has one
+    occupied sector.
 
     The physical evolution keeps each sector's dynamical phase.  For z-basis
     feed-forward circuits those phases are unobservable;
@@ -214,6 +223,11 @@ def apply_hardware_perceptron(
     if gate.mode != "hardware":
         raise ValueError("gate is in ideal mode; use apply_ideal_perceptron")
     x = _gate_field(reg, gate)
+    n = reg.n_qubits
+    # the target is not a source, so the Hadamard leaves occupancy alone
+    free = tuple(k for k in range(n) if k not in gate.weights)
+    occ = np.any(reg.amplitudes.reshape((2,) * n) != 0, axis=free, keepdims=True)
+    x = np.where(occ, x, x[occ][0])  # any field keeps an unoccupied sector's zeros
     reg = apply_hadamard(reg, gate.target)
     xu, inv = np.unique(x, return_inverse=True)
     U = schedule_propagators(gate.schedule, xu)

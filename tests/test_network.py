@@ -1,14 +1,18 @@
 """Network forward passes vs the classical-mixture oracle and constructions."""
+import math
 from itertools import product
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qperceptron import register
 from qperceptron.activation import ALGEBRAIC, LOGISTIC, STEP, cao_arctan, eval_f
 from qperceptron.control import faquad_schedule
+from qperceptron.dynamics import schedule_propagators
 from qperceptron.network import (
     ApproximatorSpec,
     NetworkSpec,
@@ -56,6 +60,45 @@ def layered_net(n_inputs, hidden, rng=None, activation=ALGEBRAIC, scale=1.5):
 
 def all_bits(n):
     return ["".join(p) for p in product("01", repeat=n)]
+
+
+def dop853_excitations(sched, xs):
+    """|<1|U(x)|+>|^2 for each x: one DOP853 solve of the uncoupled qubits
+    H = -1/2 [Omega(t) sx + x sz], with sz|1> = +|1>."""
+    xs = np.asarray(xs, dtype=float)
+    K = xs.size
+
+    def rhs(t, y):
+        a0, a1 = y[:K] + 1j * y[K : 2 * K], y[2 * K : 3 * K] + 1j * y[3 * K :]
+        om = float(sched.omega(t))
+        d0 = 0.5j * (om * a1 - xs * a0)
+        d1 = 0.5j * (om * a0 + xs * a1)
+        return np.concatenate([d0.real, d0.imag, d1.real, d1.imag])
+
+    r = 1.0 / math.sqrt(2.0)
+    y0 = np.concatenate([np.full(K, r), np.zeros(K), np.full(K, r), np.zeros(K)])
+    sol = solve_ivp(rhs, (0.0, sched.tf), y0, method="DOP853", rtol=1e-11, atol=1e-11)
+    y = sol.y[:, -1]
+    return y[2 * K : 3 * K] ** 2 + y[3 * K :] ** 2
+
+
+def layered_hardware_mixture(net, bits, p_hw):
+    """Output excitation of a strictly layered net, layer by layer: given the
+    previous layer's sz values, each perceptron of a layer is an independent
+    coin with probability p_hw(field)."""
+    W = net.mask * net.J
+    prev = list(range(net.n_inputs))
+    dist = {tuple(2 * int(c) - 1 for c in bits): 1.0}
+    for m in net.layer_sizes:
+        cur = list(range(prev[-1] + 1, prev[-1] + 1 + m))
+        nxt = {}
+        for z, weight in dist.items():
+            ps = [p_hw(-net.b[j] + sum(W[j, k] * zk for k, zk in zip(prev, z))) for j in cur]
+            for cfg in product((-1, 1), repeat=m):
+                pr = weight * math.prod(p if c > 0 else 1.0 - p for p, c in zip(ps, cfg))
+                nxt[cfg] = nxt.get(cfg, 0.0) + pr
+        dist, prev = nxt, cur
+    return dist[(1,)]
 
 
 class TestNetworkSpec:
@@ -309,6 +352,31 @@ class TestLayerHamiltonian:
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
         with pytest.raises(ValueError):
             layer_hamiltonian_forward(skip, "00", sched)
+
+    def test_hardware_forward_equals_dop853_mixture(self):
+        # an oracle sharing no code with register or the mixture engine
+        sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
+        net = layered_net(2, [2, 2], np.random.default_rng(9))
+        for bits in all_bits(2):
+            fields = []
+            layered_hardware_mixture(net, bits, lambda x: fields.append(x) or 0.5)
+            p_hw = dict(zip(fields, dop853_excitations(sched, fields)))
+            want = layered_hardware_mixture(net, bits, p_hw.__getitem__)
+            assert abs(forward(net, bits, sched)[1] - want) < 1e-8
+
+    def test_basis_input_integrates_occupied_fields_only(self, monkeypatch):
+        # from a basis input each hidden gate has one occupied source sector;
+        # the output gate sees all 16 hidden configurations
+        asked = []
+
+        def recording(schedule, xs, *args, **kwargs):
+            asked.append(len(xs))
+            return schedule_propagators(schedule, xs, *args, **kwargs)
+
+        monkeypatch.setattr(register, "schedule_propagators", recording)
+        net = layered_net(3, [4], np.random.default_rng(8))
+        forward(net, "101", faquad_schedule(100.0, 1.0, 5.0, X_REF))
+        assert asked == [1, 1, 1, 1, 16]
 
     def test_protocol_duration(self):
         net = layered_net(2, [2, 3])

@@ -60,6 +60,28 @@ def dense_ideal_gate(n, gate):
     return M
 
 
+def dense_hardware_gate(reg, gate):
+    """Hadamard, then the ramp on the whole register as one 2^n-dimensional
+    DOP853 solve of H(t) = -1/2 [Omega(t) sx_t + x sz_t], with x the
+    diagonal operator -bias + sum_k w_k sz_k."""
+    n, t, sched = reg.n_qubits, gate.target, gate.schedule
+    xt = kron_on(n, t, SX)
+    field = -gate.bias * np.eye(1 << n)
+    for k, wk in gate.weights.items():
+        field = field + wk * kron_on(n, k, SZ)
+    h_field = field @ kron_on(n, t, SZ)
+    psi0 = kron_on(n, t, H2) @ reg.amplitudes
+
+    def rhs(tt, y):
+        psi = y[: 1 << n] + 1j * y[1 << n :]
+        d = -1j * ((-0.5 * float(sched.omega(tt)) * xt - 0.5 * h_field) @ psi)
+        return np.concatenate([d.real, d.imag])
+
+    y0 = np.concatenate([psi0.real, psi0.imag])
+    sol = solve_ivp(rhs, (0.0, sched.tf), y0, method="DOP853", rtol=1e-11, atol=1e-11)
+    return sol.y[: 1 << n, -1] + 1j * sol.y[1 << n :, -1]
+
+
 class TestBasics:
     def test_init_basis(self):
         reg = init_basis(1, "0")
@@ -223,32 +245,25 @@ class TestHardwareGate:
         # full 16x16 time-dependent integration vs the sector decomposition
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
         rng = np.random.default_rng(31)
-        w = {0: 1.1, 1: -0.8, 2: 1.9}
-        bias = 0.35
-        gate = PerceptronGateSpec(target=3, weights=w, bias=bias, schedule=sched)
+        gate = PerceptronGateSpec(target=3, weights={0: 1.1, 1: -0.8, 2: 1.9},
+                                  bias=0.35, schedule=sched)
         reg = random_state(4, rng)
         got = apply_hardware_perceptron(reg, gate)
+        assert np.max(np.abs(got.amplitudes - dense_hardware_gate(reg, gate))) < 1e-8
 
-        n = 4
-        xt = kron_on(n, 3, SX)
-        field = -bias * np.eye(1 << n)
-        for k, wk in w.items():
-            field = field + wk * kron_on(n, k, SZ)
-        zt = kron_on(n, 3, SZ)
-        h_field = field @ zt  # diagonal times diagonal
-
-        psi0 = kron_on(n, 3, H2) @ reg.amplitudes
-
-        def rhs(t, y):
-            psi = y[: 1 << n] + 1j * y[1 << n :]
-            h = -0.5 * float(sched.omega(t)) * xt - 0.5 * h_field
-            d = -1j * (h @ psi)
-            return np.concatenate([d.real, d.imag])
-
-        y0 = np.concatenate([psi0.real, psi0.imag])
-        sol = solve_ivp(rhs, (0.0, sched.tf), y0, method="DOP853", rtol=1e-11, atol=1e-11)
-        want = sol.y[: 1 << n, -1] + 1j * sol.y[1 << n :, -1]
-        assert np.max(np.abs(got.amplitudes - want)) < 1e-8
+    def test_unoccupied_sectors_dense_oracle(self):
+        # sources 0 and 1 sit in |1>|0>, source 2 and the target in a random
+        # superposition: 2 of the 8 source sectors hold amplitude, and only
+        # their fields are integrated
+        sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
+        rng = np.random.default_rng(37)
+        gate = PerceptronGateSpec(target=3, weights={0: 1.1, 1: -0.8, 2: 1.9},
+                                  bias=0.35, schedule=sched)
+        amps = np.kron([0.0, 0.0, 1.0, 0.0], random_state(2, rng).amplitudes)
+        reg = QuantumRegister(4, amps)
+        got = apply_hardware_perceptron(reg, gate).amplitudes
+        assert np.max(np.abs(got - dense_hardware_gate(reg, gate))) < 1e-8
+        assert np.all(got[amps == 0] == 0)
 
     def test_sector_phases_invisible_in_z_basis(self):
         # feed-forward circuit: per-sector global phases cannot move any

@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperceptron.activation import ALGEBRAIC, LOGISTIC, eval_f
+from qperceptron.control import faquad_schedule
+from qperceptron.dynamics import schedule_propagators
 from qperceptron.register import (
     PerceptronGateSpec,
     QuantumRegister,
     ZeroProbabilityError,
+    apply_hardware_perceptron,
     apply_ideal_perceptron,
     conditional_probability,
     excitation_probability,
@@ -83,6 +86,30 @@ def dense_gate(n, gate):
         return math.asin(math.sqrt(eval_f(gate.activation, x)))
 
     return dense_rotation(n, gate.target, angle)
+
+
+def hardware_reference(reg, gate):
+    """Hadamard, then each sector's ramp, with the propagators of the fields
+    of all 2^n basis states from one schedule_propagators call."""
+    n, t, a = reg.n_qubits, gate.target, reg.amplitudes
+
+    def field(b):
+        return -gate.bias + sum(w * (2 * b[k] - 1) for k, w in gate.weights.items())
+
+    xs = sorted({field(bits_of(i, n)) for i in range(1 << n)})
+    U = schedule_propagators(gate.schedule, xs)
+    r = 1.0 / math.sqrt(2.0)
+    out = np.zeros(1 << n, dtype=complex)
+    for i in range(1 << n):
+        b = bits_of(i, n)
+        if b[t]:
+            continue
+        j = i + (1 << (n - 1 - t))
+        h0, h1 = r * (a[i] + a[j]), r * (a[i] - a[j])
+        u = U[xs.index(field(b))]
+        out[i] = u[0, 0] * h0 + u[0, 1] * h1
+        out[j] = u[1, 0] * h0 + u[1, 1] * h1
+    return out
 
 
 def brute_probability(reg, fixed):
@@ -173,3 +200,35 @@ def test_composition_equals_its_cycles_in_sequence(data):
     M = dense_rotation(n, target, lambda b: composition_angle(
         spec, sum(w * b[k] for k, w in weights.items())))
     assert np.max(np.abs(got.amplitudes - M @ reg.amplitudes)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hardware_gate_skips_only_unobservable_sectors(data):
+    # zero a random set of source sectors, keeping at least one: the gate
+    # integrates only the occupied sectors' fields, on a grid sized by
+    # them, and must still match the all-sector reference
+    reg = data.draw(registers(min_qubits=2))
+    n = reg.n_qubits
+    target = data.draw(st.integers(0, n - 1))
+    others = [k for k in range(n) if k != target]
+    gate = PerceptronGateSpec(
+        target=target,
+        weights={k: data.draw(weight) for k in data.draw(source_sets(others))},
+        bias=data.draw(weight),
+        schedule=faquad_schedule(20.0, 1.0, 2.0, 1.272),
+    )
+    srcs = list(gate.weights)
+    zeroed = set(data.draw(st.lists(st.integers(0, (1 << len(srcs)) - 1), unique=True)))
+    zeroed.discard(data.draw(st.integers(0, (1 << len(srcs)) - 1)))
+
+    def sector(i):
+        b = bits_of(i, n)
+        return sum(b[k] << m for m, k in enumerate(srcs))
+
+    dead = np.array([sector(i) in zeroed for i in range(1 << n)])
+    a = np.where(dead, 0.0, reg.amplitudes)
+    reg = QuantumRegister(n, a / np.linalg.norm(a))
+    got = apply_hardware_perceptron(reg, gate).amplitudes
+    assert np.max(np.abs(got - hardware_reference(reg, gate))) < 1e-9
+    assert np.all(got[dead] == 0)

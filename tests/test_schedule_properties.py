@@ -3,7 +3,7 @@ import io
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperceptron.control import (
@@ -44,6 +44,20 @@ def tables(draw, omega_min=-20.0):
     return tabulated_schedule(np.concatenate([[0.0], np.cumsum(steps)]), omegas)
 
 
+@st.composite
+def near_coincident_tables(draw):
+    """A table with knots a few ulps apart, which can mirror onto one time.
+
+    A knot is inserted m ulps of max(t_i, tf/4) after knot i, so that tf - t
+    can round onto the mirror of its neighbour, and for i = 0 onto tf itself.
+    """
+    ts, omegas = draw(tables()).samples
+    i = draw(st.integers(0, ts.size - 2))
+    t_new = ts[i] + draw(st.integers(1, 8)) * np.spacing(max(ts[i], ts[-1] / 4))
+    om_new = draw(st.floats(-20.0, 50.0, **finite))
+    return tabulated_schedule(np.insert(ts, i + 1, t_new), np.insert(omegas, i + 1, om_new))
+
+
 @settings(max_examples=50, deadline=None)
 @given(sched=ramps(), x=st.floats(-5.0, 5.0, **finite))
 def test_reversed_negated_inverts_ramp(sched, x):
@@ -69,8 +83,12 @@ def test_propagators_are_unitary(sched, xs):
 
 @settings(max_examples=50, deadline=None)
 @given(sched=st.one_of(ramps(), tables(), ramps().map(reversed_negated),
-                       tables().map(reversed_negated)),
+                       tables().map(reversed_negated), near_coincident_tables(),
+                       near_coincident_tables().map(reversed_negated)),
        n=st.integers(2, 40))
+# 0.1 and 0.1 + 1.4e-17 both mirror onto 0.9
+@example(sched=reversed_negated(tabulated_schedule([0, 0.1, 0.1 + 1.4e-17, 1], [1, 2, 2, 1])),
+         n=2)
 def test_csv_round_trip_keeps_knots(sched, n):
     buf = io.StringIO()
     schedule_to_csv(sched, buf, n_samples=n)
