@@ -157,16 +157,23 @@ def perturbed_schedule(base: ControlSchedule, epsilon_ctrl: float) -> ControlSch
 def tabulated_schedule(ts, omegas) -> ControlSchedule:
     """Schedule defined by an ordered (t, Omega) table; linear interpolation.
 
-    The slope interpolates central differences on the stored grid.
+    The slope interpolates central differences on the stored grid.  Non-
+    finite samples, and knots so close that the slope overflows, raise
+    ValueError.
     """
     ts = np.array(ts, dtype=float)
     omegas = np.array(omegas, dtype=float)
     if ts.ndim != 1 or ts.shape != omegas.shape or ts.size < 2:
         raise ValueError("need matching 1-d arrays with at least two samples")
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(omegas))):
+        raise ValueError("sample times and Omega values must be finite")
     if not np.all(np.diff(ts) > 0) or ts[0] != 0:
         raise ValueError("sample times must start at 0 and increase strictly")
     ts.flags.writeable = omegas.flags.writeable = False
-    grad = np.gradient(omegas, ts)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        grad = np.gradient(omegas, ts)
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("table slope is not finite: two sample times are too close")
     return ControlSchedule(
         "tabulated", float(omegas[0]), float(omegas[-1]), float(ts[-1]),
         field=lambda t: np.interp(t, ts, omegas),

@@ -9,26 +9,36 @@ t_mid -+ (sqrt(3)/6) dt, and the step exponent is
     w = (dt (Omega1 + Omega2) / 4,  sqrt(3) dt^2 x (Omega2 - Omega1) / 24,  dt x / 2),
 
 whose sy component is the commutator of the two node Hamiltonians.  The
-step propagator exp(i w.s) = cos|w| + i sinc(|w|) w.s is an SU(2) element
-stored as a real quaternion (a, bx, by, bz) representing
+step propagator exp(i w.s) = cos|w| + i (sin|w| / |w|) w.s is an SU(2)
+element stored as a real quaternion (a, bx, by, bz) representing
 a + i (bx sx + by sy + bz sz); step products are quaternion products taken
 in a fixed pairwise tree, which regroups but never reorders the time-ordered
-product.  Unitarity is exact up to roundoff, so the norm is conserved to
-~1e-13 even over 1e7 steps, and a vanishing field (Omega = x = 0) gives the
-identity step.
+product.  Inside the product the scalar part is held as e = a - 1, which
+keeps full relative precision near the identity, where a itself rounds to
+a spacing of 1e-16: a long product of small steps then does not drift off
+the unit sphere.  Unitarity is exact up to roundoff, so the norm is
+conserved to ~1e-12 even over 1e7 steps, and a vanishing field
+(Omega = x = 0) gives the identity step.
 
 Step-size policy: the base grid is built in one pass.  Its steps follow
-the tightest of dt <= 0.16 / sqrt(Omega^2 + x_max^2), dt <= tf / 62.5 and
-a relative-slope cap dt <= 0.032 |Omega / dOmega| (for the near-vertical
+the tightest of dt <= 2 / sqrt(Omega^2 + x_max^2), dt <= tf / 62.5 and a
+relative-slope cap dt <= 0.032 |Omega / dOmega| (for the near-vertical
 start of constant-adiabaticity ramps), and every interior knot of a
-tabulated drive is a step edge, so that no step straddles a kink.  The grid
-is then midpoint-halved, each halving cutting the error 16-fold, until the
-requested quantity converges; that loop, not a re-check of the rules, is
-the accuracy guarantee.  Single-state evolutions converge the final
-amplitudes to 1e-9; grid sweeps (response curves, fidelity averages)
-converge every reported probability to 1e-8.  A non-finite x or drive, or
-a drive whose base grid would exceed 2^27 steps (a drive vanishing on
-[0, tf]), fails with ValueError instead of running every halving.
+tabulated drive is a step edge, so that no step straddles a kink.  The
+phase rule keeps each step inside the Magnus series' convergence region:
+the series converges for ||H|| dt < pi, and ||H|| = E / 2 with
+E = sqrt(Omega^2 + x^2), so dt E < 2 pi, and the rule dt E <= 2 rad sits at
+a third of that radius.  Within it the rule sets no accuracy; the grid is
+midpoint-halved, each halving cutting the error 16-fold, until the
+requested quantity converges, and that loop, not a re-check of the rules,
+is the accuracy guarantee.  Convergence is per x column: a column whose
+change at a halving is below the tolerance keeps that value, and later
+halvings integrate only the columns still moving, on the one grid sized
+for max |x|.  Single-state evolutions converge the final amplitudes to
+1e-9; grid sweeps (response curves, fidelity averages) converge every
+reported probability to 1e-8.  A non-finite x or drive, or a drive whose
+base grid would exceed 2^27 steps (a drive vanishing on [0, tf]), fails
+with ValueError instead of running every halving.
 
 Evolutions for distinct x values are an independent vectorized map over one
 shared time grid; reductions over the x grid (the fidelity trapezoid) are
@@ -67,11 +77,11 @@ __all__ = [
 _MAX_HALVINGS = 16
 # dt-rule constants of the base grid: phase per step, steps per ramp and
 # relative drive change per step (see the module docstring)
-_PHASE = 0.16
+_PHASE = 2.0
 _MIN_STEPS = 62.5
 _SLOPE = 0.032
 # base steps a grid may need before construction gives up (the largest grid
-# in the tests, the criterion-4 linear ramp, needs 4.6e6)
+# in the tests, the criterion-4 linear ramp, needs 3.7e5)
 _MAX_BASE_STEPS = 1 << 27
 
 
@@ -199,17 +209,22 @@ def _grid_spec(schedule, x_absmax: float) -> _GridSpec:
                      cum[at[:-1]], width / per_seg, starts)
 
 
-def _qmul(a1, x1, y1, z1, a2, x2, y2, z2):
+def _qmul(e1, x1, y1, z1, e2, x2, y2, z2):
     # (a1 + i b1.s)(a2 + i b2.s) = a1 a2 - b1.b2 + i (a1 b2 + a2 b1 - b1 x b2).s
-    a = a1 * a2 - x1 * x2 - y1 * y2 - z1 * z2
+    # with each scalar part held as e = a - 1 (see the module docstring)
+    a1 = 1.0 + e1
+    a2 = 1.0 + e2
+    e = e1 + e2 + (e1 * e2 - x1 * x2 - y1 * y2 - z1 * z2)
     x = a1 * x2 + a2 * x1 - (y1 * z2 - z1 * y2)
     y = a1 * y2 + a2 * y1 - (z1 * x2 - x1 * z2)
     z = a1 * z2 + a2 * z1 - (x1 * y2 - y1 * x2)
-    return a, x, y, z
+    return e, x, y, z
 
 _CHUNK = 1 << 14
+_BLOCK = 1 << 20  # rows x columns of one block of step temporaries
 _GAUSS = math.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at t_mid -+ _GAUSS * dt
 _COMM = math.sqrt(3.0) / 24.0  # sy coefficient of the node commutator
+_TINY = np.finfo(float).tiny
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,10 +245,16 @@ def _bit_reversal(bits: int) -> np.ndarray:
 
 
 def _propagate(schedule, xs: np.ndarray, spec: _GridSpec, level: int):
-    """Total propagator quaternion over the level-`level` grid for each x."""
+    """Total propagator quaternion over the level-`level` grid for each x.
+
+    Steps go in chunks of ``_CHUNK`` rows; within a chunk the x columns go
+    in blocks of at most ``_BLOCK`` rows x columns, so the temporaries stay
+    bounded however many columns a sweep has.  Each column's arithmetic does
+    not depend on the blocking.
+    """
     n = spec.n << level
     cols = xs.shape[0]
-    A = np.ones(cols)
+    E = np.zeros(cols)
     BX = np.zeros(cols)
     BY = np.zeros(cols)
     BZ = np.zeros(cols)
@@ -251,31 +272,43 @@ def _propagate(schedule, xs: np.ndarray, spec: _GridSpec, level: int):
         om1 = om[:m][rows][:, None]
         om2 = om[m:][rows][:, None]
         dt = dts[rows][:, None]
-        # Magnus-4 exponent w = (wx, by, bz), scaled in place by sinc|w|;
-        # the commutator of the two node Hamiltonians only adds the sy part
+        # Magnus-4 exponent w = (wx, cy x, cz x): the commutator of the two
+        # node Hamiltonians only adds the sy part
         wx = (dt / 4.0) * (om1 + om2)
-        by = (_COMM * dt * dt * (om2 - om1)) * xs[None, :]
-        bz = (dt / 2.0) * xs[None, :]
-        theta = np.sqrt(wx * wx + by * by + bz * bz)
-        a = np.cos(theta)
-        s = np.sinc(theta / np.pi)
-        bx = s * wx
-        by *= s
-        bz *= s
-        if rows.size > m:
-            a[idle] = 1.0
-            bx[idle] = 0.0
-            by[idle] = 0.0
-            bz[idle] = 0.0
-        while a.shape[0] > 1:
-            # later step on the left: rows (p, p + h) hold steps (2j, 2j+1)
-            h = a.shape[0] // 2
-            a, bx, by, bz = _qmul(
-                a[h:], bx[h:], by[h:], bz[h:],
-                a[:h], bx[:h], by[:h], bz[:h],
-            )
-        A, BX, BY, BZ = _qmul(a[0], bx[0], by[0], bz[0], A, BX, BY, BZ)
-    return A, BX, BY, BZ
+        cy = _COMM * dt * dt * (om2 - om1)
+        cz = dt / 2.0
+        wq = 0.25 * (wx * wx)
+        cq = 0.25 * (cy * cy + cz * cz)
+        width = max(1, _BLOCK // rows.size)
+        for c in range(0, cols, width):
+            blk = slice(c, c + width)
+            x = xs[None, blk]
+            # step exp(i w.s) = 1 + e + i b.s with e = cos|w| - 1, held as
+            # -2 sin^2(|w| / 2), and b = w sin|w| / |w| (b = 0 at w = 0)
+            half = np.sqrt(wq + cq * (x * x))
+            sn = np.sin(half)
+            e = -2.0 * sn * sn
+            s = sn / np.maximum(half, _TINY)
+            s *= np.cos(half)
+            bx = s * wx
+            s *= x
+            by = s * cy
+            bz = s * cz
+            if rows.size > m:
+                e[idle] = 0.0
+                bx[idle] = 0.0
+                by[idle] = 0.0
+                bz[idle] = 0.0
+            while e.shape[0] > 1:
+                # later step on the left: rows (p, p + h) hold steps (2j, 2j+1)
+                h = e.shape[0] // 2
+                e, bx, by, bz = _qmul(
+                    e[h:], bx[h:], by[h:], bz[h:],
+                    e[:h], bx[:h], by[:h], bz[:h],
+                )
+            E[blk], BX[blk], BY[blk], BZ[blk] = _qmul(
+                e[0], bx[0], by[0], bz[0], E[blk], BX[blk], BY[blk], BZ[blk])
+    return 1.0 + E, BX, BY, BZ
 
 
 def _unitaries(q) -> np.ndarray:
@@ -298,47 +331,57 @@ def _apply(q, psi0: TwoLevelState) -> np.ndarray:
 
 
 def _converged_sweep(schedule, xs, reduce_fn, tol):
-    """Halve the grid until reduce_fn's output moves less than tol.
+    """Halve the grid until every x column of reduce_fn's output moves less
+    than tol.
 
-    reduce_fn maps the total quaternion (a, bx, by, bz), one entry per x, to
-    a float array; convergence is the max-abs change between consecutive
-    halvings.  Returns the last quaternion and its reduction.  A non-finite
-    x, or reduction (named by its level), fails at once; failing to converge
-    reports the change at every halving.
+    reduce_fn maps the total quaternion, a (4, len(xs)) array of rows
+    (a, bx, by, bz), to a float array with x on axis 0.  A column converges
+    when the max-abs change of its entries between consecutive halvings is
+    below tol; it keeps that quaternion, and later halvings integrate only
+    the columns still moving.  All columns share one grid sized for max |x|.
+    Returns the quaternion and its reduction.  A non-finite x, or reduction
+    (named by its level), fails at once; failing to converge reports, per
+    halving, the largest change and how many columns were still moving.
     """
     if not np.all(np.isfinite(xs)):
         raise ValueError("x values must be finite")
     spec = _grid_spec(schedule, float(np.max(np.abs(xs))) if xs.size else 0.0)
-    deltas = []
+    q = np.empty((4, xs.size))
+    live = np.arange(xs.size)
+    history = []
     for level in range(_MAX_HALVINGS + 1):
-        q = _propagate(schedule, xs, spec, level)
+        q[:, live] = _propagate(schedule, xs[live], spec, level)
         nxt = reduce_fn(q)
         if not np.all(np.isfinite(nxt)):
             raise ValueError(f"integration gave a non-finite result at halving level {level}")
         if level:
-            deltas.append(float(np.max(np.abs(nxt - cur))) if np.size(nxt) else 0.0)
-            if deltas[-1] < tol:
-                return q, nxt
+            change = np.abs(nxt[live] - cur[live]).reshape(live.size, -1).max(axis=1)
+            live = live[change >= tol]
+            history.append(f"{change.max():.3g} ({live.size} of {xs.size} columns)")
+        if not live.size:
+            return q, nxt
         cur = nxt
     raise RuntimeError(
         f"integration did not converge to {tol} in {_MAX_HALVINGS} halvings; "
-        f"max change per halving: {', '.join(f'{d:.3g}' for d in deltas)}"
+        f"max change per halving: {', '.join(history)}"
     )
 
 
 def schedule_propagators(schedule, x_values, tol: float = 1e-9) -> np.ndarray:
     """Full 2x2 propagators of the ramp for each longitudinal field.
 
-    Returns an (n, 2, 2) complex array of unitaries U(x) sharing one time
-    grid sized for max |x|, halved until every matrix entry changes by less
-    than ``tol``.  This is the sector workhorse for register gates, where
-    each source configuration pins its own x.
+    Returns an (n, 2, 2) complex array of unitaries U(x) on one time grid
+    sized for max |x|.  The grid is halved until every matrix entry changes
+    by less than ``tol``; each U(x) stops at the first halving where its own
+    entries do, so small fields cost fewer steps than large ones.  This is
+    the sector workhorse for register gates, where each source configuration
+    pins its own x.
     """
     _validate_schedule(schedule)
     xs = np.asarray(x_values, dtype=float)
     if xs.size == 0:
         return np.empty((0, 2, 2), dtype=complex)
-    q, _ = _converged_sweep(schedule, xs, np.stack, tol)
+    q, _ = _converged_sweep(schedule, xs, lambda q: np.stack(q, axis=1), tol)
     return _unitaries(q)
 
 
@@ -370,8 +413,9 @@ def response_curve(schedule, x_grid, ptol: float = 1e-8):
     """Excitation probability of the protocol across a field grid.
 
     Returns a list of (x, P_excite) pairs.  All x values share one time
-    grid sized for max |x|; the grid is halved until every probability
-    moves less than ``ptol``.
+    grid sized for max |x|, which is halved until every probability moves
+    less than ``ptol``; each x stops halving as soon as its own probability
+    does.
     """
     _validate_schedule(schedule)
     xs = np.asarray(x_grid, dtype=float)

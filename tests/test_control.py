@@ -7,6 +7,7 @@ with the closed form under test.
 """
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,23 @@ class TestCsvRoundTrip:
             tabulated_schedule([0.0, 0.0, 1.0], [1, 2, 3])
         with pytest.raises(ValueError):
             tabulated_schedule([0.5, 1.0], [1, 2])
+
+    @pytest.mark.parametrize("ts, omegas", [
+        ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
+        ([0.0, 1.0, np.inf], [1.0, 2.0, 1.0]),
+        ([0.0, 1.0, 2.0], [1.0, -np.inf, 1.0]),
+    ], ids=["nan_omega", "inf_time", "inf_omega"])
+    def test_tabulated_rejects_nonfinite_samples(self, ts, omegas):
+        with pytest.raises(ValueError, match="must be finite"):
+            tabulated_schedule(ts, omegas)
+
+    def test_tabulated_rejects_overflowing_slope(self):
+        # knots a subnormal apart: the central difference overflows, and no
+        # RuntimeWarning may escape on the way to the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="slope is not finite"):
+                tabulated_schedule([0.0, 5e-324, 1.0, 2.0], [1.0, 2.0, 3.0, 1.0])
 
     def test_line_ends_are_lf(self, tmp_path):
         # every kind, to a stream and to a path: rows end in "\n" only

@@ -2,14 +2,18 @@
 import io
 import json
 import math
+import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from qperceptron import dynamics
+from qperceptron import cli, dynamics
 from qperceptron.activation import ALGEBRAIC, eval_CS, eval_f
 from qperceptron.control import (faquad_schedule, linear_schedule, perturbed_schedule,
                                  tabulated_schedule)
@@ -30,6 +34,7 @@ from qperceptron.dynamics import (
 )
 
 X_REF = 1.2720196495140690
+FINITE = dict(allow_nan=False, allow_infinity=False)
 
 
 def ode_oracle(schedule, x, psi0, rtol=1e-11):
@@ -47,6 +52,13 @@ def ode_oracle(schedule, x, psi0, rtol=1e-11):
     sol = solve_ivp(rhs, (0.0, schedule.tf), y0, method="DOP853", rtol=rtol, atol=rtol)
     y = sol.y[:, -1]
     return complex(y[0], y[1]), complex(y[2], y[3])
+
+
+def parse_history(err):
+    """(max changes, [(moving, total)]) from a "did not converge" error."""
+    history = str(err).split("max change per halving:")[1]
+    found = re.findall(r"(\S+) \((\d+) of (\d+) columns\)", history)
+    return [float(d) for d, _, _ in found], [(int(m), int(t)) for _, m, t in found]
 
 
 class TestEvolveClosedForms:
@@ -203,10 +215,17 @@ class TestIntegratorRobustness:
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
         with pytest.raises(RuntimeError, match="did not converge") as err:
             evolve_two_level(sched, 1.0, TwoLevelState.plus(), tol=0.0)
-        history = str(err.value).split("max change per halving:")[1]
-        deltas = [float(v) for v in history.split(",")]
+        deltas, moving = parse_history(err.value)
         assert len(deltas) == 2
         assert deltas[0] > deltas[1] > 0.0
+        assert moving == [(1, 1), (1, 1)]
+        # x = 0 on a linear ramp is exact at every level, so it settles at
+        # the first halving and only the other two columns are reported
+        with pytest.raises(RuntimeError, match="did not converge") as err:
+            schedule_propagators(linear_schedule(100.0, 1.0, 10.0), [0.0, 1.0, -5.0], tol=1e-12)
+        deltas, moving = parse_history(err.value)
+        assert deltas[0] > deltas[1] > 1e-12
+        assert moving == [(2, 3), (2, 3)]
 
 
 class TestConvergenceOrder:
@@ -221,6 +240,122 @@ class TestConvergenceOrder:
                for level in range(3)]
         for coarse, fine in zip(err, err[1:]):
             assert 14.0 <= coarse / fine <= 18.0
+
+
+def dop853_response(schedule, xs, rtol=1e-12):
+    """P_excite from |+> for every x in one DOP853 solve, no shared code."""
+    xs = np.asarray(xs, dtype=float)
+    k = xs.size
+
+    def rhs(t, y):
+        om = float(schedule.omega(t))
+        a0, a1 = y[:k], y[k:]
+        return 0.5j * np.concatenate([om * a1 - xs * a0, om * a0 + xs * a1])
+
+    y0 = np.full(2 * k, 1.0 / math.sqrt(2.0), dtype=complex)
+    sol = solve_ivp(rhs, (0.0, schedule.tf), y0, method="DOP853", rtol=rtol, atol=rtol / 10)
+    return np.abs(sol.y[k:, -1]) ** 2
+
+
+@st.composite
+def mixed_field_grids(draw):
+    """Fields near 0, which converge early, among fields of |x| in [3, 10]."""
+    small = draw(st.lists(st.floats(-0.5, 0.5, **FINITE), min_size=1, max_size=3))
+    large = draw(st.lists(st.floats(3.0, 10.0, **FINITE), min_size=1, max_size=3))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(large), max_size=len(large)))
+    xs = small + [s * v for s, v in zip(signs, large)]
+    return np.array(draw(st.permutations(xs)))
+
+
+@pytest.fixture
+def propagate_calls(monkeypatch):
+    """Record (level, grid steps, x columns) of every ``_propagate`` call."""
+    calls = []
+    propagate = dynamics._propagate
+
+    def recording(schedule, xs, spec, level):
+        calls.append((level, spec.n << level, xs.copy()))
+        return propagate(schedule, xs, spec, level)
+
+    monkeypatch.setattr(dynamics, "_propagate", recording)
+    return calls
+
+
+def column_steps(calls):
+    return sum(steps * cols.size for _, steps, cols in calls)
+
+
+class TestPerColumnConvergence:
+    def test_live_columns_shrink_and_exact_column_stops_early(self, propagate_calls):
+        xs = [-8.0, -1.0, 0.0, 0.4, 3.0, 10.0]
+        schedule_propagators(linear_schedule(100.0, 1.0, 10.0), xs)
+        calls = propagate_calls
+        assert [level for level, _, _ in calls] == list(range(len(calls)))
+        live = [cols.size for _, _, cols in calls]
+        assert live[0] == len(xs) and len(live) > 2
+        assert all(a >= b for a, b in zip(live, live[1:]))
+        assert live[-1] < live[1]
+        # x = 0 on a linear ramp: every Magnus step is exact, so the first
+        # halving changes nothing beyond roundoff and the column stops there
+        assert [level for level, _, cols in calls if 0.0 in cols] == [0, 1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(ramp_kind=st.sampled_from(["linear", "faquad"]),
+           omega0=st.floats(5.0, 40.0, **FINITE), tf=st.floats(1.0, 5.0, **FINITE),
+           x_ref=st.floats(0.3, 3.0, **FINITE), xs=mixed_field_grids())
+    def test_every_column_matches_dop853(self, ramp_kind, omega0, tf, x_ref, xs):
+        if ramp_kind == "linear":
+            sched = linear_schedule(omega0, 1.0, tf)
+        else:
+            sched = faquad_schedule(omega0, 1.0, tf, x_ref)
+        got = np.array([p for _, p in response_curve(sched, xs)])
+        assert np.max(np.abs(got - dop853_response(sched, xs))) < 1e-8
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("cols", [1, 5, 201])
+    def test_blocking_is_bitwise(self, monkeypatch, cols):
+        sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
+        xs = np.linspace(-10.0, 10.0, cols) if cols > 1 else np.array([0.7])
+        spec = dynamics._grid_spec(sched, 10.0)
+        for level in range(3):
+            monkeypatch.setattr(dynamics, "_BLOCK", 1 << 62)
+            whole = np.stack(dynamics._propagate(sched, xs, spec, level))
+            # one column per block, and ragged blocks of a few columns
+            for block in (1, 5000):
+                monkeypatch.setattr(dynamics, "_BLOCK", block)
+                got = np.stack(dynamics._propagate(sched, xs, spec, level))
+                assert np.array_equal(got, whole)
+
+    def test_wide_pass_memory_is_bounded(self):
+        # 2001 columns on a 1584-step grid: an unblocked chunk of 2048 rows
+        # peaks near 280 MiB of temporaries, blocks of 2^20 near 72 MiB
+        sched = linear_schedule(100.0, 100.0, 30.0)
+        xs = np.linspace(-10.0, 10.0, 2001)
+        spec = dynamics._grid_spec(sched, 10.0)
+        tracemalloc.start()
+        try:
+            dynamics._propagate(sched, xs, spec, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2**20
+
+
+class TestWorkGuard:
+    """Column-steps (grid steps x x columns, summed over ``_propagate``
+    calls) of two fixed sweeps, with 25% headroom over the counts measured
+    with the phase rule dt E <= 2 and per-column convergence.  A change that
+    inflates the grid or the halving levels again fails here, without timing.
+    """
+
+    def test_cli_response_default_sweep(self, propagate_calls, tmp_path):
+        assert cli.main(["response", "--out", str(tmp_path / "response.csv")]) == 0
+        assert column_steps(propagate_calls) <= 1.25 * 360_910
+
+    def test_criterion_4_linear_ramp(self, propagate_calls):
+        average_fidelity(linear_schedule(4000.0, 1.0, 350.0), x_max=5.0, n_points=11)
+        assert column_steps(propagate_calls) <= 1.25 * 56_256_570
 
 
 def piecewise_oracle(schedule, x, psi0, rtol=1e-12):
