@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,12 +85,19 @@ class ControlSchedule:
         return out if np.ndim(out) else float(out)
 
 
+def _require_finite(**params) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def linear_schedule(omega0: float, omegaf: float, tf: float) -> ControlSchedule:
     """Affine ramp Omega(t) = omega0 (1 - t/tf) + omegaf t/tf.
 
     omega0 == omegaf is allowed and gives a constant drive (used for Rabi
     and free-evolution checks); increasing ramps are rejected.
     """
+    _require_finite(omega0=omega0, omegaf=omegaf, tf=tf)
     if tf <= 0:
         raise ValueError("tf must be positive")
     if omega0 < omegaf or omegaf < 0:
@@ -111,6 +119,7 @@ def faquad_schedule(omega0: float, omegaf: float, tf: float, x_ref: float) -> Co
     stability at omega0 >> |x_ref|.  The resulting adiabatic parameter is
     mu = |v(omega0) - v(omegaf)| / (2 |x_ref| tf) at x = x_ref for all t.
     """
+    _require_finite(omega0=omega0, omegaf=omegaf, tf=tf, x_ref=x_ref)
     if tf <= 0:
         raise ValueError("tf must be positive")
     if not omega0 > omegaf > 0:
@@ -142,6 +151,7 @@ def perturbed_schedule(base: ControlSchedule, epsilon_ctrl: float) -> ControlSch
     """
     if base.kind != "faquad":
         raise ValueError("perturbation is defined relative to a faquad base")
+    _require_finite(epsilon_ctrl=epsilon_ctrl)
     if epsilon_ctrl < 0:
         raise ValueError("epsilon_ctrl must be >= 0")
     eps = float(epsilon_ctrl)
@@ -323,10 +333,16 @@ def schedule_from_csv(path_or_buf) -> ControlSchedule:
     """Read a waveform written by schedule_to_csv as a tabulated schedule."""
     with open_text(path_or_buf) as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, None)
+        if header is None:
+            raise ValueError("expected header 't,omega', got an empty file")
         if [h.strip() for h in header] != ["t", "omega"]:
             raise ValueError(f"expected header 't,omega', got {header!r}")
-        rows = [(float(a), float(b)) for a, b in rd]
+        rows = []
+        for row in rd:
+            if len(row) != 2:
+                raise ValueError(f"line {rd.line_num}: expected 2 fields, got {len(row)}")
+            rows.append((float(row[0]), float(row[1])))
     ts = np.array([r[0] for r in rows])
     oms = np.array([r[1] for r in rows])
     return tabulated_schedule(ts, oms)

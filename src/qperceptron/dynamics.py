@@ -36,9 +36,10 @@ change at a halving is below the tolerance keeps that value, and later
 halvings integrate only the columns still moving, on the one grid sized
 for max |x|.  Single-state evolutions converge the final amplitudes to
 1e-9; grid sweeps (response curves, fidelity averages) converge every
-reported probability to 1e-8.  A non-finite x or drive, or a drive whose
-base grid would exceed 2^27 steps (a drive vanishing on [0, tf]), fails
-with ValueError instead of running every halving.
+reported probability to 1e-8.  The base edges are held in memory; a
+halved grid's edges are generated per chunk of steps.  A non-finite x or
+drive, or a drive whose base grid would exceed 2^24 steps (a drive
+vanishing on [0, tf]), fails with ValueError before any allocation.
 
 Evolutions for distinct x values are an independent vectorized map over one
 shared time grid; reductions over the x grid (the fidelity trapezoid) are
@@ -80,9 +81,10 @@ _MAX_HALVINGS = 16
 _PHASE = 2.0
 _MIN_STEPS = 62.5
 _SLOPE = 0.032
-# base steps a grid may need before construction gives up (the largest grid
-# in the tests, the criterion-4 linear ramp, needs 3.7e5)
-_MAX_BASE_STEPS = 1 << 27
+# base steps a grid may need before construction gives up: the edges are
+# held in memory, and 2^24 steps cost about 135 MiB and 6 s per x column
+# (the criterion-4 linear ramp, the largest grid in the tests, needs 3.7e5)
+_MAX_BASE_STEPS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -115,59 +117,15 @@ def _validate_schedule(schedule):
         raise ValueError("invalid schedule: needs tf > 0 and omega(t)")
 
 
-@dataclass(frozen=True)
-class _GridSpec:
-    """Step-edge generator for one schedule: edges are never all in memory.
-
-    Segment s of the base grid starts at base index ``first[s]`` on its
-    breakpoint ``starts[s]`` (0, then each interior knot); its edges sit at
-    quantiles ``lo[s] + k * step[s]`` of the step-rate integral ``cum`` on
-    the ``probe`` grid.  Halving level L splits every base step into 2**L
-    equal steps.  ``edge_block`` regenerates any run of edges from these
-    small tables, so a ramp of 1e8 steps costs chunk-sized arrays.
-    """
-
-    tf: float
-    probe: np.ndarray
-    cum: np.ndarray
-    n: int
-    first: np.ndarray
-    lo: np.ndarray
-    step: np.ndarray
-    starts: np.ndarray
-
-    def edge_block(self, level: int, lo: int, hi: int) -> np.ndarray:
-        """Edges for global step-edge indices lo..hi (inclusive) at a level."""
-        n, tf = self.n, self.tf
-        idx = np.arange(lo, hi + 1, dtype=np.int64)
-        j = np.minimum(idx >> level, n - 1)
-        frac = (idx - (j << level)).astype(float) * (0.5 ** level)
-        jlo = int(j[0])
-        jhi = int(j[-1]) + 1
-        jj = np.arange(jlo, jhi + 1, dtype=np.int64)
-        seg = np.searchsorted(self.first, jj, side="right") - 1
-        q = self.lo[seg] + (jj - self.first[seg]) * self.step[seg]
-        base = np.interp(q, self.cum, self.probe)
-        # every segment starts exactly on its breakpoint, the grid ends on tf
-        start = jj == self.first[seg]
-        base[start] = self.starts[seg[start]]
-        if jhi == n:
-            base[-1] = tf
-        left = base[j - jlo]
-        out = left + (base[j - jlo + 1] - left) * frac
-        if hi == (n << level):
-            out[-1] = tf
-        return out
-
-
-def _grid_spec(schedule, x_absmax: float) -> _GridSpec:
-    """Base grid honoring the step-size policy, built in one pass.
+def _grid_spec(schedule, x_absmax: float) -> np.ndarray:
+    """Base step edges honoring the step-size policy, built in one pass.
 
     The step rate, the largest of the three dt-rule reciprocals, is
     integrated on a probe grid that holds every breakpoint (the interior
     knots of a ``samples`` table).  Each segment between breakpoints gets
-    ceil(1.05 * its integral) + 1 base steps; no edge is re-checked.  The
-    slope is ``domega``, or finite differences if the schedule has none.
+    ceil(1.05 * its integral) + 1 base steps at equal quantiles of it and
+    starts on its breakpoint; the last edge is tf.  No edge is re-checked.
+    The slope is ``domega``, or finite differences if there is none.
     """
     tf = schedule.tf
     samples = getattr(schedule, "samples", None)
@@ -205,8 +163,27 @@ def _grid_spec(schedule, x_absmax: float) -> _GridSpec:
     at = np.searchsorted(probe, np.append(starts, tf))
     width = np.diff(cum[at])
     per_seg = np.ceil(width * 1.05).astype(np.int64) + 1
-    return _GridSpec(tf, probe, cum, int(per_seg.sum()), np.cumsum(per_seg) - per_seg,
-                     cum[at[:-1]], width / per_seg, starts)
+    first = np.cumsum(per_seg) - per_seg
+    # quantile lo + k * step of edge k of each segment, built in place so
+    # that at most one other edge-sized array exists at a time
+    q = np.arange(per_seg.sum() + 1, dtype=float)
+    q[:-1] -= np.repeat(first, per_seg)
+    q[:-1] *= np.repeat(width / per_seg, per_seg)
+    q[:-1] += np.repeat(cum[at[:-1]], per_seg)
+    edges = np.interp(q, cum, probe)
+    edges[first] = starts
+    edges[-1] = tf
+    return edges
+
+
+def _level_edges(base: np.ndarray, level: int, lo: int, hi: int) -> np.ndarray:
+    """Edges lo..hi (inclusive) of the grid that splits each base step into
+    2**level equal steps; edge k * 2**level is base edge k, the last tf."""
+    idx = np.arange(lo, hi + 1, dtype=np.int64)
+    j = idx >> level
+    left = base[j]
+    right = base[np.minimum(j + 1, base.size - 1)]
+    return left + (right - left) * ((idx - (j << level)) * 0.5 ** level)
 
 
 def _qmul(e1, x1, y1, z1, e2, x2, y2, z2):
@@ -244,22 +221,23 @@ def _bit_reversal(bits: int) -> np.ndarray:
     return r
 
 
-def _propagate(schedule, xs: np.ndarray, spec: _GridSpec, level: int):
+def _propagate(schedule, xs: np.ndarray, base: np.ndarray, level: int):
     """Total propagator quaternion over the level-`level` grid for each x.
 
-    Steps go in chunks of ``_CHUNK`` rows; within a chunk the x columns go
-    in blocks of at most ``_BLOCK`` rows x columns, so the temporaries stay
-    bounded however many columns a sweep has.  Each column's arithmetic does
-    not depend on the blocking.
+    Steps go in chunks of ``_CHUNK`` rows, whose edges are generated from
+    the base edges ``base``; within a chunk the x columns go in blocks of
+    at most ``_BLOCK`` rows x columns, so the temporaries stay bounded
+    however many columns a sweep has.  Each column's arithmetic does not
+    depend on the blocking.
     """
-    n = spec.n << level
+    n = (base.size - 1) << level
     cols = xs.shape[0]
     E = np.zeros(cols)
     BX = np.zeros(cols)
     BY = np.zeros(cols)
     BZ = np.zeros(cols)
     for start in range(0, n, _CHUNK):
-        ts = spec.edge_block(level, start, min(start + _CHUNK, n))
+        ts = _level_edges(base, level, start, min(start + _CHUNK, n))
         dts = np.diff(ts)
         tmid = (ts[1:] + ts[:-1]) / 2.0
         nodes = np.concatenate([tmid - _GAUSS * dts, tmid + _GAUSS * dts])
@@ -338,19 +316,21 @@ def _converged_sweep(schedule, xs, reduce_fn, tol):
     (a, bx, by, bz), to a float array with x on axis 0.  A column converges
     when the max-abs change of its entries between consecutive halvings is
     below tol; it keeps that quaternion, and later halvings integrate only
-    the columns still moving.  All columns share one grid sized for max |x|.
-    Returns the quaternion and its reduction.  A non-finite x, or reduction
-    (named by its level), fails at once; failing to converge reports, per
-    halving, the largest change and how many columns were still moving.
+    the columns still moving.  All columns share one grid sized for max |x|,
+    whose base edges are built once and held in memory; each level's edges
+    are generated from them per chunk.  Returns the quaternion and its
+    reduction.  A non-finite x, or reduction (named by its level), fails at
+    once; failing to converge reports, per halving, the largest change and
+    how many columns were still moving.
     """
     if not np.all(np.isfinite(xs)):
         raise ValueError("x values must be finite")
-    spec = _grid_spec(schedule, float(np.max(np.abs(xs))) if xs.size else 0.0)
+    base = _grid_spec(schedule, float(np.max(np.abs(xs))) if xs.size else 0.0)
     q = np.empty((4, xs.size))
     live = np.arange(xs.size)
     history = []
     for level in range(_MAX_HALVINGS + 1):
-        q[:, live] = _propagate(schedule, xs[live], spec, level)
+        q[:, live] = _propagate(schedule, xs[live], base, level)
         nxt = reduce_fn(q)
         if not np.all(np.isfinite(nxt)):
             raise ValueError(f"integration gave a non-finite result at halving level {level}")

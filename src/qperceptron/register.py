@@ -191,20 +191,7 @@ def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> Qu
     return _rotate_pairs(reg, gate.target, chi(gate.activation, _gate_field(reg, gate)))
 
 
-def _gauge_fix(U: np.ndarray) -> np.ndarray:
-    """Remove each sector's global phase (diagnostic gauge, not physics)."""
-    out = U.copy()
-    for i in range(U.shape[0]):
-        ref = U[i, 0, 0] if abs(U[i, 0, 0]) > 1e-12 else U[i, 1, 0]
-        out[i] *= np.exp(-1j * np.angle(ref))
-    return out
-
-
-def apply_hardware_perceptron(
-    reg: QuantumRegister,
-    gate: PerceptronGateSpec,
-    strip_sector_phases: bool = False,
-) -> QuantumRegister:
+def apply_hardware_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
     """Adiabatic protocol on the target: Hadamard, then the driven ramp per
     occupied source sector with x fixed by that sector's configuration.
 
@@ -216,9 +203,7 @@ def apply_hardware_perceptron(
     occupied sector.
 
     The physical evolution keeps each sector's dynamical phase.  For z-basis
-    feed-forward circuits those phases are unobservable;
-    ``strip_sector_phases`` exists to assert exactly that equivalence in
-    tests and is not part of the protocol.
+    feed-forward circuits those phases are unobservable.
     """
     if gate.mode != "hardware":
         raise ValueError("gate is in ideal mode; use apply_ideal_perceptron")
@@ -231,8 +216,6 @@ def apply_hardware_perceptron(
     reg = apply_hadamard(reg, gate.target)
     xu, inv = np.unique(x, return_inverse=True)
     U = schedule_propagators(gate.schedule, xu)
-    if strip_sector_phases:
-        U = _gauge_fix(U)
     u = U.transpose(1, 2, 0)[:, :, inv.reshape(x.shape)]  # entry u[i, j] per sector
     return _update_pairs(reg, gate.target, lambda a0, a1: (
         u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1))

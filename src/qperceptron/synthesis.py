@@ -214,6 +214,8 @@ def synthesize(
     """
     if cycles < 1:
         raise ValueError("need at least one cycle")
+    if restarts < 0:
+        raise ValueError("restarts must be >= 0")
     x = np.asarray(x_grid, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("x_grid must be nonempty")
@@ -239,6 +241,9 @@ def synthesize(
             w0 = rng.uniform(0.3, 8.0 / span * 4.0, cycles)
             th0 = w0 * rng.uniform(x.min(), x.max(), cycles)
             starts.append((pat, w0, th0))
+    if not starts:
+        raise ValueError("no start to fit from: restarts = 0 and the target has "
+                         f"no closed-form start for {cycles} cycles")
     best = None
     for pat, w0, th0 in starts:
         rms, cyc = _fit_once(activation, tgt, x, pat, w0, th0)

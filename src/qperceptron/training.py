@@ -256,12 +256,14 @@ def dataset_from_csv(path_or_buf) -> Dataset:
         if header.replace(" ", "") != "x_bits,y":
             raise ValueError(f"expected 'x_bits,y' header, got {header!r}")
         pairs = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            x, y = line.split(",")
-            pairs.append((x.strip(), float(y)))
+            fields = line.split(",")
+            if len(fields) != 2:
+                raise ValueError(f"line {lineno}: expected 2 fields, got {len(fields)}")
+            pairs.append((fields[0].strip(), float(fields[1])))
     if not pairs:
         raise ValueError("empty dataset file")
     return Dataset(len(pairs[0][0]), tuple(pairs))

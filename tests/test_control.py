@@ -115,6 +115,24 @@ class TestFaquad:
             faquad_schedule(1, 100, 10, 1.0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda v: linear_schedule(v, 1.0, 1.0), "omega0"),
+    (lambda v: linear_schedule(2.0, v, 1.0), "omegaf"),
+    (lambda v: linear_schedule(2.0, 1.0, v), "tf"),
+    (lambda v: faquad_schedule(v, 1.0, 1.0, X_STAR), "omega0"),
+    (lambda v: faquad_schedule(100.0, v, 1.0, X_STAR), "omegaf"),
+    (lambda v: faquad_schedule(100.0, 1.0, v, X_STAR), "tf"),
+    (lambda v: faquad_schedule(100.0, 1.0, 1.0, v), "x_ref"),
+    (lambda v: perturbed_schedule(faquad_schedule(100.0, 1.0, 1.0, X_STAR), v), "epsilon_ctrl"),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_factories_reject_nonfinite_parameters(make, name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make(value)
+
+
 class TestOptimalDesignField:
     def test_near_limit_value(self):
         x = optimal_design_field(1.0)
@@ -244,6 +262,19 @@ class TestCsvRoundTrip:
     def test_rejects_wrong_header(self):
         with pytest.raises(ValueError):
             schedule_from_csv(io.StringIO("time,field\n0,1\n"))
+
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="expected header 't,omega'"):
+            schedule_from_csv(io.StringIO(""))
+
+    @pytest.mark.parametrize("text, line", [
+        ("t,omega\n0,1\n0.5,2,7\n1,1\n", 3),
+        ("t,omega\n0,1\n1\n", 3),
+        ("t,omega\n0,1,2\n1,1\n", 2),
+    ], ids=["three_fields", "one_field", "first_row"])
+    def test_row_field_count_names_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: expected 2 fields"):
+            schedule_from_csv(io.StringIO(text))
 
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):

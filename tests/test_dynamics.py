@@ -165,7 +165,7 @@ class TestIntegratorRobustness:
         # finite on the probe grid and the step edges, NaN at the first
         # Gauss node of the base grid: the level-0 sweep must stop there
         base = linear_schedule(2.0, 1.0, 1.0)
-        lo, hi = dynamics._grid_spec(base, 1.0).edge_block(0, 0, 1)
+        lo, hi = dynamics._grid_spec(base, 1.0)[:2]
         node = (lo + hi) / 2.0 - (math.sqrt(3.0) / 6.0) * (hi - lo)
 
         class HoledDrive:
@@ -210,6 +210,16 @@ class TestIntegratorRobustness:
         assert f"{dynamics._MAX_BASE_STEPS}" in msg
         assert "slope rule" in msg and "t = 1" in msg
 
+    def test_long_ramp_exceeds_step_budget(self):
+        # a 4000:1 linear ramp over tf = 4e4 needs about 4.2e7 base steps at
+        # x_max 5, between the budget of 2^24 and the grid's old 2^27
+        sched = linear_schedule(4000.0, 1.0, 4e4)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="over the budget") as err:
+            average_fidelity(sched, x_max=5.0, n_points=3)
+        assert time.perf_counter() - t0 < 1.0
+        assert "phase rule" in str(err.value)
+
     def test_nonconvergence_reports_delta_history(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_MAX_HALVINGS", 2)
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
@@ -234,9 +244,9 @@ class TestConvergenceOrder:
         # the commutator (sy) term still converges, but only 4-fold.
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
         xs = np.array([-3.0, 0.5, 2.0])
-        spec = dynamics._grid_spec(sched, 3.0)
-        ref = np.stack(dynamics._propagate(sched, xs, spec, 9))
-        err = [np.abs(np.stack(dynamics._propagate(sched, xs, spec, level)) - ref).max()
+        base = dynamics._grid_spec(sched, 3.0)
+        ref = np.stack(dynamics._propagate(sched, xs, base, 9))
+        err = [np.abs(np.stack(dynamics._propagate(sched, xs, base, level)) - ref).max()
                for level in range(3)]
         for coarse, fine in zip(err, err[1:]):
             assert 14.0 <= coarse / fine <= 18.0
@@ -273,9 +283,9 @@ def propagate_calls(monkeypatch):
     calls = []
     propagate = dynamics._propagate
 
-    def recording(schedule, xs, spec, level):
-        calls.append((level, spec.n << level, xs.copy()))
-        return propagate(schedule, xs, spec, level)
+    def recording(schedule, xs, base, level):
+        calls.append((level, (base.size - 1) << level, xs.copy()))
+        return propagate(schedule, xs, base, level)
 
     monkeypatch.setattr(dynamics, "_propagate", recording)
     return calls
@@ -317,14 +327,14 @@ class TestColumnBlocks:
     def test_blocking_is_bitwise(self, monkeypatch, cols):
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
         xs = np.linspace(-10.0, 10.0, cols) if cols > 1 else np.array([0.7])
-        spec = dynamics._grid_spec(sched, 10.0)
+        base = dynamics._grid_spec(sched, 10.0)
         for level in range(3):
             monkeypatch.setattr(dynamics, "_BLOCK", 1 << 62)
-            whole = np.stack(dynamics._propagate(sched, xs, spec, level))
+            whole = np.stack(dynamics._propagate(sched, xs, base, level))
             # one column per block, and ragged blocks of a few columns
             for block in (1, 5000):
                 monkeypatch.setattr(dynamics, "_BLOCK", block)
-                got = np.stack(dynamics._propagate(sched, xs, spec, level))
+                got = np.stack(dynamics._propagate(sched, xs, base, level))
                 assert np.array_equal(got, whole)
 
     def test_wide_pass_memory_is_bounded(self):
@@ -332,13 +342,28 @@ class TestColumnBlocks:
         # peaks near 280 MiB of temporaries, blocks of 2^20 near 72 MiB
         sched = linear_schedule(100.0, 100.0, 30.0)
         xs = np.linspace(-10.0, 10.0, 2001)
-        spec = dynamics._grid_spec(sched, 10.0)
+        base = dynamics._grid_spec(sched, 10.0)
         tracemalloc.start()
         try:
-            dynamics._propagate(sched, xs, spec, 0)
+            dynamics._propagate(sched, xs, base, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 96 * 2**20
+
+
+class TestBaseGridMemory:
+    def test_base_edges_peak_is_bounded(self):
+        # 4.41e6 base steps: the edges and their quantiles are two 34 MiB
+        # arrays, and no third array of that size may exist alongside them
+        sched = linear_schedule(4000.0, 1.0, 4200.0)
+        tracemalloc.start()
+        try:
+            base = dynamics._grid_spec(sched, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert base.size > 4_000_000
         assert peak < 96 * 2**20
 
 
@@ -401,8 +426,7 @@ class TestKinkedDrives:
     def test_knots_are_base_edges(self):
         table = tabulated_schedule([0.0, 0.3, 1.1, 1.7, 2.5], [40.0, 3.0, 9.0, 0.5, 2.0])
         for sched in (table, reversed_negated(table)):
-            spec = dynamics._grid_spec(sched, 2.0)
-            edges = spec.edge_block(0, 0, spec.n)
+            edges = dynamics._grid_spec(sched, 2.0)
             knots = sched.samples[0][1:-1]
             assert np.all(np.isin(knots, edges))
 

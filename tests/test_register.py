@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from qperceptron import register
 from qperceptron.activation import ALGEBRAIC, STEP, cao_arctan, eval_CS, eval_f
 from qperceptron.control import faquad_schedule
 from qperceptron.dynamics import perceptron_protocol
@@ -265,7 +266,7 @@ class TestHardwareGate:
         assert np.max(np.abs(got - dense_hardware_gate(reg, gate))) < 1e-8
         assert np.all(got[amps == 0] == 0)
 
-    def test_sector_phases_invisible_in_z_basis(self):
+    def test_sector_phases_invisible_in_z_basis(self, monkeypatch):
         # feed-forward circuit: per-sector global phases cannot move any
         # z-basis probability
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
@@ -275,11 +276,16 @@ class TestHardwareGate:
         g1 = PerceptronGateSpec(target=2, weights={0: 1.2, 1: -0.9}, bias=0.3, schedule=sched)
         g2 = PerceptronGateSpec(target=3, weights={0: 0.7, 2: 1.5}, bias=-0.4, schedule=sched)
         phys = apply_hardware_perceptron(apply_hardware_perceptron(reg, g1), g2)
-        bare = apply_hardware_perceptron(
-            apply_hardware_perceptron(reg, g1, strip_sector_phases=True),
-            g2,
-            strip_sector_phases=True,
-        )
+        propagators = register.schedule_propagators
+
+        def phase_stripped(schedule, xs):
+            # divide each matrix by the phase of its first entry above 1e-12
+            U = propagators(schedule, xs)
+            ref = np.where(np.abs(U[:, 0, 0]) > 1e-12, U[:, 0, 0], U[:, 1, 0])
+            return U * np.exp(-1j * np.angle(ref))[:, None, None]
+
+        monkeypatch.setattr(register, "schedule_propagators", phase_stripped)
+        bare = apply_hardware_perceptron(apply_hardware_perceptron(reg, g1), g2)
         p_phys = np.abs(phys.amplitudes) ** 2
         p_bare = np.abs(bare.amplitudes) ** 2
         assert np.max(np.abs(p_phys - p_bare)) < 1e-10

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qperceptron import dynamics
 from qperceptron.control import (
     faquad_schedule,
     linear_schedule,
@@ -102,3 +103,23 @@ def test_csv_round_trip_keeps_knots(sched, n):
     assert back.kind == "tabulated"
     assert back.samples[0].tobytes() == np.asarray(want_t, dtype=float).tobytes()
     assert back.samples[1].tobytes() == np.asarray(want_om, dtype=float).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(sched=st.one_of(ramps(), ramps().map(reversed_negated),
+                       tables(0.5), tables(0.5).map(reversed_negated)),
+       x_max=st.floats(0.0, 10.0, **finite))
+def test_step_grid_edges_nest(sched, x_max):
+    base = dynamics._grid_spec(sched, x_max)
+    assert base[0] == 0.0 and base[-1] == sched.tf
+    assert np.all(np.diff(base) >= 0.0)
+    if sched.samples is not None:
+        assert np.all(np.isin(sched.samples[0][1:-1], base))
+    # the halving loop relies on every level-(L-1) edge being a level-L edge
+    n = base.size - 1
+    coarse = dynamics._level_edges(base, 0, 0, n)
+    assert coarse.tobytes() == base.tobytes()
+    for level in (1, 2, 3):
+        fine = dynamics._level_edges(base, level, 0, n << level)
+        assert fine[::2].tobytes() == coarse.tobytes()
+        coarse = fine

@@ -165,6 +165,20 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(Rectangle(0.0, 2.0), 2, [0.0, np.inf])
 
+    def test_rejects_negative_restarts(self):
+        with pytest.raises(ValueError, match="restarts must be >= 0"):
+            synthesize(Rectangle(0.0, 2.0), 2, np.linspace(-1, 3, 11), restarts=-1)
+
+    def test_no_start_is_named(self):
+        # one cycle has no closed-form start, so restarts = 0 leaves none
+        with pytest.raises(ValueError, match="no start"):
+            synthesize(Rectangle(0.0, 2.0), 1, np.linspace(-1, 3, 11), restarts=0)
+
+    def test_closed_form_start_alone(self):
+        res = synthesize(Rectangle(0.0, 2.0), 2, np.linspace(-1, 3, 41), restarts=0)
+        assert res.converged
+        assert res.residual < 2e-3
+
 
 class TestApplyComposition:
     def test_cancelling_spec_is_identity(self):

@@ -106,6 +106,15 @@ class TestDataset:
         back = dataset_from_csv(io.StringIO(text))
         assert back == ds
 
+    @pytest.mark.parametrize("text, line", [
+        ("x_bits,y\n00,0\n01,1,1\n", 3),
+        ("x_bits,y\n00\n01,1\n", 2),
+        ("x_bits,y\n00,0\n\n10,0,\n", 4),
+    ], ids=["three_fields", "one_field", "after_blank_line"])
+    def test_csv_field_count_names_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: expected 2 fields"):
+            dataset_from_csv(io.StringIO(text))
+
     def test_csv_accepts_path_objects(self, tmp_path):
         # pathlib.Path targets, not just str and open handles
         ds = prime_dataset(2)
