@@ -1,4 +1,4 @@
-"""Path-or-stream handling and the float-row CSV writer shared by the package."""
+"""Path-or-stream handling and the one CSV writer and reader of the package."""
 from __future__ import annotations
 
 import contextlib
@@ -21,8 +21,36 @@ def open_text(path_or_buf, mode: str = "r"):
 
 
 def write_rows(path_or_buf, header: str, rows) -> None:
-    """Write ``header``, then each row as comma-separated float reprs, LF-terminated."""
+    """Write ``header`` and the rows, LF-terminated: str fields as is, others as float reprs."""
     with open_text(path_or_buf, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n")
+
+
+def read_rows(path_or_buf, header: str, *types) -> list:
+    """Read a CSV with first line ``header`` as a list of tuples.
+
+    Spaces around each header name and field are ignored and blank lines
+    are skipped; field k of a row is converted with ``types[k]``.  A row of
+    the wrong width, or a field its type rejects, raises
+    ``ValueError("line N: ...")``.
+    """
+    rows = []
+    with open_text(path_or_buf) as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"expected header {header!r}, got an empty file")
+        if [h.strip() for h in first.split(",")] != header.split(","):
+            raise ValueError(f"expected header {header!r}, got {first.rstrip()!r}")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.split(",")
+            if len(fields) != len(types):
+                raise ValueError(f"line {lineno}: expected {len(types)} fields, got {len(fields)}")
+            try:
+                rows.append(tuple(t(f.strip()) for t, f in zip(types, fields)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+    return rows

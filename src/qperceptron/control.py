@@ -14,7 +14,6 @@ fields in omegaf.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ._io import open_text, write_rows
+from ._io import read_rows, write_rows
 
 __all__ = [
     "ControlSchedule",
@@ -318,12 +317,14 @@ def optimal_design_field(omegaf: float, omega0_ratio: float = 1e4) -> float:
 def schedule_to_csv(schedule: ControlSchedule, path_or_buf, n_samples: int = 1001) -> None:
     """Write the waveform as CSV with header ``t,omega``, increasing t.
 
-    A tabulated schedule writes its knots; any other samples n_samples
+    A tabulated schedule writes its knots; any other samples n_samples >= 2
     uniform times on [0, tf].
     """
     if schedule.samples is not None:
         ts, oms = schedule.samples
     else:
+        if n_samples < 2:
+            raise ValueError(f"n_samples must be at least 2, got {n_samples}")
         ts = np.linspace(0.0, schedule.tf, n_samples)
         oms = schedule.omega(ts)
     write_rows(path_or_buf, "t,omega", zip(ts, oms))
@@ -331,18 +332,5 @@ def schedule_to_csv(schedule: ControlSchedule, path_or_buf, n_samples: int = 100
 
 def schedule_from_csv(path_or_buf) -> ControlSchedule:
     """Read a waveform written by schedule_to_csv as a tabulated schedule."""
-    with open_text(path_or_buf) as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is None:
-            raise ValueError("expected header 't,omega', got an empty file")
-        if [h.strip() for h in header] != ["t", "omega"]:
-            raise ValueError(f"expected header 't,omega', got {header!r}")
-        rows = []
-        for row in rd:
-            if len(row) != 2:
-                raise ValueError(f"line {rd.line_num}: expected 2 fields, got {len(row)}")
-            rows.append((float(row[0]), float(row[1])))
-    ts = np.array([r[0] for r in rows])
-    oms = np.array([r[1] for r in rows])
-    return tabulated_schedule(ts, oms)
+    rows = read_rows(path_or_buf, "t,omega", float, float)
+    return tabulated_schedule(*np.reshape(rows, (-1, 2)).T)

@@ -458,7 +458,9 @@ def fit_infidelity_decay(tf_grid, infidelity):
     """Least-squares fit of log infidelity to log(c0) - c1 * tf^c2.
 
     Points at or below the 1e-12 numerical floor are excluded; fewer than
-    4 usable points is a fit failure (ValueError).  Returns (c0, c1, c2).
+    4 usable points is a fit failure (ValueError).  A scan over c2 gives the
+    start of a curve_fit polish; if that does not converge, the scan optimum
+    is kept.  Returns (c0, c1, c2).
     """
     tf = np.asarray(tf_grid, dtype=float)
     infid = np.asarray(infidelity, dtype=float)
@@ -491,8 +493,8 @@ def fit_infidelity_decay(tf_grid, infidelity):
         )
         if popt[1] > 0 and popt[2] > 0:
             lc0, c1, c2 = popt
-    except Exception:
-        pass  # keep the scan optimum
+    except RuntimeError:
+        pass  # curve_fit did not converge: keep the scan optimum
     return float(np.exp(lc0)), float(c1), float(c2)
 
 
@@ -526,18 +528,27 @@ def benchmark_ramps(
 
 
 def response_to_csv(pairs, path_or_buf) -> None:
-    """Write a response curve as CSV with header ``x,p_excite``."""
+    """Write a response curve as CSV with header ``x,p_excite``.
+
+    Write-only: the package has no public reader for it.
+    """
     write_rows(path_or_buf, "x,p_excite", pairs)
 
 
 def report_to_csv(report: FidelityReport, path_or_buf) -> None:
-    """Write a benchmark report as CSV, header ``tf,infid_linear,infid_faquad``."""
+    """Write a benchmark report as CSV, header ``tf,infid_linear,infid_faquad``.
+
+    Write-only: the package has no public reader for it.
+    """
     rows = zip(report.tf_grid, report.infidelity_linear, report.infidelity_faquad)
     write_rows(path_or_buf, "tf,infid_linear,infid_faquad", rows)
 
 
 def fit_constants_json(report: FidelityReport) -> str:
-    """The report's decay-fit constants as a JSON object {c0, c1, c2}."""
+    """The report's decay-fit constants as a JSON object {c0, c1, c2}.
+
+    Write-only: the package has no public reader for it.
+    """
     return json.dumps(
         {"c0": report.fit_c0, "c1": report.fit_c1, "c2": report.fit_c2}
     )

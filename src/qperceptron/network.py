@@ -378,11 +378,26 @@ def network_to_json(net: NetworkSpec) -> str:
 
 
 def network_from_json(doc: str) -> NetworkSpec:
+    """Read a network written by network_to_json.
+
+    A missing key, or a ``mask``, ``J`` or ``b`` list of the wrong length,
+    raises ValueError naming it.
+    """
     d = json.loads(doc)
+    for key in ("n_inputs", "layer_sizes", "mask", "J", "b", "activation"):
+        if key not in d:
+            raise ValueError(f"network JSON has no {key!r} key")
     n_inputs = int(d["n_inputs"])
     sizes = [int(m) for m in d["layer_sizes"]]
     n = n_inputs + sum(sizes)
-    mask = np.array(d["mask"], dtype=float).reshape(n, n)
-    J = np.array(d["J"], dtype=float).reshape(n, n)
-    b = np.array(d["b"], dtype=float)
+
+    def entries(key, count):
+        arr = np.array(d[key], dtype=float)
+        if arr.size != count:
+            raise ValueError(f"network JSON {key!r} needs {count} entries, got {arr.size}")
+        return arr
+
+    mask = entries("mask", n * n).reshape(n, n)
+    J = entries("J", n * n).reshape(n, n)
+    b = entries("b", n)
     return NetworkSpec(n_inputs, sizes, mask, J, b, _activation_from_tag(d["activation"]))

@@ -30,7 +30,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ._io import open_text
+from ._io import write_rows
 from .activation import ActivationKind, chi
 from .control import ControlSchedule
 from .dynamics import schedule_propagators
@@ -256,9 +256,10 @@ def conditional_probability(reg, condition_qubits, condition_bits, query_qubit) 
 
 
 def register_to_csv(reg: QuantumRegister, path_or_buf) -> None:
-    """Debug dump: one row per basis state, ``index,bitstring,re,im``."""
-    with open_text(path_or_buf, "w") as fh:
-        fh.write("index,bitstring,re,im\n")
-        for i, amp in enumerate(reg.amplitudes):
-            bits = format(i, f"0{reg.n_qubits}b")
-            fh.write(f"{i},{bits},{float(amp.real)!r},{float(amp.imag)!r}\n")
+    """Debug dump: one row per basis state, ``index,bitstring,re,im``.
+
+    Write-only: the package has no public reader for it.
+    """
+    n = reg.n_qubits
+    rows = ((str(i), format(i, f"0{n}b"), a.real, a.imag) for i, a in enumerate(reg.amplitudes))
+    write_rows(path_or_buf, "index,bitstring,re,im", rows)

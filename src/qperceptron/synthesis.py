@@ -281,7 +281,10 @@ def apply_composition(
 def composition_to_csv(
     result: SynthesisResult, target: TargetResponse, x_grid, path_or_buf
 ) -> None:
-    """CSV columns: x, target_angle, fitted_angle, fitted_excitation."""
+    """CSV columns: x, target_angle, fitted_angle, fitted_excitation.
+
+    Write-only: the package has no public reader for it.
+    """
     x = np.asarray(x_grid, dtype=float).ravel()
     tgt = target_angle(target, x)
     ang = composition_angle(result.spec, x)

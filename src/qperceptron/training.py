@@ -21,7 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ._io import open_text
+from ._io import read_rows, write_rows
 from .network import NetworkSpec, _cross_entropy, _MixtureEngine, forward, network_to_json
 from .register import QuantumRegister, apply_ideal_perceptron, conditional_probability
 
@@ -244,32 +244,22 @@ def batch_state_forward(net: NetworkSpec, dataset: Dataset) -> List[float]:
 
 def dataset_to_csv(dataset: Dataset, path_or_buf) -> None:
     """CSV with header ``x_bits,y``; bitstrings kept as text."""
-    with open_text(path_or_buf, "w") as fh:
-        fh.write("x_bits,y\n")
-        for x, y in dataset.pairs:
-            fh.write(f"{x},{float(y)!r}\n")
+    write_rows(path_or_buf, "x_bits,y", dataset.pairs)
 
 
 def dataset_from_csv(path_or_buf) -> Dataset:
-    with open_text(path_or_buf) as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "x_bits,y":
-            raise ValueError(f"expected 'x_bits,y' header, got {header!r}")
-        pairs = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: expected 2 fields, got {len(fields)}")
-            pairs.append((fields[0].strip(), float(fields[1])))
+    pairs = read_rows(path_or_buf, "x_bits,y", str, float)
     if not pairs:
         raise ValueError("empty dataset file")
     return Dataset(len(pairs[0][0]), tuple(pairs))
 
 
 def report_to_json(report: TrainReport) -> str:
+    """The report as JSON: cost trace, accuracy and the network under ``params``.
+
+    Write-only: the package has no public reader for it; ``network_from_json``
+    reads the ``params`` object alone.
+    """
     return json.dumps(
         {
             "cost_trace": list(report.cost_trace),

@@ -355,3 +355,38 @@ class TestScheduleType:
             twin = type(s)(s.kind, s.omega0, s.omegaf, s.tf, s.field, s.slope, s.samples)
             assert s == s and s != twin
             assert len({s, twin}) == 2
+
+
+class TestScheduleCsvReader:
+    """The schedule reader goes through the shared row reader."""
+
+    def test_bad_field_names_line(self):
+        with pytest.raises(ValueError, match="^line 3: could not convert string to float: 'abc'"):
+            schedule_from_csv(io.StringIO("t,omega\n0,1\n1,abc\n"))
+
+    def test_blank_line_is_skipped(self):
+        s = schedule_from_csv(io.StringIO("t,omega\n0,1\n\n1,2\n"))
+        assert s.samples[0].tolist() == [0.0, 1.0]
+        assert s.samples[1].tolist() == [1.0, 2.0]
+
+    def test_quoted_field_names_line(self):
+        # schedule_to_csv never quotes, so a quote is not part of a number
+        with pytest.raises(ValueError, match="^line 3: .*'\"1\"'"):
+            schedule_from_csv(io.StringIO('t,omega\n0,1\n"1",2\n'))
+
+    def test_spaced_header_and_crlf_are_read(self):
+        # files written before schedule_to_csv switched to LF end in CRLF
+        s = schedule_from_csv(io.StringIO("t , omega\r\n0,1\r\n1, 2\r\n"))
+        assert s.samples[1].tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_writer_rejects_too_few_samples(self, n_samples):
+        with pytest.raises(ValueError, match=f"n_samples must be at least 2, got {n_samples}"):
+            schedule_to_csv(linear_schedule(10, 1, 2), io.StringIO(), n_samples=n_samples)
+
+    def test_table_writes_its_knots_whatever_n_samples(self):
+        s = tabulated_schedule([0.0, 0.5, 2.0], [3.0, 1.0, 2.0])
+        buf = io.StringIO()
+        schedule_to_csv(s, buf, n_samples=1)
+        buf.seek(0)
+        assert schedule_from_csv(buf).samples[0].tolist() == [0.0, 0.5, 2.0]

@@ -616,3 +616,28 @@ class TestScheduleInterface:
         want = evolve_two_level(base, 1.0, TwoLevelState.plus())
         assert abs(got.amp0 - want.amp0) < 1e-8
         assert abs(got.amp1 - want.amp1) < 1e-8
+
+
+class TestFitPolish:
+    """The curve_fit polish may fail to converge, and only that is forgiven."""
+
+    TF = np.geomspace(0.1, 50.0, 12)
+    INFID = 5.0 * np.exp(-2.0 * TF**0.2)
+
+    def test_nonconvergence_keeps_scan_optimum(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found")
+
+        monkeypatch.setattr(dynamics, "curve_fit", no_convergence)
+        c0, c1, c2 = fit_infidelity_decay(self.TF, self.INFID)
+        assert c2 in np.linspace(0.02, 0.8, 157)  # a scan point, not polished
+        assert c2 == pytest.approx(0.2, rel=1e-12)
+        assert (c0, c1) == pytest.approx((5.0, 2.0), rel=1e-6)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def bug(*args, **kwargs):
+            raise TypeError("a bug in the polish")
+
+        monkeypatch.setattr(dynamics, "curve_fit", bug)
+        with pytest.raises(TypeError, match="a bug in the polish"):
+            fit_infidelity_decay(self.TF, self.INFID)

@@ -1,4 +1,5 @@
 """Network forward passes vs the classical-mixture oracle and constructions."""
+import json
 import math
 from itertools import product
 
@@ -382,3 +383,29 @@ class TestLayerHamiltonian:
         net = layered_net(2, [2, 3])
         sched = faquad_schedule(100.0, 1.0, 7.5, X_REF)
         assert protocol_duration(net, sched) == pytest.approx(3 * 7.5)
+
+
+class TestNetworkJsonErrors:
+    """network_from_json names what a document lacks."""
+
+    def doc(self):
+        # 3 inputs, one hidden qubit and the output: n_total = 5
+        return json.loads(network_to_json(layered_net(3, [1], np.random.default_rng(4))))
+
+    def test_empty_object_names_first_key(self):
+        with pytest.raises(ValueError, match="no 'n_inputs' key"):
+            network_from_json("{}")
+
+    @pytest.mark.parametrize("key", ["layer_sizes", "mask", "J", "b", "activation"])
+    def test_missing_key_is_named(self, key):
+        d = self.doc()
+        del d[key]
+        with pytest.raises(ValueError, match=f"no '{key}' key"):
+            network_from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("key, count", [("mask", 25), ("J", 25), ("b", 5)])
+    def test_short_list_names_field_and_count(self, key, count):
+        d = self.doc()
+        d[key] = d[key][:-1]
+        with pytest.raises(ValueError, match=f"'{key}' needs {count} entries, got {count - 1}"):
+            network_from_json(json.dumps(d))

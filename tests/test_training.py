@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from qperceptron.activation import ActivationKind, eval_f
-from qperceptron.network import NetworkSpec, forward
+from qperceptron.network import NetworkSpec, forward, network_from_json
 from qperceptron.training import (
     Dataset,
     TrainConfig,
+    TrainReport,
     batch_state_forward,
     cost_gradient,
     cross_entropy_cost,
@@ -330,3 +331,37 @@ class TestBatchStateForward:
         net = layered_net(3, [2])
         with pytest.raises(ValueError):
             batch_state_forward(net, prime_dataset(2))
+
+
+class TestDatasetCsvReader:
+    """The dataset reader goes through the shared row reader."""
+
+    def test_bad_label_names_line(self):
+        with pytest.raises(ValueError, match="^line 2: could not convert string to float: 'x'"):
+            dataset_from_csv(io.StringIO("x_bits,y\n01,x\n"))
+
+    def test_space_inside_header_name_is_rejected(self):
+        with pytest.raises(ValueError, match="^expected header 'x_bits,y', got 'x_ bits,y'$"):
+            dataset_from_csv(io.StringIO("x_ bits,y\n01,1\n"))
+
+    def test_spaces_around_names_and_fields_are_ignored(self):
+        back = dataset_from_csv(io.StringIO(" x_bits , y \n 01 , 1 \n\n10,0\n"))
+        assert back.pairs == (("01", 1.0), ("10", 0.0))
+
+    def test_empty_file_says_empty(self):
+        with pytest.raises(ValueError, match="^expected header 'x_bits,y', got an empty file$"):
+            dataset_from_csv(io.StringIO(""))
+
+    def test_header_only_is_an_empty_dataset(self):
+        with pytest.raises(ValueError, match="^empty dataset file$"):
+            dataset_from_csv(io.StringIO("x_bits,y\n"))
+
+
+class TestReportJson:
+    def test_report_json_is_not_a_network_document(self):
+        # write-only: the network sits under "params", so the document itself
+        # is rejected by the network reader with the missing key named
+        net = layered_net(2, [2])
+        doc = report_to_json(TrainReport((0.5,), net, 1.0))
+        with pytest.raises(ValueError, match="no 'n_inputs' key"):
+            network_from_json(doc)
