@@ -380,10 +380,12 @@ def network_to_json(net: NetworkSpec) -> str:
 def network_from_json(doc: str) -> NetworkSpec:
     """Read a network written by network_to_json.
 
-    A missing key, or a ``mask``, ``J`` or ``b`` list of the wrong length,
-    raises ValueError naming it.
+    A document that is not a JSON object, a missing key, or a ``mask``,
+    ``J`` or ``b`` list of the wrong length raises ValueError naming it.
     """
     d = json.loads(doc)
+    if not isinstance(d, dict):
+        raise ValueError(f"network JSON must be an object, got {type(d).__name__}")
     for key in ("n_inputs", "layer_sizes", "mask", "J", "b", "activation"):
         if key not in d:
             raise ValueError(f"network JSON has no {key!r} key")

@@ -1,6 +1,7 @@
 """Integrator and benchmark tests against closed forms and an ODE oracle."""
 import io
 import json
+import logging
 import math
 import re
 import time
@@ -367,20 +368,82 @@ class TestBaseGridMemory:
         assert peak < 96 * 2**20
 
 
+def dop853_propagators(schedule, xs, rtol=1e-12):
+    """U(x) for every x in one DOP853 solve from |0> and |1>, no shared code."""
+    xs = np.asarray(xs, dtype=float)
+    k = xs.size
+    x2 = np.concatenate([xs, xs])
+
+    def rhs(t, y):
+        om = float(schedule.omega(t))
+        a0, a1 = y[:2 * k], y[2 * k:]
+        return 0.5j * np.concatenate([om * a1 - x2 * a0, om * a0 + x2 * a1])
+
+    # amp0 of the |0> and |1> runs, then amp1 of both
+    y0 = np.concatenate([np.ones(k), np.zeros(k), np.zeros(k), np.ones(k)]).astype(complex)
+    sol = solve_ivp(rhs, (0.0, schedule.tf), y0, method="DOP853", rtol=rtol, atol=rtol / 10)
+    return sol.y[:, -1].reshape(2, 2, k).transpose(2, 0, 1)
+
+
+class TestErrorEstimateStop:
+    """A column may stop on change / 15 once the 16-fold Magnus-4 regime has
+    been seen: the result must still be within the tolerance itself."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(ramp_kind=st.sampled_from(["linear", "faquad"]),
+           omega0=st.floats(5.0, 100.0, **FINITE), tf=st.floats(1.0, 10.0, **FINITE),
+           x_ref=st.floats(0.3, 3.0, **FINITE), xs=mixed_field_grids())
+    def test_sweeps_meet_tolerance_against_dop853(self, ramp_kind, omega0, tf, x_ref, xs):
+        # a uniform grid as well, as in the CLI sweeps: each column is one
+        # more chance to stop with its change near 7.5 tol
+        xs = np.concatenate([xs, np.linspace(-10.0, 10.0, 21)])
+        if ramp_kind == "linear":
+            sched = linear_schedule(omega0, 1.0, tf)
+        else:
+            sched = faquad_schedule(omega0, 1.0, tf, x_ref)
+        want = dop853_propagators(sched, xs)
+        assert np.max(np.abs(schedule_propagators(sched, xs) - want)) < 1e-9
+        got = np.array([p for _, p in response_curve(sched, xs)])
+        p_want = np.abs(want[:, 1, 0] + want[:, 1, 1]) ** 2 / 2.0
+        assert np.max(np.abs(got - p_want)) < 1e-8
+
+    def test_debug_record_of_cli_response(self, propagate_calls, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="qperceptron"):
+            response_curve(linear_schedule(10.0, 1.0, 1.0), [0.5, 2.0])
+        assert not caplog.records
+        propagate_calls.clear()
+        with caplog.at_level(logging.DEBUG, logger="qperceptron"):
+            assert cli.main(["response", "--out", str(tmp_path / "response.csv")]) == 0
+        [record] = caplog.records
+        msg = record.getMessage()
+        assert msg.startswith(f"sweep: {propagate_calls[0][1]} base steps; ")
+        assert msg.endswith(f"; {column_steps(propagate_calls)} column-steps")
+        levels = re.findall(
+            r"level (\d+): (\d+) columns(?:, max change (\S+), (\d+) stopped on the estimate)?",
+            msg)
+        assert [(int(lv), int(n)) for lv, n, _, _ in levels] == [
+            (level, cols.size) for level, _, cols in propagate_calls]
+        # the first halving has no ratio to show the 16-fold regime; a later
+        # one stops columns whose change is still above ptol = 1e-8
+        assert levels[1][3] == "0"
+        assert any(int(early) > 0 and float(d) >= 1e-8 for _, _, d, early in levels[2:])
+
+
 class TestWorkGuard:
     """Column-steps (grid steps x x columns, summed over ``_propagate``
     calls) of two fixed sweeps, with 25% headroom over the counts measured
-    with the phase rule dt E <= 2 and per-column convergence.  A change that
-    inflates the grid or the halving levels again fails here, without timing.
+    with the phase rule dt E <= 2, per-column convergence and the
+    error-estimate stop.  A change that inflates the grid or the halving
+    levels again fails here, without timing.
     """
 
     def test_cli_response_default_sweep(self, propagate_calls, tmp_path):
         assert cli.main(["response", "--out", str(tmp_path / "response.csv")]) == 0
-        assert column_steps(propagate_calls) <= 1.25 * 360_910
+        assert column_steps(propagate_calls) <= 1.25 * 233_070
 
     def test_criterion_4_linear_ramp(self, propagate_calls):
         average_fidelity(linear_schedule(4000.0, 1.0, 350.0), x_max=5.0, n_points=11)
-        assert column_steps(propagate_calls) <= 1.25 * 56_256_570
+        assert column_steps(propagate_calls) <= 1.25 * 26_841_370
 
 
 def piecewise_oracle(schedule, x, psi0, rtol=1e-12):

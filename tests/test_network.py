@@ -396,6 +396,13 @@ class TestNetworkJsonErrors:
         with pytest.raises(ValueError, match="no 'n_inputs' key"):
             network_from_json("{}")
 
+    @pytest.mark.parametrize("doc, kind", [
+        ("3", "int"), ("null", "NoneType"), ('"s"', "str"), ("[]", "list"),
+    ])
+    def test_non_object_document_names_its_type(self, doc, kind):
+        with pytest.raises(ValueError, match=f"must be an object, got {kind}$"):
+            network_from_json(doc)
+
     @pytest.mark.parametrize("key", ["layer_sizes", "mask", "J", "b", "activation"])
     def test_missing_key_is_named(self, key):
         d = self.doc()
