@@ -1,8 +1,9 @@
 """Sweep the perceptron's excitation response for several controls.
 
-Produces CSVs comparing the ideal sigmoid with what the transverse-field
-ramp actually delivers: a clean FAQUAD passage, a linear ramp of the same
-duration, and FAQUAD with degraded control amplitudes.
+Writes the response each control delivers as a CSV (x, p_excite) and
+prints how far it strays from the ideal sigmoid: a clean FAQUAD passage, a
+linear ramp of the same duration, and FAQUAD with degraded control
+amplitudes.
 """
 import pathlib
 
@@ -16,6 +17,7 @@ from qperceptron import (
     optimal_design_field,
     perturbed_schedule,
     response_curve,
+    response_to_csv,
 )
 
 OUT = pathlib.Path(__file__).parent / "out"
@@ -36,10 +38,7 @@ schedules = {
 for name, sched in schedules.items():
     curve = response_curve(sched, grid)
     path = OUT / f"response_{name}.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,p_excite,g_ideal\n")
-        for x, p in curve:
-            fh.write(f"{x!r},{p!r},{float(eval_f(ALGEBRAIC, x))!r}\n")
+    response_to_csv(curve, path)
     errs = [abs(p - eval_f(ALGEBRAIC, x)) for x, p in curve]
     print(f"{name:16s} max |p - g| = {max(errs):.4f}  -> {path}")
 

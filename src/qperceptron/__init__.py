@@ -70,7 +70,6 @@ from .network import (
     build_universal_approximator,
     classical_mixture_oracle,
     forward,
-    layer_hamiltonian_forward,
     layered_network,
     network_from_json,
     network_to_json,

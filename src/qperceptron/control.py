@@ -203,7 +203,7 @@ def reversed_negated(schedule) -> ControlSchedule:
     strictly (t = 0 cannot collide, and the knot at tf is kept).
     """
     tf = schedule.tf
-    samples = getattr(schedule, "samples", None)
+    samples = schedule.samples
     if samples is not None:
         ts, oms = tf - samples[0][::-1], -samples[1][::-1]
         keep = np.append(np.diff(ts) > 0, True)

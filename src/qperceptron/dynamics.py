@@ -97,6 +97,12 @@ _SLOPE = 0.032
 # held in memory, and 2^24 steps cost about 135 MiB and 6 s per x column
 # (the criterion-4 linear ramp, the largest grid in the tests, needs 3.7e5)
 _MAX_BASE_STEPS = 1 << 24
+# probability tolerance of response curves and fidelity averages, and the
+# drive endpoints and design field of benchmark_ramps
+_PTOL = 1e-8
+_BENCH_OMEGA0 = 100.0
+_BENCH_OMEGAF = 1.0
+_BENCH_X_REF = optimal_design_field(_BENCH_OMEGAF)
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,10 @@ def _validate_schedule(schedule):
     tf = getattr(schedule, "tf", None)
     if tf is None or not (tf > 0) or not callable(getattr(schedule, "omega", None)):
         raise ValueError("invalid schedule: needs tf > 0 and omega(t)")
+    if not callable(getattr(schedule, "domega", None)):
+        raise ValueError("invalid schedule: needs domega(t), the slope of omega(t)")
+    if not hasattr(schedule, "samples"):
+        raise ValueError("invalid schedule: needs samples, its (t, Omega) knots or None")
 
 
 def _grid_spec(schedule, x_absmax: float) -> np.ndarray:
@@ -137,10 +147,9 @@ def _grid_spec(schedule, x_absmax: float) -> np.ndarray:
     knots of a ``samples`` table).  Each segment between breakpoints gets
     ceil(1.05 * its integral) + 1 base steps at equal quantiles of it and
     starts on its breakpoint; the last edge is tf.  No edge is re-checked.
-    The slope is ``domega``, or finite differences if there is none.
     """
     tf = schedule.tf
-    samples = getattr(schedule, "samples", None)
+    samples = schedule.samples
     knots = np.asarray(samples[0][1:-1] if samples is not None else [], dtype=float)
     # probe grid: uniform body plus geometric head to resolve steep starts
     probe = np.unique(np.concatenate([
@@ -150,8 +159,7 @@ def _grid_spec(schedule, x_absmax: float) -> np.ndarray:
         knots,
     ]))
     om = np.asarray(schedule.omega(probe), dtype=float)
-    domega = getattr(schedule, "domega", None)
-    dom = np.gradient(om, probe) if domega is None else np.asarray(domega(probe), dtype=float)
+    dom = np.asarray(schedule.domega(probe), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         rules = {
             f"phase rule dt <= {_PHASE} / sqrt(Omega^2 + x^2)": np.hypot(om, x_absmax) / _PHASE,
@@ -434,22 +442,22 @@ def perceptron_protocol(schedule, x: float) -> TwoLevelState:
     return evolve_two_level(schedule, x, TwoLevelState.plus())
 
 
-def response_curve(schedule, x_grid, ptol: float = 1e-8):
+def response_curve(schedule, x_grid):
     """Excitation probability of the protocol across a field grid.
 
     Returns a list of (x, P_excite) pairs.  All x values share one time
     grid sized for max |x|, which is halved until every probability is
-    within ``ptol`` by the error estimate of the module docstring (a change
-    below ``ptol``, or one below 7.5 ``ptol`` after a 12-fold drop, whose
-    error is about change / 15); each x stops halving as soon as its own
-    probability does.
+    within 1e-8 by the error estimate of the module docstring (a change
+    below 1e-8, or one below 7.5e-8 after a 12-fold drop, whose error is
+    about change / 15); each x stops halving as soon as its own probability
+    does.
     """
     _validate_schedule(schedule)
     xs = np.asarray(x_grid, dtype=float)
     if xs.size == 0:
         return []
     plus = TwoLevelState.plus()
-    _, P = _converged_sweep(schedule, xs, lambda q: np.abs(_apply(q, plus)[:, 1]) ** 2, ptol)
+    _, P = _converged_sweep(schedule, xs, lambda q: np.abs(_apply(q, plus)[:, 1]) ** 2, _PTOL)
     return list(zip(xs.tolist(), P.tolist()))
 
 
@@ -463,12 +471,13 @@ def _ground_amplitudes(omegaf: float, xs: np.ndarray):
     return g0, g1
 
 
-def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201, ptol: float = 1e-8) -> float:
+def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201) -> float:
     """Mean squared overlap with the target ground state over the field range.
 
     F = (1 / 2 x_max) * integral of |<target(x) | psi(tf, x)>|^2 dx,
     trapezoid on a uniform n-point grid, so F is in [0, 1].  The target at
-    each x is the ground state at the schedule's design omegaf.
+    each x is the ground state at the schedule's design omegaf.  Each
+    overlap converges to 1e-8, as in response_curve.
     """
     _validate_schedule(schedule)
     if not (0 < x_max < math.inf) or n_points < 2:
@@ -482,7 +491,7 @@ def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201, ptol: f
         fin = _apply(q, plus)
         return np.abs(g0 * fin[:, 0] + g1 * fin[:, 1]) ** 2
 
-    _, ov = _converged_sweep(schedule, xs, overlaps, ptol)
+    _, ov = _converged_sweep(schedule, xs, overlaps, _PTOL)
     # fixed-order trapezoid; uniform grid
     dx = xs[1] - xs[0]
     integral = (float(np.sum(ov)) - 0.5 * (ov[0] + ov[-1])) * dx
@@ -545,31 +554,24 @@ def fit_infidelity_decay(tf_grid, infidelity):
     return float(np.exp(lc0)), float(c1), float(c2)
 
 
-def benchmark_ramps(
-    tf_grid,
-    x_max: float = 10.0,
-    n_points: int = 201,
-    omega0: float = 100.0,
-    omegaf: float = 1.0,
-    x_ref: float = None,
-    ptol: float = 1e-8,
-) -> FidelityReport:
+def benchmark_ramps(tf_grid, x_max: float = 10.0, n_points: int = 201) -> FidelityReport:
     """Average infidelity of linear vs faquad ramps across durations.
 
-    Builds both schedules at each tf with shared endpoints, evaluates
-    1 - average_fidelity, and fits the faquad curve's stretched-exponential
+    Builds both schedules at each tf, from omega0 = 100 down to omegaf = 1,
+    the faquad one at the optimal design field; evaluates 1 -
+    average_fidelity, and fits the faquad curve's stretched-exponential
     decay.  tf_grid must be strictly increasing.
     """
     tf = np.asarray(tf_grid, dtype=float)
     if tf.size == 0 or np.any(np.diff(tf) <= 0) or np.any(tf <= 0):
         raise ValueError("tf_grid must be nonempty, positive, strictly increasing")
-    if x_ref is None:
-        x_ref = optimal_design_field(omegaf)
     inf_lin = np.empty(tf.size)
     inf_faq = np.empty(tf.size)
     for i, t in enumerate(tf):
-        inf_lin[i] = 1.0 - average_fidelity(linear_schedule(omega0, omegaf, t), x_max, n_points, ptol)
-        inf_faq[i] = 1.0 - average_fidelity(faquad_schedule(omega0, omegaf, t, x_ref), x_max, n_points, ptol)
+        linear = linear_schedule(_BENCH_OMEGA0, _BENCH_OMEGAF, t)
+        faquad = faquad_schedule(_BENCH_OMEGA0, _BENCH_OMEGAF, t, _BENCH_X_REF)
+        inf_lin[i] = 1.0 - average_fidelity(linear, x_max, n_points)
+        inf_faq[i] = 1.0 - average_fidelity(faquad, x_max, n_points)
     c0, c1, c2 = fit_infidelity_decay(tf, inf_faq)
     return FidelityReport(tf, inf_lin, inf_faq, c0, c1, c2)
 

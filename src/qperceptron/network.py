@@ -13,6 +13,12 @@ quantum circuit equals a classical mixture over hidden configurations.
 That mixture is computed in one place, this module's _MixtureEngine, which
 serves classical_mixture_oracle here and the cross entropy, its analytic
 gradient and the optimizer in the training module.
+
+Gates of one layer have disjoint targets and diagonal controls on earlier
+layers, so they commute: a whole layer can run as one quasi-adiabatic Ising
+passage under the shared ramp, with the final state of forward's
+gate-by-gate pass.  protocol_duration counts one ramp per layer, and rejects
+a net in which a gate sources a qubit of its own layer.
 """
 from __future__ import annotations
 
@@ -39,7 +45,6 @@ __all__ = [
     "build_universal_approximator",
     "approximator_readout",
     "layered_network",
-    "layer_hamiltonian_forward",
     "protocol_duration",
     "network_to_json",
     "network_from_json",
@@ -106,17 +111,6 @@ class NetworkSpec:
                 )
             )
         return out
-
-    def layer_of(self, qubit: int) -> int:
-        """Layer index: 0 for inputs, then 1..L."""
-        if qubit < self.n_inputs:
-            return 0
-        edge = self.n_inputs
-        for ell, m in enumerate(self.layer_sizes, start=1):
-            edge += m
-            if qubit < edge:
-                return ell
-        raise IndexError(f"qubit {qubit} out of range")
 
 
 def _check_bits(net: NetworkSpec, input_bits: str):
@@ -323,31 +317,22 @@ def approximator_readout(p_out: float, lambda_lin: float,
     return (((p_out - 0.5) / (slope * lambda_lin)) - 1.0) / 2.0
 
 
-def _require_strictly_layered(net: NetworkSpec):
-    for j in range(net.n_inputs, net.n_total):
-        ell = net.layer_of(j)
-        for k in np.nonzero(net.mask[j])[0]:
-            if net.layer_of(int(k)) != ell - 1:
-                raise ValueError(
-                    "layer Hamiltonian needs a strictly layered mask: "
-                    f"qubit {j} (layer {ell}) sources qubit {int(k)}"
-                )
-
-
-def layer_hamiltonian_forward(net: NetworkSpec, input_bits: str, schedule):
-    """Evolve whole layers simultaneously under the shared control ramp.
-
-    Same-layer perceptrons commute (disjoint targets, diagonal controls on
-    the previous layer), so the simultaneous layer evolution equals applying
-    the layer's hardware gates one after another; total protocol time is
-    len(layer_sizes) * schedule.tf.
-    """
-    _require_strictly_layered(net)
-    return forward(net, input_bits, schedule)
-
-
 def protocol_duration(net: NetworkSpec, schedule) -> float:
-    """Physical duration of the layered protocol: one ramp per layer."""
+    """Physical duration of the layered protocol: one ramp per layer.
+
+    A layer runs as one Ising passage only if no gate of it sources a qubit
+    of the same layer; such a net raises ValueError naming the target, the
+    source and their layer.  Sources in any earlier layer are allowed.
+    """
+    layer = np.repeat(np.arange(len(net.layer_sizes) + 1), (net.n_inputs,) + net.layer_sizes)
+    target, source = np.nonzero(net.mask)
+    same = layer[target] == layer[source]
+    if np.any(same):
+        j, k = int(target[same][0]), int(source[same][0])
+        raise ValueError(
+            f"qubit {j} sources qubit {k} of its own layer {layer[j]}: "
+            "the layer cannot run as one ramp"
+        )
     return len(net.layer_sizes) * schedule.tf
 
 

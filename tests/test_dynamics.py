@@ -153,9 +153,12 @@ class TestIntegratorRobustness:
     def test_nan_drive_fails_fast(self):
         class NanDrive:
             tf = 1.0
+            samples = None
 
             def omega(self, t):
                 return np.full(np.shape(t), np.nan)
+
+            domega = omega
 
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="not finite"):
@@ -172,6 +175,7 @@ class TestIntegratorRobustness:
         class HoledDrive:
             tf = base.tf
             domega = base.domega
+            samples = None
 
             def omega(self, t):
                 t = np.asarray(t, dtype=float)
@@ -661,6 +665,7 @@ class TestScheduleInterface:
         class BadSlope:
             tf = base.tf
             omega = base.omega
+            samples = None
 
             def domega(self, t):
                 raise ValueError("boom")
@@ -668,17 +673,16 @@ class TestScheduleInterface:
         with pytest.raises(ValueError, match="boom"):
             evolve_two_level(BadSlope(), 1.0, TwoLevelState.plus())
 
-    def test_missing_domega_uses_finite_differences(self):
+    @pytest.mark.parametrize("missing, message", [
+        ("domega", r"needs domega\(t\)"), ("samples", "needs samples"),
+    ])
+    def test_missing_attribute_is_named(self, missing, message):
         base = faquad_schedule(100.0, 1.0, 5.0, X_REF)
-
-        class FieldOnly:
-            tf = base.tf
-            omega = base.omega
-
-        got = evolve_two_level(FieldOnly(), 1.0, TwoLevelState.plus())
-        want = evolve_two_level(base, 1.0, TwoLevelState.plus())
-        assert abs(got.amp0 - want.amp0) < 1e-8
-        assert abs(got.amp1 - want.amp1) < 1e-8
+        attrs = {"tf": base.tf, "omega": base.omega, "domega": base.domega, "samples": None}
+        del attrs[missing]
+        drive = type("Drive", (), attrs)()
+        with pytest.raises(ValueError, match=message):
+            evolve_two_level(drive, 1.0, TwoLevelState.plus())
 
 
 class TestFitPolish:

@@ -21,7 +21,6 @@ from qperceptron.network import (
     build_universal_approximator,
     classical_mixture_oracle,
     forward,
-    layer_hamiltonian_forward,
     network_from_json,
     network_to_json,
     protocol_duration,
@@ -32,6 +31,7 @@ from qperceptron.register import (
     excitation_probability,
     init_basis,
 )
+from test_register import H2, SX, SZ, kron_on
 
 X_REF = 1.2720196495140690
 
@@ -81,6 +81,40 @@ def dop853_excitations(sched, xs):
     sol = solve_ivp(rhs, (0.0, sched.tf), y0, method="DOP853", rtol=1e-11, atol=1e-11)
     y = sol.y[:, -1]
     return y[2 * K : 3 * K] ** 2 + y[3 * K :] ** 2
+
+
+def dense_layer_forward(net, bits, sched):
+    """Final amplitudes of the layered protocol, one dense evolution per layer.
+
+    Shares no code with register or the mixture engine.  Each layer puts a
+    Hadamard on each of its targets, then one DOP853 solve evolves all 2^n
+    amplitudes under the layer's Ising Hamiltonian
+    H(t) = -1/2 sum_j [Omega(t) sx_j + (sum_k w_jk sz_k - b_j) sz_j].
+    """
+    n = net.n_total
+    dim = 1 << n
+    W = net.effective_weights()
+    sz = np.array([np.diag(kron_on(n, k, SZ)).real for k in range(n)])
+    psi = np.zeros(dim, dtype=complex)
+    psi[int(bits + "0" * (n - net.n_inputs), 2)] = 1.0
+    lo = net.n_inputs
+    for m in net.layer_sizes:
+        targets = range(lo, lo + m)
+        lo += m
+        drive = sum(kron_on(n, j, SX) for j in targets)
+        ising = sum((W[j] @ sz - net.b[j]) * sz[j] for j in targets)
+        for j in targets:
+            psi = kron_on(n, j, H2) @ psi
+
+        def rhs(t, y):
+            v = y[:dim] + 1j * y[dim:]
+            d = 0.5j * (float(sched.omega(t)) * (drive @ v) + ising * v)
+            return np.concatenate([d.real, d.imag])
+
+        sol = solve_ivp(rhs, (0.0, sched.tf), np.concatenate([psi.real, psi.imag]),
+                        method="DOP853", rtol=1e-11, atol=1e-11)
+        psi = sol.y[:dim, -1] + 1j * sol.y[dim:, -1]
+    return psi
 
 
 def layered_hardware_mixture(net, bits, p_hw):
@@ -327,32 +361,42 @@ class TestLayerHamiltonian:
         ba = apply_hardware_perceptron(apply_hardware_perceptron(reg0, gates[1]), gates[0])
         assert np.max(np.abs(ab.amplitudes - ba.amplitudes)) < 1e-10
 
-    def test_layered_forward_matches_sequential(self):
-        sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
-        rng = np.random.default_rng(4)
-        net = layered_net(2, [2], rng)
-        reg_a, p_a = layer_hamiltonian_forward(net, "01", sched)
-        reg_b, p_b = forward(net, "01", schedule=sched)
-        assert np.max(np.abs(reg_a.amplitudes - reg_b.amplitudes)) < 1e-12
-        assert p_a == pytest.approx(p_b, abs=1e-12)
-
     def test_adiabatic_matches_ideal(self):
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
         rng = np.random.default_rng(6)
         net = layered_net(2, [2], rng)
-        _, p_hw = layer_hamiltonian_forward(net, "11", sched)
+        _, p_hw = forward(net, "11", sched)
         _, p_id = forward(net, "11")
         assert abs(p_hw - p_id) <= 0.02
 
-    def test_rejects_skip_connections(self):
-        rng = np.random.default_rng(7)
-        net = layered_net(2, [2], rng)
-        mask = net.mask.copy()
-        mask[4, 0] = 1.0
-        skip = NetworkSpec(2, (2, 1), mask, net.J, net.b)
+    @staticmethod
+    def rewired(net, target, source, weight):
+        mask, J = net.mask.copy(), net.J.copy()
+        mask[target, source], J[target, source] = 1.0, weight
+        return NetworkSpec(net.n_inputs, net.layer_sizes, mask, J, net.b)
+
+    def test_layer_evolution_equals_forward(self):
+        # the paper's claim: same-layer gates commute, so each layer runs as
+        # one Ising passage; a skip connection (output <- input 0) keeps that
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
-        with pytest.raises(ValueError):
-            layer_hamiltonian_forward(skip, "00", sched)
+        net = layered_net(2, [2, 2], np.random.default_rng(9))
+        for wired in (net, self.rewired(net, 6, 0, 0.7)):
+            assert protocol_duration(wired, sched) == pytest.approx(3 * 5.0)
+            for bits in all_bits(2):
+                want = forward(wired, bits, sched)[0].amplitudes
+                assert np.max(np.abs(dense_layer_forward(wired, bits, sched) - want)) < 1e-8
+
+    def test_same_layer_source_breaks_the_layer_passage(self):
+        # qubit 3 sources qubit 2 of its own layer: the layer's terms no
+        # longer commute, so one passage is not the gate-by-gate forward
+        sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
+        net = self.rewired(layered_net(2, [2, 2], np.random.default_rng(9)), 3, 2, 1.0)
+        gap = max(np.max(np.abs(dense_layer_forward(net, bits, sched)
+                                - forward(net, bits, sched)[0].amplitudes))
+                  for bits in all_bits(2))
+        assert gap > 0.1
+        with pytest.raises(ValueError, match="qubit 3 sources qubit 2 of its own layer 1"):
+            protocol_duration(net, sched)
 
     def test_hardware_forward_equals_dop853_mixture(self):
         # an oracle sharing no code with register or the mixture engine
