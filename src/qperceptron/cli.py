@@ -33,6 +33,7 @@ from .training import TrainConfig, prime_dataset, report_to_json, train
 __all__ = ["main", "build_parser"]
 
 _UNITS_COMMENT = "# units: frequencies in omega_f = 1, times in 1/omega_f\n"
+_MAX_POINTS = 1_000_000
 
 
 def _finite(text: str) -> float:
@@ -105,7 +106,7 @@ def cmd_response(parser, args) -> int:
     _check(parser, args.tf > 0, "--tf must be positive")
     _check(parser, args.omega0 > 0, "--omega0 must be positive")
     _check(parser, args.xmax > 0, "--xmax must be positive")
-    _check(parser, args.points >= 1, "--points must be >= 1")
+    _check(parser, 1 <= args.points <= _MAX_POINTS, f"--points must be in [1, {_MAX_POINTS}]")
     _check(parser, args.epsilon_ctrl >= 0, "--epsilon-ctrl must be >= 0")
     if args.schedule == "linear":
         sched = linear_schedule(args.omega0, 1.0, args.tf)

@@ -12,7 +12,8 @@ measuring the hidden qubits is never needed: the output excitation of the
 quantum circuit equals a classical mixture over hidden configurations.
 That mixture is computed in one place, this module's _MixtureEngine, which
 serves classical_mixture_oracle here and the cross entropy, its analytic
-gradient and the optimizer in the training module.
+gradient and the optimizer in the training module, bit for bit as if it
+recomputed every activation and every forward it shares or reuses.
 
 Gates of one layer have disjoint targets and diagonal controls on earlier
 layers, so they commute: a whole layer can run as one quasi-adiabatic Ising
@@ -180,12 +181,21 @@ class _MixtureEngine:
     by the bits, hidden qubits at +/-1 by the configuration, the output
     column zeroed (nothing sources the output).  ``labels`` are the targets
     the cross-entropy ``cost`` compares against.
+
+    A hidden activation, its factors f and 1 - f and its derivative are
+    evaluated once per distinct configuration of that qubit's hidden sources
+    (once per sample in a layered net).  ``cost`` keeps its last forward,
+    keyed on the bytes of J and b, for a gradient asked at the same point;
+    ``calls`` counts cost calls and ``memo_hits`` the reuses.
     """
 
     def __init__(self, net: NetworkSpec, inputs: Sequence[str], labels=()):
         self.net = net
         N, M, n = net.n_inputs, net.n_hidden, net.n_total
         S, C = len(inputs), 1 << M
+        if S * C * n > 1 << 26:
+            raise ValueError(f"{M} hidden qubits need a {S} x 2^{M} x {n} mixture tensor "
+                             f"({S * C * n} doubles), above the limit of 2^26 (512 MiB)")
         cfg = np.arange(C)
         self.Z = 2.0 * ((cfg[:, None] >> np.arange(M)[None, :]) & 1) - 1.0
         V = np.empty((S, C, n))
@@ -195,23 +205,37 @@ class _MixtureEngine:
         V[:, :, n - 1] = 0.0
         self.V = V
         self.Y = np.array(labels, dtype=float)
-        self.N, self.M, self.n, self.S, self.C = N, M, n, S, C
+        self.N, self.M, self.n, self.S = N, M, n, S
+        # hidden qubit m reads configuration c as c & its hidden-source bits:
+        # _cols are the columns of X.reshape(S, C * n) with a distinct hidden
+        # field, _pick[c, m] the column of [f, 1 - f] with (c, m)'s factor
+        src = net.mask[N : N + M, N : N + M].astype(int) @ (1 << np.arange(M))
+        cols, inv = np.unique((cfg[:, None] & src) * n + np.arange(N, N + M), return_inverse=True)
+        self._cols, self._pick = cols, inv.reshape(C, M) + cols.size * (self.Z < 0)
+        self._memo, self.calls, self.memo_hits = None, 0, 0
 
     def probabilities(self, J: np.ndarray, b: np.ndarray):
+        """(p, (X, [f, 1 - f], P, f_out)).  np.take gathers in C order; a
+        fancy index B[:, pick] would not, and prod would then multiply in
+        another order, moving p by an ulp."""
         net = self.net
-        W = net.mask * J
-        X = self.V @ W.T - b
-        kind = net.activation
-        N, M = self.N, self.M
-        f_hid = eval_f(kind, X[:, :, N : N + M])
-        bern = np.where(self.Z[None] > 0, f_hid, 1.0 - f_hid)
-        P = np.prod(bern, axis=2) if M else np.ones((self.S, self.C))
-        f_out = eval_f(kind, X[:, :, -1])
+        X = self.V @ (net.mask * J).T - b
+        f = eval_f(net.activation, X.reshape(self.S, -1)[:, self._cols])
+        B = np.hstack([f, 1.0 - f])
+        P = np.prod(np.take(B, self._pick, axis=1), axis=2)
+        f_out = eval_f(net.activation, X[:, :, -1])
         p = np.einsum("sc,sc->s", P, f_out)
-        return p, (X, bern, P, f_out)
+        return p, (X, B, P, f_out)
 
     def cost(self, J, b, want_grad=False):
-        p, (X, bern, P, f_out) = self.probabilities(J, b)
+        self.calls += 1
+        key = (J.tobytes(), b.tobytes())
+        if self._memo is not None and self._memo[0] == key:
+            self.memo_hits += 1
+        else:
+            self._memo = None  # free the last forward before building this one
+            self._memo = (key, *self.probabilities(J, b))
+        p, (X, B, P, f_out) = self._memo[1].copy(), self._memo[2]
         cost, pc = _cross_entropy(p, self.Y)
         if not want_grad:
             return cost, p, None, None
@@ -225,13 +249,12 @@ class _MixtureEngine:
         out_fac = P * dfo  # (S, C)
         dJ[n - 1] = np.einsum("s,sc,sck->k", wvec, out_fac, self.V)
         db[n - 1] = -float(np.einsum("s,sc->", wvec, out_fac))
-        if M:
-            dfh = df_dx(kind, X[:, :, N : N + M])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                G = np.where(bern > 0, self.Z[None] * dfh / bern, 0.0)
-            T = G * (P * f_out)[:, :, None]  # (S, C, M)
-            dJ[N : N + M] = np.einsum("s,scm,sck->mk", wvec, T, self.V)
-            db[N : N + M] = -np.einsum("s,scm->m", wvec, T)
+        d = df_dx(kind, X.reshape(self.S, -1)[:, self._cols])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            G = np.where(B > 0, np.hstack([d, -d]) / B, 0.0)  # sz f' / factor
+        T = np.take(G, self._pick, axis=1) * (P * f_out)[:, :, None]  # (S, C, M)
+        dJ[N : N + M] = np.einsum("s,scm,sck->mk", wvec, T, self.V)
+        db[N : N + M] = -np.einsum("s,scm->m", wvec, T)
         dJ *= self.net.mask
         return cost, p, dJ, db
 

@@ -10,12 +10,16 @@ gradient.
 
 The optimizer is plain gradient descent with a backtracking line search
 (halve the step until the cost strictly decreases), restarted from seeded
-random initializations; the best restart by final cost wins.  All sums are
-fixed-order, so a fixed seed gives a bit-identical report.
+random initializations; the best restart by final cost wins.  Each
+line-search trial runs one forward, which the gradient at the accepted
+trial reuses.  All sums are fixed-order, so a fixed seed gives a
+bit-identical report.  At DEBUG, train logs one record per restart.
 """
 from __future__ import annotations
 
 import json
+import logging
+import time
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -41,6 +45,8 @@ __all__ = [
 
 _GRAD_TOL = 1e-8
 _COST_TOL = 1e-12
+
+_log = logging.getLogger("qperceptron")
 
 
 @dataclass(frozen=True)
@@ -197,10 +203,16 @@ def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainRepo
             b0[net0.n_inputs :] = rng.uniform(
                 -config.init_scale, config.init_scale, n - net0.n_inputs
             )
+        t0, calls, hits = time.perf_counter(), eng.calls, eng.memo_hits
         J, b, trace, p = _descend(eng, J0, b0, config)
+        acc = _accuracy(p, eng.Y) if np.isfinite(trace[-1]) else float("nan")
+        if _log.isEnabledFor(logging.DEBUG):  # a trace entry per gradient call, the rest trials
+            _log.debug("train restart %d: %d iterations, %d line-search trials, %d memo hits, "
+                       "final cost %r, accuracy %r, %.3g s", r, len(trace) - 1,
+                       eng.calls - calls - len(trace), eng.memo_hits - hits, trace[-1], acc,
+                       time.perf_counter() - t0)
         if not np.isfinite(trace[-1]):
             continue
-        acc = _accuracy(p, eng.Y)
         if best is None or trace[-1] < best[0]:
             best = (trace[-1], trace, J, b, acc)
         if acc == 1.0 and trace[-1] <= config.target_cost:

@@ -101,6 +101,12 @@ class TestResponse:
         rc = main(["response", *flags, "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_huge_points_fail_before_allocating(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["response", "--points", "1000001", "--out", str(out)]) == 2
+        assert "--points must be in [1, 1000000]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchmark:
     def test_csv_and_fit_json(self, tmp_path, capsys):
@@ -162,6 +168,12 @@ class TestTrain:
     def test_flag_validation_exits_2(self, tmp_path, flags, capsys):
         rc = main(["train", *flags, "--out", str(tmp_path / "x.json")])
         assert rc == 2
+
+    def test_too_many_hidden_fails_before_allocating(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["train", "--hidden", "30", "--out", str(out)]) == 1
+        assert "30 hidden qubits need a 8 x 2^30 x 34 mixture tensor" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynthesize:

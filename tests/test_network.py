@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperceptron import register
-from qperceptron.activation import ALGEBRAIC, LOGISTIC, STEP, cao_arctan, eval_f
+from qperceptron.activation import ALGEBRAIC, LOGISTIC, STEP, cao_arctan, df_dx, eval_f
 from qperceptron.control import faquad_schedule
 from qperceptron.dynamics import schedule_propagators
 from qperceptron.network import (
     ApproximatorSpec,
     NetworkSpec,
+    _cross_entropy,
+    _MixtureEngine,
     approximator_readout,
     build_universal_approximator,
     classical_mixture_oracle,
@@ -134,6 +136,78 @@ def layered_hardware_mixture(net, bits, p_hw):
                 nxt[cfg] = nxt.get(cfg, 0.0) + pr
         dist, prev = nxt, cur
     return dist[(1,)]
+
+
+class DenseMixtureEngine:
+    """The mixture engine as it was before it shared hidden activations
+    between configurations and kept its last forward: every activation on
+    the full (samples, configurations, qubits) field tensor, every call
+    recomputed.  The bitwise reference of _MixtureEngine, with its counters
+    (``memo_hits`` stays 0), so that ``train`` can run on it."""
+
+    def __init__(self, net, inputs, labels=()):
+        self.net = net
+        N, M, n = net.n_inputs, net.n_hidden, net.n_total
+        S, C = len(inputs), 1 << M
+        cfg = np.arange(C)
+        self.Z = 2.0 * ((cfg[:, None] >> np.arange(M)[None, :]) & 1) - 1.0
+        V = np.empty((S, C, n))
+        for i, x in enumerate(inputs):
+            V[i, :, :N] = 2.0 * np.array([int(c) for c in x]) - 1.0
+        V[:, :, N : N + M] = self.Z[None, :, :]
+        V[:, :, n - 1] = 0.0
+        self.V = V
+        self.Y = np.array(labels, dtype=float)
+        self.N, self.M, self.n, self.S, self.C = N, M, n, S, C
+        self.calls = self.memo_hits = 0
+
+    def probabilities(self, J, b):
+        net = self.net
+        W = net.mask * J
+        X = self.V @ W.T - b
+        kind = net.activation
+        N, M = self.N, self.M
+        f_hid = eval_f(kind, X[:, :, N : N + M])
+        bern = np.where(self.Z[None] > 0, f_hid, 1.0 - f_hid)
+        P = np.prod(bern, axis=2) if M else np.ones((self.S, self.C))
+        f_out = eval_f(kind, X[:, :, -1])
+        p = np.einsum("sc,sc->s", P, f_out)
+        return p, (X, bern, P, f_out)
+
+    def cost(self, J, b, want_grad=False):
+        self.calls += 1
+        p, (X, bern, P, f_out) = self.probabilities(J, b)
+        cost, pc = _cross_entropy(p, self.Y)
+        if not want_grad:
+            return cost, p, None, None
+        Y = self.Y
+        kind = self.net.activation
+        N, M, n = self.N, self.M, self.n
+        wvec = (pc - Y) / (pc * (1.0 - pc)) / self.S
+        dfo = df_dx(kind, X[:, :, -1])
+        dJ = np.zeros((n, n))
+        db = np.zeros(n)
+        out_fac = P * dfo
+        dJ[n - 1] = np.einsum("s,sc,sck->k", wvec, out_fac, self.V)
+        db[n - 1] = -float(np.einsum("s,sc->", wvec, out_fac))
+        if M:
+            dfh = df_dx(kind, X[:, :, N : N + M])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                G = np.where(bern > 0, self.Z[None] * dfh / bern, 0.0)
+            T = G * (P * f_out)[:, :, None]
+            dJ[N : N + M] = np.einsum("s,scm,sck->mk", wvec, T, self.V)
+            db[N : N + M] = -np.einsum("s,scm->m", wvec, T)
+        dJ *= self.net.mask
+        return cost, p, dJ, db
+
+
+def assert_same_bits(got, want):
+    """Equal cost(...) tuples, bit for bit: signed zeros count."""
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 class TestNetworkSpec:
@@ -460,3 +534,53 @@ class TestNetworkJsonErrors:
         d[key] = d[key][:-1]
         with pytest.raises(ValueError, match=f"'{key}' needs {count} entries, got {count - 1}"):
             network_from_json(json.dumps(d))
+
+
+class TestMixtureEngineBitwise:
+    """_MixtureEngine against the dense reference, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_feed_forward_masks(self, data):
+        kind = data.draw(st.sampled_from([ALGEBRAIC, LOGISTIC, cao_arctan(1)]))
+        N = data.draw(st.integers(1, 3))
+        H = data.draw(st.integers(0, 4))
+        n = N + H + 1
+        # any strictly lower triangular mask: hidden qubits sourcing hidden
+        # qubits, skip connections to the output.  cao fields stay inside
+        # [-pi/4, pi/4]: at most 7 sources and a bias, each below 0.09
+        weight = st.floats(-0.09, 0.09) if kind.variant == "cao" else st.floats(-3.0, 3.0)
+        mask = np.zeros((n, n))
+        J = np.zeros((n, n))
+        b = np.zeros(n)
+        for j in range(N, n):
+            b[j] = data.draw(weight)
+            for k in range(j):
+                mask[j, k] = data.draw(st.integers(0, 1))
+                J[j, k] = data.draw(weight)
+        net = NetworkSpec(N, (H, 1) if H else (1,), mask, J, b, kind)
+        inputs = data.draw(st.lists(st.sampled_from(all_bits(N)), min_size=1, unique=True))
+        labels = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(inputs), max_size=len(inputs)))
+        eng = _MixtureEngine(net, inputs, labels)
+        ref = DenseMixtureEngine(net, inputs, labels)
+        # cost only, then the gradient from the kept forward, then a fresh one
+        for want_grad in (False, True, True):
+            assert_same_bits(eng.cost(net.J, net.b, want_grad), ref.cost(net.J, net.b, want_grad))
+        assert (eng.calls, eng.memo_hits) == (3, 2)
+
+    def test_kept_forward_follows_in_place_mutation(self):
+        net = layered_net(3, [2, 2], np.random.default_rng(3))
+        labels = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+        eng = _MixtureEngine(net, all_bits(3), labels)
+        J, b = np.array(net.J), np.array(net.b)
+        eng.cost(J, b)
+        J[5, 3] += 0.25  # the same arrays, new values
+        b[6] -= 0.5
+        got = eng.cost(J, b, want_grad=True)
+        assert eng.memo_hits == 0
+        assert_same_bits(got, DenseMixtureEngine(net, all_bits(3), labels).cost(J, b, True))
+
+    def test_engine_too_large_is_refused_before_allocating(self):
+        net = layered_net(3, [30])  # 34 qubits: an (8, 2^30, 34) tensor
+        with pytest.raises(ValueError, match=r"^30 hidden qubits need a 8 x 2\^30 x 34 mixture tensor"):
+            _MixtureEngine(net, all_bits(3))

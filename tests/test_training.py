@@ -1,12 +1,15 @@
 import io
 import json
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qperceptron import network, training
 from qperceptron.activation import ActivationKind, eval_f
-from qperceptron.network import NetworkSpec, forward, network_from_json
+from qperceptron.network import NetworkSpec, forward, layered_network, network_from_json
 from qperceptron.training import (
     Dataset,
     TrainConfig,
@@ -20,6 +23,7 @@ from qperceptron.training import (
     report_to_json,
     train,
 )
+from test_network import DenseMixtureEngine
 
 ALG = ActivationKind("algebraic")
 
@@ -285,6 +289,69 @@ class TestTrain:
         assert set(doc) == {"cost_trace", "accuracy", "params"}
         assert doc["accuracy"] == report.accuracy
         assert doc["params"]["layer_sizes"] == [2, 1]
+
+
+class TestBitwiseTraining:
+    def test_cli_default_matches_dense_reference(self, monkeypatch):
+        # qperceptron train at its defaults: 3-bit primes, 4 hidden, TrainConfig()
+        net, ds = layered_network(3, (4,)), prime_dataset(3)
+        got = train(net, ds, TrainConfig())
+        monkeypatch.setattr(training, "_MixtureEngine", DenseMixtureEngine)
+        want = train(net, ds, TrainConfig())
+        assert np.array(got.cost_trace).tobytes() == np.array(want.cost_trace).tobytes()
+        assert got.final_params.J.tobytes() == want.final_params.J.tobytes()
+        assert got.final_params.b.tobytes() == want.final_params.b.tobytes()
+        assert report_to_json(got) == report_to_json(want)
+
+
+class TestWorkGuard:
+    """Forwards and hidden-activation sizes of the mixture engine, counted
+    by wrapping eval_f, without timing."""
+
+    def test_accepted_first_trial_costs_one_forward(self, monkeypatch):
+        sizes = []
+        real = network.eval_f
+
+        def counting(kind, x):
+            sizes.append(np.size(x))
+            return real(kind, x)
+
+        monkeypatch.setattr(network, "eval_f", counting)
+        net = layered_net(3, [4], np.random.default_rng(5))
+        eng = training._engine(net, prime_dataset(3))
+        _, _, trace, _ = training._descend(eng, net.J, net.b, TrainConfig(max_iters=1))
+        # the gradient, one accepted trial, the gradient at the trial's point
+        assert (len(trace), eng.calls, eng.memo_hits) == (2, 3, 1)
+        # two forwards, each: the 4 hidden fields once per sample (S x K =
+        # 8 x 4, not S x 2^M x M = 512), then the output on S x 2^M = 128
+        assert sizes == [8 * 4, 8 * 16] * 2
+
+
+class TestTrainLog:
+    RECORD = re.compile(
+        r"train restart (\d+): (\d+) iterations, (\d+) line-search trials, "
+        r"(\d+) memo hits, final cost (\S+), accuracy (\S+), (\S+) s")
+
+    def test_one_debug_record_per_restart(self, caplog):
+        net, ds = layered_net(2, [2]), prime_dataset(2)
+        cfg = TrainConfig(max_iters=30, restarts=2)
+        with caplog.at_level(logging.INFO, logger="qperceptron"):
+            train(net, ds, cfg)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="qperceptron"):
+            report = train(net, ds, cfg)
+        records = [self.RECORD.fullmatch(r.getMessage()) for r in caplog.records]
+        assert len(records) == 3 and all(records)
+        assert [int(m[1]) for m in records] == [0, 1, 2]
+        for m in records:
+            iters, trials, hits = int(m[2]), int(m[3]), int(m[4])
+            assert hits == iters  # every accepted trial's forward is reused
+            assert trials >= iters
+            assert float(m[7]) >= 0.0
+        best = min(records, key=lambda m: float(m[5]))
+        assert float(best[5]) == report.cost_trace[-1]
+        assert int(best[2]) == len(report.cost_trace) - 1
+        assert float(best[6]) == report.accuracy
 
 
 class TestBatchStateForward:
