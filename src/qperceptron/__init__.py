@@ -31,6 +31,7 @@ from .control import (
     linear_schedule,
     optimal_design_field,
     perturbed_schedule,
+    reversed_negated,
     schedule_from_csv,
     schedule_to_csv,
     tabulated_schedule,
@@ -47,7 +48,6 @@ from .dynamics import (
     report_to_csv,
     response_curve,
     response_to_csv,
-    reversed_negated,
     schedule_propagators,
 )
 from .register import (
@@ -64,7 +64,6 @@ from .register import (
     z_expectation,
 )
 from .network import (
-    ApproximatorSpec,
     NetworkSpec,
     approximator_readout,
     build_universal_approximator,

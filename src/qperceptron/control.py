@@ -287,20 +287,18 @@ def faquad_constant_mu(omega0: float, omegaf: float, tf: float, x_ref: float) ->
     return float(abs(v0 - vf) / (2.0 * abs(x_ref) * tf))
 
 
-def optimal_design_field(omegaf: float, omega0_ratio: float = 1e4) -> float:
+def optimal_design_field(omegaf: float) -> float:
     """Design field maximizing the faquad adiabaticity constant.
 
     Maximizes mu(x) = |v(omega0) - v(omegaf)| / (2 |x|) over x > 0 at fixed
-    endpoints omega0 = omega0_ratio * omegaf, by bounded scalar search.  In
-    the omega0 -> inf limit the maximum sits at sqrt((1 + sqrt 5)/2) times
+    endpoints omega0 = 1e4 omegaf, by bounded scalar search.  In the
+    omega0 -> inf limit the maximum sits at sqrt((1 + sqrt 5)/2) times
     omegaf, about 1.272 omegaf: the input field the passage handles worst,
     hence the reference a single shared control is designed for.
     """
     if omegaf <= 0:
         raise ValueError("omegaf must be positive")
-    if omega0_ratio <= 1:
-        raise ValueError("omega0_ratio must exceed 1")
-    om0 = omega0_ratio * omegaf
+    om0 = 1e4 * omegaf
 
     def neg_mu(x):
         return -faquad_constant_mu(om0, omegaf, 1.0, x)
@@ -314,18 +312,16 @@ def optimal_design_field(omegaf: float, omega0_ratio: float = 1e4) -> float:
     return float(res.x)
 
 
-def schedule_to_csv(schedule: ControlSchedule, path_or_buf, n_samples: int = 1001) -> None:
+def schedule_to_csv(schedule: ControlSchedule, path_or_buf) -> None:
     """Write the waveform as CSV with header ``t,omega``, increasing t.
 
-    A tabulated schedule writes its knots; any other samples n_samples >= 2
-    uniform times on [0, tf].
+    A tabulated schedule writes its knots; any other samples 1001 uniform
+    times on [0, tf].
     """
     if schedule.samples is not None:
         ts, oms = schedule.samples
     else:
-        if n_samples < 2:
-            raise ValueError(f"n_samples must be at least 2, got {n_samples}")
-        ts = np.linspace(0.0, schedule.tf, n_samples)
+        ts = np.linspace(0.0, schedule.tf, 1001)
         oms = schedule.omega(ts)
     write_rows(path_or_buf, "t,omega", zip(ts, oms))
 

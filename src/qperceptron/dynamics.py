@@ -62,8 +62,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from ._io import write_rows
-from .control import (eigensystem, faquad_schedule, linear_schedule, optimal_design_field,
-                      reversed_negated)
+from .control import eigensystem, faquad_schedule, linear_schedule, optimal_design_field
 
 __all__ = [
     "TwoLevelState",
@@ -75,7 +74,6 @@ __all__ = [
     "average_fidelity",
     "benchmark_ramps",
     "fit_infidelity_decay",
-    "reversed_negated",
     "response_to_csv",
     "report_to_csv",
     "fit_constants_json",
@@ -98,11 +96,12 @@ _SLOPE = 0.032
 # (the criterion-4 linear ramp, the largest grid in the tests, needs 3.7e5)
 _MAX_BASE_STEPS = 1 << 24
 # probability tolerance of response curves and fidelity averages, and the
-# drive endpoints and design field of benchmark_ramps
+# drive endpoints, design field and field range of benchmark_ramps
 _PTOL = 1e-8
 _BENCH_OMEGA0 = 100.0
 _BENCH_OMEGAF = 1.0
 _BENCH_X_REF = optimal_design_field(_BENCH_OMEGAF)
+_BENCH_X_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -554,13 +553,14 @@ def fit_infidelity_decay(tf_grid, infidelity):
     return float(np.exp(lc0)), float(c1), float(c2)
 
 
-def benchmark_ramps(tf_grid, x_max: float = 10.0, n_points: int = 201) -> FidelityReport:
+def benchmark_ramps(tf_grid, n_points: int = 201) -> FidelityReport:
     """Average infidelity of linear vs faquad ramps across durations.
 
     Builds both schedules at each tf, from omega0 = 100 down to omegaf = 1,
     the faquad one at the optimal design field; evaluates 1 -
-    average_fidelity, and fits the faquad curve's stretched-exponential
-    decay.  tf_grid must be strictly increasing.
+    average_fidelity on n_points over |x| <= 10, and fits the faquad
+    curve's stretched-exponential decay.  tf_grid must be strictly
+    increasing.
     """
     tf = np.asarray(tf_grid, dtype=float)
     if tf.size == 0 or np.any(np.diff(tf) <= 0) or np.any(tf <= 0):
@@ -570,8 +570,8 @@ def benchmark_ramps(tf_grid, x_max: float = 10.0, n_points: int = 201) -> Fideli
     for i, t in enumerate(tf):
         linear = linear_schedule(_BENCH_OMEGA0, _BENCH_OMEGAF, t)
         faquad = faquad_schedule(_BENCH_OMEGA0, _BENCH_OMEGAF, t, _BENCH_X_REF)
-        inf_lin[i] = 1.0 - average_fidelity(linear, x_max, n_points)
-        inf_faq[i] = 1.0 - average_fidelity(faquad, x_max, n_points)
+        inf_lin[i] = 1.0 - average_fidelity(linear, _BENCH_X_MAX, n_points)
+        inf_faq[i] = 1.0 - average_fidelity(faquad, _BENCH_X_MAX, n_points)
     c0, c1, c2 = fit_infidelity_decay(tf, inf_faq)
     return FidelityReport(tf, inf_lin, inf_faq, c0, c1, c2)
 

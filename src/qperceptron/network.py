@@ -24,8 +24,9 @@ a net in which a gate sources a qubit of its own layer.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from .register import (
 
 __all__ = [
     "NetworkSpec",
-    "ApproximatorSpec",
     "forward",
     "classical_mixture_oracle",
     "build_universal_approximator",
@@ -75,6 +75,9 @@ class NetworkSpec:
         b = np.asarray(self.b, dtype=float)
         if mask.shape != (n, n) or J.shape != (n, n) or b.shape != (n,):
             raise ValueError("mask/J must be (n_total, n_total) and b (n_total,)")
+        for name, arr in (("J", J), ("b", b)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if not np.all((mask == 0) | (mask == 1)):
             raise ValueError("mask must be binary")
         if np.any(np.triu(mask) != 0):
@@ -270,73 +273,46 @@ def classical_mixture_oracle(net: NetworkSpec, input_bits: str) -> float:
     return float(p[0])
 
 
-@dataclass(frozen=True)
-class ApproximatorSpec:
-    """Classical one-hidden-layer sum Sum_j alpha_j f(w_j . s - theta_j).
-
-    theta_out is pinned by the constraint 1 + theta_out + Sum alpha = 0
-    (it can be passed for documentation but must then satisfy it).
-    """
-
-    alpha: np.ndarray
-    w: np.ndarray
-    theta: np.ndarray
-    lambda_lin: float = 0.01
-    theta_out: Optional[float] = None
-
-    def __post_init__(self):
-        alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
-        w = np.atleast_2d(np.asarray(self.w, dtype=float))
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        if alpha.ndim != 1 or alpha.size == 0:
-            raise ValueError("alpha must be a nonempty vector")
-        if w.shape[0] != alpha.size or theta.shape != alpha.shape:
-            raise ValueError("w must be (M, N) and theta (M,) matching alpha")
-        if not (self.lambda_lin > 0):
-            raise ValueError("lambda_lin must be positive")
-        forced = -1.0 - float(np.sum(alpha))
-        if self.theta_out is not None and abs(self.theta_out - forced) > 1e-12:
-            raise ValueError("theta_out must satisfy 1 + theta_out + sum(alpha) = 0")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "theta_out", forced)
-
-
-def build_universal_approximator(classical, lambda_lin: float = None) -> NetworkSpec:
+def build_universal_approximator(classical, lambda_lin: float) -> NetworkSpec:
     """Three-layer network whose output reads the classical sum linearly.
 
-    ``classical`` is an ApproximatorSpec or an (alpha, w, theta) triple.
-    The output gate gets weights lambda * alpha and bias lambda * theta_out;
-    for small lambda the output probability is affine in the classical sum
+    ``classical`` is the triple (alpha, w, theta) of the one-hidden-layer sum
+    Sum_j alpha_j f(w_j . s - theta_j), with w of shape (M, N).  The output
+    gate gets weights lambda * alpha and bias lambda * theta_out, where the
+    readout constraint 1 + theta_out + Sum alpha = 0 fixes theta_out; for
+    small lambda the output probability is affine in the classical sum
     G = Sum_j alpha_j <f_j>, recoverable via approximator_readout.
     """
-    if not isinstance(classical, ApproximatorSpec):
-        alpha, w, theta = classical
-        classical = ApproximatorSpec(alpha, w, theta,
-                                     lambda_lin if lambda_lin is not None else 0.01)
-    lam = float(lambda_lin) if lambda_lin is not None else classical.lambda_lin
-    if lam <= 0:
+    alpha, w, theta = classical
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if alpha.ndim != 1 or alpha.size == 0:
+        raise ValueError("alpha must be a nonempty vector")
+    if w.shape[0] != alpha.size or theta.shape != alpha.shape:
+        raise ValueError("w must be (M, N) and theta (M,) matching alpha")
+    lam = float(lambda_lin)
+    if not (lam > 0):
         raise ValueError("lambda_lin must be positive")
-    M, N = classical.w.shape
+    M, N = w.shape
     n = N + M + 1
     J = np.zeros((n, n))
     b = np.zeros(n)
-    J[N : N + M, :N] = classical.w
-    b[N : N + M] = classical.theta
-    J[-1, N : N + M] = lam * classical.alpha
-    b[-1] = lam * classical.theta_out
+    J[N : N + M, :N] = w
+    b[N : N + M] = theta
+    J[-1, N : N + M] = lam * alpha
+    b[-1] = lam * (-1.0 - float(np.sum(alpha)))
     return NetworkSpec(N, (M, 1), layered_network(N, (M,)).mask, J, b, ALGEBRAIC)
 
 
-def approximator_readout(p_out: float, lambda_lin: float,
-                         kind: ActivationKind = ALGEBRAIC) -> float:
+def approximator_readout(p_out: float, lambda_lin: float) -> float:
     """Invert the affine readout: estimate of G = Sum alpha_j <f_j>.
 
     With z = 2f - 1 and the theta_out constraint, the linearized output is
-    p = 1/2 + f'(0) lambda (2G + 1), so G = ((p - 1/2)/(f'(0) lambda) - 1)/2.
+    p = 1/2 + f'(0) lambda (2G + 1), so G = ((p - 1/2)/(f'(0) lambda) - 1)/2,
+    f the algebraic sigmoid every approximator network uses.
     """
-    slope = float(df_dx(kind, 0.0))
+    slope = float(df_dx(ALGEBRAIC, 0.0))
     return (((p_out - 0.5) / (slope * lambda_lin)) - 1.0) / 2.0
 
 
@@ -371,25 +347,29 @@ def _activation_from_tag(tag: str) -> ActivationKind:
     return ActivationKind(tag)
 
 
-def network_to_json(net: NetworkSpec) -> str:
+def _network_dict(net: NetworkSpec) -> dict:
+    """The JSON object of network_to_json, before it is dumped."""
     n = net.n_total
-    return json.dumps(
-        {
-            "n_inputs": net.n_inputs,
-            "layer_sizes": list(net.layer_sizes),
-            "mask": [int(v) for v in net.mask.reshape(n * n)],
-            "J": [float(v) for v in net.J.reshape(n * n)],
-            "b": [float(v) for v in net.b],
-            "activation": _activation_tag(net.activation),
-        }
-    )
+    return {
+        "n_inputs": net.n_inputs,
+        "layer_sizes": list(net.layer_sizes),
+        "mask": [int(v) for v in net.mask.reshape(n * n)],
+        "J": [float(v) for v in net.J.reshape(n * n)],
+        "b": [float(v) for v in net.b],
+        "activation": _activation_tag(net.activation),
+    }
+
+
+def network_to_json(net: NetworkSpec) -> str:
+    return json.dumps(_network_dict(net))
 
 
 def network_from_json(doc: str) -> NetworkSpec:
     """Read a network written by network_to_json.
 
-    A document that is not a JSON object, a missing key, or a ``mask``,
-    ``J`` or ``b`` list of the wrong length raises ValueError naming it.
+    A document that is not a JSON object, a missing key, a value of the
+    wrong type, or a ``mask``, ``J`` or ``b`` list of the wrong length raises
+    ValueError naming it.
     """
     d = json.loads(doc)
     if not isinstance(d, dict):
@@ -397,12 +377,19 @@ def network_from_json(doc: str) -> NetworkSpec:
     for key in ("n_inputs", "layer_sizes", "mask", "J", "b", "activation"):
         if key not in d:
             raise ValueError(f"network JSON has no {key!r} key")
-    n_inputs = int(d["n_inputs"])
-    sizes = [int(m) for m in d["layer_sizes"]]
+
+    def read(key, convert):
+        try:
+            return convert(d[key])
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"network JSON {key!r} is malformed: {exc}") from None
+
+    n_inputs = read("n_inputs", operator.index)  # an int: 2.5 or "2" is malformed
+    sizes = read("layer_sizes", lambda v: [operator.index(m) for m in v])
     n = n_inputs + sum(sizes)
 
     def entries(key, count):
-        arr = np.array(d[key], dtype=float)
+        arr = read(key, lambda v: np.array(v, dtype=float))
         if arr.size != count:
             raise ValueError(f"network JSON {key!r} needs {count} entries, got {arr.size}")
         return arr
@@ -410,4 +397,4 @@ def network_from_json(doc: str) -> NetworkSpec:
     mask = entries("mask", n * n).reshape(n, n)
     J = entries("J", n * n).reshape(n, n)
     b = entries("b", n)
-    return NetworkSpec(n_inputs, sizes, mask, J, b, _activation_from_tag(d["activation"]))
+    return NetworkSpec(n_inputs, sizes, mask, J, b, read("activation", _activation_from_tag))

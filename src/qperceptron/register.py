@@ -74,7 +74,9 @@ class QuantumRegister:
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude count must be 2**n_qubits")
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # a nan norm fails too
+            if not np.all(np.isfinite(self.amplitudes)):
+                raise ValueError("register amplitudes must be finite")
             raise ValueError(f"register norm-squared {norm} is not 1")
         object.__setattr__(self, "amplitudes", _frozen(self.amplitudes))
 
@@ -101,10 +103,6 @@ class PerceptronGateSpec:
             if not isinstance(k, (int, np.integer)) or k < 0:
                 raise ValueError("source indices must be nonnegative integers")
         object.__setattr__(self, "weights", dict(self.weights))
-
-    @property
-    def mode(self) -> str:
-        return "ideal" if self.schedule is None else "hardware"
 
 
 def init_basis(n: int, bits: str) -> QuantumRegister:
@@ -186,7 +184,7 @@ def apply_hadamard(reg: QuantumRegister, target: int) -> QuantumRegister:
 
 def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
     """Exact conditional rotation by chi(x) on the target (O(2^n))."""
-    if gate.mode != "ideal":
+    if gate.schedule is not None:
         raise ValueError("gate is in hardware mode; use apply_hardware_perceptron")
     return _rotate_pairs(reg, gate.target, chi(gate.activation, _gate_field(reg, gate)))
 
@@ -205,7 +203,7 @@ def apply_hardware_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) ->
     The physical evolution keeps each sector's dynamical phase.  For z-basis
     feed-forward circuits those phases are unobservable.
     """
-    if gate.mode != "hardware":
+    if gate.schedule is None:
         raise ValueError("gate is in ideal mode; use apply_ideal_perceptron")
     x = _gate_field(reg, gate)
     n = reg.n_qubits

@@ -46,6 +46,7 @@ __all__ = [
 
 _HALF_PI = math.pi / 2.0
 _CONVERGED_RMS = 0.15
+_RESTARTS = 6  # random starts per orientation pattern
 
 
 @dataclass(frozen=True)
@@ -202,20 +203,16 @@ def synthesize(
     cycles: int,
     x_grid,
     activation: ActivationKind = ALGEBRAIC,
-    seed: int = 0,
-    restarts: int = 6,
 ) -> SynthesisResult:
     """Least-squares fit of a cycle stack to the target angle profile.
 
-    Runs every orientation pattern from several seeded random starts (plus
+    Runs every orientation pattern from 6 random starts of a fixed seed (plus
     closed-form starts for window targets) and keeps the lowest RMS angle
     error.  A result with converged=False reports that the residual stayed
     above the acceptance threshold; it never raises for a poor fit.
     """
     if cycles < 1:
         raise ValueError("need at least one cycle")
-    if restarts < 0:
-        raise ValueError("restarts must be >= 0")
     x = np.asarray(x_grid, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("x_grid must be nonempty")
@@ -223,7 +220,7 @@ def synthesize(
         raise ValueError("x_grid must be finite")
     tgt = target_angle(target, x)
     span = max(float(x.max() - x.min()), 1e-6)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = []
     if cycles == 2:
         if isinstance(target, Rectangle):
@@ -237,13 +234,10 @@ def synthesize(
             lo, hi = target.center - target.width, target.center + target.width
             starts.append(((1, -1), np.array([w, w]), np.array([w * lo, w * hi])))
     for pat in _orientation_patterns(cycles):
-        for _ in range(restarts):
+        for _ in range(_RESTARTS):
             w0 = rng.uniform(0.3, 8.0 / span * 4.0, cycles)
             th0 = w0 * rng.uniform(x.min(), x.max(), cycles)
             starts.append((pat, w0, th0))
-    if not starts:
-        raise ValueError("no start to fit from: restarts = 0 and the target has "
-                         f"no closed-form start for {cycles} cycles")
     best = None
     for pat, w0, th0 in starts:
         rms, cyc = _fit_once(activation, tgt, x, pat, w0, th0)

@@ -26,7 +26,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ._io import read_rows, write_rows
-from .network import NetworkSpec, _cross_entropy, _MixtureEngine, forward, network_to_json
+from .network import NetworkSpec, _cross_entropy, _MixtureEngine, _network_dict, forward
 from .register import QuantumRegister, apply_ideal_perceptron, conditional_probability
 
 __all__ = [
@@ -45,6 +45,9 @@ __all__ = [
 
 _GRAD_TOL = 1e-8
 _COST_TOL = 1e-12
+_LEARNING_RATE = 2.0  # first line-search step
+_INIT_SCALE = 0.5  # restarts draw weights and biases from [-0.5, 0.5]
+_TARGET_COST = 0.02  # a restart at or below it that classifies every sample stops the search
 
 _log = logging.getLogger("qperceptron")
 
@@ -129,16 +132,11 @@ def cost_gradient(net: NetworkSpec, dataset: Dataset):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 2.0
     max_iters: int = 2000
     seed: int = 0
-    init_scale: float = 0.5
     restarts: int = 10
-    target_cost: float = 0.02
 
     def __post_init__(self):
-        if not (self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive")
         if self.max_iters < 0 or self.restarts < 0:
             raise ValueError("max_iters and restarts must be nonnegative")
 
@@ -165,7 +163,7 @@ def _descend(eng: _MixtureEngine, J, b, config: TrainConfig):
         gmax = max(float(np.max(np.abs(dJ))), float(np.max(np.abs(db))))
         if gmax <= _GRAD_TOL:
             break
-        step = config.learning_rate
+        step = _LEARNING_RATE
         for _halving in range(30):
             J2 = J - step * dJ
             b2 = b - step * db
@@ -185,9 +183,9 @@ def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainRepo
     """Best-of-restarts gradient descent from seeded random initializations.
 
     Restart 0 starts from net0's own parameters; later restarts draw J and b
-    uniformly from [-init_scale, init_scale] on the masked-in entries.
-    Stops early once a restart classifies every sample correctly with cost
-    at or below config.target_cost.
+    uniformly from [-0.5, 0.5] on the masked-in entries, and set the masked-out
+    entries of J to +0.0.  Stops early once a restart classifies every sample
+    correctly with cost at or below 0.02.
     """
     eng = _engine(net0, dataset)
     mask = net0.mask
@@ -198,11 +196,9 @@ def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainRepo
             J0, b0 = np.array(net0.J), np.array(net0.b)
         else:
             rng = np.random.default_rng(config.seed + r)
-            J0 = mask * rng.uniform(-config.init_scale, config.init_scale, (n, n))
+            J0 = np.where(mask == 1, rng.uniform(-_INIT_SCALE, _INIT_SCALE, (n, n)), 0.0)
             b0 = np.zeros(n)
-            b0[net0.n_inputs :] = rng.uniform(
-                -config.init_scale, config.init_scale, n - net0.n_inputs
-            )
+            b0[net0.n_inputs :] = rng.uniform(-_INIT_SCALE, _INIT_SCALE, n - net0.n_inputs)
         t0, calls, hits = time.perf_counter(), eng.calls, eng.memo_hits
         J, b, trace, p = _descend(eng, J0, b0, config)
         acc = _accuracy(p, eng.Y) if np.isfinite(trace[-1]) else float("nan")
@@ -215,7 +211,7 @@ def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainRepo
             continue
         if best is None or trace[-1] < best[0]:
             best = (trace[-1], trace, J, b, acc)
-        if acc == 1.0 and trace[-1] <= config.target_cost:
+        if acc == 1.0 and trace[-1] <= _TARGET_COST:
             break
     if best is None:
         raise RuntimeError("every restart diverged to a non-finite cost")
@@ -276,6 +272,6 @@ def report_to_json(report: TrainReport) -> str:
         {
             "cost_trace": list(report.cost_trace),
             "accuracy": report.accuracy,
-            "params": json.loads(network_to_json(report.final_params)),
+            "params": _network_dict(report.final_params),
         }
     )

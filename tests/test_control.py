@@ -240,7 +240,7 @@ class TestCsvRoundTrip:
     def test_round_trip(self):
         s = faquad_schedule(100, 1, 10, X_STAR)
         buf = io.StringIO()
-        schedule_to_csv(s, buf, n_samples=2001)
+        schedule_to_csv(s, buf)
         buf.seek(0)
         back = schedule_from_csv(buf)
         assert back.kind == "tabulated"
@@ -251,7 +251,7 @@ class TestCsvRoundTrip:
     def test_header_and_order(self):
         s = linear_schedule(10, 1, 2)
         buf = io.StringIO()
-        schedule_to_csv(s, buf, n_samples=11)
+        schedule_to_csv(s, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "t,omega"
         ts = [float(l.split(",")[0]) for l in lines[1:]]
@@ -304,9 +304,9 @@ class TestCsvRoundTrip:
         table = tabulated_schedule([0.0, 0.5, 2.0], [9.0, 3.0, 1.0])
         for s in (linear_schedule(10, 1, 2), table):
             buf = io.StringIO()
-            schedule_to_csv(s, buf, n_samples=5)
+            schedule_to_csv(s, buf)
             path = tmp_path / f"{s.kind}.csv"
-            schedule_to_csv(s, path, n_samples=5)
+            schedule_to_csv(s, path)
             assert "\r" not in buf.getvalue()
             assert path.read_bytes() == buf.getvalue().encode("ascii")
 
@@ -379,14 +379,10 @@ class TestScheduleCsvReader:
         s = schedule_from_csv(io.StringIO("t , omega\r\n0,1\r\n1, 2\r\n"))
         assert s.samples[1].tolist() == [1.0, 2.0]
 
-    @pytest.mark.parametrize("n_samples", [0, 1])
-    def test_writer_rejects_too_few_samples(self, n_samples):
-        with pytest.raises(ValueError, match=f"n_samples must be at least 2, got {n_samples}"):
-            schedule_to_csv(linear_schedule(10, 1, 2), io.StringIO(), n_samples=n_samples)
-
     def test_table_writes_its_knots_whatever_n_samples(self):
+        # a table writes its 3 knots, not the 1001 samples of any other drive
         s = tabulated_schedule([0.0, 0.5, 2.0], [3.0, 1.0, 2.0])
         buf = io.StringIO()
-        schedule_to_csv(s, buf, n_samples=1)
+        schedule_to_csv(s, buf)
         buf.seek(0)
         assert schedule_from_csv(buf).samples[0].tolist() == [0.0, 0.5, 2.0]

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 from qperceptron import cli, dynamics
 from qperceptron.activation import ALGEBRAIC, eval_CS, eval_f
 from qperceptron.control import (faquad_schedule, linear_schedule, perturbed_schedule,
-                                 tabulated_schedule)
+                                 reversed_negated, tabulated_schedule)
 from qperceptron.dynamics import (
     FidelityReport,
     TwoLevelState,
@@ -30,7 +30,6 @@ from qperceptron.dynamics import (
     report_to_csv,
     response_curve,
     response_to_csv,
-    reversed_negated,
     schedule_propagators,
 )
 
@@ -610,7 +609,7 @@ class TestFitAndBenchmark:
 
     def test_benchmark_report(self):
         tf = np.geomspace(0.5, 20.0, 6)
-        rep = benchmark_ramps(tf, x_max=10.0, n_points=21)
+        rep = benchmark_ramps(tf, n_points=21)
         assert isinstance(rep, FidelityReport)
         assert np.all(rep.infidelity_linear > 0) and np.all(rep.infidelity_linear < 1)
         assert np.all(rep.infidelity_faquad > 0) and np.all(rep.infidelity_faquad < 1)
@@ -623,9 +622,9 @@ class TestFitAndBenchmark:
 
     def test_benchmark_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            benchmark_ramps([], x_max=10.0, n_points=21)
+            benchmark_ramps([], n_points=21)
         with pytest.raises(ValueError):
-            benchmark_ramps([2.0, 1.0], x_max=10.0, n_points=21)
+            benchmark_ramps([2.0, 1.0], n_points=21)
 
     def test_csv_and_json_outputs(self):
         pairs = [(-1.0, 0.25), (0.0, 0.5), (1.0, 0.75)]

@@ -1,9 +1,13 @@
-"""The shared CSV writer and reader, and a guard that keeps CSV rows in them."""
+"""The shared CSV writer and reader, a guard that keeps CSV rows in them, and
+a guard that each module exports only what it defines."""
 import ast
+import importlib
+import inspect
 import io
 import math
 import pathlib
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -68,6 +72,31 @@ class TestSingleIoModule:
                        "fh.write('x')\nio.open('f')\n")
         assert io_offences(src) == [(1, "import csv"), (2, "import csv"), (3, "open"),
                                     (4, ".readline"), (5, ".write"), (6, "open")]
+
+
+def foreign_exports(module):
+    """Functions and classes in the module's ``__all__`` that another module defines."""
+    return [name for name in getattr(module, "__all__", ())
+            if (inspect.isfunction(obj := getattr(module, name)) or inspect.isclass(obj))
+            and obj.__module__ != module.__name__]
+
+
+class TestExportsAreOwn:
+    """Layer-by-layer timing reads each module's ``__all__`` as the functions
+    that layer owns; a re-exported name would claim another layer's function."""
+
+    @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                              if p.stem != "__init__"))
+    def test_all_names_only_own_definitions(self, module):
+        mod = importlib.import_module(f"qperceptron.{module}")
+        assert foreign_exports(mod) == [], f"{module} re-exports {foreign_exports(mod)}"
+
+    def test_guard_sees_a_reexport(self):
+        mod = types.ModuleType("qperceptron.fake")
+        exec("from json import dumps\nfrom fractions import Fraction\n"
+             "def own():\n    pass\nLIMIT = 3\n"
+             "__all__ = ['dumps', 'Fraction', 'own', 'LIMIT']", vars(mod))
+        assert foreign_exports(mod) == ["dumps", "Fraction"]
 
 
 class TestReadRows:

@@ -15,7 +15,6 @@ from qperceptron.activation import ALGEBRAIC, LOGISTIC, STEP, cao_arctan, df_dx,
 from qperceptron.control import faquad_schedule
 from qperceptron.dynamics import schedule_propagators
 from qperceptron.network import (
-    ApproximatorSpec,
     NetworkSpec,
     _cross_entropy,
     _MixtureEngine,
@@ -230,6 +229,18 @@ class TestNetworkSpec:
         with pytest.raises(ValueError):
             NetworkSpec(2, (2, 1), net.mask, net.J, bad_b)
 
+    @pytest.mark.parametrize("name, index, value", [
+        ("J", (4, 2), np.nan), ("J", (0, 1), np.nan), ("J", (2, 0), np.inf),
+        ("b", 4, np.nan), ("b", 3, -np.inf),
+    ], ids=["J_sourced_nan", "J_masked_nan", "J_inf", "b_nan", "b_inf"])
+    def test_nonfinite_parameter_is_named(self, name, index, value):
+        # a masked-out J entry counts too: mask * nan is nan
+        net = layered_net(2, [2])
+        params = {"J": net.J.copy(), "b": net.b.copy()}
+        params[name][index] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            NetworkSpec(2, (2, 1), net.mask, params["J"], params["b"])
+
     def test_masked_weights_inactive(self):
         rng = np.random.default_rng(0)
         net = layered_net(2, [2], rng)
@@ -362,14 +373,18 @@ class TestForwardAndOracle:
 
 class TestUniversalApproximator:
     def test_constraint_enforced(self):
-        spec = ApproximatorSpec(np.array([0.5, -0.2]), np.zeros((2, 2)), np.zeros(2))
-        assert spec.theta_out == pytest.approx(-1.3)
-        with pytest.raises(ValueError):
-            ApproximatorSpec(
-                np.array([0.5]), np.zeros((1, 2)), np.zeros(1), theta_out=0.0
-            )
-        with pytest.raises(ValueError):
-            ApproximatorSpec(np.array([0.5]), np.zeros((1, 2)), np.zeros(1), lambda_lin=0.0)
+        # the output bias is lambda * theta_out with 1 + theta_out + sum(alpha) = 0
+        alpha, w, theta = np.array([0.5, -0.2]), np.zeros((2, 2)), np.zeros(2)
+        net = build_universal_approximator((alpha, w, theta), 0.1)
+        assert net.b[-1] == pytest.approx(0.1 * -1.3)
+        assert net.J[-1, 2:4].tolist() == pytest.approx([0.05, -0.02])
+        for lam in (0.0, -0.01, np.nan):
+            with pytest.raises(ValueError, match="lambda_lin must be positive"):
+                build_universal_approximator((alpha, w, theta), lam)
+        with pytest.raises(ValueError, match="theta"):
+            build_universal_approximator((alpha, w, np.zeros(3)), 0.01)
+        with pytest.raises(ValueError, match="nonempty"):
+            build_universal_approximator((np.array([]), np.zeros((0, 2)), np.zeros(0)), 0.01)
 
     def test_zero_alpha_reads_half(self):
         net = build_universal_approximator(
@@ -526,6 +541,17 @@ class TestNetworkJsonErrors:
         d = self.doc()
         del d[key]
         with pytest.raises(ValueError, match=f"no '{key}' key"):
+            network_from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("key, value", [
+        ("layer_sizes", 3), ("n_inputs", None), ("activation", 5), ("layer_sizes", [None]),
+        ("n_inputs", [3]), ("n_inputs", 2.5), ("n_inputs", "3"), ("layer_sizes", [1.5, 1]),
+        ("J", "junk"), ("activation", "cao_arctan:x"), ("activation", "tanh"),
+    ])
+    def test_wrongly_typed_value_is_named(self, key, value):
+        d = self.doc()
+        d[key] = value
+        with pytest.raises(ValueError, match=f"^network JSON '{key}' is malformed: "):
             network_from_json(json.dumps(d))
 
     @pytest.mark.parametrize("key, count", [("mask", 25), ("J", 25), ("b", 5)])

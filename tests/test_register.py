@@ -105,6 +105,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             QuantumRegister(25, np.zeros(2**25, dtype=complex))
 
+    @pytest.mark.parametrize("amps", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0],
+                                      [complex(0.0, np.nan), 1.0]])
+    def test_nonfinite_amplitudes_are_named(self, amps):
+        # a nan norm compares False against any tolerance, so it must be caught apart
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            QuantumRegister(1, np.array(amps, dtype=complex))
+
     def test_amplitudes_read_only(self):
         reg = init_basis(1, "0")
         with pytest.raises(ValueError):

@@ -85,20 +85,18 @@ def test_propagators_are_unitary(sched, xs):
 @settings(max_examples=50, deadline=None)
 @given(sched=st.one_of(ramps(), tables(), ramps().map(reversed_negated),
                        tables().map(reversed_negated), near_coincident_tables(),
-                       near_coincident_tables().map(reversed_negated)),
-       n=st.integers(2, 40))
+                       near_coincident_tables().map(reversed_negated)))
 # 0.1 and 0.1 + 1.4e-17 both mirror onto 0.9
-@example(sched=reversed_negated(tabulated_schedule([0, 0.1, 0.1 + 1.4e-17, 1], [1, 2, 2, 1])),
-         n=2)
-def test_csv_round_trip_keeps_knots(sched, n):
+@example(sched=reversed_negated(tabulated_schedule([0, 0.1, 0.1 + 1.4e-17, 1], [1, 2, 2, 1])))
+def test_csv_round_trip_keeps_knots(sched):
     buf = io.StringIO()
-    schedule_to_csv(sched, buf, n_samples=n)
+    schedule_to_csv(sched, buf)
     buf.seek(0)
     back = schedule_from_csv(buf)
     if sched.samples is not None:
         want_t, want_om = sched.samples
     else:
-        want_t = np.linspace(0.0, sched.tf, n)
+        want_t = np.linspace(0.0, sched.tf, 1001)
         want_om = sched.omega(want_t)
     assert back.kind == "tabulated"
     assert back.samples[0].tobytes() == np.asarray(want_t, dtype=float).tobytes()

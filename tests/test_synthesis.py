@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qperceptron import synthesis
 from qperceptron.activation import ALGEBRAIC, chi
 from qperceptron.register import (
     QuantumRegister,
@@ -152,10 +153,16 @@ class TestSynthesize:
 
     def test_deterministic(self):
         grid = np.linspace(-1, 3, 21)
-        a = synthesize(Rectangle(0.0, 2.0), 2, grid, seed=3)
-        b = synthesize(Rectangle(0.0, 2.0), 2, grid, seed=3)
+        a = synthesize(Rectangle(0.0, 2.0), 2, grid)
+        b = synthesize(Rectangle(0.0, 2.0), 2, grid)
         assert a.spec == b.spec
         assert a.residual == b.residual
+
+    def test_closed_form_start_alone(self, monkeypatch):
+        monkeypatch.setattr(synthesis, "_RESTARTS", 0)
+        res = synthesize(Rectangle(0.0, 2.0), 2, np.linspace(-1, 3, 41))
+        assert res.converged
+        assert res.residual < 2e-3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -164,20 +171,6 @@ class TestSynthesize:
             synthesize(Rectangle(0.0, 2.0), 2, [])
         with pytest.raises(ValueError):
             synthesize(Rectangle(0.0, 2.0), 2, [0.0, np.inf])
-
-    def test_rejects_negative_restarts(self):
-        with pytest.raises(ValueError, match="restarts must be >= 0"):
-            synthesize(Rectangle(0.0, 2.0), 2, np.linspace(-1, 3, 11), restarts=-1)
-
-    def test_no_start_is_named(self):
-        # one cycle has no closed-form start, so restarts = 0 leaves none
-        with pytest.raises(ValueError, match="no start"):
-            synthesize(Rectangle(0.0, 2.0), 1, np.linspace(-1, 3, 11), restarts=0)
-
-    def test_closed_form_start_alone(self):
-        res = synthesize(Rectangle(0.0, 2.0), 2, np.linspace(-1, 3, 41), restarts=0)
-        assert res.converged
-        assert res.residual < 2e-3
 
 
 class TestApplyComposition:

@@ -230,7 +230,7 @@ class TestGradient:
 class TestTrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+            TrainConfig(max_iters=-1)
         with pytest.raises(ValueError):
             TrainConfig(restarts=-1)
 
@@ -279,6 +279,23 @@ class TestTrain:
         )
         J = report.final_params.J
         assert np.all(J[net.mask == 0.0] == 0.0)
+
+    def test_masked_entries_are_positive_zero(self, monkeypatch):
+        # restarts draw J on the masked-in entries only: a masked entry is
+        # +0.0, never the -0.0 of the mask times a negative draw
+        starts, descend = [], training._descend
+
+        def recording(eng, J, b, config):
+            starts.append(J)
+            return descend(eng, J, b, config)
+
+        monkeypatch.setattr(training, "_descend", recording)
+        net = layered_network(3, (4,))
+        report = train(net, prime_dataset(3), TrainConfig(max_iters=50, restarts=4))
+        assert len(starts) == 5
+        masked = net.mask == 0
+        for J in starts + [report.final_params.J]:
+            assert not np.any(np.signbit(J[masked]))
 
     def test_report_json(self):
         net = layered_net(2, [2])
