@@ -38,13 +38,10 @@ from .control import (
 )
 from .dynamics import (
     FidelityReport,
-    TwoLevelState,
     average_fidelity,
     benchmark_ramps,
-    evolve_two_level,
     fit_constants_json,
     fit_infidelity_decay,
-    perceptron_protocol,
     report_to_csv,
     response_curve,
     response_to_csv,

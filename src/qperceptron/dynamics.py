@@ -38,7 +38,7 @@ the tolerance tol, or below 7.5 tol after such a drop, which leaves about
 tol / 2.  Convergence is per x column: a column that stops keeps its value,
 and later halvings integrate only the columns still moving, on the one grid
 sized for max |x|.
-Single-state evolutions converge the final amplitudes to 1e-9; grid
+The propagators converge each entry of U to tol (default 1e-9); grid
 sweeps (response curves, fidelity averages) converge every reported
 probability to 1e-8.  The base edges are held in memory; a
 halved grid's edges are generated per chunk of steps.  A non-finite x or
@@ -65,11 +65,8 @@ from ._io import write_rows
 from .control import eigensystem, faquad_schedule, linear_schedule, optimal_design_field
 
 __all__ = [
-    "TwoLevelState",
     "FidelityReport",
-    "evolve_two_level",
     "schedule_propagators",
-    "perceptron_protocol",
     "response_curve",
     "average_fidelity",
     "benchmark_ramps",
@@ -102,30 +99,6 @@ _BENCH_OMEGA0 = 100.0
 _BENCH_OMEGAF = 1.0
 _BENCH_X_REF = optimal_design_field(_BENCH_OMEGAF)
 _BENCH_X_MAX = 10.0
-
-
-@dataclass(frozen=True)
-class TwoLevelState:
-    """Amplitudes on the resting state |0> and the active state |1>."""
-
-    amp0: complex
-    amp1: complex
-
-    @staticmethod
-    def ground() -> "TwoLevelState":
-        return TwoLevelState(1.0 + 0j, 0.0 + 0j)
-
-    @staticmethod
-    def plus() -> "TwoLevelState":
-        r = 1.0 / math.sqrt(2.0)
-        return TwoLevelState(complex(r), complex(r))
-
-    @property
-    def p_excite(self) -> float:
-        return abs(self.amp1) ** 2
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.amp0) ** 2 + abs(self.amp1) ** 2)
 
 
 def _validate_schedule(schedule):
@@ -322,10 +295,11 @@ def _unitaries(q) -> np.ndarray:
     return U
 
 
-def _apply(q, psi0: TwoLevelState) -> np.ndarray:
-    """(n, 2) amplitude pairs U psi0."""
+def _from_plus(q) -> np.ndarray:
+    """(n, 2) amplitude pairs U |+>, with |+> = (|0> + |1>) / sqrt 2."""
     U = _unitaries(q)
-    return U[:, :, 0] * complex(psi0.amp0) + U[:, :, 1] * complex(psi0.amp1)
+    r = complex(1.0 / math.sqrt(2.0))
+    return U[:, :, 0] * r + U[:, :, 1] * r
 
 
 def _converged_sweep(schedule, xs, reduce_fn, tol):
@@ -344,14 +318,16 @@ def _converged_sweep(schedule, xs, reduce_fn, tol):
     quaternion, and later halvings integrate only the columns still moving.
     All columns share one grid sized for max |x|, whose base edges are built
     once and held in memory; each level's edges are generated from them per
-    chunk.  Returns the quaternion and its reduction.  A non-finite x, or
-    reduction (named by its level), fails at once; failing to converge
-    reports, per halving, the largest change and how many columns were still
-    moving.  A converged sweep logs one DEBUG record on the "qperceptron"
-    logger: the base steps; per level the columns integrated, the largest
-    change, how many columns stopped on the error estimate alone and the
-    wall time; and the total column-steps.
+    chunk.  Returns the quaternion and its reduction.  An x that is not 1-D
+    or not finite, or a non-finite reduction (named by its level), fails at
+    once; failing to converge reports, per halving, the largest change and
+    how many columns were still moving.  A converged sweep logs one DEBUG
+    record on the "qperceptron" logger: the base steps; per level the
+    columns integrated, the largest change, how many columns stopped on the
+    error estimate alone and the wall time; and the total column-steps.
     """
+    if xs.ndim != 1:
+        raise ValueError(f"x must be a 1-D array of field values, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise ValueError("x values must be finite")
     base = _grid_spec(schedule, float(np.max(np.abs(xs))) if xs.size else 0.0)
@@ -405,7 +381,8 @@ def schedule_propagators(schedule, x_values, tol: float = 1e-9) -> np.ndarray:
     (see the module docstring).  Each U(x) stops at the first halving where
     its own entries do, so small fields cost fewer steps than large ones.
     This is the sector workhorse for register gates, where each source
-    configuration pins its own x.
+    configuration pins its own x, and the one matrix-valued entry point: a
+    state evolution is ``schedule_propagators(s, [x])[0] @ psi0``.
     """
     _validate_schedule(schedule)
     xs = np.asarray(x_values, dtype=float)
@@ -415,34 +392,8 @@ def schedule_propagators(schedule, x_values, tol: float = 1e-9) -> np.ndarray:
     return _unitaries(q)
 
 
-def evolve_two_level(schedule, x: float, psi0: TwoLevelState, tol: float = 1e-9) -> TwoLevelState:
-    """Integrate the driven qubit from t = 0 to tf.
-
-    The step grid is halved until the final amplitudes are within ``tol``
-    (default 1e-9) by the error estimate of the module docstring: a change
-    below ``tol``, or one below 7.5 ``tol`` after a 12-fold drop, whose error
-    is about change / 15.  Norm is conserved to ~1e-13.
-    """
-    _validate_schedule(schedule)
-    if abs(psi0.norm() - 1.0) > 1e-10:
-        raise ValueError("psi0 must be normalized")
-    xs = np.array([float(x)])
-    q, _ = _converged_sweep(schedule, xs, lambda q: _apply(q, psi0).view(float), tol)
-    fin = _apply(q, psi0)
-    return TwoLevelState(complex(fin[0, 0]), complex(fin[0, 1]))
-
-
-def perceptron_protocol(schedule, x: float) -> TwoLevelState:
-    """Full gate protocol: Hadamard from |0> to |+>, then the driven ramp.
-
-    The final state approximates the instantaneous ground state at
-    (omegaf, x), whose excitation probability is the algebraic sigmoid.
-    """
-    return evolve_two_level(schedule, x, TwoLevelState.plus())
-
-
 def response_curve(schedule, x_grid):
-    """Excitation probability of the protocol across a field grid.
+    """Excitation probability from |+> across a field grid.
 
     Returns a list of (x, P_excite) pairs.  All x values share one time
     grid sized for max |x|, which is halved until every probability is
@@ -455,8 +406,7 @@ def response_curve(schedule, x_grid):
     xs = np.asarray(x_grid, dtype=float)
     if xs.size == 0:
         return []
-    plus = TwoLevelState.plus()
-    _, P = _converged_sweep(schedule, xs, lambda q: np.abs(_apply(q, plus)[:, 1]) ** 2, _PTOL)
+    _, P = _converged_sweep(schedule, xs, lambda q: np.abs(_from_plus(q)[:, 1]) ** 2, _PTOL)
     return list(zip(xs.tolist(), P.tolist()))
 
 
@@ -484,10 +434,8 @@ def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201) -> floa
     xs = np.linspace(-x_max, x_max, n_points)
     g0, g1 = _ground_amplitudes(schedule.omegaf, xs)
 
-    plus = TwoLevelState.plus()
-
     def overlaps(q):
-        fin = _apply(q, plus)
+        fin = _from_plus(q)
         return np.abs(g0 * fin[:, 0] + g1 * fin[:, 1]) ** 2
 
     _, ov = _converged_sweep(schedule, xs, overlaps, _PTOL)

@@ -69,16 +69,17 @@ class QuantumRegister:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        amps = _frozen(self.amplitudes)
         if not (1 <= self.n_qubits <= MAX_QUBITS):
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
-        if self.amplitudes.shape != (1 << self.n_qubits,):
+        if amps.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude count must be 2**n_qubits")
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
+        norm = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm - 1.0) <= 1e-10:  # a nan norm fails too
-            if not np.all(np.isfinite(self.amplitudes)):
+            if not np.all(np.isfinite(amps)):
                 raise ValueError("register amplitudes must be finite")
             raise ValueError(f"register norm-squared {norm} is not 1")
-        object.__setattr__(self, "amplitudes", _frozen(self.amplitudes))
+        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True)

@@ -114,9 +114,8 @@ def cross_entropy_cost(net: NetworkSpec, dataset: Dataset, schedule=None) -> flo
     """Mean binary cross entropy of the network on the dataset.
 
     Probabilities are clamped to [1e-12, 1 - 1e-12] inside the logs.  With
-    a schedule the forward passes run in hardware mode, one statevector pass
-    per sample and no gradients: about 0.5 s for the 8 three-bit primes on
-    a 3-4-1 network (FAQUAD t_f = 10, on a 2-core x86-64 Xeon).
+    a schedule the forward passes run in hardware mode: one statevector pass
+    per sample, and no gradient.
     """
     if schedule is None:
         return _engine(net, dataset).cost(net.J, net.b)[0]

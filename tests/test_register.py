@@ -9,7 +9,6 @@ from scipy.integrate import solve_ivp
 from qperceptron import register
 from qperceptron.activation import ALGEBRAIC, STEP, cao_arctan, eval_CS, eval_f
 from qperceptron.control import faquad_schedule
-from qperceptron.dynamics import perceptron_protocol
 from qperceptron.register import (
     PerceptronGateSpec,
     QuantumRegister,
@@ -104,6 +103,14 @@ class TestBasics:
             QuantumRegister(1, np.array([1.0, 1.0], dtype=complex))
         with pytest.raises(ValueError):
             QuantumRegister(25, np.zeros(2**25, dtype=complex))
+
+    def test_list_amplitudes(self):
+        amps = [0.6, 0.8j]
+        reg = QuantumRegister(1, amps)
+        assert np.array_equal(reg.amplitudes, QuantumRegister(1, np.array(amps)).amplitudes)
+        assert reg.amplitudes.dtype == complex and not reg.amplitudes.flags.writeable
+        with pytest.raises(ValueError, match=r"amplitude count must be 2\*\*n_qubits"):
+            QuantumRegister(2, amps)
 
     @pytest.mark.parametrize("amps", [[np.nan, 0.0], [1.0, np.nan], [np.inf, 0.0],
                                       [complex(0.0, np.nan), 1.0]])
@@ -225,12 +232,15 @@ class TestIdealGate:
 
 class TestHardwareGate:
     def test_single_qubit_matches_protocol(self):
+        # the oracle is one DOP853 solve from |+> at x = -bias, sharing no
+        # code with the gate's propagators
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
         gate = PerceptronGateSpec(target=0, bias=-1.0, schedule=sched)
-        reg = apply_hardware_perceptron(init_basis(1, "0"), gate)
-        ref = perceptron_protocol(sched, 1.0)  # x = -bias
-        assert abs(reg.amplitudes[0] - ref.amp0) < 1e-8
-        assert abs(reg.amplitudes[1] - ref.amp1) < 1e-8
+        start = init_basis(1, "0")
+        reg = apply_hardware_perceptron(start, gate)
+        ref = dense_hardware_gate(start, gate)
+        assert abs(reg.amplitudes[0] - ref[0]) < 1e-8
+        assert abs(reg.amplitudes[1] - ref[1]) < 1e-8
 
     def test_three_qubit_distribution_near_ideal(self):
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
