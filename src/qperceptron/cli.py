@@ -27,7 +27,7 @@ from .dynamics import (
     response_curve,
 )
 from .network import layered_network
-from .synthesis import Peak, Rectangle, composition_to_csv, synthesize
+from .synthesis import _MAX_CYCLES, Peak, Rectangle, composition_to_csv, synthesize
 from .training import TrainConfig, prime_dataset, report_to_json, train
 
 __all__ = ["main", "build_parser"]
@@ -104,7 +104,8 @@ def _check(parser, ok: bool, message: str) -> None:
 
 def cmd_response(parser, args) -> int:
     _check(parser, args.tf > 0, "--tf must be positive")
-    _check(parser, args.omega0 > 0, "--omega0 must be positive")
+    _check(parser, args.omega0 > 1 or (args.omega0 == 1 and args.schedule == "linear"),
+           "--omega0 must exceed the final drive omega_f = 1 (linear may equal it)")
     _check(parser, args.xmax > 0, "--xmax must be positive")
     _check(parser, 1 <= args.points <= _MAX_POINTS, f"--points must be in [1, {_MAX_POINTS}]")
     _check(parser, args.epsilon_ctrl >= 0, "--epsilon-ctrl must be >= 0")
@@ -157,7 +158,7 @@ def cmd_train(parser, args) -> int:
 
 
 def cmd_synthesize(parser, args) -> int:
-    _check(parser, args.cycles >= 1, "--cycles must be >= 1")
+    _check(parser, 1 <= args.cycles <= _MAX_CYCLES, f"--cycles must be in [1, {_MAX_CYCLES}]")
     if args.target == "rect":
         _check(parser, args.m1 < args.m2, "--m1 must be below --m2")
         target = Rectangle(args.m1, args.m2)

@@ -132,21 +132,19 @@ def layered_network(
     Each layer sources every qubit of the previous layer only; a final
     single-perceptron output layer is appended.
     """
+    if n_inputs < 1:
+        raise ValueError("need at least one input")
     sizes = tuple(int(m) for m in hidden_sizes) + (1,)
     if any(m < 1 for m in sizes):
         raise ValueError("layer sizes must be positive")
-    n = n_inputs + sum(sizes)
-    mask = np.zeros((n, n))
-    prev = list(range(n_inputs))
-    q = n_inputs
-    for width in sizes:
-        cur = list(range(q, q + width))
-        for t in cur:
-            for s in prev:
-                mask[t, s] = 1.0
-        prev = cur
-        q += width
-    return NetworkSpec(n_inputs, sizes, mask, np.zeros((n, n)), np.zeros(n), activation)
+    layer = _layer_index(n_inputs, sizes)
+    mask = (layer[:, None] == layer[None, :] + 1).astype(float)
+    return NetworkSpec(n_inputs, sizes, mask, np.zeros_like(mask), np.zeros(len(mask)), activation)
+
+
+def _layer_index(n_inputs: int, sizes) -> np.ndarray:
+    """Layer of each qubit in global order: 0 for the inputs, then 1, 2, ..."""
+    return np.repeat(np.arange(len(sizes) + 1), (n_inputs, *sizes))
 
 
 def forward(net: NetworkSpec, input_bits: str, schedule=None):
@@ -323,7 +321,7 @@ def protocol_duration(net: NetworkSpec, schedule) -> float:
     of the same layer; such a net raises ValueError naming the target, the
     source and their layer.  Sources in any earlier layer are allowed.
     """
-    layer = np.repeat(np.arange(len(net.layer_sizes) + 1), (net.n_inputs,) + net.layer_sizes)
+    layer = _layer_index(net.n_inputs, net.layer_sizes)
     target, source = np.nonzero(net.mask)
     same = layer[target] == layer[source]
     if np.any(same):

@@ -4,7 +4,8 @@ Conventions, fixed once for the whole package:
 
 - Bitstrings read left to right: qubit 0 is the leftmost character and the
   most significant bit of the amplitude index, so ``init_basis(2, "10")``
-  puts the amplitude at index 0b10 = 2.
+  puts the amplitude at index 0b10 = 2.  _view's reshape encodes this order,
+  and so do init_basis, register_to_csv and training's batch_state_forward.
 - The active state is |1> with sz|1> = +|1>, sz|0> = -|0>; the excitation
   probability of a qubit is P = (1 + <sz>) / 2.
 - The activation field of a gate is x = sum_k w_k z_k - bias with z_k = +/-1
@@ -57,10 +58,11 @@ class ZeroProbabilityError(ValueError):
     """Conditioning event has zero probability; the conditional is undefined."""
 
 
-def _frozen(amps: np.ndarray) -> np.ndarray:
-    amps = np.ascontiguousarray(amps, dtype=complex)
-    amps.flags.writeable = False
-    return amps
+def _dimension(n: int) -> int:
+    """2^n for n in [1, MAX_QUBITS]; any other n raises before anything is allocated."""
+    if not (1 <= n <= MAX_QUBITS):
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
+    return 1 << n
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,9 @@ class QuantumRegister:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _frozen(self.amplitudes)
-        if not (1 <= self.n_qubits <= MAX_QUBITS):
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
-        if amps.shape != (1 << self.n_qubits,):
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amps.flags.writeable = False
+        if amps.shape != (_dimension(self.n_qubits),):
             raise ValueError("amplitude count must be 2**n_qubits")
         norm = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm - 1.0) <= 1e-10:  # a nan norm fails too
@@ -112,7 +113,7 @@ def init_basis(n: int, bits: str) -> QuantumRegister:
         raise ValueError("bitstring length must equal qubit count")
     if set(bits) - {"0", "1"}:
         raise ValueError("bitstring must be over {0, 1}")
-    amps = np.zeros(1 << n, dtype=complex)
+    amps = np.zeros(_dimension(n), dtype=complex)
     amps[int(bits, 2)] = 1.0
     return QuantumRegister(n, amps)
 
@@ -126,9 +127,9 @@ def _view(amps: np.ndarray, n: int, qubits, bits) -> np.ndarray:
     """Flat amplitudes as a (2,)*n tensor view, qubit k on axis k, keeping
     each listed qubit at its bit.
 
-    This reshape is the one place that knows the bit order (qubit 0 is the
-    most significant bit).  A kept bit is a length-1 slice, so every axis
-    keeps its place; a qubit asked for both bits keeps nothing.
+    Every gate and probability reads the bit order (qubit 0 is the most
+    significant bit) from this reshape.  A kept bit is a length-1 slice, so
+    every axis keeps its place; a qubit asked for both bits keeps nothing.
     """
     sel = [slice(None)] * n
     for q, b in zip(qubits, bits):

@@ -47,6 +47,7 @@ __all__ = [
 _HALF_PI = math.pi / 2.0
 _CONVERGED_RMS = 0.15
 _RESTARTS = 6  # random starts per orientation pattern
+_MAX_CYCLES = 6  # 63 patterns of 6 fits each, about a minute
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,9 @@ class Peak:
     width: float
 
     def __post_init__(self):
+        for name in ("center", "width"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"peak {name} must be finite")
         if not (self.width > 0):
             raise ValueError("peak width must be positive")
 
@@ -85,7 +89,9 @@ class Sampled:
         pts = tuple(sorted((float(x), float(a)) for x, a in self.points))
         if not pts:
             raise ValueError("sampled target needs at least one point")
-        for _, a in pts:
+        for x, a in pts:
+            if not np.isfinite(x):
+                raise ValueError(f"sampled point x must be finite, got {x!r}")
             if not (0.0 <= a <= _HALF_PI + 1e-12):
                 raise ValueError("sampled angles must lie in [0, pi/2]")
         object.__setattr__(self, "points", pts)
@@ -134,10 +140,16 @@ def composition_angle(spec: CompositionSpec, x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
-    total = np.zeros_like(x)
-    for w, th, o in spec.cycles:
-        total = total + o * chi(spec.activation, w * x - th)
+    total = _angle(spec.activation, spec.cycles, x)
     return float(total) if total.ndim == 0 else total
+
+
+def _angle(kind, cycles, x):
+    """sum_n o_n chi(w_n x - th_n) over (w, th, o) cycles, added in order."""
+    total = np.zeros_like(x)
+    for w, th, o in cycles:
+        total = total + o * chi(kind, w * x - th)
+    return total
 
 
 def analytic_rectangle(
@@ -165,23 +177,18 @@ class SynthesisResult:
 
 def _fit_once(kind, tgt, x, orients, w0, th0):
     m = len(orients)
-    sgn = np.array(orients, dtype=float)
 
     def split(p):
         return p[:m], p[m:]
 
     def resid(p):
-        w, th = split(p)
-        ang = np.zeros_like(x)
-        for i in range(m):
-            ang += sgn[i] * chi(kind, w[i] * x - th[i])
-        return ang - tgt
+        return _angle(kind, zip(*split(p), orients), x) - tgt
 
     def jac(p):
         w, th = split(p)
         J = np.empty((x.size, 2 * m))
         for i in range(m):
-            d = sgn[i] * dchi_dx(kind, w[i] * x - th[i])
+            d = orients[i] * dchi_dx(kind, w[i] * x - th[i])
             J[:, i] = d * x
             J[:, m + i] = -d
         return J
@@ -206,13 +213,16 @@ def synthesize(
 ) -> SynthesisResult:
     """Least-squares fit of a cycle stack to the target angle profile.
 
-    Runs every orientation pattern from 6 random starts of a fixed seed (plus
-    closed-form starts for window targets) and keeps the lowest RMS angle
+    Fits 1 to 6 cycles: every orientation pattern from 6 seeded random starts,
+    plus closed-form starts for window targets, keeping the lowest RMS angle
     error.  A result with converged=False reports that the residual stayed
     above the acceptance threshold; it never raises for a poor fit.
     """
     if cycles < 1:
         raise ValueError("need at least one cycle")
+    if cycles > _MAX_CYCLES:
+        raise ValueError(f"cycles={cycles} needs {_RESTARTS} x (2^{cycles} - 1) fits; "
+                         f"at most {_MAX_CYCLES} cycles are allowed")
     x = np.asarray(x_grid, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("x_grid must be nonempty")
@@ -221,18 +231,16 @@ def synthesize(
     tgt = target_angle(target, x)
     span = max(float(x.max() - x.min()), 1e-6)
     rng = np.random.default_rng(0)
+    windows = []  # closed-form starts: (rectangle, steepness)
+    if cycles == 2 and isinstance(target, Rectangle):
+        windows = [(target, s / (target.m2 - target.m1)) for s in (4.0, 12.0, 40.0)]
+    if cycles == 2 and isinstance(target, Peak):
+        c, h = target.center, target.width  # c - h == c + h when h is below c's resolution
+        windows = [(Rectangle(c - h, c + h), 1.5 / h)] if c - h < c + h else []
     starts = []
-    if cycles == 2:
-        if isinstance(target, Rectangle):
-            for s in (4.0, 12.0, 40.0):
-                w = s / (target.m2 - target.m1)
-                starts.append(
-                    ((1, -1), np.array([w, w]), np.array([w * target.m1, w * target.m2]))
-                )
-        if isinstance(target, Peak):
-            w = 1.5 / target.width
-            lo, hi = target.center - target.width, target.center + target.width
-            starts.append(((1, -1), np.array([w, w]), np.array([w * lo, w * hi])))
+    for rect, steepness in windows:
+        w0, th0, pat = zip(*analytic_rectangle(rect, steepness, activation).cycles)
+        starts.append((pat, np.array(w0), np.array(th0)))
     for pat in _orientation_patterns(cycles):
         for _ in range(_RESTARTS):
             w0 = rng.uniform(0.3, 8.0 / span * 4.0, cycles)

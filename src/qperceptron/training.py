@@ -27,7 +27,7 @@ import numpy as np
 
 from ._io import read_rows, write_rows
 from .network import NetworkSpec, _cross_entropy, _MixtureEngine, _network_dict, forward
-from .register import QuantumRegister, apply_ideal_perceptron, conditional_probability
+from .register import QuantumRegister, _dimension, apply_ideal_perceptron, conditional_probability
 
 __all__ = [
     "Dataset",
@@ -234,7 +234,7 @@ def batch_state_forward(net: NetworkSpec, dataset: Dataset) -> List[float]:
     if dataset.size > (1 << net.n_inputs):
         raise ValueError("more samples than distinct input states")
     pad = net.n_total - net.n_inputs
-    amps = np.zeros(1 << net.n_total, dtype=complex)
+    amps = np.zeros(_dimension(net.n_total), dtype=complex)
     r = 1.0 / np.sqrt(dataset.size)
     for x, _ in dataset.pairs:
         amps[int(x + "0" * pad, 2)] = r

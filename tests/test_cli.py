@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from qperceptron import synthesis
 from qperceptron.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -95,11 +96,20 @@ class TestResponse:
             ["--omega0", "inf"],
             ["--epsilon-ctrl", "inf"],
             ["--tf", "nan"],
+            ["--omega0", "0.5"],
+            ["--omega0", "0.5", "--schedule", "linear"],
+            ["--omega0", "1", "--schedule", "faquad"],
         ],
     )
     def test_flag_validation_exits_2(self, tmp_path, flags, capsys):
         rc = main(["response", *flags, "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    def test_constant_linear_drive_is_allowed(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["response", "--omega0", "1", "--schedule", "linear", "--tf", "1",
+                     "--points", "3", "--out", str(out)]) == 0
+        assert len(read_csv(out)[1]) == 3
 
     def test_huge_points_fail_before_allocating(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -226,6 +236,15 @@ class TestSynthesize:
     def test_flag_validation_exits_2(self, tmp_path, flags, capsys):
         rc = main(["synthesize", *flags, "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+
+    def test_cycle_bound_exits_2_before_fitting(self, tmp_path, monkeypatch, capsys):
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(synthesis, "_fit_once", no_fit)
+        assert main(["synthesize", "--cycles", "7", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "--cycles must be in [1, 6]" in capsys.readouterr().err
 
 
 class TestEntryPoint:

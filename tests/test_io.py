@@ -1,5 +1,6 @@
-"""The shared CSV writer and reader, a guard that keeps CSV rows in them, and
-a guard that each module exports only what it defines."""
+"""The shared CSV writer and reader, a guard that keeps CSV rows in them, a
+guard that each module exports only what it defines, and one that the package
+exports exactly its layer modules' exports."""
 import ast
 import importlib
 import inspect
@@ -97,6 +98,15 @@ class TestExportsAreOwn:
              "def own():\n    pass\nLIMIT = 3\n"
              "__all__ = ['dumps', 'Fraction', 'own', 'LIMIT']", vars(mod))
         assert foreign_exports(mod) == ["dumps", "Fraction"]
+
+
+def test_package_exports_exactly_the_layers_all():
+    layers = [p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_") and p.stem != "cli"]
+    declared = set().union(*(importlib.import_module(f"qperceptron.{m}").__all__ for m in layers))
+    public = {name for name, obj in vars(qperceptron).items()
+              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert len(layers) == 7
+    assert public == declared, (sorted(declared - public), sorted(public - declared))
 
 
 class TestReadRows:

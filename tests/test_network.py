@@ -22,6 +22,7 @@ from qperceptron.network import (
     build_universal_approximator,
     classical_mixture_oracle,
     forward,
+    layered_network,
     network_from_json,
     network_to_json,
     protocol_duration,
@@ -228,6 +229,20 @@ class TestNetworkSpec:
         bad_b[0] = 1.0
         with pytest.raises(ValueError):
             NetworkSpec(2, (2, 1), net.mask, net.J, bad_b)
+
+    @pytest.mark.parametrize("n_inputs, hidden", [(2, [2]), (3, [4]), (5, [10, 4]), (2, [])])
+    def test_layered_network_wires_each_layer_to_the_previous(self, n_inputs, hidden):
+        net = layered_network(n_inputs, hidden)
+        assert net.mask.tobytes() == layered_net(n_inputs, hidden).mask.tobytes()
+        assert not net.J.any() and not net.b.any()
+
+    @pytest.mark.parametrize("n_inputs, hidden, message", [
+        (0, [2], "need at least one input"), (-1, [2], "need at least one input"),
+        (2, [0], "layer sizes must be positive"), (2, [2, -1], "layer sizes must be positive"),
+    ])
+    def test_layered_network_names_a_bad_size(self, n_inputs, hidden, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            layered_network(n_inputs, hidden)
 
     @pytest.mark.parametrize("name, index, value", [
         ("J", (4, 2), np.nan), ("J", (0, 1), np.nan), ("J", (2, 0), np.inf),

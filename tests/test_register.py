@@ -96,6 +96,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             init_basis(2, "0x")
 
+    def test_oversized_register_is_refused_before_allocating(self):
+        # 2^40 amplitudes would take 16 TiB; the qubit count is checked first
+        with pytest.raises(ValueError, match=r"^n_qubits must be in \[1, 24\]$"):
+            init_basis(40, "0" * 40)
+
     def test_register_validation(self):
         with pytest.raises(ValueError):
             QuantumRegister(2, np.array([1.0, 0.0], dtype=complex))

@@ -54,6 +54,16 @@ class TestTargets:
         with pytest.raises(ValueError):
             Peak(0.0, -1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: Peak(v, 1.0), "peak center"),
+        (lambda v: Peak(0.0, v), "peak width"),
+        (lambda v: Sampled(((v, 0.5), (1.0, 0.2))), "sampled point x"),
+    ], ids=["peak_center", "peak_width", "sampled_x"])
+    def test_nonfinite_value_is_named(self, make, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make(value)
+
     def test_sampled_interpolates(self):
         s = Sampled(((0.0, 0.0), (1.0, 1.0)))
         assert target_angle(s, 0.25) == pytest.approx(0.25)
@@ -163,6 +173,17 @@ class TestSynthesize:
         res = synthesize(Rectangle(0.0, 2.0), 2, np.linspace(-1, 3, 41))
         assert res.converged
         assert res.residual < 2e-3
+
+    def test_cycle_count_is_bounded_before_fitting(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(synthesis, "_fit_once", no_fit)
+        grid = np.linspace(-1, 3, 11)
+        with pytest.raises(ValueError, match=r"^cycles=7 needs 6 x \(2\^7 - 1\) fits; at most 6"):
+            synthesize(Rectangle(0.0, 2.0), 7, grid)
+        with pytest.raises(AssertionError, match="a fit ran"):  # 6 cycles still fit
+            synthesize(Rectangle(0.0, 2.0), 6, grid)
 
     def test_validation(self):
         with pytest.raises(ValueError):

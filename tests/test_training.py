@@ -416,6 +416,11 @@ class TestBatchStateForward:
         with pytest.raises(ValueError):
             batch_state_forward(net, prime_dataset(2))
 
+    def test_oversized_register_is_refused_before_allocating(self):
+        net = layered_network(2, [37])  # 40 qubits: 16 TiB of amplitudes
+        with pytest.raises(ValueError, match=r"^n_qubits must be in \[1, 24\]$"):
+            batch_state_forward(net, prime_dataset(2))
+
 
 class TestDatasetCsvReader:
     """The dataset reader goes through the shared row reader."""
