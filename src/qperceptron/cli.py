@@ -102,6 +102,14 @@ def _check(parser, ok: bool, message: str) -> None:
         parser.error(message)  # exits 2
 
 
+def _x_grid(parser, lo: float, hi: float, n: int, flags: str) -> np.ndarray:
+    """np.linspace(lo, hi, n), or exit 2 naming ``flags`` if it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo, hi, n)
+    _check(parser, bool(np.all(np.isfinite(grid))), f"{flags} must keep the x grid finite")
+    return grid
+
+
 def cmd_response(parser, args) -> int:
     _check(parser, args.tf > 0, "--tf must be positive")
     _check(parser, args.omega0 > 1 or (args.omega0 == 1 and args.schedule == "linear"),
@@ -115,7 +123,7 @@ def cmd_response(parser, args) -> int:
         sched = faquad_schedule(args.omega0, 1.0, args.tf, optimal_design_field(1.0))
     if args.epsilon_ctrl > 0:
         sched = perturbed_schedule(sched, args.epsilon_ctrl)
-    grid = np.linspace(-args.xmax, args.xmax, args.points)
+    grid = _x_grid(parser, -args.xmax, args.xmax, args.points, "--xmax")
     curve = response_curve(sched, grid)
     with open_text(args.out, "w") as fh:
         fh.write(_UNITS_COMMENT)
@@ -163,11 +171,12 @@ def cmd_synthesize(parser, args) -> int:
         _check(parser, args.m1 < args.m2, "--m1 must be below --m2")
         target = Rectangle(args.m1, args.m2)
         span = args.m2 - args.m1
-        grid = np.linspace(args.m1 - span, args.m2 + span, 161)
+        lo, hi = args.m1 - span, args.m2 + span
     else:
         _check(parser, args.m2 > 0, "peak width (--m2) must be positive")
         target = Peak(args.m1, args.m2)
-        grid = np.linspace(args.m1 - 4 * args.m2, args.m1 + 4 * args.m2, 161)
+        lo, hi = args.m1 - 4 * args.m2, args.m1 + 4 * args.m2
+    grid = _x_grid(parser, lo, hi, 161, "--m1 and --m2")
     result = synthesize(target, args.cycles, grid)
     with open_text(args.out, "w") as fh:
         fh.write(_UNITS_COMMENT)

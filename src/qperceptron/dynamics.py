@@ -30,8 +30,10 @@ the series converges for ||H|| dt < pi, and ||H|| = E / 2 with
 E = sqrt(Omega^2 + x^2), so dt E < 2 pi, and the rule dt E <= 2 rad sits at
 a third of that radius.  Within it the rule sets no accuracy; the grid is
 midpoint-halved until the requested quantity converges, and that loop, not
-a re-check of the rules, is the accuracy guarantee.  It certifies an error
-estimate, not a raw change: each halving cuts the error 16-fold, so once a
+a re-check of the rules, is the accuracy guarantee.
+
+Stop rule (the entry points refer here): the loop certifies an error
+estimate, not a raw change.  Each halving cuts the error 16-fold, so once a
 change is seen to be at least 12 times smaller than the one before, the
 error left is about change / 15.  A column stops when its change is below
 the tolerance tol, or below 7.5 tol after such a drop, which leaves about
@@ -235,14 +237,13 @@ def _propagate(schedule, xs: np.ndarray, base: np.ndarray, level: int):
         tmid = (ts[1:] + ts[:-1]) / 2.0
         nodes = np.concatenate([tmid - _GAUSS * dts, tmid + _GAUSS * dts])
         om = np.broadcast_to(np.asarray(schedule.omega(nodes), dtype=float), nodes.shape)
-        # pad to a power of two with identity steps, in bit-reversed row order
+        # pad to a power of two with zero-length (identity) steps, in
+        # bit-reversed row order: row m of the padded arrays has dt = 0
         m = tmid.size
-        order = _bit_reversal((m - 1).bit_length())
-        idle = order >= m
-        rows = np.where(idle, 0, order)
-        om1 = om[:m][rows][:, None]
-        om2 = om[m:][rows][:, None]
-        dt = dts[rows][:, None]
+        rows = np.minimum(_bit_reversal((m - 1).bit_length()), m)
+        om1 = np.append(om[:m], 0.0)[rows][:, None]
+        om2 = np.append(om[m:], 0.0)[rows][:, None]
+        dt = np.append(dts, 0.0)[rows][:, None]
         # Magnus-4 exponent w = (wx, cy x, cz x): the commutator of the two
         # node Hamiltonians only adds the sy part
         wx = (dt / 4.0) * (om1 + om2)
@@ -265,11 +266,6 @@ def _propagate(schedule, xs: np.ndarray, base: np.ndarray, level: int):
             s *= x
             by = s * cy
             bz = s * cz
-            if rows.size > m:
-                e[idle] = 0.0
-                bx[idle] = 0.0
-                by[idle] = 0.0
-                bz[idle] = 0.0
             while e.shape[0] > 1:
                 # later step on the left: rows (p, p + h) hold steps (2j, 2j+1)
                 h = e.shape[0] // 2
@@ -302,43 +298,44 @@ def _from_plus(q) -> np.ndarray:
     return U[:, :, 0] * r + U[:, :, 1] * r
 
 
-def _converged_sweep(schedule, xs, reduce_fn, tol):
-    """Halve the grid until every x column of reduce_fn's output is within
-    tol of its limit by the loop's own error estimate.
+def _converged_sweep(schedule, x_values, reduce_fn, tol):
+    """Halve the grid until every x column of reduce_fn's output meets tol
+    by the stop rule of the module docstring; the one sweep driver.
 
-    reduce_fn maps the total quaternion, a (4, len(xs)) array of rows
-    (a, bx, by, bz), to a float array with x on axis 0.  A column's change is
-    the max-abs change of its entries between consecutive halvings.  It stops
-    when its change is below tol, or when its change is below
-    _EARLY_FACTOR * tol and its change at the halving before was at least
-    _EARLY_RATIO times larger: each halving of a Magnus-4 grid cuts the error
-    16-fold, so once that ratio is seen the error left is about change / 15,
-    under tol / 2.  The second rule cannot fire at the first halving, which
-    has no ratio, and tol = 0 never converges.  A stopped column keeps its
-    quaternion, and later halvings integrate only the columns still moving.
-    All columns share one grid sized for max |x|, whose base edges are built
-    once and held in memory; each level's edges are generated from them per
-    chunk.  Returns the quaternion and its reduction.  An x that is not 1-D
-    or not finite, or a non-finite reduction (named by its level), fails at
-    once; failing to converge reports, per halving, the largest change and
-    how many columns were still moving.  A converged sweep logs one DEBUG
-    record on the "qperceptron" logger: the base steps; per level the
-    columns integrated, the largest change, how many columns stopped on the
-    error estimate alone and the wall time; and the total column-steps.
+    Checks, in order: the schedule, tol (0 <= tol < inf; tol = 0 never
+    converges), then that x is 1-D and finite; an empty x returns at once,
+    before any grid is built.  reduce_fn maps the total quaternion, a
+    (4, len(xs)) array of rows (a, bx, by, bz), to a float array with x on
+    axis 0.  A column's change is the max-abs change of its entries between
+    consecutive halvings; the error-estimate stop cannot fire at the first
+    halving, which has no ratio.  A stopped column keeps its quaternion, and
+    later halvings integrate only the columns still moving.  All columns
+    share one grid sized for max |x|, whose base edges are built once and
+    held in memory; each level's edges are generated from them per chunk.
+    Returns (xs, quaternion, reduction).  A non-finite reduction fails at
+    once, naming its level.  Each level records the columns integrated, the
+    largest change, the columns left moving, those stopped on the estimate
+    alone and the wall time.  Failing to converge reports the changes and
+    moving columns per halving; a converged sweep logs the record and the
+    total column-steps as one DEBUG line on the "qperceptron" logger.
     """
+    _validate_schedule(schedule)
+    if not (0 <= tol < math.inf):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    xs = np.asarray(x_values, dtype=float)
     if xs.ndim != 1:
         raise ValueError(f"x must be a 1-D array of field values, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise ValueError("x values must be finite")
-    base = _grid_spec(schedule, float(np.max(np.abs(xs))) if xs.size else 0.0)
     q = np.empty((4, xs.size))
+    if not xs.size:
+        return xs, q, reduce_fn(q)
+    base = _grid_spec(schedule, float(np.max(np.abs(xs))))
     live = np.arange(xs.size)
     # each live column's change at the halving before; 0 before the first,
     # so that the error-estimate stop cannot fire there
     last = np.zeros(xs.size)
-    history = []
-    record = [] if _log.isEnabledFor(logging.DEBUG) else None
-    column_steps = 0
+    record = []
     for level in range(_MAX_HALVINGS + 1):
         t0 = time.perf_counter()
         cols = live.size
@@ -346,28 +343,29 @@ def _converged_sweep(schedule, xs, reduce_fn, tol):
         nxt = reduce_fn(q)
         if not np.all(np.isfinite(nxt)):
             raise ValueError(f"integration gave a non-finite result at halving level {level}")
+        top = early = None
         if level:
             change = np.abs(nxt[live] - cur[live]).reshape(live.size, -1).max(axis=1)
             moving = (change >= tol) & (
                 (change >= _EARLY_FACTOR * tol) | (last < _EARLY_RATIO * change))
+            top, early = change.max(), np.count_nonzero(~moving & (change >= tol))
             live, last = live[moving], change[moving]
-            history.append(f"{change.max():.3g} ({live.size} of {xs.size} columns)")
-        if record is not None:
-            line = f"level {level}: {cols} columns"
-            if level:
-                early = np.count_nonzero(~moving & (change >= tol))
-                line += f", max change {change.max():.3g}, {early} stopped on the estimate"
-            record.append(f"{line}, {time.perf_counter() - t0:.3g} s")
-            column_steps += ((base.size - 1) << level) * cols
+        record.append((cols, top, live.size, early, time.perf_counter() - t0))
         if not live.size:
-            if record is not None:
+            if _log.isEnabledFor(logging.DEBUG):
+                levels = "; ".join(
+                    f"level {lv}: {n} columns"
+                    + (f", max change {d:.3g}, {e} stopped on the estimate" if lv else "")
+                    + f", {sec:.3g} s" for lv, (n, d, _, e, sec) in enumerate(record))
+                steps = sum(((base.size - 1) << lv) * n for lv, (n, *_) in enumerate(record))
                 _log.debug("sweep: %d base steps; %s; %d column-steps",
-                           base.size - 1, "; ".join(record), column_steps)
-            return q, nxt
+                           base.size - 1, levels, steps)
+            return xs, q, nxt
         cur = nxt
+    history = ", ".join(f"{d:.3g} ({n} of {xs.size} columns)" for _, d, n, _, _ in record[1:])
     raise RuntimeError(
         f"integration did not converge to {tol} in {_MAX_HALVINGS} halvings; "
-        f"max change per halving: {', '.join(history)}"
+        f"max change per halving: {history}"
     )
 
 
@@ -375,20 +373,15 @@ def schedule_propagators(schedule, x_values, tol: float = 1e-9) -> np.ndarray:
     """Full 2x2 propagators of the ramp for each longitudinal field.
 
     Returns an (n, 2, 2) complex array of unitaries U(x) on one time grid
-    sized for max |x|.  The grid is halved until every matrix entry is
-    within ``tol`` by the error estimate: a change below ``tol``, or one
-    below 7.5 ``tol`` after a 12-fold drop, whose error is about change / 15
-    (see the module docstring).  Each U(x) stops at the first halving where
-    its own entries do, so small fields cost fewer steps than large ones.
-    This is the sector workhorse for register gates, where each source
-    configuration pins its own x, and the one matrix-valued entry point: a
-    state evolution is ``schedule_propagators(s, [x])[0] @ psi0``.
+    sized for max |x|.  The grid is halved until every matrix entry meets
+    ``tol`` by the stop rule of the module docstring.  Each U(x) stops at
+    the first halving where its own entries do, so small fields cost fewer
+    steps than large ones.  This is the sector workhorse for register gates,
+    where each source configuration pins its own x, and the one
+    matrix-valued entry point: a state evolution is
+    ``schedule_propagators(s, [x])[0] @ psi0``.
     """
-    _validate_schedule(schedule)
-    xs = np.asarray(x_values, dtype=float)
-    if xs.size == 0:
-        return np.empty((0, 2, 2), dtype=complex)
-    q, _ = _converged_sweep(schedule, xs, lambda q: np.stack(q, axis=1), tol)
+    _, q, _ = _converged_sweep(schedule, x_values, lambda q: np.stack(q, axis=1), tol)
     return _unitaries(q)
 
 
@@ -396,17 +389,12 @@ def response_curve(schedule, x_grid):
     """Excitation probability from |+> across a field grid.
 
     Returns a list of (x, P_excite) pairs.  All x values share one time
-    grid sized for max |x|, which is halved until every probability is
-    within 1e-8 by the error estimate of the module docstring (a change
-    below 1e-8, or one below 7.5e-8 after a 12-fold drop, whose error is
-    about change / 15); each x stops halving as soon as its own probability
-    does.
+    grid sized for max |x|, which is halved until every probability meets
+    1e-8 by the stop rule of the module docstring; each x stops halving as
+    soon as its own probability does.
     """
-    _validate_schedule(schedule)
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.size == 0:
-        return []
-    _, P = _converged_sweep(schedule, xs, lambda q: np.abs(_from_plus(q)[:, 1]) ** 2, _PTOL)
+    xs, _, P = _converged_sweep(
+        schedule, x_grid, lambda q: np.abs(_from_plus(q)[:, 1]) ** 2, _PTOL)
     return list(zip(xs.tolist(), P.tolist()))
 
 
@@ -429,6 +417,8 @@ def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201) -> floa
     overlap converges to 1e-8, as in response_curve.
     """
     _validate_schedule(schedule)
+    if not hasattr(schedule, "omegaf"):
+        raise ValueError("invalid schedule: average_fidelity needs omegaf, its final drive")
     if not (0 < x_max < math.inf) or n_points < 2:
         raise ValueError("need finite x_max > 0 and n_points >= 2")
     xs = np.linspace(-x_max, x_max, n_points)
@@ -438,7 +428,7 @@ def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201) -> floa
         fin = _from_plus(q)
         return np.abs(g0 * fin[:, 0] + g1 * fin[:, 1]) ** 2
 
-    _, ov = _converged_sweep(schedule, xs, overlaps, _PTOL)
+    _, _, ov = _converged_sweep(schedule, xs, overlaps, _PTOL)
     # fixed-order trapezoid; uniform grid
     dx = xs[1] - xs[0]
     integral = (float(np.sum(ov)) - 0.5 * (ov[0] + ov[-1])) * dx

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -245,6 +246,22 @@ class TestSynthesize:
         monkeypatch.setattr(synthesis, "_fit_once", no_fit)
         assert main(["synthesize", "--cycles", "7", "--out", str(tmp_path / "x.csv")]) == 2
         assert "--cycles must be in [1, 6]" in capsys.readouterr().err
+
+
+class TestGridOverflow:
+    @pytest.mark.parametrize("argv, flag", [
+        (["response", "--xmax", "1e308", "--points", "3"], "--xmax"),
+        (["synthesize", "--target", "peak", "--m2", "1e308"], "--m2"),
+        (["synthesize", "--m1", "0", "--m2", "1e308"], "--m2"),
+    ])
+    def test_overflowing_x_grid_exits_2_naming_flag(self, tmp_path, capsys, argv, flag):
+        # each flag is finite, but the x grid built from it is not
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEntryPoint:

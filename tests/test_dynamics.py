@@ -184,11 +184,38 @@ class TestIntegratorRobustness:
          r"x must be a 1-D .*shape \(2, 2\)"),
         (lambda s: response_curve(s, [[0.0, 1.0], [2.0, 3.0]]),
          r"x must be a 1-D .*shape \(2, 2\)"),
+        (lambda s: schedule_propagators(s, np.empty((0, 3))),
+         r"x must be a 1-D .*shape \(0, 3\)"),
     ], ids=["evolve_nan", "protocol_inf", "propagators_inf",
-            "propagators_scalar", "propagators_2d", "response_2d"])
+            "propagators_scalar", "propagators_2d", "response_2d", "propagators_empty_2d"])
     def test_nonfinite_x_is_named(self, call, message):
         with pytest.raises(ValueError, match=message):
             call(linear_schedule(2.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+    def test_meaningless_tol_is_rejected(self, monkeypatch, tol):
+        # nan and inf stopped after one halving, and a negative tol ran all
+        # of them: each must fail before any step is integrated
+        def no_steps(*args):
+            raise AssertionError("steps were integrated")
+
+        monkeypatch.setattr(dynamics, "_propagate", no_steps)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            schedule_propagators(faquad_schedule(100.0, 1.0, 10.0, X_REF), [9.6], tol=tol)
+
+    def test_empty_x_returns_before_any_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(dynamics, "_grid_spec", no_grid)
+        U = schedule_propagators(linear_schedule(2.0, 1.0, 1.0), [])
+        assert U.shape == (0, 2, 2) and U.dtype == complex
+
+    @pytest.mark.parametrize("call", [schedule_propagators, response_curve],
+                             ids=["propagators", "response"])
+    def test_schedule_is_checked_before_empty_x(self, call):
+        with pytest.raises(ValueError, match="invalid schedule"):
+            call(object(), [])
 
     def test_nonfinite_x_max_is_rejected(self):
         with warnings.catch_warnings():
@@ -653,14 +680,19 @@ class TestScheduleInterface:
 
     @pytest.mark.parametrize("missing, message", [
         ("domega", r"needs domega\(t\)"), ("samples", "needs samples"),
+        ("omegaf", "needs omegaf"),
     ])
     def test_missing_attribute_is_named(self, missing, message):
         base = faquad_schedule(100.0, 1.0, 5.0, X_REF)
-        attrs = {"tf": base.tf, "omega": base.omega, "domega": base.domega, "samples": None}
+        attrs = {"tf": base.tf, "omega": base.omega, "domega": base.domega, "samples": None,
+                 "omegaf": base.omegaf}
         del attrs[missing]
         drive = type("Drive", (), attrs)()
         with pytest.raises(ValueError, match=message):
-            schedule_propagators(drive, [1.0])
+            average_fidelity(drive, x_max=1.0, n_points=3)
+        if missing != "omegaf":  # only the fidelity target reads omegaf
+            with pytest.raises(ValueError, match=message):
+                schedule_propagators(drive, [1.0])
 
 
 class TestFitPolish:
