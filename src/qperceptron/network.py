@@ -155,11 +155,9 @@ def forward(net: NetworkSpec, input_bits: str, schedule=None):
     """
     _check_bits(net, input_bits)
     reg = init_basis(net.n_total, input_bits + "0" * (net.n_total - net.n_inputs))
+    apply = apply_ideal_perceptron if schedule is None else apply_hardware_perceptron
     for gate in net.gates(schedule):
-        if schedule is None:
-            reg = apply_ideal_perceptron(reg, gate)
-        else:
-            reg = apply_hardware_perceptron(reg, gate)
+        reg = apply(reg, gate)
     return reg, excitation_probability(reg, net.n_total - 1)
 
 

@@ -15,13 +15,14 @@ Conventions, fixed once for the whole package:
   (amp0, amp1) pair).
 
 Gates act in O(2^n) on the amplitudes viewed as a (2,)*n tensor with qubit
-k on axis k: the target's two halves are slices of its axis, and the field,
-angle or propagator is computed once per source configuration and broadcast
-over the other axes; no 2^n x 2^n matrix is ever materialized.  A hardware
-gate integrates the ramp only for the occupied source configurations, those
-holding any nonzero amplitude: an unoccupied one has only exact zeros, which
-every propagator leaves exactly zero.  Registers are values: every operation
-returns a new register and amplitude arrays are frozen read-only.
+k on axis k: the target's two halves are slices of its axis, and every gate
+is one 2x2 matrix per source configuration (a rotation, or U(x) H of a
+hardware gate), broadcast over the other axes by one kernel in one pass; no
+2^n x 2^n matrix is ever materialized.  A hardware gate integrates the ramp
+only for the occupied source configurations, those holding any nonzero
+amplitude: an unoccupied one has only exact zeros, which every propagator
+leaves exactly zero.  Registers are values: every operation returns a new
+register and amplitude arrays are frozen read-only.
 """
 from __future__ import annotations
 
@@ -153,21 +154,25 @@ def _sector_field(n: int, weights, offset: float, levels) -> np.ndarray:
     return x
 
 
-def _update_pairs(reg: QuantumRegister, target: int, update) -> QuantumRegister:
-    """Replace each target pair (amp0, amp1) by update(amp0, amp1), where
-    amp0 and amp1 are the two halves of the target axis."""
+def _update_pairs(reg: QuantumRegister, target: int, u) -> QuantumRegister:
+    """Map each target pair (a0, a1) to (u00 a0 + u01 a1, u10 a0 + u11 a1) for
+    u = ((u00, u01), (u10, u11)), entries scalars or arrays per source sector."""
     n, a = reg.n_qubits, reg.amplitudes
+    (u00, u01), (u10, u11) = u
+    a0, a1 = _view(a, n, [target], [0]), _view(a, n, [target], [1])
     out = np.empty_like(a)
-    new0, new1 = update(_view(a, n, [target], [0]), _view(a, n, [target], [1]))
-    _view(out, n, [target], [0])[...] = new0
-    _view(out, n, [target], [1])[...] = new1
+    _view(out, n, [target], [0])[...] = u00 * a0 + u01 * a1
+    _view(out, n, [target], [1])[...] = u10 * a0 + u11 * a1
     return QuantumRegister(n, out)
 
 
-def _rotate_pairs(reg: QuantumRegister, target: int, ang) -> QuantumRegister:
-    """Rotate each target pair by [[c, -s], [s, c]] at its sector's angle."""
+def _rotation(ang):
+    """[[c, -s], [s, c]] at each sector's angle."""
     c, s = np.cos(ang), np.sin(ang)
-    return _update_pairs(reg, target, lambda a0, a1: (c * a0 - s * a1, s * a0 + c * a1))
+    return (c, -s), (s, c)
+
+
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 def _gate_field(reg, gate) -> np.ndarray:
@@ -180,20 +185,20 @@ def _gate_field(reg, gate) -> np.ndarray:
 
 def apply_hadamard(reg: QuantumRegister, target: int) -> QuantumRegister:
     _check_qubit(reg, target)
-    r = 1.0 / math.sqrt(2.0)
-    return _update_pairs(reg, target, lambda a0, a1: (r * (a0 + a1), r * (a0 - a1)))
+    return _update_pairs(reg, target, _HADAMARD)
 
 
 def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
     """Exact conditional rotation by chi(x) on the target (O(2^n))."""
     if gate.schedule is not None:
         raise ValueError("gate is in hardware mode; use apply_hardware_perceptron")
-    return _rotate_pairs(reg, gate.target, chi(gate.activation, _gate_field(reg, gate)))
+    return _update_pairs(reg, gate.target, _rotation(chi(gate.activation, _gate_field(reg, gate))))
 
 
 def apply_hardware_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
-    """Adiabatic protocol on the target: Hadamard, then the driven ramp per
-    occupied source sector with x fixed by that sector's configuration.
+    """Adiabatic protocol on the target: a Hadamard, then the driven ramp
+    U(x) with x fixed by the source sector's configuration, applied as the
+    one matrix U(x) H per occupied sector in one pass.
 
     A source sector is occupied when any of its amplitudes is nonzero.  An
     unoccupied sector's amplitudes are exactly zero, so any unitary leaves
@@ -209,16 +214,13 @@ def apply_hardware_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) ->
         raise ValueError("gate is in ideal mode; use apply_ideal_perceptron")
     x = _gate_field(reg, gate)
     n = reg.n_qubits
-    # the target is not a source, so the Hadamard leaves occupancy alone
     free = tuple(k for k in range(n) if k not in gate.weights)
     occ = np.any(reg.amplitudes.reshape((2,) * n) != 0, axis=free, keepdims=True)
     x = np.where(occ, x, x[occ][0])  # any field keeps an unoccupied sector's zeros
-    reg = apply_hadamard(reg, gate.target)
     xu, inv = np.unique(x, return_inverse=True)
-    U = schedule_propagators(gate.schedule, xu)
-    u = U.transpose(1, 2, 0)[:, :, inv.reshape(x.shape)]  # entry u[i, j] per sector
-    return _update_pairs(reg, gate.target, lambda a0, a1: (
-        u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1))
+    UH = schedule_propagators(gate.schedule, xu) @ _HADAMARD
+    u = UH.transpose(1, 2, 0)[:, :, inv.reshape(x.shape)]  # entry u[i, j] per sector
+    return _update_pairs(reg, gate.target, u)
 
 
 def _norm2(psi: np.ndarray) -> float:

@@ -27,7 +27,7 @@ from scipy.optimize import least_squares
 
 from ._io import write_rows
 from .activation import ActivationKind, ALGEBRAIC, chi, dchi_dx
-from .register import QuantumRegister, _rotate_pairs, _sector_field
+from .register import QuantumRegister, _rotation, _sector_field, _update_pairs
 
 __all__ = [
     "Rectangle",
@@ -277,7 +277,7 @@ def apply_composition(
         if k == target_qubit:
             raise ValueError("target cannot be its own source")
     x = _sector_field(n, srcs, 0.0, (0.0, 1.0))
-    return _rotate_pairs(reg, target_qubit, composition_angle(spec, x))
+    return _update_pairs(reg, target_qubit, _rotation(composition_angle(spec, x)))
 
 
 def composition_to_csv(

@@ -84,6 +84,8 @@ class TestStep:
 
     def test_dchi_rejects_origin(self):
         assert dchi_dx(STEP, 1.0) == 0.0
+        assert df_dx(STEP, 1.0) == 0.0
+        assert np.array_equal(df_dx(STEP, np.array([-2.0, 3.0])), [0.0, 0.0])
         with pytest.raises(ValueError):
             dchi_dx(STEP, 0.0)
         with pytest.raises(ValueError):

@@ -264,6 +264,21 @@ class TestGridOverflow:
         assert not out.exists()
 
 
+class TestNamedErrors:
+    @pytest.mark.parametrize("argv, rc, message", [
+        (["response", "--tf", "abc"], 2, "argument --tf: expected a finite number, got 'abc'"),
+        (["synthesize", "--m1", "1,5"], 2, "argument --m1: expected a finite number, got '1,5'"),
+        (["response", "--xmax", "1e300", "--points", "3"], 1,
+         "error: step grid needs about 5e+300 base steps, over the budget of 16777216; "
+         "the phase rule"),
+    ], ids=["tf_text", "m1_comma", "step_budget"])
+    def test_message_names_the_cause(self, tmp_path, capsys, argv, rc, message):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == rc
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_console_script_usage_error(self, tmp_path):
         # pyproject's pythonpath does not reach child processes

@@ -133,6 +133,25 @@ def test_factories_reject_nonfinite_parameters(make, name, value):
             make(value)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: faquad_schedule(100.0, 1.0, 0.0, X_STAR), "tf must be positive"),
+    (lambda: faquad_schedule(100.0, 1.0, -1.0, X_STAR), "tf must be positive"),
+    (lambda: perturbed_schedule(faquad_schedule(100.0, 1.0, 1.0, X_STAR), -0.1),
+     "epsilon_ctrl must be >= 0"),
+    (lambda: tabulated_schedule([0.0, 1.0], [1.0, 2.0, 3.0]),
+     "need matching 1-d arrays with at least two samples"),
+    (lambda: tabulated_schedule([[0.0, 1.0]], [[1.0, 2.0]]),
+     "need matching 1-d arrays with at least two samples"),
+    (lambda: tabulated_schedule([0.0], [1.0]), "need matching 1-d arrays with at least two samples"),
+    (lambda: optimal_design_field(0.0), "omegaf must be positive"),
+    (lambda: optimal_design_field(-1.0), "omegaf must be positive"),
+], ids=["faquad_tf_0", "faquad_tf_neg", "perturbed_eps_neg", "table_lengths", "table_2d",
+        "table_one_sample", "design_omegaf_0", "design_omegaf_neg"])
+def test_out_of_range_parameter_is_named(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 class TestOptimalDesignField:
     def test_near_limit_value(self):
         x = optimal_design_field(1.0)

@@ -613,6 +613,15 @@ class TestFitAndBenchmark:
         with pytest.raises(ValueError):
             fit_infidelity_decay([1.0, 2.0, 3.0], [0.1, 0.05, 0.02])
 
+    @pytest.mark.parametrize("infid", [
+        1e-3 * np.geomspace(1.0, 20.0, 6),  # growing with tf
+        1e-3 * np.geomspace(1.0, 20.0, 6) ** 2,
+    ], ids=["linear_growth", "quadratic_growth"])
+    def test_fit_refuses_a_growing_infidelity(self, infid):
+        # every scanned exponent fits a growing curve with c1 <= 0
+        with pytest.raises(ValueError, match="^fit failure: no decreasing-exponential fit found$"):
+            fit_infidelity_decay(np.geomspace(1.0, 20.0, 6), infid)
+
     def test_benchmark_report(self):
         tf = np.geomspace(0.5, 20.0, 6)
         rep = benchmark_ramps(tf, n_points=21)

@@ -244,6 +244,18 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match=f"^{message}$"):
             layered_network(n_inputs, hidden)
 
+    @pytest.mark.parametrize("n_inputs, sizes, shapes, message", [
+        (0, (1,), (1, 1, 1), "need at least one input"),
+        (-1, (2,), (1, 1, 1), "need at least one input"),
+        (2, (1,), (2, 3, 3), r"mask/J must be \(n_total, n_total\) and b \(n_total,\)"),
+        (2, (1,), (3, 2, 3), r"mask/J must be \(n_total, n_total\) and b \(n_total,\)"),
+        (2, (1,), (3, 3, 2), r"mask/J must be \(n_total, n_total\) and b \(n_total,\)"),
+    ], ids=["no_inputs", "negative_inputs", "mask_shape", "J_shape", "b_shape"])
+    def test_spec_names_a_bad_size_or_shape(self, n_inputs, sizes, shapes, message):
+        m, j, b = shapes
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NetworkSpec(n_inputs, sizes, np.zeros((m, m)), np.zeros((j, j)), np.zeros(b))
+
     @pytest.mark.parametrize("name, index, value", [
         ("J", (4, 2), np.nan), ("J", (0, 1), np.nan), ("J", (2, 0), np.inf),
         ("b", 4, np.nan), ("b", 3, -np.inf),

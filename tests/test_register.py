@@ -22,6 +22,7 @@ from qperceptron.register import (
     register_to_csv,
     z_expectation,
 )
+from test_register_properties import dense_gate
 
 X_REF = 1.2720196495140690
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -40,24 +41,6 @@ def kron_on(n, qubit, op):
     for k in range(n):
         out = np.kron(out, op if k == qubit else np.eye(2))
     return out
-
-
-def dense_ideal_gate(n, gate):
-    """Column-by-column dense oracle for the ideal perceptron gate."""
-    dim = 1 << n
-    M = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        bits = [(i >> (n - 1 - k)) & 1 for k in range(n)]
-        x = -gate.bias + sum(w * (2 * bits[k] - 1) for k, w in gate.weights.items())
-        ang = float(np.arcsin(np.sqrt(eval_f(gate.activation, x))))
-        j = i ^ (1 << (n - 1 - gate.target))
-        if bits[gate.target] == 0:
-            M[i, i] += math.cos(ang)
-            M[j, i] += math.sin(ang)
-        else:
-            M[i, i] += math.cos(ang)
-            M[j, i] += -math.sin(ang)
-    return M
 
 
 def dense_hardware_gate(reg, gate):
@@ -147,6 +130,20 @@ class TestBasics:
         with pytest.raises(IndexError):
             apply_hadamard(init_basis(1, "0"), 1)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: PerceptronGateSpec(target=0, weights={-1: 1.0}),
+         "source indices must be nonnegative integers"),
+        (lambda: PerceptronGateSpec(target=0, weights={1.5: 1.0}),
+         "source indices must be nonnegative integers"),
+        (lambda: conditional_probability(init_basis(2, "00"), [0], [0, 1], 1),
+         "condition bits must pair 0/1 values with the qubits"),
+        (lambda: conditional_probability(init_basis(2, "00"), [0], [2], 1),
+         "condition bits must pair 0/1 values with the qubits"),
+    ], ids=["negative_source", "float_source", "bit_count", "bit_value"])
+    def test_malformed_argument_is_named(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
 
 class TestIdealGate:
     def test_no_sources_zero_bias(self):
@@ -169,7 +166,7 @@ class TestIdealGate:
         gate = PerceptronGateSpec(
             target=1, weights={0: 1.3, 2: -0.7}, bias=0.4, activation=ALGEBRAIC
         )
-        M = dense_ideal_gate(3, gate)
+        M = dense_gate(3, gate)
         for _ in range(20):
             reg = random_state(3, rng)
             got = apply_ideal_perceptron(reg, gate)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperceptron.activation import ALGEBRAIC, LOGISTIC, eval_f
+from qperceptron import register
+from qperceptron.activation import ALGEBRAIC, LOGISTIC, chi, eval_f
 from qperceptron.control import faquad_schedule
 from qperceptron.dynamics import schedule_propagators
 from qperceptron.register import (
@@ -130,6 +131,24 @@ def test_ideal_gate_equals_dense_oracle(data):
     got = apply_ideal_perceptron(reg, gate).amplitudes
     want = dense_gate(reg.n_qubits, gate) @ reg.amplitudes
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ideal_gate_is_bitwise_the_rotation_formula(data):
+    # the gate must compute c a0 - s a1 and s a0 + c a1 with exactly these
+    # products and sums: a reassociated or fused update changes some bits
+    reg = data.draw(registers())
+    gate = data.draw(gates(reg.n_qubits))
+    n, t = reg.n_qubits, gate.target
+    ang = chi(gate.activation, register._gate_field(reg, gate))
+    c, s = np.cos(ang), np.sin(ang)
+    a = reg.amplitudes.reshape((2,) * n)
+    a0, a1 = np.take(a, [0], axis=t), np.take(a, [1], axis=t)
+    want = np.concatenate([c * a0 - s * a1, s * a0 + c * a1], axis=t).ravel()
+    got = apply_ideal_perceptron(reg, gate).amplitudes
+    assert np.array_equal(got, want)
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()  # + 0.0 turns -0.0 into +0.0
 
 
 @settings(max_examples=60, deadline=None)

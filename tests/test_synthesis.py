@@ -64,6 +64,17 @@ class TestTargets:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             make(value)
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: target_angle((0.0, 2.0), 1.0), TypeError, r"^unknown target response \(0\.0, 2\.0\)$"),
+        (lambda: analytic_rectangle(Rectangle(0.0, 2.0), 0.0), ValueError, "^steepness must be positive$"),
+        (lambda: analytic_rectangle(Rectangle(0.0, 2.0), -4.0), ValueError, "^steepness must be positive$"),
+        (lambda: analytic_rectangle(Rectangle(0.0, 2.0), math.nan), ValueError,
+         "^steepness must be positive$"),
+    ], ids=["tuple_target", "steepness_0", "steepness_neg", "steepness_nan"])
+    def test_refusal_is_named(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
     def test_sampled_interpolates(self):
         s = Sampled(((0.0, 0.0), (1.0, 1.0)))
         assert target_angle(s, 0.25) == pytest.approx(0.25)

@@ -6,9 +6,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qperceptron import network, training
-from qperceptron.activation import ActivationKind, eval_f
+from qperceptron.activation import ALGEBRAIC, LOGISTIC, ActivationKind, cao_arctan, eval_f
 from qperceptron.network import NetworkSpec, forward, layered_network, network_from_json
 from qperceptron.training import (
     Dataset,
@@ -49,6 +51,20 @@ def layered_net(n_inputs, hidden, rng=None, scale=1.5):
         prev = cur
         q += width
     return NetworkSpec(n_inputs, sizes, mask, J, b, ALG)
+
+
+@st.composite
+def huge_nets(draw):
+    """Layered ALGEBRAIC or LOGISTIC nets with J and b anywhere in [-1e15, 1e15]."""
+    n_inputs = draw(st.integers(2, 3))
+    hidden = draw(st.lists(st.integers(1, 3), max_size=2))
+    kind = draw(st.sampled_from([ALGEBRAIC, LOGISTIC]))
+    net = layered_network(n_inputs, hidden, kind)
+    big = st.floats(-1e15, 1e15, allow_nan=False)
+    n = net.n_total
+    J = np.array([[draw(big) if net.mask[i, k] else 0.0 for k in range(n)] for i in range(n)])
+    b = np.array([0.0] * n_inputs + [draw(big) for _ in range(n - n_inputs)])
+    return NetworkSpec(n_inputs, net.layer_sizes, net.mask, J, b, kind)
 
 
 def manual_cost(net, dataset):
@@ -167,6 +183,28 @@ class TestCost:
         with pytest.raises(ValueError):
             cross_entropy_cost(net, prime_dataset(2))
 
+    @settings(max_examples=100, deadline=None)
+    @given(huge_nets())
+    def test_cost_and_gradient_are_finite_for_any_finite_net(self, net):
+        # the clamp bounds each sample's cost by -log(1 - (1 - 1e-12)), so
+        # train needs no guard against a non-finite cost
+        ds = prime_dataset(net.n_inputs)
+        cost = cross_entropy_cost(net, ds)
+        assert 0.0 < cost <= -math.log(1.0 - (1.0 - 1e-12)) + 1e-12  # + rounding of the mean
+        dJ, db = cost_gradient(net, ds)
+        assert np.all(np.isfinite(dJ)) and np.all(np.isfinite(db))
+
+    def test_in_domain_cao_net_is_accepted(self):
+        # weights 0.2 and bias 0.1 keep every field inside [-pi/4, pi/4]
+        net = layered_network(2, (2,), cao_arctan(1))
+        J = np.where(net.mask == 1, 0.2, 0.0)
+        net = NetworkSpec(2, net.layer_sizes, net.mask, J, np.array([0, 0, 0.1, 0.1, 0.1]),
+                          net.activation)
+        ds = prime_dataset(2)
+        assert cross_entropy_cost(net, ds) == pytest.approx(manual_cost(net, ds), abs=1e-12)
+        dJ, db = cost_gradient(net, ds)
+        assert np.all(np.isfinite(dJ)) and np.any(dJ != 0) and np.all(np.isfinite(db))
+
 
 class TestGradient:
     @pytest.mark.parametrize("hidden,seed", [([2], 7), ([3], 19), ([2, 2], 23)])
@@ -233,6 +271,59 @@ class TestTrain:
             TrainConfig(max_iters=-1)
         with pytest.raises(ValueError):
             TrainConfig(restarts=-1)
+
+    def test_cao_net_is_refused_before_any_work(self, monkeypatch):
+        # restarts draw from [-0.5, 0.5] and the first trial step is 2, which
+        # leaves the cao domain in the middle of descent
+        def no_engine(*args):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(training, "_engine", no_engine)
+        net = layered_network(2, (2,), cao_arctan(1))
+        with pytest.raises(ValueError, match=r"^cao activation is only defined on \[-pi/4, pi/4\]"):
+            train(net, prime_dataset(2), TrainConfig(max_iters=200, restarts=2))
+
+    def test_line_search_halves_the_step(self):
+        # J and b drawn from [-3, 3]: the first trial step of 2 overshoots
+        # on some iterations and is halved until the cost decreases
+        net = layered_network(3, (4,))
+        rng = np.random.default_rng(0)
+        n = net.n_total
+        J = np.where(net.mask == 1, rng.uniform(-3, 3, (n, n)), 0.0)
+        b = np.zeros(n)
+        b[3:] = rng.uniform(-3, 3, n - 3)
+        eng = training._engine(net, prime_dataset(3))
+        _, _, trace, _ = training._descend(eng, J, b, TrainConfig(max_iters=50))
+        iters, trials = len(trace) - 1, eng.calls - len(trace)
+        assert (iters, trials) == (50, 54)
+        assert np.all(np.diff(trace) < 0)
+
+    def test_no_descent_stops_after_thirty_halvings(self):
+        class FlatEngine:
+            """A nonzero gradient, but no trial step lowers the cost."""
+
+            calls = 0
+
+            def cost(self, J, b, want_grad=False):
+                self.calls += 1
+                return 1.0, np.zeros(1), np.ones_like(J), np.ones_like(b)
+
+        eng = FlatEngine()
+        J, b, trace, _ = training._descend(eng, np.zeros((2, 2)), np.zeros(2), TrainConfig())
+        assert trace == [1.0] and eng.calls == 1 + 30
+        assert not J.any() and not b.any()
+
+    def test_saturated_cost_stops_descent(self, monkeypatch):
+        # |x| = 1e7 clamps both outputs, so each sample costs 9.99978e-13,
+        # at or below the cost tolerance; with the gradient stop disabled
+        # only the cost stop can end the descent before a trial
+        monkeypatch.setattr(training, "_GRAD_TOL", 0.0)
+        mask = np.array([[0.0, 0.0], [1.0, 0.0]])
+        net = NetworkSpec(1, (1,), mask, 1e7 * mask, np.zeros(2), ALG)
+        eng = training._engine(net, Dataset(1, (("0", 0.0), ("1", 1.0))))
+        _, _, trace, _ = training._descend(eng, net.J, net.b, TrainConfig())
+        assert len(trace) == 1 and trace[0] <= training._COST_TOL
+        assert eng.calls == 1
 
     def test_perfect_start_terminates_immediately(self):
         mask = np.zeros((2, 2))
