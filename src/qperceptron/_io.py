@@ -1,8 +1,17 @@
-"""Path-or-stream handling and the one CSV writer and reader of the package."""
+"""Path-or-stream handling, the one CSV writer and reader, and the one integer check."""
 from __future__ import annotations
 
 import contextlib
+import operator
 import os
+
+
+def as_index(value, name: str) -> int:
+    """``operator.index(value)``, or a ValueError naming the argument (1.5, 2.0, "2")."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @contextlib.contextmanager

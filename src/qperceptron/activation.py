@@ -28,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from ._io import as_index
+
 __all__ = [
     "ActivationKind",
     "ALGEBRAIC",
@@ -59,8 +61,10 @@ class ActivationKind:
     def __post_init__(self):
         if self.variant not in ("algebraic", "logistic", "step", "cao"):
             raise ValueError(f"unknown activation variant {self.variant!r}")
-        if self.variant == "cao" and self.k < 1:
-            raise ValueError("cao activation needs an iteration count k >= 1")
+        if self.variant == "cao":  # a plain int k: 2**np.int64(64) wraps to 0
+            object.__setattr__(self, "k", as_index(self.k, "cao iteration count k"))
+            if not 1 <= self.k <= 1023:  # 2**k must be a finite float
+                raise ValueError(f"cao activation needs k in [1, 1023], got {self.k}")
 
 
 ALGEBRAIC = ActivationKind("algebraic")

@@ -282,6 +282,8 @@ def adiabatic_diagnostics(schedule: ControlSchedule, x: float, n: int = 1000) ->
 
 def faquad_constant_mu(omega0: float, omegaf: float, tf: float, x_ref: float) -> float:
     """Closed-form constant mu of the faquad ramp at its design field."""
+    if x_ref == 0:
+        raise ValueError("x_ref = 0 has no avoided crossing; mu is undefined")
     v0 = 1.0 / np.hypot(1.0, x_ref / omega0)
     vf = 1.0 / np.hypot(1.0, x_ref / omegaf)
     return float(abs(v0 - vf) / (2.0 * abs(x_ref) * tf))
@@ -296,6 +298,7 @@ def optimal_design_field(omegaf: float) -> float:
     omegaf, about 1.272 omegaf: the input field the passage handles worst,
     hence the reference a single shared control is designed for.
     """
+    _require_finite(omegaf=omegaf)
     if omegaf <= 0:
         raise ValueError("omegaf must be positive")
     om0 = 1e4 * omegaf

@@ -61,7 +61,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import minimize_scalar
 
 from ._io import write_rows
 from .control import eigensystem, faquad_schedule, linear_schedule, optimal_design_field
@@ -400,11 +400,7 @@ def response_curve(schedule, x_grid):
 
 def _ground_amplitudes(omegaf: float, xs: np.ndarray):
     """Target ground-state amplitude pairs (amp0, amp1) at the final field."""
-    g0 = np.empty(xs.size)
-    g1 = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        es = eigensystem(omegaf, float(x))
-        g1[i], g0[i] = es.phi0  # phi0 is ordered {|1>, |0>}
+    g1, g0 = np.array([eigensystem(omegaf, float(x)).phi0 for x in xs]).T  # phi0 is {|1>, |0>}
     return g0, g1
 
 
@@ -451,9 +447,10 @@ def fit_infidelity_decay(tf_grid, infidelity):
     """Least-squares fit of log infidelity to log(c0) - c1 * tf^c2.
 
     Points at or below the 1e-12 numerical floor are excluded; fewer than
-    4 usable points is a fit failure (ValueError).  A scan over c2 gives the
-    start of a curve_fit polish; if that does not converge, the scan optimum
-    is kept.  Returns (c0, c1, c2).
+    4 usable points is a fit failure (ValueError).  At fixed c2 the fit is
+    linear in (log c0, c1), so one residual function of c2 alone serves a
+    scan and a bounded Brent polish within one scan step of its best point
+    (variable projection); the lower of the two is kept.  Returns (c0, c1, c2).
     """
     tf = np.asarray(tf_grid, dtype=float)
     infid = np.asarray(infidelity, dtype=float)
@@ -463,32 +460,25 @@ def fit_infidelity_decay(tf_grid, infidelity):
     lt = np.log(tf[use])
     li = np.log(infid[use])
 
-    def scan_best():
-        best = None
-        for c2 in np.linspace(0.02, 0.8, 157):
-            A = np.stack([np.ones_like(lt), -np.exp(c2 * lt)], axis=1)
-            coef, *_ = np.linalg.lstsq(A, li, rcond=None)
-            if coef[1] <= 0:
-                continue
-            r = li - A @ coef
-            ss = float(r @ r)
-            if best is None or ss < best[0]:
-                best = (ss, coef[0], coef[1], c2)
-        if best is None:
-            raise ValueError("fit failure: no decreasing-exponential fit found")
-        return best
+    def fit(c2):
+        """(residual sum of squares, (log c0, c1)); inf unless c1 > 0."""
+        A = np.stack([np.ones_like(lt), -np.exp(c2 * lt)], axis=1)
+        coef, *_ = np.linalg.lstsq(A, li, rcond=None)
+        r = li - A @ coef
+        return (float(r @ r) if coef[1] > 0 else math.inf), coef
 
-    _, lc0, c1, c2 = scan_best()
-    try:
-        popt, _ = curve_fit(
-            lambda t, a, b, c: a - b * t**c,
-            np.exp(lt), li, p0=[lc0, c1, c2], maxfev=20000,
-        )
-        if popt[1] > 0 and popt[2] > 0:
-            lc0, c1, c2 = popt
-    except RuntimeError:
-        pass  # curve_fit did not converge: keep the scan optimum
-    return float(np.exp(lc0)), float(c1), float(c2)
+    grid = np.linspace(0.02, 0.8, 157)
+    ss, c2 = min((fit(c)[0], float(c)) for c in grid)
+    if ss == math.inf:
+        raise ValueError("fit failure: no decreasing-exponential fit found")
+    # an inf residual makes Brent's parabola nan, and it takes a golden step
+    with np.errstate(invalid="ignore"):
+        polish = minimize_scalar(lambda c: fit(c)[0], bounds=(c2 - 0.005, c2 + 0.005),
+                                 method="bounded", options={"xatol": 1e-8})
+    if polish.fun < ss:
+        c2 = float(polish.x)
+    _, (lc0, c1) = fit(c2)
+    return float(np.exp(lc0)), float(c1), c2
 
 
 def benchmark_ramps(tf_grid, n_points: int = 201) -> FidelityReport:

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._io import as_index
 from .activation import ALGEBRAIC, ActivationKind, cao_arctan, df_dx, eval_f
 from .register import (
     PerceptronGateSpec,
@@ -64,12 +65,14 @@ class NetworkSpec:
     activation: ActivationKind = ALGEBRAIC
 
     def __post_init__(self):
-        n = self.n_total
+        object.__setattr__(self, "n_inputs", as_index(self.n_inputs, "n_inputs"))
+        sizes = tuple(as_index(m, "layer size") for m in self.layer_sizes)
         if self.n_inputs < 1:
             raise ValueError("need at least one input")
-        sizes = list(self.layer_sizes)
-        if not sizes or any(int(m) < 1 for m in sizes) or int(sizes[-1]) != 1:
+        if not sizes or any(m < 1 for m in sizes) or sizes[-1] != 1:
             raise ValueError("layer_sizes must be nonempty, positive, ending in 1 output")
+        object.__setattr__(self, "layer_sizes", sizes)
+        n = self.n_total
         mask = np.asarray(self.mask, dtype=float)
         J = np.asarray(self.J, dtype=float)
         b = np.asarray(self.b, dtype=float)
@@ -86,14 +89,13 @@ class NetworkSpec:
             raise ValueError("input qubits carry no gate: their mask rows and biases must be 0")
         for arr in (mask, J, b):
             arr.flags.writeable = False
-        object.__setattr__(self, "layer_sizes", tuple(int(m) for m in sizes))
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "b", b)
 
     @property
     def n_total(self) -> int:
-        return self.n_inputs + sum(int(m) for m in self.layer_sizes)
+        return self.n_inputs + sum(self.layer_sizes)
 
     @property
     def n_hidden(self) -> int:
@@ -132,9 +134,10 @@ def layered_network(
     Each layer sources every qubit of the previous layer only; a final
     single-perceptron output layer is appended.
     """
+    n_inputs = as_index(n_inputs, "n_inputs")
     if n_inputs < 1:
         raise ValueError("need at least one input")
-    sizes = tuple(int(m) for m in hidden_sizes) + (1,)
+    sizes = tuple(as_index(m, "layer size") for m in hidden_sizes) + (1,)
     if any(m < 1 for m in sizes):
         raise ValueError("layer sizes must be positive")
     layer = _layer_index(n_inputs, sizes)
@@ -308,6 +311,8 @@ def approximator_readout(p_out: float, lambda_lin: float) -> float:
     p = 1/2 + f'(0) lambda (2G + 1), so G = ((p - 1/2)/(f'(0) lambda) - 1)/2,
     f the algebraic sigmoid every approximator network uses.
     """
+    if not (lambda_lin > 0):  # the readout of build_universal_approximator's nets
+        raise ValueError("lambda_lin must be positive")
     slope = float(df_dx(ALGEBRAIC, 0.0))
     return (((p_out - 0.5) / (slope * lambda_lin)) - 1.0) / 2.0
 

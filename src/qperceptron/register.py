@@ -32,7 +32,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ._io import write_rows
+from ._io import as_index, write_rows
 from .activation import ActivationKind, chi
 from .control import ControlSchedule
 from .dynamics import schedule_propagators
@@ -100,6 +100,7 @@ class PerceptronGateSpec:
     schedule: Optional[ControlSchedule] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "target", as_index(self.target, "target"))
         if self.target in self.weights:
             raise ValueError("target cannot be one of its own sources")
         for k in self.weights:
@@ -119,9 +120,12 @@ def init_basis(n: int, bits: str) -> QuantumRegister:
     return QuantumRegister(n, amps)
 
 
-def _check_qubit(reg: QuantumRegister, q: int):
+def _check_qubit(reg: QuantumRegister, q: int, name: str = "qubit") -> int:
+    """q as an int, or a ValueError (not an integer) or IndexError naming it."""
+    q = as_index(q, name)
     if not (0 <= q < reg.n_qubits):
-        raise IndexError(f"qubit {q} out of range for {reg.n_qubits}-qubit register")
+        raise IndexError(f"{name} {q} out of range for {reg.n_qubits}-qubit register")
+    return q
 
 
 def _view(amps: np.ndarray, n: int, qubits, bits) -> np.ndarray:
@@ -177,15 +181,14 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 def _gate_field(reg, gate) -> np.ndarray:
     """Activation field x = sum w_k z_k - bias of each source sector."""
-    _check_qubit(reg, gate.target)
+    _check_qubit(reg, gate.target, "target")
     for k in gate.weights:
-        _check_qubit(reg, int(k))
+        _check_qubit(reg, k, "source")
     return _sector_field(reg.n_qubits, gate.weights, -float(gate.bias), (-1.0, 1.0))
 
 
 def apply_hadamard(reg: QuantumRegister, target: int) -> QuantumRegister:
-    _check_qubit(reg, target)
-    return _update_pairs(reg, target, _HADAMARD)
+    return _update_pairs(reg, _check_qubit(reg, target, "target"), _HADAMARD)
 
 
 def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
@@ -229,8 +232,7 @@ def _norm2(psi: np.ndarray) -> float:
 
 def excitation_probability(reg: QuantumRegister, qubit: int) -> float:
     """P(qubit = 1) = (1 + <sz>) / 2."""
-    _check_qubit(reg, qubit)
-    return _norm2(_view(reg.amplitudes, reg.n_qubits, [qubit], [1]))
+    return _norm2(_view(reg.amplitudes, reg.n_qubits, [_check_qubit(reg, qubit)], [1]))
 
 
 def z_expectation(reg: QuantumRegister, qubit: int) -> float:
@@ -243,18 +245,16 @@ def conditional_probability(reg, condition_qubits, condition_bits, query_qubit) 
     Raises ZeroProbabilityError when the conditioning event has zero
     probability (squared norm below 1e-30).
     """
-    conds = [int(q) for q in condition_qubits]
-    bits = [int(b) for b in condition_bits]
+    conds = [_check_qubit(reg, q, "condition qubit") for q in condition_qubits]
+    bits = [as_index(b, "condition bit") for b in condition_bits]
     if len(conds) != len(bits) or any(b not in (0, 1) for b in bits):
         raise ValueError("condition bits must pair 0/1 values with the qubits")
-    for q in conds:
-        _check_qubit(reg, q)
-    _check_qubit(reg, query_qubit)
+    query = _check_qubit(reg, query_qubit, "query qubit")
     a, n = reg.amplitudes, reg.n_qubits
     p_cond = _norm2(_view(a, n, conds, bits))
     if p_cond < 1e-30:
         raise ZeroProbabilityError("conditioning event has zero probability")
-    return _norm2(_view(a, n, conds + [int(query_qubit)], bits + [1])) / p_cond
+    return _norm2(_view(a, n, conds + [query], bits + [1])) / p_cond
 
 
 def register_to_csv(reg: QuantumRegister, path_or_buf) -> None:

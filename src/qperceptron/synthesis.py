@@ -25,7 +25,7 @@ from typing import Mapping, Sequence, Tuple, Union
 import numpy as np
 from scipy.optimize import least_squares
 
-from ._io import write_rows
+from ._io import as_index, write_rows
 from .activation import ActivationKind, ALGEBRAIC, chi, dchi_dx
 from .register import QuantumRegister, _rotation, _sector_field, _update_pairs
 
@@ -123,7 +123,7 @@ class CompositionSpec:
 
     def __post_init__(self):
         cycles = tuple(
-            (float(w), float(th), int(o)) for w, th, o in self.cycles
+            (float(w), float(th), as_index(o, "orientation")) for w, th, o in self.cycles
         )
         if not cycles:
             raise ValueError("composition needs at least one cycle")
@@ -218,7 +218,7 @@ def synthesize(
     error.  A result with converged=False reports that the residual stayed
     above the acceptance threshold; it never raises for a poor fit.
     """
-    if cycles < 1:
+    if as_index(cycles, "cycles") < 1:
         raise ValueError("need at least one cycle")
     if cycles > _MAX_CYCLES:
         raise ValueError(f"cycles={cycles} needs {_RESTARTS} x (2^{cycles} - 1) fits; "
@@ -246,12 +246,8 @@ def synthesize(
             w0 = rng.uniform(0.3, 8.0 / span * 4.0, cycles)
             th0 = w0 * rng.uniform(x.min(), x.max(), cycles)
             starts.append((pat, w0, th0))
-    best = None
-    for pat, w0, th0 in starts:
-        rms, cyc = _fit_once(activation, tgt, x, pat, w0, th0)
-        if best is None or rms < best[0]:
-            best = (rms, cyc)
-    rms, cyc = best
+    # the first of equal residuals wins
+    rms, cyc = min((_fit_once(activation, tgt, x, *start) for start in starts), key=lambda r: r[0])
     spec = CompositionSpec(cyc, activation)
     return SynthesisResult(spec, rms, rms <= _CONVERGED_RMS)
 
@@ -268,9 +264,10 @@ def apply_composition(
     count of excited sources, x = sum_k w_k s_k with s_k in {0, 1}.
     """
     n = reg.n_qubits
+    target_qubit = as_index(target_qubit, "target qubit")
     if not (0 <= target_qubit < n):
         raise ValueError("target qubit out of range")
-    srcs = {int(k): float(v) for k, v in source_weights.items()}
+    srcs = {as_index(k, "source qubit"): float(v) for k, v in source_weights.items()}
     for k in srcs:
         if not (0 <= k < n):
             raise ValueError(f"source qubit {k} out of range")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -80,24 +81,14 @@ class Dataset:
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
 
 
 def prime_dataset(n_bits: int) -> Dataset:
     """Every n-bit integer labeled 1 iff prime (deliberately overfit toy)."""
     if not (2 <= n_bits <= 8):
         raise ValueError("n_bits must be in [2, 8]")
-    pairs = [
-        (format(m, f"0{n_bits}b"), 1.0 if _is_prime(m) else 0.0)
-        for m in range(1 << n_bits)
-    ]
+    pairs = ((format(m, f"0{n_bits}b"), float(_is_prime(m))) for m in range(1 << n_bits))
     return Dataset(n_bits, tuple(pairs))
 
 

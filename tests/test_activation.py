@@ -123,6 +123,24 @@ class TestCaoArctan:
         with pytest.raises(ValueError):
             cao_arctan(0)
 
+    @pytest.mark.parametrize("k, message", [
+        (1.5, r"cao iteration count k must be an integer, got 1\.5"),
+        (2.0, r"cao iteration count k must be an integer, got 2\.0"),
+        ("2", "cao iteration count k must be an integer, got '2'"),
+        (0, r"cao activation needs k in \[1, 1023\], got 0"),
+        (1024, r"cao activation needs k in \[1, 1023\], got 1024"),
+        (2000, r"cao activation needs k in \[1, 1023\], got 2000"),
+    ], ids=["float", "integral_float", "str", "zero", "2**k_overflows", "far_overflow"])
+    def test_non_integer_or_overflowing_k_is_named(self, k, message):
+        # 1.5 gave nan, 2000 a bare OverflowError at the first evaluation
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cao_arctan(k)
+
+    def test_largest_k_is_a_plain_int_and_evaluates(self):
+        kind = cao_arctan(np.int64(1023))  # 2**1023 is the largest power of two a float holds
+        assert type(kind.k) is int and kind == cao_arctan(1023)
+        assert eval_f(kind, -0.5) == 0.0 and eval_f(kind, math.pi / 4) <= 0.5
+
 
 class TestSharedProperties:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)

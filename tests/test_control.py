@@ -124,6 +124,7 @@ class TestFaquad:
     (lambda v: faquad_schedule(100.0, 1.0, v, X_STAR), "tf"),
     (lambda v: faquad_schedule(100.0, 1.0, 1.0, v), "x_ref"),
     (lambda v: perturbed_schedule(faquad_schedule(100.0, 1.0, 1.0, X_STAR), v), "epsilon_ctrl"),
+    (optimal_design_field, "omegaf"),  # nan and inf reached scipy's bounds check
 ])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_factories_reject_nonfinite_parameters(make, name, value):
@@ -145,8 +146,10 @@ def test_factories_reject_nonfinite_parameters(make, name, value):
     (lambda: tabulated_schedule([0.0], [1.0]), "need matching 1-d arrays with at least two samples"),
     (lambda: optimal_design_field(0.0), "omegaf must be positive"),
     (lambda: optimal_design_field(-1.0), "omegaf must be positive"),
+    (lambda: faquad_constant_mu(100.0, 1.0, 10.0, 0.0),  # was nan and a RuntimeWarning
+     "x_ref = 0 has no avoided crossing; mu is undefined"),
 ], ids=["faquad_tf_0", "faquad_tf_neg", "perturbed_eps_neg", "table_lengths", "table_2d",
-        "table_one_sample", "design_omegaf_0", "design_omegaf_neg"])
+        "table_one_sample", "design_omegaf_0", "design_omegaf_neg", "constant_mu_x_ref_0"])
 def test_out_of_range_parameter_is_named(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()

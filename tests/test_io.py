@@ -1,6 +1,7 @@
 """The shared CSV writer and reader, a guard that keeps CSV rows in them, a
-guard that each module exports only what it defines, and one that the package
-exports exactly its layer modules' exports."""
+guard that each module exports only what it defines, one that the package
+exports exactly its layer modules' exports, and one that keeps the tests'
+ODE reference solves in the shared oracles."""
 import ast
 import importlib
 import inspect
@@ -30,6 +31,7 @@ from qperceptron.synthesis import (
 )
 
 PACKAGE = pathlib.Path(qperceptron.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 MAX = 1.7976931348623157e308
 EDGES = [0.0, -0.0, 5e-324, -5e-324, MAX, -MAX, 1 / 3, 2.2250738585072014e-308]
 
@@ -37,6 +39,12 @@ EDGES = [0.0, -0.0, 5e-324, -5e-324, MAX, -MAX, 1 / 3, 2.2250738585072014e-308]
 def bits(values):
     """The IEEE-754 bytes of each value, so -0.0 and 0.0 differ."""
     return [struct.pack("<d", v) for v in values]
+
+
+def call_name(call):
+    """The bare name a call invokes: ``f`` of both ``f(...)`` and ``m.f(...)``."""
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
 
 
 def io_offences(path):
@@ -48,8 +56,7 @@ def io_offences(path):
         elif isinstance(node, ast.ImportFrom) and node.module == "csv":
             found.append((node.lineno, "import csv"))
         elif isinstance(node, ast.Call):
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            f, name = node.func, call_name(node)
             if name == "open":
                 found.append((node.lineno, "open"))
             elif name in ("readline", "readlines") and isinstance(f, ast.Attribute):
@@ -98,6 +105,54 @@ class TestExportsAreOwn:
              "def own():\n    pass\nLIMIT = 3\n"
              "__all__ = ['dumps', 'Fraction', 'own', 'LIMIT']", vars(mod))
         assert foreign_exports(mod) == ["dumps", "Fraction"]
+
+
+def solve_ivp_calls(path):
+    """(enclosing function, line) of each solve_ivp call or renaming import
+    in a module; "<module>" outside any function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and call_name(child) == "solve_ivp":
+                found.append((scope, child.lineno))
+            elif isinstance(child, ast.ImportFrom) and any(
+                    a.name == "solve_ivp" and a.asname not in (None, "solve_ivp")
+                    for a in child.names):
+                found.append((scope, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+class TestSharedOracles:
+    """The tests integrate with DOP853 only in ``ode_oracles``, so that each
+    reference quantity has one implementation.  The FAQUAD-ODE check of
+    control and the acceptance criteria keep their own solves."""
+
+    ALLOWED = {"ode_oracles.py": {"dop853_two_level", "dop853_ising_passage"},
+               "test_control.py": {"test_closed_form_vs_ode_integration"}}
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")
+                                              if p.name != "test_acceptance.py"))
+    def test_solve_ivp_only_in_shared_oracles(self, module):
+        bad = [(scope, line) for scope, line in solve_ivp_calls(TESTS / module)
+               if scope not in self.ALLOWED.get(module, set())]
+        assert bad == [], f"{module} calls solve_ivp outside the shared oracles: {bad}"
+
+    def test_guard_sees_each_call(self, tmp_path):
+        src = tmp_path / "m.py"
+        src.write_text("solve_ivp(f, s, y)\n"
+                       "def oracle(f):\n"
+                       "    def rhs(t, y):\n"
+                       "        return f(t, y)\n"
+                       "    return scipy.integrate.solve_ivp(rhs, s, y)\n"
+                       "from scipy.integrate import solve_ivp as ivp\n")
+        assert solve_ivp_calls(src) == [("<module>", 1), ("oracle", 5), ("<module>", 6)]
+        assert [scope for scope, _ in solve_ivp_calls(TESTS / "ode_oracles.py")] == [
+            "dop853_two_level", "dop853_ising_passage"]
 
 
 def test_package_exports_exactly_the_layers_all():

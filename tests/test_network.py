@@ -5,7 +5,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +32,7 @@ from qperceptron.register import (
     excitation_probability,
     init_basis,
 )
-from test_register import H2, SX, SZ, kron_on
+from ode_oracles import PLUS, SZ, dop853_ising_passage, dop853_two_level, kron_on
 
 X_REF = 1.2720196495140690
 
@@ -65,57 +64,20 @@ def all_bits(n):
     return ["".join(p) for p in product("01", repeat=n)]
 
 
-def dop853_excitations(sched, xs):
-    """|<1|U(x)|+>|^2 for each x: one DOP853 solve of the uncoupled qubits
-    H = -1/2 [Omega(t) sx + x sz], with sz|1> = +|1>."""
-    xs = np.asarray(xs, dtype=float)
-    K = xs.size
-
-    def rhs(t, y):
-        a0, a1 = y[:K] + 1j * y[K : 2 * K], y[2 * K : 3 * K] + 1j * y[3 * K :]
-        om = float(sched.omega(t))
-        d0 = 0.5j * (om * a1 - xs * a0)
-        d1 = 0.5j * (om * a0 + xs * a1)
-        return np.concatenate([d0.real, d0.imag, d1.real, d1.imag])
-
-    r = 1.0 / math.sqrt(2.0)
-    y0 = np.concatenate([np.full(K, r), np.zeros(K), np.full(K, r), np.zeros(K)])
-    sol = solve_ivp(rhs, (0.0, sched.tf), y0, method="DOP853", rtol=1e-11, atol=1e-11)
-    y = sol.y[:, -1]
-    return y[2 * K : 3 * K] ** 2 + y[3 * K :] ** 2
-
-
 def dense_layer_forward(net, bits, sched):
-    """Final amplitudes of the layered protocol, one dense evolution per layer.
-
-    Shares no code with register or the mixture engine.  Each layer puts a
-    Hadamard on each of its targets, then one DOP853 solve evolves all 2^n
-    amplitudes under the layer's Ising Hamiltonian
-    H(t) = -1/2 sum_j [Omega(t) sx_j + (sum_k w_jk sz_k - b_j) sz_j].
-    """
+    """Final amplitudes of the layered protocol, one dense Ising passage per
+    layer, with field_j = sum_k w_jk sz_k - b_j on each of its targets.
+    Shares no code with register or the mixture engine."""
     n = net.n_total
-    dim = 1 << n
     W = net.effective_weights()
     sz = np.array([np.diag(kron_on(n, k, SZ)).real for k in range(n)])
-    psi = np.zeros(dim, dtype=complex)
+    psi = np.zeros(1 << n, dtype=complex)
     psi[int(bits + "0" * (n - net.n_inputs), 2)] = 1.0
     lo = net.n_inputs
     for m in net.layer_sizes:
         targets = range(lo, lo + m)
         lo += m
-        drive = sum(kron_on(n, j, SX) for j in targets)
-        ising = sum((W[j] @ sz - net.b[j]) * sz[j] for j in targets)
-        for j in targets:
-            psi = kron_on(n, j, H2) @ psi
-
-        def rhs(t, y):
-            v = y[:dim] + 1j * y[dim:]
-            d = 0.5j * (float(sched.omega(t)) * (drive @ v) + ising * v)
-            return np.concatenate([d.real, d.imag])
-
-        sol = solve_ivp(rhs, (0.0, sched.tf), np.concatenate([psi.real, psi.imag]),
-                        method="DOP853", rtol=1e-11, atol=1e-11)
-        psi = sol.y[:dim, -1] + 1j * sol.y[dim:, -1]
+        psi = dop853_ising_passage(psi, targets, [W[j] @ sz - net.b[j] for j in targets], sched)
     return psi
 
 
@@ -255,6 +217,31 @@ class TestNetworkSpec:
         m, j, b = shapes
         with pytest.raises(ValueError, match=f"^{message}$"):
             NetworkSpec(n_inputs, sizes, np.zeros((m, m)), np.zeros((j, j)), np.zeros(b))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: layered_network(2, (2.5,)), r"layer size must be an integer, got 2\.5"),
+        (lambda: layered_network(2.0, (2,)), r"n_inputs must be an integer, got 2\.0"),
+        (lambda: NetworkSpec(2, (1.0,), np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3)),
+         r"layer size must be an integer, got 1\.0"),
+        (lambda: NetworkSpec(2.5, (1,), np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3)),
+         r"n_inputs must be an integer, got 2\.5"),
+        (lambda: NetworkSpec(2, (1,), np.zeros((3, 3)), np.zeros((3, 3)), np.zeros(3),
+                             cao_arctan(1.5)),
+         r"cao iteration count k must be an integer, got 1\.5"),
+    ], ids=["layered_size", "layered_inputs", "spec_size", "spec_inputs", "cao_k"])
+    def test_non_integer_size_is_named(self, make, message):
+        # int() made (2.5,) a 2-wide layer, and cao_arctan:1.5 did not round-trip
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_integer_like_sizes_are_stored_as_int(self):
+        # a numpy n_inputs was kept as is, and json could not dump it
+        net = layered_network(np.int64(2), (np.int64(3),))
+        assert type(net.n_inputs) is int and net.layer_sizes == (3, 1)
+        assert all(type(m) is int for m in net.layer_sizes)
+        assert network_from_json(network_to_json(net)).n_inputs == 2
+        net = layered_net(2, [3], activation=cao_arctan(np.int64(2)))
+        assert network_from_json(network_to_json(net)).activation == cao_arctan(2)
 
     @pytest.mark.parametrize("name, index, value", [
         ("J", (4, 2), np.nan), ("J", (0, 1), np.nan), ("J", (2, 0), np.inf),
@@ -408,6 +395,9 @@ class TestUniversalApproximator:
         for lam in (0.0, -0.01, np.nan):
             with pytest.raises(ValueError, match="lambda_lin must be positive"):
                 build_universal_approximator((alpha, w, theta), lam)
+            # the readout inverts such a net only: 0 divided by zero
+            with pytest.raises(ValueError, match="^lambda_lin must be positive$"):
+                approximator_readout(0.5, lam)
         with pytest.raises(ValueError, match="theta"):
             build_universal_approximator((alpha, w, np.zeros(3)), 0.01)
         with pytest.raises(ValueError, match="nonempty"):
@@ -521,7 +511,7 @@ class TestLayerHamiltonian:
         for bits in all_bits(2):
             fields = []
             layered_hardware_mixture(net, bits, lambda x: fields.append(x) or 0.5)
-            p_hw = dict(zip(fields, dop853_excitations(sched, fields)))
+            p_hw = dict(zip(fields, np.abs(dop853_two_level(sched, fields, PLUS)[:, 0, 1]) ** 2))
             want = layered_hardware_mixture(net, bits, p_hw.__getitem__)
             assert abs(forward(net, bits, sched)[1] - want) < 1e-8
 

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from qperceptron import register
 from qperceptron.activation import ALGEBRAIC, STEP, cao_arctan, eval_CS, eval_f
@@ -22,12 +21,10 @@ from qperceptron.register import (
     register_to_csv,
     z_expectation,
 )
+from ode_oracles import H2, SZ, dop853_ising_passage, kron_on
 from test_register_properties import dense_gate
 
 X_REF = 1.2720196495140690
-SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-SZ = np.array([[-1.0, 0.0], [0.0, 1.0]])  # active |1> has sz = +1
-H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 def random_state(n, rng):
@@ -35,34 +32,13 @@ def random_state(n, rng):
     return QuantumRegister(n, v / np.linalg.norm(v))
 
 
-def kron_on(n, qubit, op):
-    """Dense n-qubit operator with op on one qubit (qubit 0 leftmost)."""
-    out = np.array([[1.0 + 0j]])
-    for k in range(n):
-        out = np.kron(out, op if k == qubit else np.eye(2))
-    return out
-
-
 def dense_hardware_gate(reg, gate):
-    """Hadamard, then the ramp on the whole register as one 2^n-dimensional
-    DOP853 solve of H(t) = -1/2 [Omega(t) sx_t + x sz_t], with x the
+    """The gate as one dense Ising passage on its target, with the field the
     diagonal operator -bias + sum_k w_k sz_k."""
-    n, t, sched = reg.n_qubits, gate.target, gate.schedule
-    xt = kron_on(n, t, SX)
-    field = -gate.bias * np.eye(1 << n)
-    for k, wk in gate.weights.items():
-        field = field + wk * kron_on(n, k, SZ)
-    h_field = field @ kron_on(n, t, SZ)
-    psi0 = kron_on(n, t, H2) @ reg.amplitudes
-
-    def rhs(tt, y):
-        psi = y[: 1 << n] + 1j * y[1 << n :]
-        d = -1j * ((-0.5 * float(sched.omega(tt)) * xt - 0.5 * h_field) @ psi)
-        return np.concatenate([d.real, d.imag])
-
-    y0 = np.concatenate([psi0.real, psi0.imag])
-    sol = solve_ivp(rhs, (0.0, sched.tf), y0, method="DOP853", rtol=1e-11, atol=1e-11)
-    return sol.y[: 1 << n, -1] + 1j * sol.y[1 << n :, -1]
+    n = reg.n_qubits
+    field = -gate.bias + sum(wk * np.diag(kron_on(n, k, SZ)).real
+                             for k, wk in gate.weights.items())
+    return dop853_ising_passage(reg.amplitudes, [gate.target], [field], gate.schedule)
 
 
 class TestBasics:
@@ -143,6 +119,34 @@ class TestBasics:
     def test_malformed_argument_is_named(self, make, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: conditional_probability(init_basis(2, "10"), [0.5], [1], 1),
+         r"condition qubit must be an integer, got 0\.5"),
+        (lambda: conditional_probability(init_basis(2, "10"), [0], [1.0], 1),
+         r"condition bit must be an integer, got 1\.0"),
+        (lambda: conditional_probability(init_basis(2, "10"), [0], [1], 1.0),
+         r"query qubit must be an integer, got 1\.0"),
+        (lambda: excitation_probability(init_basis(2, "10"), 0.5),
+         r"qubit must be an integer, got 0\.5"),
+        (lambda: apply_hadamard(init_basis(2, "10"), 1.0), r"target must be an integer, got 1\.0"),
+        (lambda: PerceptronGateSpec(target=1.5), r"target must be an integer, got 1\.5"),
+        (lambda: PerceptronGateSpec(target="1"), "target must be an integer, got '1'"),
+    ], ids=["condition_qubit", "condition_bit", "query_qubit", "excitation_qubit",
+            "hadamard_target", "gate_target", "gate_target_str"])
+    def test_non_integer_index_is_named(self, make, message):
+        # int() truncated 0.5 to qubit 0; a float index reached _view's list
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_integer_like_indices_are_accepted(self):
+        reg = init_basis(2, "10")
+        p = conditional_probability(reg, [np.int64(0)], [True], np.int64(1))
+        assert p == conditional_probability(reg, [0], [1], 1) == 0.0
+        gate = PerceptronGateSpec(target=np.int64(1), weights={np.int64(0): 1.0})
+        assert type(gate.target) is int
+        assert excitation_probability(apply_ideal_perceptron(reg, gate), np.int64(1)) == \
+            pytest.approx(eval_f(ALGEBRAIC, 1.0), abs=1e-12)
 
 
 class TestIdealGate:

@@ -269,6 +269,23 @@ class TestApplyComposition:
         with pytest.raises(ValueError):
             apply_composition(reg, spec, 1, {5: 1.0})
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: CompositionSpec(((1.0, 0.0, -1.9),)),
+         r"orientation must be an integer, got -1\.9"),
+        (lambda: CompositionSpec(((1.0, 0.0, 1.0),)),
+         r"orientation must be an integer, got 1\.0"),
+        (lambda: apply_composition(init_basis(2, "10"), CompositionSpec(((1.0, 0.0, 1),)), 1.5,
+                                   {0: 1.0}), r"target qubit must be an integer, got 1\.5"),
+        (lambda: apply_composition(init_basis(2, "10"), CompositionSpec(((1.0, 0.0, 1),)), 0,
+                                   {1.7: 1.0}), r"source qubit must be an integer, got 1\.7"),
+        (lambda: synthesize(Rectangle(0.0, 2.0), 2.0, [0.0, 1.0]),
+         r"cycles must be an integer, got 2\.0"),
+    ], ids=["orientation", "integral_orientation", "target", "source", "cycles"])
+    def test_non_integer_argument_is_named(self, make, message):
+        # int() turned orientation -1.9 into -1 and source 1.7 into qubit 1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
 
 class TestCsv:
     def test_columns_and_rows(self):
