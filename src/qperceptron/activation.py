@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ._io import as_index
 
@@ -91,6 +90,11 @@ def _checked(kind: ActivationKind, x):
     return x
 
 
+def _expit(x):
+    from scipy.special import expit  # scipy loads only for the logistic variant
+    return expit(x)
+
+
 def _scalar_like(x, val):
     return float(val) if np.ndim(x) == 0 else val
 
@@ -101,7 +105,7 @@ def eval_f(kind: ActivationKind, x):
     if kind.variant == "algebraic":
         f = 0.5 + 0.5 * (xa / np.hypot(1.0, xa))
     elif kind.variant == "logistic":
-        f = expit(xa)
+        f = _expit(xa)
     elif kind.variant == "step":
         f = np.where(xa < 0, 0.0, np.where(xa > 0, 1.0, 0.5))
     else:
@@ -121,7 +125,7 @@ def df_dx(kind: ActivationKind, x):
         h = np.hypot(1.0, xa)
         d = 0.5 / (h * h * h)
     elif kind.variant == "logistic":
-        f = expit(xa)
+        f = _expit(xa)
         d = f * (1.0 - f)
     elif kind.variant == "step":
         if np.any(xa == 0):
@@ -167,7 +171,7 @@ def chi(kind: ActivationKind, x):
         # arcsin(sqrt(g)) simplifies to pi/4 + arctan(x)/2
         c = np.pi / 4 + 0.5 * np.arctan(xa)
     elif kind.variant == "logistic":
-        c = np.arcsin(np.sqrt(expit(xa)))
+        c = np.arcsin(np.sqrt(_expit(xa)))
     elif kind.variant == "step":
         c = np.where(xa < 0, 0.0, np.where(xa > 0, np.pi / 2, np.pi / 4))
     else:

@@ -34,6 +34,7 @@ __all__ = ["main", "build_parser"]
 
 _UNITS_COMMENT = "# units: frequencies in omega_f = 1, times in 1/omega_f\n"
 _MAX_POINTS = 1_000_000
+_MAX_TF_POINTS = 1000
 
 
 def _finite(text: str) -> float:
@@ -136,7 +137,8 @@ def cmd_response(parser, args) -> int:
 
 
 def cmd_benchmark(parser, args) -> int:
-    _check(parser, args.tf_points >= 4, "--tf-points must be >= 4 (fit needs it)")
+    _check(parser, 4 <= args.tf_points <= _MAX_TF_POINTS,
+           f"--tf-points must be in [4, {_MAX_TF_POINTS}] (the fit needs 4)")
     _check(parser, args.tf_min > 0, "--tf-min must be positive")
     _check(parser, args.tf_max > args.tf_min, "--tf-max must exceed --tf-min")
     tf_grid = np.geomspace(args.tf_min, args.tf_max, args.tf_points)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._io import read_rows, write_rows
 
@@ -292,27 +291,18 @@ def faquad_constant_mu(omega0: float, omegaf: float, tf: float, x_ref: float) ->
 def optimal_design_field(omegaf: float) -> float:
     """Design field maximizing the faquad adiabaticity constant.
 
-    Maximizes mu(x) = |v(omega0) - v(omegaf)| / (2 |x|) over x > 0 at fixed
-    endpoints omega0 = 1e4 omegaf, by bounded scalar search.  In the
-    omega0 -> inf limit the maximum sits at sqrt((1 + sqrt 5)/2) times
-    omegaf, about 1.272 omegaf: the input field the passage handles worst,
-    hence the reference a single shared control is designed for.
+    The maximizer of mu(x) = |v(omega0) - v(omegaf)| / (2 |x|) over x > 0 at
+    omega0 = 1e4 omegaf is omegaf x*(1), as mu(omegaf y) scales as 1/omegaf;
+    x*(1) is a bounded Brent search's maximizer at omegaf = 1.  Near the
+    omega0 -> inf limit sqrt((1 + sqrt 5)/2), it is the input field the
+    passage handles worst, the reference a shared control is designed for.
     """
     _require_finite(omegaf=omegaf)
     if omegaf <= 0:
         raise ValueError("omegaf must be positive")
-    om0 = 1e4 * omegaf
-
-    def neg_mu(x):
-        return -faquad_constant_mu(om0, omegaf, 1.0, x)
-
-    res = minimize_scalar(
-        neg_mu,
-        bounds=(1e-3 * omegaf, 10.0 * omegaf),
-        method="bounded",
-        options={"xatol": 1e-12 * omegaf},
-    )
-    return float(res.x)
+    if math.isinf(x_ref := float(omegaf) * 1.2720196363352636):
+        raise ValueError(f"omegaf = {omegaf!r} overflows the design field")
+    return x_ref
 
 
 def schedule_to_csv(schedule: ControlSchedule, path_or_buf) -> None:

@@ -61,7 +61,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._io import write_rows
 from .control import eigensystem, faquad_schedule, linear_schedule, optimal_design_field
@@ -452,6 +451,7 @@ def fit_infidelity_decay(tf_grid, infidelity):
     scan and a bounded Brent polish within one scan step of its best point
     (variable projection); the lower of the two is kept.  Returns (c0, c1, c2).
     """
+    from scipy.optimize import minimize_scalar
     tf = np.asarray(tf_grid, dtype=float)
     infid = np.asarray(infidelity, dtype=float)
     use = infid > 1e-12

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ._io import as_index, write_rows
 from .activation import ActivationKind, ALGEBRAIC, chi, dchi_dx
@@ -176,6 +175,7 @@ class SynthesisResult:
 
 
 def _fit_once(kind, tgt, x, orients, w0, th0):
+    from scipy.optimize import least_squares
     m = len(orients)
 
     def split(p):

@@ -26,7 +26,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ._io import read_rows, write_rows
+from ._io import as_index, read_rows, write_rows
 from .network import NetworkSpec, _cross_entropy, _MixtureEngine, _network_dict, forward
 from .register import QuantumRegister, _dimension, apply_ideal_perceptron, conditional_probability
 
@@ -61,6 +61,7 @@ class Dataset:
     pairs: Tuple[Tuple[str, float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_bits", as_index(self.n_bits, "n_bits"))
         pairs = tuple((str(x), float(y)) for x, y in self.pairs)
         if not pairs:
             raise ValueError("dataset must hold at least one pair")
@@ -86,6 +87,7 @@ def _is_prime(m: int) -> bool:
 
 def prime_dataset(n_bits: int) -> Dataset:
     """Every n-bit integer labeled 1 iff prime (deliberately overfit toy)."""
+    n_bits = as_index(n_bits, "n_bits")
     if not (2 <= n_bits <= 8):
         raise ValueError("n_bits must be in [2, 8]")
     pairs = ((format(m, f"0{n_bits}b"), float(_is_prime(m))) for m in range(1 << n_bits))
@@ -127,6 +129,8 @@ class TrainConfig:
     restarts: int = 10
 
     def __post_init__(self):
+        for name in ("max_iters", "seed", "restarts"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.max_iters < 0 or self.restarts < 0:
             raise ValueError("max_iters and restarts must be nonnegative")
 

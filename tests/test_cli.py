@@ -149,6 +149,12 @@ class TestBenchmark:
         rc = main(["benchmark", *flags, "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_huge_tf_points_fail_before_allocating(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["benchmark", "--tf-points", str(10**12), "--out", str(out)]) == 2
+        assert "--tf-points must be in [4, 1000]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_two_bit_classifier_perfect(self, tmp_path, capsys):
@@ -279,20 +285,33 @@ class TestNamedErrors:
         assert not out.exists()
 
 
+def run_child(argv):
+    """``python argv`` in a fresh interpreter; pyproject's pythonpath does not reach it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_console_script_usage_error(self, tmp_path):
-        # pyproject's pythonpath does not reach child processes
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qperceptron.cli", "response",
-             "--points", "0", "--out", str(tmp_path / "x.csv")],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_child(["-m", "qperceptron.cli", "response",
+                          "--points", "0", "--out", str(tmp_path / "x.csv")])
         assert proc.returncode == 2
         assert "points" in proc.stderr
+
+    def test_import_response_and_train_load_no_scipy(self, tmp_path):
+        # scipy loads only inside the solvers that need it (decay fit, synthesis, logistic)
+        code = (
+            "import sys\n"
+            "import qperceptron, qperceptron.cli\n"
+            f"assert qperceptron.cli.main(['response', '--out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
+            "assert qperceptron.cli.main(['train', '--iters', '1', "
+            f"'--out', {str(tmp_path / 't.json')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = run_child(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2

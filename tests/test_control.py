@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import minimize_scalar
 
 from qperceptron.control import (
     adiabatic_diagnostics,
@@ -124,7 +125,7 @@ class TestFaquad:
     (lambda v: faquad_schedule(100.0, 1.0, v, X_STAR), "tf"),
     (lambda v: faquad_schedule(100.0, 1.0, 1.0, v), "x_ref"),
     (lambda v: perturbed_schedule(faquad_schedule(100.0, 1.0, 1.0, X_STAR), v), "epsilon_ctrl"),
-    (optimal_design_field, "omegaf"),  # nan and inf reached scipy's bounds check
+    (optimal_design_field, "omegaf"),
 ])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_factories_reject_nonfinite_parameters(make, name, value):
@@ -163,6 +164,22 @@ class TestOptimalDesignField:
 
     def test_scales_with_omegaf(self):
         assert optimal_design_field(2.0) == pytest.approx(2.544, abs=2e-3)
+
+    def test_equals_bounded_search_bit_for_bit(self):
+        # the bounded Brent search that defines x*(1), at omegaf = 1
+        res = minimize_scalar(lambda x: -faquad_constant_mu(1e4, 1.0, 1.0, x),
+                              bounds=(1e-3, 10.0), method="bounded", options={"xatol": 1e-12})
+        assert optimal_design_field(1.0) == float(res.x)
+
+    @pytest.mark.parametrize("k", [-20, -3, -1, 1, 5, 40])
+    def test_exact_scaling_at_powers_of_two(self, k):
+        # mu(w y; 1e4 w, w) = mu(y; 1e4, 1) / w, so the maximizer is w x*(1)
+        w = 2.0**k
+        assert optimal_design_field(w) == w * optimal_design_field(1.0)
+
+    def test_overflowing_design_field_is_named(self):
+        with pytest.raises(ValueError, match=r"^omegaf = 1\.5e\+308 overflows the design field$"):
+            optimal_design_field(1.5e308)
 
     def test_cubic_root_oracle(self):
         # the limit maximizer solves u^3 - 2u^2 + 1 = 0 with u = sqrt(1+y^2),

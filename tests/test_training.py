@@ -144,6 +144,20 @@ class TestDataset:
         assert dataset_from_csv(target) == ds
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: TrainConfig(max_iters=2.5), r"max_iters must be an integer, got 2\.5"),
+    (lambda: TrainConfig(restarts=1.0), r"restarts must be an integer, got 1\.0"),
+    (lambda: TrainConfig(seed=1.5), r"seed must be an integer, got 1\.5"),
+    (lambda: TrainConfig(seed="0"), "seed must be an integer, got '0'"),
+    (lambda: Dataset(2.0, (("01", 1.0),)), r"n_bits must be an integer, got 2\.0"),
+    (lambda: prime_dataset(2.5), r"n_bits must be an integer, got 2\.5"),
+], ids=["max_iters", "restarts", "seed", "seed_str", "dataset_bits", "prime_bits"])
+def test_non_integer_count_is_named(make, message):
+    # each was accepted, or failed later in range() or << with a bare TypeError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 class TestCost:
     def test_zero_net_gives_log_two(self):
         net = layered_net(3, [4])
