@@ -35,6 +35,7 @@ __all__ = ["main", "build_parser"]
 _UNITS_COMMENT = "# units: frequencies in omega_f = 1, times in 1/omega_f\n"
 _MAX_POINTS = 1_000_000
 _MAX_TF_POINTS = 1000
+_MAX_HIDDEN = 64
 
 
 def _finite(text: str) -> float:
@@ -152,7 +153,7 @@ def cmd_benchmark(parser, args) -> int:
 
 def cmd_train(parser, args) -> int:
     _check(parser, 2 <= args.bits <= 8, "--bits must be in [2, 8]")
-    _check(parser, args.hidden >= 1, "--hidden must be >= 1")
+    _check(parser, 1 <= args.hidden <= _MAX_HIDDEN, f"--hidden must be in [1, {_MAX_HIDDEN}]")
     _check(parser, args.iters >= 1, "--iters must be >= 1")
     _check(parser, args.restarts >= 0, "--restarts must be >= 0")
     net0 = layered_network(args.bits, (args.hidden,))

@@ -13,7 +13,7 @@ quantum circuit equals a classical mixture over hidden configurations.
 That mixture is computed in one place, this module's _MixtureEngine, which
 serves classical_mixture_oracle here and the cross entropy, its analytic
 gradient and the optimizer in the training module, bit for bit as if it
-recomputed every activation and every forward it shares or reuses.
+recomputed every activation it shares.
 
 Gates of one layer have disjoint targets and diagonal controls on earlier
 layers, so they commute: a whole layer can run as one quasi-adiabatic Ising
@@ -186,9 +186,8 @@ class _MixtureEngine:
 
     A hidden activation, its factors f and 1 - f and its derivative are
     evaluated once per distinct configuration of that qubit's hidden sources
-    (once per sample in a layered net).  ``cost`` keeps its last forward,
-    keyed on the bytes of J and b, for a gradient asked at the same point;
-    ``calls`` counts cost calls and ``memo_hits`` the reuses.
+    (once per sample in a layered net).  ``cost`` is a pure function of
+    (J, b).
     """
 
     def __init__(self, net: NetworkSpec, inputs: Sequence[str], labels=()):
@@ -197,7 +196,9 @@ class _MixtureEngine:
         S, C = len(inputs), 1 << M
         if S * C * n > 1 << 26:
             raise ValueError(f"{M} hidden qubits need a {S} x 2^{M} x {n} mixture tensor "
-                             f"({S * C * n} doubles), above the limit of 2^26 (512 MiB)")
+                             f"({S * C * n} doubles), above the limit of 2^26 doubles "
+                             "(512 MiB; a cost-and-gradient call peaks at 3.3-4.4x the "
+                             "tensor, up to 2.2 GiB)")
         cfg = np.arange(C)
         self.Z = 2.0 * ((cfg[:, None] >> np.arange(M)[None, :]) & 1) - 1.0
         V = np.empty((S, C, n))
@@ -214,7 +215,6 @@ class _MixtureEngine:
         src = net.mask[N : N + M, N : N + M].astype(int) @ (1 << np.arange(M))
         cols, inv = np.unique((cfg[:, None] & src) * n + np.arange(N, N + M), return_inverse=True)
         self._cols, self._pick = cols, inv.reshape(C, M) + cols.size * (self.Z < 0)
-        self._memo, self.calls, self.memo_hits = None, 0, 0
 
     def probabilities(self, J: np.ndarray, b: np.ndarray):
         """(p, (X, [f, 1 - f], P, f_out)).  np.take gathers in C order; a
@@ -230,14 +230,7 @@ class _MixtureEngine:
         return p, (X, B, P, f_out)
 
     def cost(self, J, b, want_grad=False):
-        self.calls += 1
-        key = (J.tobytes(), b.tobytes())
-        if self._memo is not None and self._memo[0] == key:
-            self.memo_hits += 1
-        else:
-            self._memo = None  # free the last forward before building this one
-            self._memo = (key, *self.probabilities(J, b))
-        p, (X, B, P, f_out) = self._memo[1].copy(), self._memo[2]
+        p, (X, B, P, f_out) = self.probabilities(J, b)
         cost, pc = _cross_entropy(p, self.Y)
         if not want_grad:
             return cost, p, None, None

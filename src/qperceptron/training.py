@@ -11,9 +11,10 @@ gradient.
 The optimizer is plain gradient descent with a backtracking line search
 (halve the step until the cost strictly decreases), restarted from seeded
 random initializations; the best restart by final cost wins.  Each
-line-search trial runs one forward, which the gradient at the accepted
-trial reuses.  All sums are fixed-order, so a fixed seed gives a
-bit-identical report.  At DEBUG, train logs one record per restart.
+line-search trial returns its cost and gradient from one engine call, and
+the accepted trial is the next iterate.  All sums are fixed-order, so a
+fixed seed gives a bit-identical report.  At DEBUG, train logs one record
+per restart.
 """
 from __future__ import annotations
 
@@ -147,8 +148,9 @@ def _accuracy(p: np.ndarray, Y: np.ndarray) -> float:
 
 
 def _descend(eng: _MixtureEngine, J, b, config: TrainConfig):
+    """(J, b, cost trace, p, line-search trials) of one descent."""
     cost, p, dJ, db = eng.cost(J, b, want_grad=True)
-    trace = [cost]
+    trace, trials = [cost], 0
     for _ in range(config.max_iters):
         if cost <= _COST_TOL:
             break
@@ -159,16 +161,17 @@ def _descend(eng: _MixtureEngine, J, b, config: TrainConfig):
         for _halving in range(30):
             J2 = J - step * dJ
             b2 = b - step * db
-            c2 = eng.cost(J2, b2)[0]
-            if c2 < cost:
+            trial = eng.cost(J2, b2, want_grad=True)
+            trials += 1
+            if trial[0] < cost:
                 break
             step *= 0.5
         else:
             break  # no descent direction at any feasible step
         J, b = J2, b2
-        cost, p, dJ, db = eng.cost(J, b, want_grad=True)
+        cost, p, dJ, db = trial
         trace.append(cost)
-    return J, b, trace, p
+    return J, b, trace, p, trials
 
 
 def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainReport:
@@ -193,14 +196,12 @@ def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainRepo
             J0 = np.where(mask == 1, rng.uniform(-_INIT_SCALE, _INIT_SCALE, (n, n)), 0.0)
             b0 = np.zeros(n)
             b0[net0.n_inputs :] = rng.uniform(-_INIT_SCALE, _INIT_SCALE, n - net0.n_inputs)
-        t0, calls, hits = time.perf_counter(), eng.calls, eng.memo_hits
-        J, b, trace, p = _descend(eng, J0, b0, config)
+        t0 = time.perf_counter()
+        J, b, trace, p, trials = _descend(eng, J0, b0, config)
         acc = _accuracy(p, eng.Y)
-        if _log.isEnabledFor(logging.DEBUG):  # a trace entry per gradient call, the rest trials
-            _log.debug("train restart %d: %d iterations, %d line-search trials, %d memo hits, "
-                       "final cost %r, accuracy %r, %.3g s", r, len(trace) - 1,
-                       eng.calls - calls - len(trace), eng.memo_hits - hits, trace[-1], acc,
-                       time.perf_counter() - t0)
+        _log.debug("train restart %d: %d iterations, %d line-search trials, final cost %r, "
+                   "accuracy %r, %.3g s", r, len(trace) - 1, trials, trace[-1], acc,
+                   time.perf_counter() - t0)
         if best is None or trace[-1] < best[0]:
             best = (trace[-1], trace, J, b, acc)
         if acc == 1.0 and trace[-1] <= _TARGET_COST:

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from qperceptron import synthesis
+from qperceptron import cli, synthesis
 from qperceptron.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -190,6 +190,16 @@ class TestTrain:
         out = tmp_path / "x.json"
         assert main(["train", "--hidden", "30", "--out", str(out)]) == 1
         assert "30 hidden qubits need a 8 x 2^30 x 34 mixture tensor" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_hidden_fails_before_building_the_net(self, tmp_path, capsys, monkeypatch):
+        def no_net(*args):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(cli, "layered_network", no_net)
+        out = tmp_path / "x.json"
+        assert main(["train", "--hidden", str(10**9), "--out", str(out)]) == 2
+        assert "--hidden must be in [1, 64]" in capsys.readouterr().err
         assert not out.exists()
 
 

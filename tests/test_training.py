@@ -30,6 +30,29 @@ from test_network import DenseMixtureEngine
 ALG = ActivationKind("algebraic")
 
 
+class CountingEngine:
+    """An engine whose cost calls are recorded, by their want_grad flag."""
+
+    def __init__(self, eng):
+        self.eng, self.want_grads = eng, []
+
+    def cost(self, J, b, want_grad=False):
+        self.want_grads.append(want_grad)
+        return self.eng.cost(J, b, want_grad)
+
+
+def halving_start():
+    """3-4-1 net with J and b drawn from [-3, 3]: the first trial step of 2
+    overshoots on some iterations and is halved until the cost decreases."""
+    net = layered_network(3, (4,))
+    rng = np.random.default_rng(0)
+    n = net.n_total
+    J = np.where(net.mask == 1, rng.uniform(-3, 3, (n, n)), 0.0)
+    b = np.zeros(n)
+    b[3:] = rng.uniform(-3, 3, n - 3)
+    return NetworkSpec(3, net.layer_sizes, net.mask, J, b, net.activation)
+
+
 def layered_net(n_inputs, hidden, rng=None, scale=1.5):
     """Fully connected layer-to-layer topology ending in one output."""
     sizes = tuple(hidden) + (1,)
@@ -298,18 +321,12 @@ class TestTrain:
             train(net, prime_dataset(2), TrainConfig(max_iters=200, restarts=2))
 
     def test_line_search_halves_the_step(self):
-        # J and b drawn from [-3, 3]: the first trial step of 2 overshoots
-        # on some iterations and is halved until the cost decreases
-        net = layered_network(3, (4,))
-        rng = np.random.default_rng(0)
-        n = net.n_total
-        J = np.where(net.mask == 1, rng.uniform(-3, 3, (n, n)), 0.0)
-        b = np.zeros(n)
-        b[3:] = rng.uniform(-3, 3, n - 3)
-        eng = training._engine(net, prime_dataset(3))
-        _, _, trace, _ = training._descend(eng, J, b, TrainConfig(max_iters=50))
-        iters, trials = len(trace) - 1, eng.calls - len(trace)
-        assert (iters, trials) == (50, 54)
+        net = halving_start()
+        eng = CountingEngine(training._engine(net, prime_dataset(3)))
+        _, _, trace, _, trials = training._descend(eng, net.J, net.b, TrainConfig(max_iters=50))
+        # one call at the start, then one per trial, each with its gradient
+        assert (len(trace) - 1, trials, len(eng.want_grads)) == (50, 54, 1 + 54)
+        assert all(eng.want_grads)
         assert np.all(np.diff(trace) < 0)
 
     def test_no_descent_stops_after_thirty_halvings(self):
@@ -323,8 +340,9 @@ class TestTrain:
                 return 1.0, np.zeros(1), np.ones_like(J), np.ones_like(b)
 
         eng = FlatEngine()
-        J, b, trace, _ = training._descend(eng, np.zeros((2, 2)), np.zeros(2), TrainConfig())
-        assert trace == [1.0] and eng.calls == 1 + 30
+        J, b, trace, _, trials = training._descend(eng, np.zeros((2, 2)), np.zeros(2),
+                                                   TrainConfig())
+        assert trace == [1.0] and eng.calls == 1 + 30 and trials == 30
         assert not J.any() and not b.any()
 
     def test_saturated_cost_stops_descent(self, monkeypatch):
@@ -334,10 +352,10 @@ class TestTrain:
         monkeypatch.setattr(training, "_GRAD_TOL", 0.0)
         mask = np.array([[0.0, 0.0], [1.0, 0.0]])
         net = NetworkSpec(1, (1,), mask, 1e7 * mask, np.zeros(2), ALG)
-        eng = training._engine(net, Dataset(1, (("0", 0.0), ("1", 1.0))))
-        _, _, trace, _ = training._descend(eng, net.J, net.b, TrainConfig())
+        eng = CountingEngine(training._engine(net, Dataset(1, (("0", 0.0), ("1", 1.0)))))
+        _, _, trace, _, trials = training._descend(eng, net.J, net.b, TrainConfig())
         assert len(trace) == 1 and trace[0] <= training._COST_TOL
-        assert eng.calls == 1
+        assert trials == 0 and eng.want_grads == [True]
 
     def test_perfect_start_terminates_immediately(self):
         mask = np.zeros((2, 2))
@@ -415,15 +433,21 @@ class TestTrain:
 
 class TestBitwiseTraining:
     def test_cli_default_matches_dense_reference(self, monkeypatch):
-        # qperceptron train at its defaults: 3-bit primes, 4 hidden, TrainConfig()
-        net, ds = layered_network(3, (4,)), prime_dataset(3)
-        got = train(net, ds, TrainConfig())
+        # qperceptron train at its defaults (3-bit primes, 4 hidden,
+        # TrainConfig()), where no trial is rejected; then the halving start,
+        # which rejects 4 of its 54 trials, with its final cost pinned
+        ds = prime_dataset(3)
+        cases = [(layered_network(3, (4,)), TrainConfig(), None),
+                 (halving_start(), TrainConfig(max_iters=50, restarts=0), "0.2602135698255739")]
+        got = [train(net, ds, cfg) for net, cfg, _ in cases]
         monkeypatch.setattr(training, "_MixtureEngine", DenseMixtureEngine)
-        want = train(net, ds, TrainConfig())
-        assert np.array(got.cost_trace).tobytes() == np.array(want.cost_trace).tobytes()
-        assert got.final_params.J.tobytes() == want.final_params.J.tobytes()
-        assert got.final_params.b.tobytes() == want.final_params.b.tobytes()
-        assert report_to_json(got) == report_to_json(want)
+        for g, (net, cfg, final) in zip(got, cases):
+            want = train(net, ds, cfg)
+            assert np.array(g.cost_trace).tobytes() == np.array(want.cost_trace).tobytes()
+            assert g.final_params.J.tobytes() == want.final_params.J.tobytes()
+            assert g.final_params.b.tobytes() == want.final_params.b.tobytes()
+            assert report_to_json(g) == report_to_json(want)
+            assert final is None or repr(g.cost_trace[-1]) == final
 
 
 class TestWorkGuard:
@@ -440,10 +464,10 @@ class TestWorkGuard:
 
         monkeypatch.setattr(network, "eval_f", counting)
         net = layered_net(3, [4], np.random.default_rng(5))
-        eng = training._engine(net, prime_dataset(3))
-        _, _, trace, _ = training._descend(eng, net.J, net.b, TrainConfig(max_iters=1))
-        # the gradient, one accepted trial, the gradient at the trial's point
-        assert (len(trace), eng.calls, eng.memo_hits) == (2, 3, 1)
+        eng = CountingEngine(training._engine(net, prime_dataset(3)))
+        _, _, trace, _, trials = training._descend(eng, net.J, net.b, TrainConfig(max_iters=1))
+        # the start and one accepted trial, each cost and gradient in one call
+        assert (len(trace), trials, eng.want_grads) == (2, 1, [True, True])
         # two forwards, each: the 4 hidden fields once per sample (S x K =
         # 8 x 4, not S x 2^M x M = 512), then the output on S x 2^M = 128
         assert sizes == [8 * 4, 8 * 16] * 2
@@ -452,7 +476,7 @@ class TestWorkGuard:
 class TestTrainLog:
     RECORD = re.compile(
         r"train restart (\d+): (\d+) iterations, (\d+) line-search trials, "
-        r"(\d+) memo hits, final cost (\S+), accuracy (\S+), (\S+) s")
+        r"final cost (\S+), accuracy (\S+), (\S+) s")
 
     def test_one_debug_record_per_restart(self, caplog):
         net, ds = layered_net(2, [2]), prime_dataset(2)
@@ -466,14 +490,18 @@ class TestTrainLog:
         assert len(records) == 3 and all(records)
         assert [int(m[1]) for m in records] == [0, 1, 2]
         for m in records:
-            iters, trials, hits = int(m[2]), int(m[3]), int(m[4])
-            assert hits == iters  # every accepted trial's forward is reused
-            assert trials >= iters
-            assert float(m[7]) >= 0.0
-        best = min(records, key=lambda m: float(m[5]))
-        assert float(best[5]) == report.cost_trace[-1]
+            assert int(m[3]) >= int(m[2])  # every iteration accepts one trial
+            assert float(m[6]) >= 0.0
+        best = min(records, key=lambda m: float(m[4]))
+        assert float(best[4]) == report.cost_trace[-1]
         assert int(best[2]) == len(report.cost_trace) - 1
-        assert float(best[6]) == report.accuracy
+        assert float(best[5]) == report.accuracy
+
+    def test_record_counts_rejected_trials(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="qperceptron"):
+            train(halving_start(), prime_dataset(3), TrainConfig(max_iters=50, restarts=0))
+        (m,) = [self.RECORD.fullmatch(r.getMessage()) for r in caplog.records]
+        assert (int(m[2]), int(m[3])) == (50, 54)
 
 
 class TestBatchStateForward:
