@@ -607,6 +607,21 @@ class TestMixtureEngineBitwise:
         for want_grad in (False, True, True):
             assert_same_bits(eng.cost(net.J, net.b, want_grad), ref.cost(net.J, net.b, want_grad))
 
+    # shapes the property above cannot draw, on all inputs: the benchmark's
+    # 5-8-1 (8,192 rows), 6-9-1 (32,768 rows), two hidden layers and the
+    # logistic kind; all above numpy's 8,192-element einsum buffer
+    @pytest.mark.parametrize("n_inputs, hidden, kind", [
+        (5, [8], ALGEBRAIC), (6, [9], ALGEBRAIC), (5, [6, 3], ALGEBRAIC), (7, [9], LOGISTIC),
+    ], ids=["5-8-1", "6-9-1", "5-6-3-1", "logistic-7-9-1"])
+    def test_large_shapes(self, n_inputs, hidden, kind):
+        inputs = all_bits(n_inputs)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            net = layered_net(n_inputs, hidden, rng, kind)
+            labels = rng.uniform(0.0, 1.0, len(inputs))
+            got = _MixtureEngine(net, inputs, labels).cost(net.J, net.b, want_grad=True)
+            assert_same_bits(got, DenseMixtureEngine(net, inputs, labels).cost(net.J, net.b, want_grad=True))
+
     def test_cost_leaves_the_engine_unchanged(self):
         net = layered_net(3, [2, 2], np.random.default_rng(3))
         eng = _MixtureEngine(net, all_bits(3), [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
