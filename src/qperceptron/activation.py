@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import as_index
+from ._io import as_index, require_finite
 
 __all__ = [
     "ActivationKind",
@@ -78,8 +78,7 @@ def cao_arctan(k: int) -> ActivationKind:
 
 def _checked(kind: ActivationKind, x):
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("activation input must be finite")
+    require_finite(**{"activation input": x})
     if kind.variant == "cao":
         # allow the closed endpoints; beyond them the tangent wraps
         if np.any(np.abs(x) > _CAO_BOUND * (1 + 1e-12)):

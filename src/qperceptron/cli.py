@@ -156,6 +156,7 @@ def cmd_train(parser, args) -> int:
     _check(parser, 1 <= args.hidden <= _MAX_HIDDEN, f"--hidden must be in [1, {_MAX_HIDDEN}]")
     _check(parser, args.iters >= 1, "--iters must be >= 1")
     _check(parser, args.restarts >= 0, "--restarts must be >= 0")
+    _check(parser, args.seed >= 0, "--seed must be >= 0")
     net0 = layered_network(args.bits, (args.hidden,))
     config = TrainConfig(
         max_iters=args.iters, seed=args.seed, restarts=args.restarts

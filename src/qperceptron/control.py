@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._io import read_rows, write_rows
+from ._io import as_index, read_rows, require_finite, write_rows
 
 __all__ = [
     "ControlSchedule",
@@ -83,19 +83,13 @@ class ControlSchedule:
         return out if np.ndim(out) else float(out)
 
 
-def _require_finite(**params) -> None:
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 def linear_schedule(omega0: float, omegaf: float, tf: float) -> ControlSchedule:
     """Affine ramp Omega(t) = omega0 (1 - t/tf) + omegaf t/tf.
 
     omega0 == omegaf is allowed and gives a constant drive (used for Rabi
     and free-evolution checks); increasing ramps are rejected.
     """
-    _require_finite(omega0=omega0, omegaf=omegaf, tf=tf)
+    require_finite(omega0=omega0, omegaf=omegaf, tf=tf)
     if tf <= 0:
         raise ValueError("tf must be positive")
     if omega0 < omegaf or omegaf < 0:
@@ -117,7 +111,7 @@ def faquad_schedule(omega0: float, omegaf: float, tf: float, x_ref: float) -> Co
     stability at omega0 >> |x_ref|.  The resulting adiabatic parameter is
     mu = |v(omega0) - v(omegaf)| / (2 |x_ref| tf) at x = x_ref for all t.
     """
-    _require_finite(omega0=omega0, omegaf=omegaf, tf=tf, x_ref=x_ref)
+    require_finite(omega0=omega0, omegaf=omegaf, tf=tf, x_ref=x_ref)
     if tf <= 0:
         raise ValueError("tf must be positive")
     if not omega0 > omegaf > 0:
@@ -149,7 +143,7 @@ def perturbed_schedule(base: ControlSchedule, epsilon_ctrl: float) -> ControlSch
     """
     if base.kind != "faquad":
         raise ValueError("perturbation is defined relative to a faquad base")
-    _require_finite(epsilon_ctrl=epsilon_ctrl)
+    require_finite(epsilon_ctrl=epsilon_ctrl)
     if epsilon_ctrl < 0:
         raise ValueError("epsilon_ctrl must be >= 0")
     eps = float(epsilon_ctrl)
@@ -173,8 +167,7 @@ def tabulated_schedule(ts, omegas) -> ControlSchedule:
     omegas = np.array(omegas, dtype=float)
     if ts.ndim != 1 or ts.shape != omegas.shape or ts.size < 2:
         raise ValueError("need matching 1-d arrays with at least two samples")
-    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(omegas))):
-        raise ValueError("sample times and Omega values must be finite")
+    require_finite(ts=ts, omegas=omegas)
     if not np.all(np.diff(ts) > 0) or ts[0] != 0:
         raise ValueError("sample times must start at 0 and increase strictly")
     ts.flags.writeable = omegas.flags.writeable = False
@@ -237,6 +230,7 @@ class EigenSystem:
 
 def eigensystem(omega: float, x: float) -> EigenSystem:
     """Diagonalize the two-level Hamiltonian at fixed (Omega, x)."""
+    require_finite(omega=omega, x=x)
     E = float(np.hypot(omega, x))
     if E == 0:
         raise ValueError("omega = x = 0 is degenerate; the gap closes")
@@ -274,6 +268,8 @@ def adiabatic_diagnostics(schedule: ControlSchedule, x: float, n: int = 1000) ->
     c_tilde is the trace mean times tf; for a faquad schedule evaluated at
     its design field the trace is constant and c_tilde is exact.
     """
+    if (n := as_index(n, "n")) < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     ts = np.linspace(0.0, schedule.tf, n)
     mus = adiabatic_mu(schedule, x, ts)
     return AdiabaticDiagnostics(np.column_stack([ts, mus]), float(np.mean(mus) * schedule.tf))
@@ -281,6 +277,7 @@ def adiabatic_diagnostics(schedule: ControlSchedule, x: float, n: int = 1000) ->
 
 def faquad_constant_mu(omega0: float, omegaf: float, tf: float, x_ref: float) -> float:
     """Closed-form constant mu of the faquad ramp at its design field."""
+    require_finite(omega0=omega0, omegaf=omegaf, tf=tf, x_ref=x_ref)
     if x_ref == 0:
         raise ValueError("x_ref = 0 has no avoided crossing; mu is undefined")
     v0 = 1.0 / np.hypot(1.0, x_ref / omega0)
@@ -297,7 +294,7 @@ def optimal_design_field(omegaf: float) -> float:
     omega0 -> inf limit sqrt((1 + sqrt 5)/2), it is the input field the
     passage handles worst, the reference a shared control is designed for.
     """
-    _require_finite(omegaf=omegaf)
+    require_finite(omegaf=omegaf)
     if omegaf <= 0:
         raise ValueError("omegaf must be positive")
     if math.isinf(x_ref := float(omegaf) * 1.2720196363352636):

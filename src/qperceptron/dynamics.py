@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_rows
+from ._io import as_index, require_finite, write_rows
 from .control import eigensystem, faquad_schedule, linear_schedule, optimal_design_field
 
 __all__ = [
@@ -324,8 +324,7 @@ def _converged_sweep(schedule, x_values, reduce_fn, tol):
     xs = np.asarray(x_values, dtype=float)
     if xs.ndim != 1:
         raise ValueError(f"x must be a 1-D array of field values, got shape {xs.shape}")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("x values must be finite")
+    require_finite(**{"x values": xs})
     q = np.empty((4, xs.size))
     if not xs.size:
         return xs, q, reduce_fn(q)
@@ -411,9 +410,9 @@ def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201) -> floa
     each x is the ground state at the schedule's design omegaf.  Each
     overlap converges to 1e-8, as in response_curve.
     """
-    _validate_schedule(schedule)
     if not hasattr(schedule, "omegaf"):
         raise ValueError("invalid schedule: average_fidelity needs omegaf, its final drive")
+    n_points = as_index(n_points, "n_points")
     if not (0 < x_max < math.inf) or n_points < 2:
         raise ValueError("need finite x_max > 0 and n_points >= 2")
     xs = np.linspace(-x_max, x_max, n_points)

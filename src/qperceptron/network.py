@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import as_index
+from ._io import as_index, check_bits, require_finite
 from .activation import ALGEBRAIC, ActivationKind, cao_arctan, df_dx, eval_f
 from .register import (
     PerceptronGateSpec,
@@ -78,9 +78,7 @@ class NetworkSpec:
         b = np.asarray(self.b, dtype=float)
         if mask.shape != (n, n) or J.shape != (n, n) or b.shape != (n,):
             raise ValueError("mask/J must be (n_total, n_total) and b (n_total,)")
-        for name, arr in (("J", J), ("b", b)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+        require_finite(J=J, b=b)
         if not np.all((mask == 0) | (mask == 1)):
             raise ValueError("mask must be binary")
         if np.any(np.triu(mask) != 0):
@@ -119,11 +117,6 @@ class NetworkSpec:
         return out
 
 
-def _check_bits(net: NetworkSpec, input_bits: str):
-    if len(input_bits) != net.n_inputs or set(input_bits) - {"0", "1"}:
-        raise ValueError("input_bits must be a 0/1 string of length n_inputs")
-
-
 def layered_network(
     n_inputs: int,
     hidden_sizes: Sequence[int],
@@ -156,7 +149,7 @@ def forward(net: NetworkSpec, input_bits: str, schedule=None):
     Ideal gates when ``schedule`` is None, hardware gates otherwise.
     Returns (final register, output excitation probability).
     """
-    _check_bits(net, input_bits)
+    check_bits(input_bits, net.n_inputs, "input_bits")
     reg = init_basis(net.n_total, input_bits + "0" * (net.n_total - net.n_inputs))
     apply = apply_ideal_perceptron if schedule is None else apply_hardware_perceptron
     for gate in net.gates(schedule):
@@ -265,7 +258,7 @@ def classical_mixture_oracle(net: NetworkSpec, input_bits: str) -> float:
     Exact for these circuits: diagonal controls and single-targeting make
     the hidden qubits behave as independent classical coins per branch.
     """
-    _check_bits(net, input_bits)
+    check_bits(input_bits, net.n_inputs, "input_bits")
     p, _ = _MixtureEngine(net, [input_bits]).probabilities(net.J, net.b)
     return float(p[0])
 

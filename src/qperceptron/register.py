@@ -32,7 +32,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ._io import as_index, write_rows
+from ._io import as_index, check_bits, write_rows
 from .activation import ActivationKind, chi
 from .control import ControlSchedule
 from .dynamics import schedule_propagators
@@ -101,20 +101,17 @@ class PerceptronGateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "target", as_index(self.target, "target"))
-        if self.target in self.weights:
+        weights = {as_index(k, "source"): w for k, w in self.weights.items()}
+        if self.target in weights:
             raise ValueError("target cannot be one of its own sources")
-        for k in self.weights:
-            if not isinstance(k, (int, np.integer)) or k < 0:
-                raise ValueError("source indices must be nonnegative integers")
-        object.__setattr__(self, "weights", dict(self.weights))
+        if any(k < 0 for k in weights):
+            raise ValueError("source indices must be nonnegative integers")
+        object.__setattr__(self, "weights", weights)
 
 
 def init_basis(n: int, bits: str) -> QuantumRegister:
     """Computational basis state |bits>."""
-    if len(bits) != n:
-        raise ValueError("bitstring length must equal qubit count")
-    if set(bits) - {"0", "1"}:
-        raise ValueError("bitstring must be over {0, 1}")
+    check_bits(bits, n, "bits")
     amps = np.zeros(_dimension(n), dtype=complex)
     amps[int(bits, 2)] = 1.0
     return QuantumRegister(n, amps)

@@ -24,9 +24,9 @@ from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._io import as_index, write_rows
+from ._io import as_index, require_finite, write_rows
 from .activation import ActivationKind, ALGEBRAIC, chi, dchi_dx
-from .register import QuantumRegister, _rotation, _sector_field, _update_pairs
+from .register import QuantumRegister, _check_qubit, _rotation, _sector_field, _update_pairs
 
 __all__ = [
     "Rectangle",
@@ -57,8 +57,7 @@ class Rectangle:
     m2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.m1) and np.isfinite(self.m2)):
-            raise ValueError("rectangle edges must be finite")
+        require_finite(**{"rectangle m1": self.m1, "rectangle m2": self.m2})
         if not (self.m1 < self.m2):
             raise ValueError("rectangle needs m1 < m2")
 
@@ -71,9 +70,7 @@ class Peak:
     width: float
 
     def __post_init__(self):
-        for name in ("center", "width"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"peak {name} must be finite")
+        require_finite(**{"peak center": self.center, "peak width": self.width})
         if not (self.width > 0):
             raise ValueError("peak width must be positive")
 
@@ -89,8 +86,7 @@ class Sampled:
         if not pts:
             raise ValueError("sampled target needs at least one point")
         for x, a in pts:
-            if not np.isfinite(x):
-                raise ValueError(f"sampled point x must be finite, got {x!r}")
+            require_finite(**{"sampled point x": x})
             if not (0.0 <= a <= _HALF_PI + 1e-12):
                 raise ValueError("sampled angles must lie in [0, pi/2]")
         object.__setattr__(self, "points", pts)
@@ -126,19 +122,16 @@ class CompositionSpec:
         )
         if not cycles:
             raise ValueError("composition needs at least one cycle")
-        for w, th, o in cycles:
-            if o not in (-1, 1):
-                raise ValueError("orientation must be +1 or -1")
-            if not (np.isfinite(w) and np.isfinite(th)):
-                raise ValueError("cycle parameters must be finite")
+        if any(o not in (-1, 1) for _, _, o in cycles):
+            raise ValueError("orientation must be +1 or -1")
+        require_finite(cycles=cycles)
         object.__setattr__(self, "cycles", cycles)
 
 
 def composition_angle(spec: CompositionSpec, x):
     """Total y-rotation angle at conditioning value x (scalar or array)."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
+    require_finite(x=x)
     total = _angle(spec.activation, spec.cycles, x)
     return float(total) if total.ndim == 0 else total
 
@@ -151,9 +144,7 @@ def _angle(kind, cycles, x):
     return total
 
 
-def analytic_rectangle(
-    rect: Rectangle, steepness: float, activation: ActivationKind = ALGEBRAIC
-) -> CompositionSpec:
+def analytic_rectangle(rect: Rectangle, steepness: float) -> CompositionSpec:
     """Closed-form two-cycle window: raise at m1, undo past m2.
 
     The forward cycle saturates to pi/2 once x clears m1; the reversed
@@ -162,9 +153,7 @@ def analytic_rectangle(
     if not (steepness > 0):
         raise ValueError("steepness must be positive")
     w = float(steepness)
-    return CompositionSpec(
-        ((w, w * rect.m1, 1), (w, w * rect.m2, -1)), activation
-    )
+    return CompositionSpec(((w, w * rect.m1, 1), (w, w * rect.m2, -1)))
 
 
 @dataclass(frozen=True)
@@ -174,7 +163,7 @@ class SynthesisResult:
     converged: bool
 
 
-def _fit_once(kind, tgt, x, orients, w0, th0):
+def _fit_once(tgt, x, orients, w0, th0):
     from scipy.optimize import least_squares
     m = len(orients)
 
@@ -182,13 +171,13 @@ def _fit_once(kind, tgt, x, orients, w0, th0):
         return p[:m], p[m:]
 
     def resid(p):
-        return _angle(kind, zip(*split(p), orients), x) - tgt
+        return _angle(ALGEBRAIC, zip(*split(p), orients), x) - tgt
 
     def jac(p):
         w, th = split(p)
         J = np.empty((x.size, 2 * m))
         for i in range(m):
-            d = orients[i] * dchi_dx(kind, w[i] * x - th[i])
+            d = orients[i] * dchi_dx(ALGEBRAIC, w[i] * x - th[i])
             J[:, i] = d * x
             J[:, m + i] = -d
         return J
@@ -205,13 +194,8 @@ def _orientation_patterns(n):
     return [p for p in pats if 1 in p]  # all-reversed stacks cannot reach angle > 0
 
 
-def synthesize(
-    target: TargetResponse,
-    cycles: int,
-    x_grid,
-    activation: ActivationKind = ALGEBRAIC,
-) -> SynthesisResult:
-    """Least-squares fit of a cycle stack to the target angle profile.
+def synthesize(target: TargetResponse, cycles: int, x_grid) -> SynthesisResult:
+    """Least-squares fit of a stack of algebraic cycles to the target angle profile.
 
     Fits 1 to 6 cycles: every orientation pattern from 6 seeded random starts,
     plus closed-form starts for window targets, keeping the lowest RMS angle
@@ -226,8 +210,7 @@ def synthesize(
     x = np.asarray(x_grid, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("x_grid must be nonempty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x_grid must be finite")
+    require_finite(x_grid=x)
     tgt = target_angle(target, x)
     span = max(float(x.max() - x.min()), 1e-6)
     rng = np.random.default_rng(0)
@@ -239,7 +222,7 @@ def synthesize(
         windows = [(Rectangle(c - h, c + h), 1.5 / h)] if c - h < c + h else []
     starts = []
     for rect, steepness in windows:
-        w0, th0, pat = zip(*analytic_rectangle(rect, steepness, activation).cycles)
+        w0, th0, pat = zip(*analytic_rectangle(rect, steepness).cycles)
         starts.append((pat, np.array(w0), np.array(th0)))
     for pat in _orientation_patterns(cycles):
         for _ in range(_RESTARTS):
@@ -247,8 +230,8 @@ def synthesize(
             th0 = w0 * rng.uniform(x.min(), x.max(), cycles)
             starts.append((pat, w0, th0))
     # the first of equal residuals wins
-    rms, cyc = min((_fit_once(activation, tgt, x, *start) for start in starts), key=lambda r: r[0])
-    spec = CompositionSpec(cyc, activation)
+    rms, cyc = min((_fit_once(tgt, x, *start) for start in starts), key=lambda r: r[0])
+    spec = CompositionSpec(cyc)
     return SynthesisResult(spec, rms, rms <= _CONVERGED_RMS)
 
 
@@ -263,17 +246,11 @@ def apply_composition(
     The conditioning value in each computational sector is the weighted
     count of excited sources, x = sum_k w_k s_k with s_k in {0, 1}.
     """
-    n = reg.n_qubits
-    target_qubit = as_index(target_qubit, "target qubit")
-    if not (0 <= target_qubit < n):
-        raise ValueError("target qubit out of range")
-    srcs = {as_index(k, "source qubit"): float(v) for k, v in source_weights.items()}
-    for k in srcs:
-        if not (0 <= k < n):
-            raise ValueError(f"source qubit {k} out of range")
-        if k == target_qubit:
-            raise ValueError("target cannot be its own source")
-    x = _sector_field(n, srcs, 0.0, (0.0, 1.0))
+    target_qubit = _check_qubit(reg, target_qubit, "target qubit")
+    srcs = {_check_qubit(reg, k, "source qubit"): float(v) for k, v in source_weights.items()}
+    if target_qubit in srcs:
+        raise ValueError("target cannot be its own source")
+    x = _sector_field(reg.n_qubits, srcs, 0.0, (0.0, 1.0))
     return _update_pairs(reg, target_qubit, _rotation(composition_angle(spec, x)))
 
 

@@ -27,7 +27,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ._io import as_index, read_rows, write_rows
+from ._io import as_index, check_bits, read_rows, write_rows
 from .network import NetworkSpec, _cross_entropy, _MixtureEngine, _network_dict, forward
 from .register import QuantumRegister, _dimension, apply_ideal_perceptron, conditional_probability
 
@@ -68,8 +68,7 @@ class Dataset:
             raise ValueError("dataset must hold at least one pair")
         seen = set()
         for x, y in pairs:
-            if len(x) != self.n_bits or set(x) - {"0", "1"}:
-                raise ValueError(f"input {x!r} is not a {self.n_bits}-bit string")
+            check_bits(x, self.n_bits, "input")
             if x in seen:
                 raise ValueError(f"duplicate input {x!r}")
             if not (0.0 <= y <= 1.0):
@@ -131,9 +130,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("max_iters", "seed", "restarts"):
-            object.__setattr__(self, name, as_index(getattr(self, name), name))
-        if self.max_iters < 0 or self.restarts < 0:
-            raise ValueError("max_iters and restarts must be nonnegative")
+            if (value := as_index(getattr(self, name), name)) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -287,7 +287,8 @@ class TestNamedErrors:
         (["response", "--xmax", "1e300", "--points", "3"], 1,
          "error: step grid needs about 5e+300 base steps, over the budget of 16777216; "
          "the phase rule"),
-    ], ids=["tf_text", "m1_comma", "step_budget"])
+        (["train", "--seed", "-5"], 2, "--seed must be >= 0"),
+    ], ids=["tf_text", "m1_comma", "step_budget", "negative_seed"])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, rc, message):
         out = tmp_path / "x.csv"
         assert main([*argv, "--out", str(out)]) == rc

@@ -1,15 +1,19 @@
 """The shared CSV writer and reader, a guard that keeps CSV rows in them, a
 guard that each module exports only what it defines, one that the package
 exports exactly its layer modules' exports, and one that keeps the tests'
-ODE reference solves in the shared oracles."""
+ODE reference solves in the shared oracles; the shared argument checks,
+driven through every entry point that uses them, and a guard that keeps
+finiteness and bitstring checks in them."""
 import ast
 import importlib
 import inspect
 import io
 import math
 import pathlib
+import re
 import struct
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +166,136 @@ def test_package_exports_exactly_the_layers_all():
               if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
     assert len(layers) == 7
     assert public == declared, (sorted(declared - public), sorted(public - declared))
+
+
+def handwritten_checks(path):
+    """(line, message text) of each raise whose message is a finiteness or
+    bitstring check, written out instead of calling the shared one in _io."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            text = "".join(c.value for c in ast.walk(node.exc)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            if re.search(r"must be finite|bit ?string|0/1 string", text):
+                found.append((node.lineno, text))
+    return found
+
+
+class TestSharedArgumentChecks:
+    """Finite numbers and bitstrings are checked by _io alone, so that each
+    check is worded once.  The register's own test runs only once its norm
+    test has failed, so that no gate pays a second pass over 2^n amplitudes;
+    tol's is a range check, [0, inf)."""
+
+    ALLOWED = {"register.py": {"register amplitudes must be finite"},
+               "dynamics.py": {"tol must be finite and >= 0, got "}}
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                              if p.name != "_io.py"))
+    def test_no_handwritten_check(self, module):
+        bad = [(line, text) for line, text in handwritten_checks(PACKAGE / module)
+               if text not in self.ALLOWED.get(module, set())]
+        assert bad == [], f"{module} writes out a check that _io owns: {bad}"
+
+    def test_guard_sees_each_check(self, tmp_path):
+        src = tmp_path / "m.py"
+        src.write_text("raise ValueError('x must be finite')\n"
+                       "raise ValueError(f'{name} must be finite, got {v!r}')\n"
+                       "raise ValueError('bits must be a 0/1 string')\n"
+                       "raise ValueError(f'input {x!r} is not a {n}-bit string')\n"
+                       "raise ValueError('bitstring length must equal qubit count')\n"
+                       "raise ValueError('x must be positive')\n")
+        assert [line for line, _ in handwritten_checks(src)] == [1, 2, 3, 4, 5]
+
+
+def _net():
+    return qperceptron.layered_network(2, (1,))
+
+
+def _bad_net(name):
+    net = _net()
+    params = {"J": net.J.copy(), "b": net.b.copy()}
+    params[name][-1] = math.nan
+    return qperceptron.NetworkSpec(2, (1, 1), net.mask, params["J"], params["b"])
+
+
+def _ramp():
+    return qperceptron.linear_schedule(2.0, 1.0, 1.0)
+
+
+def _reg():
+    return qperceptron.init_basis(2, "10")
+
+
+_SPEC = qperceptron.CompositionSpec(((1.0, 0.0, 1),))
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("error, name, call", [
+    # finite numbers and arrays: _io.require_finite
+    (ValueError, "omega0", lambda: qperceptron.linear_schedule(_NAN, 1.0, 1.0)),
+    (ValueError, "x_ref", lambda: qperceptron.faquad_schedule(100.0, 1.0, 10.0, _INF)),
+    (ValueError, "epsilon_ctrl", lambda: qperceptron.perturbed_schedule(
+        qperceptron.faquad_schedule(100.0, 1.0, 10.0, 1.0), _NAN)),
+    (ValueError, "omegaf", lambda: qperceptron.optimal_design_field(-_INF)),
+    (ValueError, "ts", lambda: qperceptron.tabulated_schedule([0.0, 1.0, _INF], [1.0, 2.0, 1.0])),
+    (ValueError, "omegas", lambda: qperceptron.tabulated_schedule([0.0, 1.0], [1.0, _NAN])),
+    (ValueError, "omega", lambda: qperceptron.eigensystem(_NAN, 1.0)),
+    (ValueError, "omega", lambda: qperceptron.eigensystem(_INF, 1.0)),
+    (ValueError, "x", lambda: qperceptron.eigensystem(1.0, -_INF)),
+    (ValueError, "x_ref", lambda: qperceptron.faquad_constant_mu(100.0, 1.0, 10.0, _NAN)),
+    (ValueError, "activation input", lambda: qperceptron.eval_f(qperceptron.ALGEBRAIC, _NAN)),
+    (ValueError, "x values", lambda: qperceptron.schedule_propagators(_ramp(), [0.0, _NAN])),
+    (ValueError, "x values", lambda: qperceptron.response_curve(_ramp(), [_INF])),
+    (ValueError, "J", lambda: _bad_net("J")),
+    (ValueError, "b", lambda: _bad_net("b")),
+    (ValueError, "rectangle m1", lambda: qperceptron.Rectangle(_NAN, 1.0)),
+    (ValueError, "peak width", lambda: qperceptron.Peak(0.0, _INF)),
+    (ValueError, "sampled point x", lambda: qperceptron.Sampled(((_NAN, 0.5),))),
+    (ValueError, "cycles", lambda: qperceptron.CompositionSpec(((_INF, 0.0, 1),))),
+    (ValueError, "x", lambda: qperceptron.composition_angle(_SPEC, [0.0, _NAN])),
+    (ValueError, "x_grid", lambda: qperceptron.synthesize(
+        qperceptron.Rectangle(0.0, 2.0), 2, [0.0, _INF])),
+    # bitstrings: _io.check_bits
+    (ValueError, "input_bits", lambda: qperceptron.forward(_net(), "1")),
+    (ValueError, "input_bits", lambda: qperceptron.forward(_net(), "0x")),
+    (ValueError, "input_bits", lambda: qperceptron.classical_mixture_oracle(_net(), "012")),
+    (ValueError, "bits", lambda: qperceptron.init_basis(2, "0")),
+    (ValueError, "bits", lambda: qperceptron.init_basis(2, "0x")),
+    (ValueError, "input", lambda: qperceptron.Dataset(2, (("01", 1.0), ("1", 0.0)))),
+    # qubit indices: register._check_qubit
+    (IndexError, "target qubit", lambda: qperceptron.apply_composition(_reg(), _SPEC, 2, {0: 1.0})),
+    (IndexError, "source qubit", lambda: qperceptron.apply_composition(_reg(), _SPEC, 0, {5: 1.0})),
+    (IndexError, "target", lambda: qperceptron.apply_hadamard(_reg(), 2)),
+    (IndexError, "source", lambda: qperceptron.apply_ideal_perceptron(
+        _reg(), qperceptron.PerceptronGateSpec(0, {3: 1.0}))),
+    (IndexError, "qubit", lambda: qperceptron.excitation_probability(_reg(), -1)),
+    (IndexError, "condition qubit", lambda: qperceptron.conditional_probability(
+        _reg(), [4], [1], 0)),
+    # integers and counts: _io.as_index and the range check after it
+    (ValueError, "source", lambda: qperceptron.PerceptronGateSpec(0, {1.5: 1.0})),
+    (ValueError, "n_points", lambda: qperceptron.average_fidelity(_ramp(), 10.0, 2.5)),
+    (ValueError, "n_points", lambda: qperceptron.benchmark_ramps([1.0, 2.0, 3.0, 4.0], n_points=2.5)),
+    (ValueError, "n", lambda: qperceptron.adiabatic_diagnostics(_ramp(), 1.0, n=2.5)),
+    (ValueError, "n", lambda: qperceptron.adiabatic_diagnostics(_ramp(), 1.0, n=0)),
+    (ValueError, "seed", lambda: qperceptron.TrainConfig(seed=-5)),
+], ids=["linear", "faquad", "perturbed", "design_field", "table_ts", "table_omegas",
+        "eigensystem_nan", "eigensystem_inf", "eigensystem_x", "constant_mu", "activation",
+        "propagators", "response", "network_J", "network_b", "rectangle", "peak", "sampled",
+        "composition", "composition_angle", "synthesize",
+        "forward_short", "forward_char", "oracle", "basis_short", "basis_char", "dataset",
+        "composition_target", "composition_source", "hadamard", "gate_source", "probability",
+        "conditional",
+        "gate_source_float", "fidelity_points", "benchmark_points", "diagnostics_float",
+        "diagnostics_zero", "train_seed"])
+def test_bad_argument_is_refused_by_name(error, name, call):
+    # warnings are errors: a bad count once gave nan and two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as err:
+            call()
+    assert err.type is error
+    assert str(err.value).startswith(f"{name} "), str(err.value)
 
 
 class TestReadRows:

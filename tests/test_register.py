@@ -110,7 +110,7 @@ class TestBasics:
         (lambda: PerceptronGateSpec(target=0, weights={-1: 1.0}),
          "source indices must be nonnegative integers"),
         (lambda: PerceptronGateSpec(target=0, weights={1.5: 1.0}),
-         "source indices must be nonnegative integers"),
+         r"source must be an integer, got 1\.5"),
         (lambda: conditional_probability(init_basis(2, "00"), [0], [0, 1], 1),
          "condition bits must pair 0/1 values with the qubits"),
         (lambda: conditional_probability(init_basis(2, "00"), [0], [2], 1),

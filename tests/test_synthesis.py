@@ -262,11 +262,11 @@ class TestApplyComposition:
     def test_validation(self):
         spec = CompositionSpec(((1.0, 0.0, 1),))
         reg = init_basis(2, "00")
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError):
             apply_composition(reg, spec, 2, {0: 1.0})
         with pytest.raises(ValueError):
             apply_composition(reg, spec, 1, {1: 1.0})
-        with pytest.raises(ValueError):
+        with pytest.raises(IndexError):
             apply_composition(reg, spec, 1, {5: 1.0})
 
     @pytest.mark.parametrize("make, message", [
