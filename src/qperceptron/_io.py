@@ -1,11 +1,11 @@
-"""Path-or-stream handling, the one CSV writer and reader, and the one check of each
-kind of argument (integer, finite, bitstring): a ValueError that starts with its name."""
+"""Path-or-stream handling, the one CSV writer and reader, the one check of each kind of
+argument (integer, finite, bitstring), a ValueError naming it, and scalar-in, float-out."""
 from __future__ import annotations
 
 import contextlib
-import math
 import operator
 import os
+import sys
 
 import numpy as np
 
@@ -19,14 +19,25 @@ def as_index(value, name: str) -> int:
 
 
 def require_finite(**params) -> None:
-    """ValueError "<name> must be finite" for the first number or array in
-    ``params`` holding a nan or an infinity; an int or float is quoted, an array not."""
+    """ValueError "<name> must be finite" for the first number or array in ``params`` with a
+    nan, an inf or an int past float range (a float is quoted); "... must be a number" for a str."""
     for name, value in params.items():
-        if isinstance(value, (int, float)):  # math is about 50x faster than numpy on a scalar
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        elif not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite")
+        if isinstance(value, (int, float)):  # about 50x faster than numpy on a scalar
+            if not abs(value) <= sys.float_info.max:  # an int compares exactly: 10**400 fails
+                got = repr(value) if isinstance(value, float) else f"a {value.bit_length()}-bit int"
+                raise ValueError(f"{name} must be finite, got {got}")
+        else:
+            try:
+                finite = np.isfinite(value).all()
+            except TypeError:
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
+            if not finite:
+                raise ValueError(f"{name} must be finite")
+
+
+def float_if_scalar(out):
+    """A 0-d result as a Python float, any other as is: a scalar in gives a float out."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def check_bits(bits, n: int, name: str) -> None:

@@ -18,7 +18,7 @@ Variants:
   success response, defined only on [-pi/4, pi/4]; outside that interval
   the underlying construction phase-wraps, which we surface as an error.
 
-All functions accept scalars or numpy arrays and are pure.
+All functions are pure and take a scalar (giving a float) or a numpy array.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import as_index, require_finite
+from ._io import as_index, float_if_scalar, require_finite
 
 __all__ = [
     "ActivationKind",
@@ -50,8 +50,8 @@ class ActivationKind:
     """One member of the response family.
 
     ``variant`` is one of ``algebraic``, ``logistic``, ``step``, ``cao``;
-    ``k`` is the iteration count of the ``cao`` construction (ignored by
-    the other variants).
+    ``k`` is the iteration count of the ``cao`` construction, and 0 for
+    every other variant.
     """
 
     variant: str
@@ -64,6 +64,8 @@ class ActivationKind:
             object.__setattr__(self, "k", as_index(self.k, "cao iteration count k"))
             if not 1 <= self.k <= 1023:  # 2**k must be a finite float
                 raise ValueError(f"cao activation needs k in [1, 1023], got {self.k}")
+        elif self.k != 0:  # else equal kinds would compare unequal
+            raise ValueError(f"k must be 0 for the {self.variant} activation, got {self.k!r}")
 
 
 ALGEBRAIC = ActivationKind("algebraic")
@@ -94,10 +96,6 @@ def _expit(x):
     return expit(x)
 
 
-def _scalar_like(x, val):
-    return float(val) if np.ndim(x) == 0 else val
-
-
 def eval_f(kind: ActivationKind, x):
     """Activation probability f(x) in [0, 1]."""
     xa = _checked(kind, x)
@@ -110,7 +108,7 @@ def eval_f(kind: ActivationKind, x):
     else:
         t = np.tan(xa) ** (2**kind.k)  # even exponent, t >= 0
         f = (t * t) / (1.0 + t * t)
-    return _scalar_like(x, f)
+    return float_if_scalar(f)
 
 
 def df_dx(kind: ActivationKind, x):
@@ -135,7 +133,7 @@ def df_dx(kind: ActivationKind, x):
         u = np.tan(xa)
         t = u**m
         d = 2.0 * t * m * u ** (m - 1) * (1.0 + u * u) / (1.0 + t * t) ** 2
-    return _scalar_like(x, d)
+    return float_if_scalar(d)
 
 
 def eval_CS(kind: ActivationKind, x):
@@ -160,7 +158,7 @@ def eval_CS(kind: ActivationKind, x):
         t = np.tan(xa) ** (2**kind.k)
         C = (1.0 - t * t) / (1.0 + t * t)
         S = 2.0 * t / (1.0 + t * t)
-    return _scalar_like(x, C), _scalar_like(x, S)
+    return float_if_scalar(C), float_if_scalar(S)
 
 
 def chi(kind: ActivationKind, x):
@@ -175,7 +173,7 @@ def chi(kind: ActivationKind, x):
         c = np.where(xa < 0, 0.0, np.where(xa > 0, np.pi / 2, np.pi / 4))
     else:
         c = np.arctan(np.tan(xa) ** (2**kind.k))
-    return _scalar_like(x, c)
+    return float_if_scalar(c)
 
 
 def dchi_dx(kind: ActivationKind, x):
@@ -201,4 +199,4 @@ def dchi_dx(kind: ActivationKind, x):
         u = np.tan(xa)
         t = u**m
         d = m * u ** (m - 1) * (1.0 + u * u) / (1.0 + t * t)
-    return _scalar_like(x, d)
+    return float_if_scalar(d)

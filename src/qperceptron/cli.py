@@ -119,6 +119,8 @@ def cmd_response(parser, args) -> int:
     _check(parser, args.xmax > 0, "--xmax must be positive")
     _check(parser, 1 <= args.points <= _MAX_POINTS, f"--points must be in [1, {_MAX_POINTS}]")
     _check(parser, args.epsilon_ctrl >= 0, "--epsilon-ctrl must be >= 0")
+    _check(parser, args.epsilon_ctrl == 0 or args.schedule == "faquad",
+           "--epsilon-ctrl applies to --schedule faquad only")
     if args.schedule == "linear":
         sched = linear_schedule(args.omega0, 1.0, args.tf)
     else:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._io import as_index, read_rows, require_finite, write_rows
+from ._io import as_index, float_if_scalar, read_rows, require_finite, write_rows
 
 __all__ = [
     "ControlSchedule",
@@ -74,13 +74,11 @@ class ControlSchedule:
 
     def omega(self, t):
         """Field value(s) at time t (scalar or array)."""
-        out = self.field(np.asarray(t, dtype=float))
-        return out if np.ndim(out) else float(out)
+        return float_if_scalar(self.field(np.asarray(t, dtype=float)))
 
     def domega(self, t):
         """Time derivative of the field (scalar or array)."""
-        out = self.slope(np.asarray(t, dtype=float))
-        return out if np.ndim(out) else float(out)
+        return float_if_scalar(self.slope(np.asarray(t, dtype=float)))
 
 
 def linear_schedule(omega0: float, omegaf: float, tf: float) -> ControlSchedule:
@@ -102,6 +100,18 @@ def linear_schedule(omega0: float, omegaf: float, tf: float) -> ControlSchedule:
     )
 
 
+def _faquad_parameters(omega0, omegaf, tf, x_ref):
+    """The four as floats, checked once for faquad_schedule and faquad_constant_mu."""
+    require_finite(omega0=omega0, omegaf=omegaf, tf=tf, x_ref=x_ref)
+    if tf <= 0:
+        raise ValueError("tf must be positive")
+    if not omega0 > omegaf > 0:
+        raise ValueError("need omega0 > omegaf > 0")
+    if x_ref == 0:
+        raise ValueError("x_ref = 0 has no avoided crossing; mu is undefined")
+    return float(omega0), float(omegaf), float(tf), float(x_ref)
+
+
 def faquad_schedule(omega0: float, omegaf: float, tf: float, x_ref: float) -> ControlSchedule:
     """Constant-adiabaticity ramp designed at reference field x_ref.
 
@@ -111,14 +121,7 @@ def faquad_schedule(omega0: float, omegaf: float, tf: float, x_ref: float) -> Co
     stability at omega0 >> |x_ref|.  The resulting adiabatic parameter is
     mu = |v(omega0) - v(omegaf)| / (2 |x_ref| tf) at x = x_ref for all t.
     """
-    require_finite(omega0=omega0, omegaf=omegaf, tf=tf, x_ref=x_ref)
-    if tf <= 0:
-        raise ValueError("tf must be positive")
-    if not omega0 > omegaf > 0:
-        raise ValueError("need omega0 > omegaf > 0")
-    if x_ref == 0:
-        raise ValueError("x_ref = 0 has no avoided crossing; mu is undefined")
-    omega0, omegaf, tf, x_ref = float(omega0), float(omegaf), float(tf), float(x_ref)
+    omega0, omegaf, tf, x_ref = _faquad_parameters(omega0, omegaf, tf, x_ref)
     w0 = _w_of_omega(omega0, x_ref)
     wf = _w_of_omega(omegaf, x_ref)
 
@@ -212,9 +215,10 @@ def reversed_negated(schedule) -> ControlSchedule:
 class EigenSystem:
     """Instantaneous eigensystem of H = -1/2 (Omega sx + x sz).
 
-    ``phi0``/``phi1`` are real two-component vectors in the {|1>, |0>}
-    ordering (coefficient of the active state first).  theta_bloch =
-    arccos(-x / E) so the ground state tends to |1> as x -> +inf.
+    ``phi0``/``phi1`` are the ground and excited states in (amp0, amp1) order:
+    phi0[k] is the |k> amplitude, shaped like x, and so are the other fields
+    (floats for a scalar x).  theta_bloch = arccos(-x / E), so the ground
+    state tends to |1> as x -> +inf.
     """
 
     theta_bloch: float
@@ -228,17 +232,16 @@ class EigenSystem:
         return self.e1 - self.e0
 
 
-def eigensystem(omega: float, x: float) -> EigenSystem:
-    """Diagonalize the two-level Hamiltonian at fixed (Omega, x)."""
+def eigensystem(omega: float, x) -> EigenSystem:
+    """Diagonalize the two-level Hamiltonian at fixed Omega and x (scalar or array)."""
     require_finite(omega=omega, x=x)
-    E = float(np.hypot(omega, x))
-    if E == 0:
+    E = np.hypot(omega, x)
+    if np.any(E == 0):
         raise ValueError("omega = x = 0 is degenerate; the gap closes")
-    theta = float(np.arccos(np.clip(-x / E, -1.0, 1.0)))
-    half = theta / 2.0
-    phi0 = np.array([np.sin(half), np.cos(half)])
-    phi1 = np.array([np.cos(half), -np.sin(half)])
-    return EigenSystem(theta, -E / 2.0, E / 2.0, phi0, phi1)
+    theta = np.arccos(np.clip(np.negative(x) / E, -1.0, 1.0))  # x may be a list
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return EigenSystem(*map(float_if_scalar, (theta, -E / 2.0, E / 2.0)),
+                       np.array([c, s]), np.array([-s, c]))
 
 
 def adiabatic_mu(schedule: ControlSchedule, x: float, t) -> float:
@@ -250,8 +253,7 @@ def adiabatic_mu(schedule: ControlSchedule, x: float, t) -> float:
     om = schedule.omega(t)
     dom = schedule.domega(t)
     E = np.hypot(om, x)
-    out = np.abs(x * dom) / (2.0 * E**3)
-    return out if np.ndim(out) else float(out)
+    return float_if_scalar(np.abs(x * dom) / (2.0 * E**3))
 
 
 @dataclass(frozen=True)
@@ -277,9 +279,7 @@ def adiabatic_diagnostics(schedule: ControlSchedule, x: float, n: int = 1000) ->
 
 def faquad_constant_mu(omega0: float, omegaf: float, tf: float, x_ref: float) -> float:
     """Closed-form constant mu of the faquad ramp at its design field."""
-    require_finite(omega0=omega0, omegaf=omegaf, tf=tf, x_ref=x_ref)
-    if x_ref == 0:
-        raise ValueError("x_ref = 0 has no avoided crossing; mu is undefined")
+    omega0, omegaf, tf, x_ref = _faquad_parameters(omega0, omegaf, tf, x_ref)
     v0 = 1.0 / np.hypot(1.0, x_ref / omega0)
     vf = 1.0 / np.hypot(1.0, x_ref / omegaf)
     return float(abs(v0 - vf) / (2.0 * abs(x_ref) * tf))

@@ -290,11 +290,13 @@ def _unitaries(q) -> np.ndarray:
     return U
 
 
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)  # H |0> = |+>, the start
+
+
 def _from_plus(q) -> np.ndarray:
-    """(n, 2) amplitude pairs U |+>, with |+> = (|0> + |1>) / sqrt 2."""
+    """(n, 2) amplitude pairs U |+> = U H |0>."""
     U = _unitaries(q)
-    r = complex(1.0 / math.sqrt(2.0))
-    return U[:, :, 0] * r + U[:, :, 1] * r
+    return U[:, :, 0] * _HADAMARD[0, 0] + U[:, :, 1] * _HADAMARD[1, 0]
 
 
 def _converged_sweep(schedule, x_values, reduce_fn, tol):
@@ -396,12 +398,6 @@ def response_curve(schedule, x_grid):
     return list(zip(xs.tolist(), P.tolist()))
 
 
-def _ground_amplitudes(omegaf: float, xs: np.ndarray):
-    """Target ground-state amplitude pairs (amp0, amp1) at the final field."""
-    g1, g0 = np.array([eigensystem(omegaf, float(x)).phi0 for x in xs]).T  # phi0 is {|1>, |0>}
-    return g0, g1
-
-
 def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201) -> float:
     """Mean squared overlap with the target ground state over the field range.
 
@@ -416,7 +412,7 @@ def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201) -> floa
     if not (0 < x_max < math.inf) or n_points < 2:
         raise ValueError("need finite x_max > 0 and n_points >= 2")
     xs = np.linspace(-x_max, x_max, n_points)
-    g0, g1 = _ground_amplitudes(schedule.omegaf, xs)
+    g0, g1 = eigensystem(schedule.omegaf, xs).phi0
 
     def overlaps(q):
         fin = _from_plus(q)

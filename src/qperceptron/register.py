@@ -4,15 +4,15 @@ Conventions, fixed once for the whole package:
 
 - Bitstrings read left to right: qubit 0 is the leftmost character and the
   most significant bit of the amplitude index, so ``init_basis(2, "10")``
-  puts the amplitude at index 0b10 = 2.  _view's reshape encodes this order,
-  and so do init_basis, register_to_csv and training's batch_state_forward.
+  puts the amplitude at index 0b10 = 2.  _view alone maps qubits to amplitude
+  positions; register_to_csv prints the labels.
 - The active state is |1> with sz|1> = +|1>, sz|0> = -|0>; the excitation
-  probability of a qubit is P = (1 + <sz>) / 2.
+  probability of a qubit is P = (1 + <sz>) / 2.  Two-level vectors are
+  (amp0, amp1) pairs everywhere, and a scalar input gives a Python float.
 - The activation field of a gate is x = sum_k w_k z_k - bias with z_k = +/-1
   the sz eigenvalue of source qubit k.
 - The ideal gate rotates the target by chi(x) about y with the sign fixed so
-  |0> maps to sqrt(1-f)|0> + sqrt(f)|1> (matrix [[c, -s], [s, c]] on the
-  (amp0, amp1) pair).
+  |0> maps to sqrt(1-f)|0> + sqrt(f)|1> (matrix [[c, -s], [s, c]] on the pair).
 
 Gates act in O(2^n) on the amplitudes viewed as a (2,)*n tensor with qubit
 k on axis k: the target's two halves are slices of its axis, and every gate
@@ -26,16 +26,15 @@ register and amplitude arrays are frozen read-only.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
 
-from ._io import as_index, check_bits, write_rows
+from ._io import as_index, check_bits, require_finite, write_rows
 from .activation import ActivationKind, chi
 from .control import ControlSchedule
-from .dynamics import schedule_propagators
+from .dynamics import _HADAMARD, schedule_propagators
 
 __all__ = [
     "MAX_QUBITS",
@@ -102,6 +101,7 @@ class PerceptronGateSpec:
     def __post_init__(self):
         object.__setattr__(self, "target", as_index(self.target, "target"))
         weights = {as_index(k, "source"): w for k, w in self.weights.items()}
+        require_finite(weights=list(weights.values()), bias=self.bias)
         if self.target in weights:
             raise ValueError("target cannot be one of its own sources")
         if any(k < 0 for k in weights):
@@ -113,7 +113,7 @@ def init_basis(n: int, bits: str) -> QuantumRegister:
     """Computational basis state |bits>."""
     check_bits(bits, n, "bits")
     amps = np.zeros(_dimension(n), dtype=complex)
-    amps[int(bits, 2)] = 1.0
+    _view(amps, n, range(n), map(int, bits))[...] = 1.0
     return QuantumRegister(n, amps)
 
 
@@ -173,9 +173,6 @@ def _rotation(ang):
     return (c, -s), (s, c)
 
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
-
 def _gate_field(reg, gate) -> np.ndarray:
     """Activation field x = sum w_k z_k - bias of each source sector."""
     _check_qubit(reg, gate.target, "target")
@@ -215,7 +212,7 @@ def apply_hardware_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) ->
     x = _gate_field(reg, gate)
     n = reg.n_qubits
     free = tuple(k for k in range(n) if k not in gate.weights)
-    occ = np.any(reg.amplitudes.reshape((2,) * n) != 0, axis=free, keepdims=True)
+    occ = np.any(_view(reg.amplitudes, n, [], []) != 0, axis=free, keepdims=True)
     x = np.where(occ, x, x[occ][0])  # any field keeps an unoccupied sector's zeros
     xu, inv = np.unique(x, return_inverse=True)
     UH = schedule_propagators(gate.schedule, xu) @ _HADAMARD

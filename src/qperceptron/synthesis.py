@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._io import as_index, require_finite, write_rows
+from ._io import as_index, float_if_scalar, require_finite, write_rows
 from .activation import ActivationKind, ALGEBRAIC, chi, dchi_dx
 from .register import QuantumRegister, _check_qubit, _rotation, _sector_field, _update_pairs
 
@@ -99,13 +99,13 @@ def target_angle(target: TargetResponse, x):
     """Target rotation angle profile evaluated on x (scalar or array)."""
     x = np.asarray(x, dtype=float)
     if isinstance(target, Rectangle):
-        return np.where((x > target.m1) & (x < target.m2), _HALF_PI, 0.0)
+        return float_if_scalar(np.where((x > target.m1) & (x < target.m2), _HALF_PI, 0.0))
     if isinstance(target, Peak):
-        return _HALF_PI * np.exp(-((x - target.center) ** 2) / (2 * target.width**2))
+        return float_if_scalar(_HALF_PI * np.exp(-((x - target.center) ** 2) / (2 * target.width**2)))
     if isinstance(target, Sampled):
         xs = np.array([p[0] for p in target.points])
         ys = np.array([p[1] for p in target.points])
-        return np.interp(x, xs, ys)
+        return float_if_scalar(np.interp(x, xs, ys))
     raise TypeError(f"unknown target response {target!r}")
 
 
@@ -132,8 +132,7 @@ def composition_angle(spec: CompositionSpec, x):
     """Total y-rotation angle at conditioning value x (scalar or array)."""
     x = np.asarray(x, dtype=float)
     require_finite(x=x)
-    total = _angle(spec.activation, spec.cycles, x)
-    return float(total) if total.ndim == 0 else total
+    return float_if_scalar(_angle(spec.activation, spec.cycles, x))
 
 
 def _angle(kind, cycles, x):

@@ -29,7 +29,8 @@ import numpy as np
 
 from ._io import as_index, check_bits, read_rows, write_rows
 from .network import NetworkSpec, _cross_entropy, _MixtureEngine, _network_dict, forward
-from .register import QuantumRegister, _dimension, apply_ideal_perceptron, conditional_probability
+from .register import (
+    QuantumRegister, _dimension, _view, apply_ideal_perceptron, conditional_probability)
 
 __all__ = [
     "Dataset",
@@ -222,20 +223,16 @@ def batch_state_forward(net: NetworkSpec, dataset: Dataset) -> List[float]:
     """
     if dataset.n_bits != net.n_inputs:
         raise ValueError("dataset width must match the network inputs")
-    pad = net.n_total - net.n_inputs
-    amps = np.zeros(_dimension(net.n_total), dtype=complex)
+    n = net.n_total
+    amps = np.zeros(_dimension(n), dtype=complex)
     r = 1.0 / np.sqrt(dataset.size)
     for x, _ in dataset.pairs:
-        amps[int(x + "0" * pad, 2)] = r
-    reg = QuantumRegister(net.n_total, amps)
+        _view(amps, n, range(n), map(int, x.ljust(n, "0")))[...] = r
+    reg = QuantumRegister(n, amps)
     for gate in net.gates():
         reg = apply_ideal_perceptron(reg, gate)
-    inputs = list(range(net.n_inputs))
-    out = net.n_total - 1
-    return [
-        conditional_probability(reg, inputs, [int(c) for c in x], out)
-        for x, _ in dataset.pairs
-    ]
+    return [conditional_probability(reg, range(net.n_inputs), [int(c) for c in x], n - 1)
+            for x, _ in dataset.pairs]
 
 
 def dataset_to_csv(dataset: Dataset, path_or_buf) -> None:

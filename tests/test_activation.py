@@ -12,6 +12,7 @@ from qperceptron.activation import (
     ALGEBRAIC,
     LOGISTIC,
     STEP,
+    ActivationKind,
     cao_arctan,
     chi,
     dchi_dx,
@@ -140,6 +141,16 @@ class TestCaoArctan:
         kind = cao_arctan(np.int64(1023))  # 2**1023 is the largest power of two a float holds
         assert type(kind.k) is int and kind == cao_arctan(1023)
         assert eval_f(kind, -0.5) == 0.0 and eval_f(kind, math.pi / 4) <= 0.5
+
+
+@pytest.mark.parametrize("variant", ["algebraic", "logistic", "step"])
+@pytest.mark.parametrize("k", [3, -1, 1.5, "0"])
+def test_k_of_a_variant_without_iterations_is_refused(variant, k):
+    # ActivationKind("algebraic", 3) evaluated like ALGEBRAIC but compared unequal to it,
+    # and a network using it came back from JSON with k = 0
+    with pytest.raises(ValueError, match=f"^k must be 0 for the {variant} activation, got "):
+        ActivationKind(variant, k)
+    assert ActivationKind(variant, 0) == ActivationKind(variant)
 
 
 class TestSharedProperties:

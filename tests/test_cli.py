@@ -100,6 +100,7 @@ class TestResponse:
             ["--omega0", "0.5"],
             ["--omega0", "0.5", "--schedule", "linear"],
             ["--omega0", "1", "--schedule", "faquad"],
+            ["--schedule", "linear", "--epsilon-ctrl", "0.2"],
         ],
     )
     def test_flag_validation_exits_2(self, tmp_path, flags, capsys):
@@ -288,7 +289,10 @@ class TestNamedErrors:
          "error: step grid needs about 5e+300 base steps, over the budget of 16777216; "
          "the phase rule"),
         (["train", "--seed", "-5"], 2, "--seed must be >= 0"),
-    ], ids=["tf_text", "m1_comma", "step_budget", "negative_seed"])
+        # exited 1: the perturbation is defined relative to a faquad base only
+        (["response", "--schedule", "linear", "--epsilon-ctrl", "0.2"], 2,
+         "--epsilon-ctrl applies to --schedule faquad only"),
+    ], ids=["tf_text", "m1_comma", "step_budget", "negative_seed", "perturbed_linear"])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, rc, message):
         out = tmp_path / "x.csv"
         assert main([*argv, "--out", str(out)]) == rc

@@ -32,6 +32,11 @@ from qperceptron.control import (
 X_STAR = 1.2720196495140690  # sqrt((1 + sqrt 5)/2)
 
 
+def bits(values):
+    """The IEEE-754 bytes of each value, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
 class TestLinear:
     def test_boundaries_and_midpoint(self):
         s = linear_schedule(100, 1, 10)
@@ -149,8 +154,14 @@ def test_factories_reject_nonfinite_parameters(make, name, value):
     (lambda: optimal_design_field(-1.0), "omegaf must be positive"),
     (lambda: faquad_constant_mu(100.0, 1.0, 10.0, 0.0),  # was nan and a RuntimeWarning
      "x_ref = 0 has no avoided crossing; mu is undefined"),
+    # mu refuses what the schedule refuses; these gave inf, -0.150, 0.0150 and a ZeroDivisionError
+    (lambda: faquad_constant_mu(100.0, 1.0, 0.0, X_STAR), "tf must be positive"),
+    (lambda: faquad_constant_mu(100.0, 1.0, -1.0, X_STAR), "tf must be positive"),
+    (lambda: faquad_constant_mu(1.0, 100.0, 10.0, X_STAR), "need omega0 > omegaf > 0"),
+    (lambda: faquad_constant_mu(100.0, 0.0, 10.0, X_STAR), "need omega0 > omegaf > 0"),
 ], ids=["faquad_tf_0", "faquad_tf_neg", "perturbed_eps_neg", "table_lengths", "table_2d",
-        "table_one_sample", "design_omegaf_0", "design_omegaf_neg", "constant_mu_x_ref_0"])
+        "table_one_sample", "design_omegaf_0", "design_omegaf_neg", "constant_mu_x_ref_0",
+        "constant_mu_tf_0", "constant_mu_tf_neg", "constant_mu_increasing", "constant_mu_omegaf_0"])
 def test_out_of_range_parameter_is_named(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make()
@@ -241,22 +252,22 @@ class TestEigensystem:
         es = eigensystem(1.0, 0.0)
         assert es.gap == pytest.approx(1.0, abs=1e-15)
         assert es.theta_bloch == pytest.approx(math.pi / 2, abs=1e-15)
-        # ground state (|0>+|1>)/sqrt2 up to sign; phi ordering is {|1>,|0>}
+        # ground state (|0>+|1>)/sqrt2 up to sign; phi ordering is (amp0, amp1)
         assert np.allclose(np.abs(es.phi0), [1 / math.sqrt(2)] * 2, atol=1e-15)
 
     def test_pure_longitudinal(self):
         es = eigensystem(0.0, 5.0)
         assert es.gap == pytest.approx(5.0, abs=1e-15)
-        assert np.allclose(es.phi0, [1.0, 0.0], atol=1e-15)  # active state
+        assert np.allclose(es.phi0, [0.0, 1.0], atol=1e-15)  # active state
         es = eigensystem(0.0, -5.0)
-        assert np.allclose(np.abs(es.phi0), [0.0, 1.0], atol=1e-15)  # resting
+        assert np.allclose(np.abs(es.phi0), [1.0, 0.0], atol=1e-15)  # resting
 
     def test_balanced_point(self):
         # frozen: theta = arccos(-1/sqrt2), excitation = g(1)
         es = eigensystem(1.0, 1.0)
         assert es.gap == pytest.approx(math.sqrt(2), rel=1e-15)
         assert es.theta_bloch == pytest.approx(2.356194490192344929, abs=1e-14)
-        assert es.phi0[0] ** 2 == pytest.approx(0.853553390593273762, abs=1e-14)
+        assert es.phi0[1] ** 2 == pytest.approx(0.853553390593273762, abs=1e-14)
 
     def test_orthonormal_and_ordered(self):
         rng = np.random.default_rng(3)
@@ -273,6 +284,23 @@ class TestEigensystem:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             eigensystem(0.0, 0.0)
+        with pytest.raises(ValueError):
+            eigensystem(0.0, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("omega", [1.0, 0.0, 2.5])
+    def test_array_equals_scalar_calls_bit_for_bit(self, omega):
+        xs = np.concatenate([np.linspace(-10.0, 10.0, 201), [-0.0, 1e-300, -3e7]])
+        xs = xs[xs != 0] if omega == 0 else xs
+        es = eigensystem(omega, xs)
+        assert es.phi0.shape == es.phi1.shape == (2, xs.size)
+        assert bits(eigensystem(omega, list(xs)).phi0) == bits(es.phi0)
+        for i, x in enumerate(xs):
+            one = eigensystem(omega, float(x))
+            assert all(type(v) is float for v in (one.theta_bloch, one.e0, one.e1))
+            for name in ("theta_bloch", "e0", "e1"):
+                assert bits(getattr(es, name)[i]) == bits(getattr(one, name)), (name, x)
+            for name in ("phi0", "phi1"):
+                assert bits(getattr(es, name)[:, i]) == bits(getattr(one, name)), (name, x)
 
 
 class TestCsvRoundTrip:

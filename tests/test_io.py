@@ -3,7 +3,8 @@ guard that each module exports only what it defines, one that the package
 exports exactly its layer modules' exports, and one that keeps the tests'
 ODE reference solves in the shared oracles; the shared argument checks,
 driven through every entry point that uses them, and a guard that keeps
-finiteness and bitstring checks in them."""
+finiteness and bitstring checks in them; a guard that keeps the bit order in
+register._view; and the scalar-in, float-out rule of every entry point."""
 import ast
 import importlib
 import inspect
@@ -26,7 +27,9 @@ from qperceptron.control import faquad_schedule
 from qperceptron.dynamics import FidelityReport, report_to_csv, response_curve, response_to_csv
 from qperceptron.register import QuantumRegister, register_to_csv
 from qperceptron.synthesis import (
+    Peak,
     Rectangle,
+    Sampled,
     SynthesisResult,
     analytic_rectangle,
     composition_angle,
@@ -208,6 +211,86 @@ class TestSharedArgumentChecks:
         assert [line for line, _ in handwritten_checks(src)] == [1, 2, 3, 4, 5]
 
 
+def bit_order_offences(path):
+    """(enclosing function, line) of each ``int(<expr>, 2)`` call and each reshape
+    to ``(2,) * n``: code that reads amplitude positions from the bit order itself."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                base = child.args[1:2] + [k.value for k in child.keywords if k.arg == "base"]
+                if call_name(child) == "int" and any(
+                        isinstance(b, ast.Constant) and b.value == 2 for b in base):
+                    found.append((scope, child.lineno))
+                elif call_name(child) == "reshape" and any(
+                        isinstance(a, ast.BinOp) and isinstance(a.op, ast.Mult) and any(
+                            isinstance(t, ast.Tuple) and len(t.elts) == 1
+                            and isinstance(t.elts[0], ast.Constant) and t.elts[0].value == 2
+                            for t in (a.left, a.right))
+                        for a in child.args):
+                    found.append((scope, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+class TestOneBitOrder:
+    """Amplitude positions come from register._view alone, so that the bit
+    order (qubit 0 is the most significant bit) is written once."""
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+    def test_bit_order_only_in_view(self, module):
+        allowed = {"_view"} if module == "register.py" else set()
+        bad = [(scope, line) for scope, line in bit_order_offences(PACKAGE / module)
+               if scope not in allowed]
+        assert bad == [], f"{module} computes amplitude positions itself: {bad}"
+
+    def test_guard_sees_each_offence(self, tmp_path):
+        src = tmp_path / "m.py"
+        src.write_text("i = int(bits, 2)\n"
+                       "def put(a, n, x):\n"
+                       "    a[int(x + '0', base=2)] = 1\n"
+                       "    return a.reshape((2,) * n), np.reshape(a, n * (2,))\n"
+                       "j = int(bits, 10) + int('7')\n"
+                       "b = a.reshape((2, 3)), a.reshape((4,) * n)\n")
+        assert bit_order_offences(src) == [("<module>", 1), ("put", 3), ("put", 4), ("put", 4)]
+        assert [scope for scope, _ in bit_order_offences(PACKAGE / "register.py")] == ["_view"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: qperceptron.eval_f(qperceptron.ALGEBRAIC, x),
+    lambda x: qperceptron.eval_f(qperceptron.STEP, x),
+    lambda x: qperceptron.df_dx(qperceptron.LOGISTIC, x),
+    lambda x: qperceptron.eval_CS(qperceptron.ALGEBRAIC, x)[0],
+    lambda x: qperceptron.eval_CS(qperceptron.STEP, x)[1],
+    lambda x: qperceptron.chi(qperceptron.cao_arctan(2), x),
+    lambda x: qperceptron.dchi_dx(qperceptron.ALGEBRAIC, x),
+    lambda x: _ramp().omega(x),
+    lambda x: qperceptron.faquad_schedule(100.0, 1.0, 1.0, 1.0).domega(x),
+    lambda x: qperceptron.tabulated_schedule([0.0, 1.0], [2.0, 1.0]).omega(x),
+    lambda x: qperceptron.adiabatic_mu(_ramp(), 1.0, x),
+    lambda x: qperceptron.eigensystem(1.0, x).theta_bloch,
+    lambda x: qperceptron.eigensystem(1.0, x).e0,
+    lambda x: qperceptron.eigensystem(1.0, x).e1,
+    lambda x: qperceptron.composition_angle(_SPEC, x),
+    lambda x: target_angle(Rectangle(0.0, 2.0), x),
+    lambda x: target_angle(Peak(0.0, 1.0), x),
+    lambda x: target_angle(Sampled(((0.0, 0.0), (1.0, 1.0))), x),
+], ids=["eval_f", "eval_f_step", "df_dx", "eval_CS_C", "eval_CS_S_step", "chi", "dchi_dx",
+        "omega", "domega", "omega_table", "adiabatic_mu", "eigensystem_theta",
+        "eigensystem_e0", "eigensystem_e1", "composition_angle", "target_rectangle",
+        "target_peak", "target_sampled"])
+def test_scalar_in_gives_float_out(call):
+    for x in (0.5, np.float64(0.5), np.array(0.5)):
+        assert type(call(x)) is float, type(call(x))
+    out = call(np.array([0.25, 0.5]))
+    assert isinstance(out, np.ndarray) and out.shape == (2,)
+    assert out[1] == call(0.5)
+
+
 def _net():
     return qperceptron.layered_network(2, (1,))
 
@@ -234,6 +317,8 @@ _NAN, _INF = math.nan, math.inf
 @pytest.mark.parametrize("error, name, call", [
     # finite numbers and arrays: _io.require_finite
     (ValueError, "omega0", lambda: qperceptron.linear_schedule(_NAN, 1.0, 1.0)),
+    (ValueError, "omega0", lambda: qperceptron.linear_schedule("1", 1.0, 1.0)),
+    (ValueError, "omega0", lambda: qperceptron.linear_schedule(10**400, 1.0, 1.0)),
     (ValueError, "x_ref", lambda: qperceptron.faquad_schedule(100.0, 1.0, 10.0, _INF)),
     (ValueError, "epsilon_ctrl", lambda: qperceptron.perturbed_schedule(
         qperceptron.faquad_schedule(100.0, 1.0, 10.0, 1.0), _NAN)),
@@ -243,6 +328,7 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "omega", lambda: qperceptron.eigensystem(_NAN, 1.0)),
     (ValueError, "omega", lambda: qperceptron.eigensystem(_INF, 1.0)),
     (ValueError, "x", lambda: qperceptron.eigensystem(1.0, -_INF)),
+    (ValueError, "omega", lambda: qperceptron.eigensystem("1", 1.0)),
     (ValueError, "x_ref", lambda: qperceptron.faquad_constant_mu(100.0, 1.0, 10.0, _NAN)),
     (ValueError, "activation input", lambda: qperceptron.eval_f(qperceptron.ALGEBRAIC, _NAN)),
     (ValueError, "x values", lambda: qperceptron.schedule_propagators(_ramp(), [0.0, _NAN])),
@@ -269,6 +355,8 @@ _NAN, _INF = math.nan, math.inf
     (IndexError, "target", lambda: qperceptron.apply_hadamard(_reg(), 2)),
     (IndexError, "source", lambda: qperceptron.apply_ideal_perceptron(
         _reg(), qperceptron.PerceptronGateSpec(0, {3: 1.0}))),
+    (ValueError, "weights", lambda: qperceptron.PerceptronGateSpec(1, {0: _NAN})),
+    (ValueError, "bias", lambda: qperceptron.PerceptronGateSpec(1, {0: 1.0}, bias=_INF)),
     (IndexError, "qubit", lambda: qperceptron.excitation_probability(_reg(), -1)),
     (IndexError, "condition qubit", lambda: qperceptron.conditional_probability(
         _reg(), [4], [1], 0)),
@@ -279,12 +367,14 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "n", lambda: qperceptron.adiabatic_diagnostics(_ramp(), 1.0, n=2.5)),
     (ValueError, "n", lambda: qperceptron.adiabatic_diagnostics(_ramp(), 1.0, n=0)),
     (ValueError, "seed", lambda: qperceptron.TrainConfig(seed=-5)),
-], ids=["linear", "faquad", "perturbed", "design_field", "table_ts", "table_omegas",
-        "eigensystem_nan", "eigensystem_inf", "eigensystem_x", "constant_mu", "activation",
+], ids=["linear", "linear_str", "linear_huge_int", "faquad", "perturbed", "design_field", "table_ts", "table_omegas",
+        "eigensystem_nan", "eigensystem_inf", "eigensystem_x", "eigensystem_str", "constant_mu",
+        "activation",
         "propagators", "response", "network_J", "network_b", "rectangle", "peak", "sampled",
         "composition", "composition_angle", "synthesize",
         "forward_short", "forward_char", "oracle", "basis_short", "basis_char", "dataset",
-        "composition_target", "composition_source", "hadamard", "gate_source", "probability",
+        "composition_target", "composition_source", "hadamard", "gate_source", "gate_weight",
+        "gate_bias", "probability",
         "conditional",
         "gate_source_float", "fidelity_points", "benchmark_points", "diagnostics_float",
         "diagnostics_zero", "train_seed"])
