@@ -20,7 +20,8 @@ def as_index(value, name: str) -> int:
 
 def require_finite(**params) -> None:
     """ValueError "<name> must be finite" for the first number or array in ``params`` with a
-    nan, an inf or an int past float range (a float is quoted); "... must be a number" for a str."""
+    nan, an inf or an int past float range (a float is quoted); "... must be real" for anything
+    that is not a real number or an array of them: a str, a complex, a ragged sequence."""
     for name, value in params.items():
         if isinstance(value, (int, float)):  # about 50x faster than numpy on a scalar
             if not abs(value) <= sys.float_info.max:  # an int compares exactly: 10**400 fails
@@ -28,10 +29,12 @@ def require_finite(**params) -> None:
                 raise ValueError(f"{name} must be finite, got {got}")
         else:
             try:
-                finite = np.isfinite(value).all()
-            except TypeError:
-                raise ValueError(f"{name} must be a number, got {value!r}") from None
-            if not finite:
+                arr = np.asarray(value)
+            except ValueError:  # a ragged sequence
+                arr = None
+            if arr is None or arr.dtype.kind not in "biuf":
+                raise ValueError(f"{name} must be real, got {value!r}")
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
 
 

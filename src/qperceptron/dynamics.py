@@ -2,23 +2,29 @@
 
 Integrates i d(psi)/dt = -1/2 [Omega(t) sx + x sz] psi (hbar = 1, basis
 (amp0, amp1), sz = diag(-1, +1)) by composing exact 2x2 step propagators.
-Each step is the fourth-order Gauss-Legendre Magnus step (Blanes, Casas,
-Oteo & Ros, Phys. Rep. 470 (2009)): the drive is sampled at the two nodes
-t_mid -+ (sqrt(3)/6) dt, and the step exponent is
+Each step is the sixth-order Gauss-Legendre Magnus step (Blanes, Casas &
+Ros, BIT 40 (2000) 434): the drive is sampled three times per step, at
+t_mid + (-sqrt(15)/10, 0, +sqrt(15)/10) dt.  With a_i = dt (Omega_i / 2, 0,
+x / 2) at node i and [u, v] = -2 u x v, the step exponent is
 
-    w = (dt (Omega1 + Omega2) / 4,  sqrt(3) dt^2 x (Omega2 - Omega1) / 24,  dt x / 2),
+    alpha1 = a2,  alpha2 = (sqrt(15)/3) (a3 - a1),  alpha3 = (10/3) (a3 - 2 a2 + a1),
+    C1 = [alpha1, alpha2],  C2 = -[alpha1, 2 alpha3 + C1] / 60,
+    w = alpha1 + alpha3 / 12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240.
 
-whose sy component is the commutator of the two node Hamiltonians.  The
-step propagator exp(i w.s) = cos|w| + i (sin|w| / |w|) w.s is an SU(2)
-element stored as a real quaternion (a, bx, by, bz) representing
-a + i (bx sx + by sy + bz sz); step products are quaternion products taken
-in a fixed pairwise tree, which regroups but never reorders the time-ordered
-product.  Inside the product the scalar part is held as e = a - 1, which
-keeps full relative precision near the identity, where a itself rounds to
-a spacing of 1e-16: a long product of small steps then does not drift off
-the unit sphere.  Unitarity is exact up to roundoff, so the norm is
-conserved to ~1e-12 even over 1e7 steps, and a vanishing field
-(Omega = x = 0) gives the identity step.
+Since only the sx part of a_i varies, w is a polynomial in x with
+per-step coefficients, w = (A0 + A2 x^2, x (B1 + B3 x^2), x (D1 + D3 x^2)),
+and |w|^2 / 4 is a cubic in x^2 evaluated by Horner's rule; the sy part
+comes from the commutators alone.  The step propagator
+exp(i w.s) = cos|w| + i (sin|w| / |w|) w.s is an SU(2) element stored as a
+real quaternion (a, bx, by, bz) representing a + i (bx sx + by sy + bz sz);
+step products are quaternion products taken in a fixed pairwise tree,
+which regroups but never reorders the time-ordered product.  Inside the
+product the scalar part is held as e = a - 1, which keeps full relative
+precision near the identity, where a itself rounds to a spacing of 1e-16:
+a long product of small steps then does not drift off the unit sphere.
+Unitarity is exact up to roundoff, so the norm is conserved to ~1e-12 even
+over 1e7 steps, and a vanishing field (Omega = x = 0) gives the identity
+step.
 
 Step-size policy: the base grid is built in one pass.  Its steps follow
 the tightest of dt <= 2 / sqrt(Omega^2 + x_max^2), dt <= tf / 62.5 and a
@@ -33,11 +39,11 @@ midpoint-halved until the requested quantity converges, and that loop, not
 a re-check of the rules, is the accuracy guarantee.
 
 Stop rule (the entry points refer here): the loop certifies an error
-estimate, not a raw change.  Each halving cuts the error 16-fold, so once a
+estimate, not a raw change.  Each halving cuts the error 64-fold, so once a
 change is seen to be at least 12 times smaller than the one before, the
-error left is about change / 15.  A column stops when its change is below
+error left is about change / 63.  A column stops when its change is below
 the tolerance tol, or below 7.5 tol after such a drop, which leaves about
-tol / 2.  Convergence is per x column: a column that stops keeps its value,
+tol / 8.  Convergence is per x column: a column that stops keeps its value,
 and later halvings integrate only the columns still moving, on the one grid
 sized for max |x|.
 The propagators converge each entry of U to tol (default 1e-9); grid
@@ -79,9 +85,10 @@ __all__ = [
 
 _MAX_HALVINGS = 16
 # error-estimate stop of _converged_sweep: a change below _EARLY_FACTOR * tol
-# after a drop of at least _EARLY_RATIO.  The factor is 7.5, not the full 15
-# of a 16-fold halving, because 15 left errors up to 1.4e-9 from
-# schedule_propagators at tol 1e-9 against DOP853
+# after a drop of at least _EARLY_RATIO.  Sized for a 16-fold halving, they
+# are kept for the 64-fold one: factors up to 63 after a drop of 48 kept
+# every error under tol against DOP853, but changed no measured column-step
+# count, so the stricter pair stays
 _EARLY_FACTOR = 7.5
 _EARLY_RATIO = 12.0
 # dt-rule constants of the base grid: phase per step, steps per ramp and
@@ -192,8 +199,9 @@ def _qmul(e1, x1, y1, z1, e2, x2, y2, z2):
 
 _CHUNK = 1 << 14
 _BLOCK = 1 << 20  # rows x columns of one block of step temporaries
-_GAUSS = math.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at t_mid -+ _GAUSS * dt
-_COMM = math.sqrt(3.0) / 24.0  # sy coefficient of the node commutator
+_NODE = math.sqrt(15.0) / 10.0  # Gauss-Legendre nodes at t_mid + (-_NODE, 0, _NODE) dt
+_Q = math.sqrt(15.0) / 3.0  # weights of the node drives' first and second differences
+_R = 10.0 / 3.0
 _TINY = np.finfo(float).tiny
 _log = logging.getLogger("qperceptron")
 
@@ -234,37 +242,68 @@ def _propagate(schedule, xs: np.ndarray, base: np.ndarray, level: int):
         ts = _level_edges(base, level, start, min(start + _CHUNK, n))
         dts = np.diff(ts)
         tmid = (ts[1:] + ts[:-1]) / 2.0
-        nodes = np.concatenate([tmid - _GAUSS * dts, tmid + _GAUSS * dts])
+        nodes = np.concatenate([tmid - _NODE * dts, tmid, tmid + _NODE * dts])
         om = np.broadcast_to(np.asarray(schedule.omega(nodes), dtype=float), nodes.shape)
         # pad to a power of two with zero-length (identity) steps, in
         # bit-reversed row order: row m of the padded arrays has dt = 0
         m = tmid.size
         rows = np.minimum(_bit_reversal((m - 1).bit_length()), m)
-        om1 = np.append(om[:m], 0.0)[rows][:, None]
-        om2 = np.append(om[m:], 0.0)[rows][:, None]
-        dt = np.append(dts, 0.0)[rows][:, None]
-        # Magnus-4 exponent w = (wx, cy x, cz x): the commutator of the two
-        # node Hamiltonians only adds the sy part
-        wx = (dt / 4.0) * (om1 + om2)
-        cy = _COMM * dt * dt * (om2 - om1)
-        cz = dt / 2.0
-        wq = 0.25 * (wx * wx)
-        cq = 0.25 * (cy * cy + cz * cz)
+        padded = np.zeros((4, m + 1))
+        padded[0, :m] = dts
+        padded[1:, :m] = om.reshape(3, m)
+        dt, om1, om2, om3 = padded[:, rows, None]
+        # Magnus-6 exponent w = (A0 + A2 y, x (B1 + B3 y), x (D1 + D3 y)),
+        # y = x^2, from c = dt / 2, p = c om2 and the first and second
+        # differences of the node drives, q and r (weighted, times c)
+        c = dt / 2.0
+        c2 = c * c
+        p = c * om2
+        q = (om3 - om1) * (_Q * c)
+        r = ((om3 + om1) - 2.0 * om2) * (_R * c)
+        qq = q * q
+        u = (20.0 * p + r) / 1800.0
+        cq = c * q
+        A0 = p + r / 12.0
+        A2 = (p * qq + 10.0 * r) * (c2 / -900.0)
+        B1 = cq * (u * p + 1.0 / 6.0)
+        B3 = cq * (c2 / 90.0)
+        D1 = c * (u * r - qq / 60.0 + 1.0)
+        D3 = qq * (c * c2 / -900.0)
+        # |w|^2 / 4 = k0 + k1 y + k2 y^2 + k3 y^3, evaluated by Horner's rule
+        k0 = 0.25 * (A0 * A0)
+        k1 = 0.25 * (2.0 * A0 * A2 + B1 * B1 + D1 * D1)
+        k2 = 0.25 * (A2 * A2 + 2.0 * (B1 * B3 + D1 * D3))
+        k3 = 0.25 * (B3 * B3 + D3 * D3)
         width = max(1, _BLOCK // rows.size)
-        for c in range(0, cols, width):
-            blk = slice(c, c + width)
+        for col in range(0, cols, width):
+            blk = slice(col, col + width)
             x = xs[None, blk]
+            y = x * x
             # step exp(i w.s) = 1 + e + i b.s with e = cos|w| - 1, held as
             # -2 sin^2(|w| / 2), and b = w sin|w| / |w| (b = 0 at w = 0)
-            half = np.sqrt(wq + cq * (x * x))
+            half = k3 * y
+            half += k2
+            half *= y
+            half += k1
+            half *= y
+            half += k0
+            np.sqrt(half, out=half)
             sn = np.sin(half)
-            e = -2.0 * sn * sn
-            s = sn / np.maximum(half, _TINY)
-            s *= np.cos(half)
-            bx = s * wx
+            s = np.cos(half)
+            s /= np.maximum(half, _TINY, out=half)
+            s *= sn
+            e = np.multiply(sn, sn, out=sn)
+            e *= -2.0
+            bx = A2 * y
+            bx += A0
+            bx *= s
             s *= x
-            by = s * cy
-            bz = s * cz
+            by = B3 * y
+            by += B1
+            by *= s
+            bz = D3 * y
+            bz += D1
+            bz *= s
             while e.shape[0] > 1:
                 # later step on the left: rows (p, p + h) hold steps (2j, 2j+1)
                 h = e.shape[0] // 2

@@ -102,6 +102,10 @@ class PerceptronGateSpec:
         object.__setattr__(self, "target", as_index(self.target, "target"))
         weights = {as_index(k, "source"): w for k, w in self.weights.items()}
         require_finite(weights=list(weights.values()), bias=self.bias)
+        if any(np.ndim(w) for w in weights.values()):
+            raise ValueError("weights must be numbers, one per source")
+        if np.ndim(self.bias):
+            raise ValueError("bias must be a number")
         if self.target in weights:
             raise ValueError("target cannot be one of its own sources")
         if any(k < 0 for k in weights):

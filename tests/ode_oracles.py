@@ -1,13 +1,15 @@
-"""DOP853 reference evolutions shared by the tests.
+"""Reference evolutions shared by the tests.
 
 Each result of ``qperceptron.dynamics`` and ``qperceptron.register`` is
-checked against one of these two solves, which share no code with the
-package: ``dop853_two_level`` for the single-qubit ramp and
+checked against one of these references, which share no code with the
+package or with each other: ``dop853_two_level`` for the single-qubit ramp,
+``landau_zener_propagator``, the exact solution of a linear ramp, and
 ``dop853_ising_passage`` for a dense Ising passage on a whole register.
 Qubit 0 is the leftmost factor, and the active |1> has sz = +1.
 """
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -47,6 +49,41 @@ def dop853_two_level(schedule, xs, starts, span=None, rtol=1e-12):
     span = (0.0, schedule.tf) if span is None else span
     sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=rtol, atol=rtol / 10)
     return sol.y[:, -1].reshape(2, s, k).transpose(2, 1, 0)
+
+
+def landau_zener_propagator(omega0, omegaf, tf, x):
+    """Exact U(tf, 0) of H(t) = -1/2 [Omega(t) sx + x sz] on the linear ramp
+    Omega(t) = omega0 + (omegaf - omega0) t / tf, for omega0 != omegaf and
+    x != 0: the finite-time Landau-Zener problem (Vitanov & Garraway,
+    PRA 53, 4288 (1996)), in parabolic-cylinder functions at 30 digits.
+
+    The Hadamard maps H onto [[-Omega/2, x/2], [x/2, Omega/2]].  With
+    k = dOmega/dt and tau = Omega / k, the first amplitude obeys
+    a'' + (x^2/4 + Omega^2/4 - i k/2) a = 0, solved by D_nu(+-s tau) with
+    s^2 = -i k and nu = i x^2 / (4 k); the second is b = (2/x)(i a' + Omega a / 2).
+    U = H Phi(omegaf) Phi(omega0)^-1 H for the fundamental matrix Phi.
+    Returns a (2, 2) complex array acting on (amp0, amp1).
+    """
+    with mpmath.workdps(30):
+        k = (mpmath.mpf(omegaf) - omega0) / tf
+        x = mpmath.mpf(x)
+        s = mpmath.sqrt(-1j * k)
+        nu = 1j * x * x / (4 * k)
+
+        def fundamental(omega):
+            phi = mpmath.matrix(2, 2)
+            for j, sign in enumerate((1, -1)):
+                z = sign * s * omega / k
+                d = mpmath.pcfd(nu, z)
+                # D_nu'(z) = z D_nu(z) / 2 - D_{nu+1}(z)
+                da = sign * s * (z * d / 2 - mpmath.pcfd(nu + 1, z))
+                phi[0, j] = d
+                phi[1, j] = (2 / x) * (1j * da + omega * d / 2)
+            return phi
+
+        h = mpmath.matrix([[1, 1], [1, -1]]) / mpmath.sqrt(2)
+        u = h * fundamental(mpmath.mpf(omegaf)) * mpmath.inverse(fundamental(mpmath.mpf(omega0))) * h
+        return np.array(u.tolist(), dtype=complex)
 
 
 def dop853_ising_passage(psi, targets, fields, schedule):

@@ -7,12 +7,14 @@ import math
 import re
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from qperceptron import cli, dynamics
@@ -30,7 +32,7 @@ from qperceptron.dynamics import (
     response_to_csv,
     schedule_propagators,
 )
-from ode_oracles import PLUS, dop853_two_level
+from ode_oracles import PLUS, dop853_two_level, landau_zener_propagator
 
 X_REF = 1.2720196495140690
 FINITE = dict(allow_nan=False, allow_infinity=False)
@@ -140,10 +142,10 @@ class TestIntegratorRobustness:
 
     def test_nan_between_grid_points_names_level(self):
         # finite on the probe grid and the step edges, NaN at the first
-        # Gauss node of the base grid: the level-0 sweep must stop there
+        # Magnus-6 node of the base grid: the level-0 sweep must stop there
         base = linear_schedule(2.0, 1.0, 1.0)
         lo, hi = dynamics._grid_spec(base, 1.0)[:2]
-        node = (lo + hi) / 2.0 - (math.sqrt(3.0) / 6.0) * (hi - lo)
+        node = (lo + hi) / 2.0 - (math.sqrt(15.0) / 10.0) * (hi - lo)
 
         class HoledDrive:
             tf = base.tf
@@ -249,18 +251,66 @@ class TestIntegratorRobustness:
         assert moving == [(2, 3), (2, 3)]
 
 
+class TestMagnusStep:
+    def test_one_step_is_the_magnus6_exponential(self):
+        # one step over [0, 1] of a curved drive against expm of the
+        # Blanes-Casas-Ros exponent, built from matrix commutators of
+        # A(t) = -i H(t) at the three Gauss-Legendre nodes
+        def omega(t):
+            return 3.0 + 20.0 * t - 15.0 * t * t
+
+        xs = np.array([-2.0, 0.0, 0.7, 2.5])
+        curved = types.SimpleNamespace(omega=omega)
+        got = dynamics._unitaries(dynamics._propagate(curved, xs, np.array([0.0, 1.0]), 0))
+        nodes = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sz = np.diag([-1.0, 1.0])
+
+        def com(u, v):
+            return u @ v - v @ u
+
+        for x, U in zip(xs, got):
+            a1, a2, a3 = (0.5j * (om * sx + x * sz) for om in omega(nodes))
+            al1, al2 = a2, math.sqrt(15.0) / 3.0 * (a3 - a1)
+            al3 = 10.0 / 3.0 * (a3 - 2.0 * a2 + a1)
+            c1 = com(al1, al2)
+            c2 = -com(al1, 2.0 * al3 + c1) / 60.0
+            w = al1 + al3 / 12.0 + com(-20.0 * al1 - al3 + c1, al2 + c2) / 240.0
+            assert np.max(np.abs(U - expm(w))) < 1e-13
+
+
 class TestConvergenceOrder:
-    def test_fourth_order_per_halving(self):
-        # Magnus-4: each halving cuts the error 16-fold.  A wrong sign on
-        # the commutator (sy) term still converges, but only 4-fold.
+    def test_sixth_order_per_halving(self):
+        # Magnus-6: each halving cuts the error 64-fold.  A wrong sign on
+        # the commutator (sy) terms still converges, but only 4-fold.
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
         xs = np.array([-3.0, 0.5, 2.0])
         base = dynamics._grid_spec(sched, 3.0)
-        ref = np.stack(dynamics._propagate(sched, xs, base, 9))
+        ref = np.stack(dynamics._propagate(sched, xs, base, 6))
         err = [np.abs(np.stack(dynamics._propagate(sched, xs, base, level)) - ref).max()
                for level in range(3)]
         for coarse, fine in zip(err, err[1:]):
-            assert 14.0 <= coarse / fine <= 18.0
+            assert 56.0 <= coarse / fine <= 72.0
+
+
+class TestLandauZenerOracle:
+    """Linear ramps against the exact parabolic-cylinder propagator, an
+    oracle that shares no code with the Magnus step or with DOP853."""
+
+    def test_oracle_matches_dop853(self):
+        xs = [-2.5, 0.3, 9.6]
+        want = dop853_two_level(linear_schedule(100.0, 1.0, 10.0), xs, np.eye(2))
+        got = np.array([landau_zener_propagator(100.0, 1.0, 10.0, x) for x in xs])
+        assert np.max(np.abs(got - want.transpose(0, 2, 1))) < 1e-10
+
+    @pytest.mark.parametrize("omega0, tf, xs", [
+        (100.0, 10.0, [-9.6, -2.5, -0.3, 0.7, 1.0, 5.0, 9.6]),
+        (4000.0, 350.0, [-0.7, 5.0]),  # criterion 4's ramp
+    ], ids=["linear_100", "criterion_4"])
+    def test_propagators_match_landau_zener(self, omega0, tf, xs):
+        got = schedule_propagators(linear_schedule(omega0, 1.0, tf), xs)
+        want = np.array([landau_zener_propagator(omega0, 1.0, tf, x) for x in xs])
+        assert np.max(np.abs(got - want)) < 1e-9
 
 
 @st.composite
@@ -365,8 +415,9 @@ class TestBaseGridMemory:
 
 
 class TestErrorEstimateStop:
-    """A column may stop on change / 15 once the 16-fold Magnus-4 regime has
-    been seen: the result must still be within the tolerance itself."""
+    """A column may stop on a change up to 7.5 tol once a drop of 12 or more
+    has shown the 64-fold Magnus-6 regime: the result must still be within
+    the tolerance itself."""
 
     @settings(max_examples=50, deadline=None)
     @given(ramp_kind=st.sampled_from(["linear", "faquad"]),
@@ -394,31 +445,54 @@ class TestErrorEstimateStop:
         with caplog.at_level(logging.DEBUG, logger="qperceptron"):
             assert cli.main(["response", "--out", str(tmp_path / "response.csv")]) == 0
         [record] = caplog.records
-        msg = record.getMessage()
-        assert msg.startswith(f"sweep: {propagate_calls[0][1]} base steps; ")
-        assert msg.endswith(f"; {column_steps(propagate_calls)} column-steps")
-        levels = re.findall(
-            r"level (\d+): (\d+) columns(?:, max change (\S+), (\d+) stopped on the estimate)?",
-            msg)
-        assert [(int(lv), int(n)) for lv, n, _, _ in levels] == [
-            (level, cols.size) for level, _, cols in propagate_calls]
-        # the first halving has no ratio to show the 16-fold regime; a later
-        # one stops columns whose change is still above ptol = 1e-8
+        levels = check_record(record.getMessage(), propagate_calls)
+        # the first halving has no ratio to show the 64-fold regime
         assert levels[1][3] == "0"
-        assert any(int(early) > 0 and float(d) >= 1e-8 for _, _, d, early in levels[2:])
+
+    def test_estimate_stop_on_gate_sweep(self, propagate_calls, caplog):
+        # a later halving stops columns whose change is still above tol
+        with caplog.at_level(logging.DEBUG, logger="qperceptron"):
+            schedule_propagators(faquad_schedule(100.0, 1.0, 10.0, X_REF), GATE_FIELDS)
+        [record] = caplog.records
+        levels = check_record(record.getMessage(), propagate_calls)
+        assert levels[1][3] == "0"
+        assert any(int(early) > 0 and float(d) >= 1e-9 for _, _, d, early in levels[2:])
+
+
+# the 8 sector fields -b + sum_k w_k s_k, s_k = -+1, of a gate with
+# weights (4, -3, 2) and bias 1
+GATE_FIELDS = -1.0 + np.array(list(itertools.product([-1.0, 1.0], repeat=3))) @ [4.0, -3.0, 2.0]
+
+
+def check_record(msg, calls):
+    """The (level, columns, max change, estimate stops) of a DEBUG sweep
+    record, after checking its base steps, columns and column-steps
+    against the ``_propagate`` calls."""
+    assert msg.startswith(f"sweep: {calls[0][1]} base steps; ")
+    assert msg.endswith(f"; {column_steps(calls)} column-steps")
+    levels = re.findall(
+        r"level (\d+): (\d+) columns(?:, max change (\S+), (\d+) stopped on the estimate)?",
+        msg)
+    assert [(int(lv), int(n)) for lv, n, _, _ in levels] == [
+        (level, cols.size) for level, _, cols in calls]
+    return levels
 
 
 class TestWorkGuard:
     """Column-steps (grid steps x x columns, summed over ``_propagate``
-    calls) of two fixed sweeps, with 25% headroom over the counts measured
-    with the phase rule dt E <= 2, per-column convergence and the
-    error-estimate stop.  A change that inflates the grid or the halving
+    calls) of three fixed sweeps, with 25% headroom over the counts measured
+    with the Magnus-6 step, the phase rule dt E <= 2, per-column
+    convergence and the error-estimate stop.  A change that inflates the grid or the halving
     levels again fails here, without timing.
     """
 
     def test_cli_response_default_sweep(self, propagate_calls, tmp_path):
         assert cli.main(["response", "--out", str(tmp_path / "response.csv")]) == 0
-        assert column_steps(propagate_calls) <= 1.25 * 233_070
+        assert column_steps(propagate_calls) <= 1.25 * 133_790
+
+    def test_gate_sweep_at_amplitude_tol(self, propagate_calls):
+        schedule_propagators(faquad_schedule(100.0, 1.0, 10.0, X_REF), GATE_FIELDS)
+        assert column_steps(propagate_calls) <= 1.25 * 8_840
 
     def test_criterion_4_linear_ramp(self, propagate_calls):
         average_fidelity(linear_schedule(4000.0, 1.0, 350.0), x_max=5.0, n_points=11)
@@ -436,7 +510,7 @@ def piecewise_oracle(schedule, x, psi0):
 
 class TestKinkedDrives:
     # piecewise-linear tables: every interior knot is a base-grid edge, so
-    # each Magnus step sees a smooth drive and keeps its fourth order
+    # each Magnus step sees a smooth drive and keeps its sixth order
     def test_kink_table_at_zero_field(self):
         sched = tabulated_schedule([0, 1, 2, 4, 5, 6, 7, 8, 9, 10],
                                    [1, 1, 4, 1, 1, 1, 1, 1, 1, 1])
@@ -556,6 +630,8 @@ class TestAverageFidelity:
         assert 0.0 <= f <= 1.0
         with pytest.raises(ValueError):
             average_fidelity(sched, x_max=-1.0, n_points=21)
+        with pytest.raises(ValueError, match="finite x_max > 0"):
+            average_fidelity(sched, x_max=0.0, n_points=21)
         with pytest.raises(ValueError):
             average_fidelity(sched, x_max=4.0, n_points=1)
 

@@ -319,6 +319,7 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "omega0", lambda: qperceptron.linear_schedule(_NAN, 1.0, 1.0)),
     (ValueError, "omega0", lambda: qperceptron.linear_schedule("1", 1.0, 1.0)),
     (ValueError, "omega0", lambda: qperceptron.linear_schedule(10**400, 1.0, 1.0)),
+    (ValueError, "omega0", lambda: qperceptron.linear_schedule(2 + 0j, 1.0, 1.0)),
     (ValueError, "x_ref", lambda: qperceptron.faquad_schedule(100.0, 1.0, 10.0, _INF)),
     (ValueError, "epsilon_ctrl", lambda: qperceptron.perturbed_schedule(
         qperceptron.faquad_schedule(100.0, 1.0, 10.0, 1.0), _NAN)),
@@ -357,6 +358,7 @@ _NAN, _INF = math.nan, math.inf
         _reg(), qperceptron.PerceptronGateSpec(0, {3: 1.0}))),
     (ValueError, "weights", lambda: qperceptron.PerceptronGateSpec(1, {0: _NAN})),
     (ValueError, "bias", lambda: qperceptron.PerceptronGateSpec(1, {0: 1.0}, bias=_INF)),
+    (ValueError, "weights", lambda: qperceptron.PerceptronGateSpec(1, {0: [1.0, 2.0]})),
     (IndexError, "qubit", lambda: qperceptron.excitation_probability(_reg(), -1)),
     (IndexError, "condition qubit", lambda: qperceptron.conditional_probability(
         _reg(), [4], [1], 0)),
@@ -367,14 +369,14 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "n", lambda: qperceptron.adiabatic_diagnostics(_ramp(), 1.0, n=2.5)),
     (ValueError, "n", lambda: qperceptron.adiabatic_diagnostics(_ramp(), 1.0, n=0)),
     (ValueError, "seed", lambda: qperceptron.TrainConfig(seed=-5)),
-], ids=["linear", "linear_str", "linear_huge_int", "faquad", "perturbed", "design_field", "table_ts", "table_omegas",
+], ids=["linear", "linear_str", "linear_huge_int", "linear_complex", "faquad", "perturbed", "design_field", "table_ts", "table_omegas",
         "eigensystem_nan", "eigensystem_inf", "eigensystem_x", "eigensystem_str", "constant_mu",
         "activation",
         "propagators", "response", "network_J", "network_b", "rectangle", "peak", "sampled",
         "composition", "composition_angle", "synthesize",
         "forward_short", "forward_char", "oracle", "basis_short", "basis_char", "dataset",
         "composition_target", "composition_source", "hadamard", "gate_source", "gate_weight",
-        "gate_bias", "probability",
+        "gate_bias", "gate_weight_array", "probability",
         "conditional",
         "gate_source_float", "fidelity_points", "benchmark_points", "diagnostics_float",
         "diagnostics_zero", "train_seed"])

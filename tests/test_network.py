@@ -639,3 +639,21 @@ class TestMixtureEngineBitwise:
         net = layered_net(3, [30])  # 34 qubits: an (8, 2^30, 34) tensor
         with pytest.raises(ValueError, match=r"^30 hidden qubits need a 8 x 2\^30 x 34 mixture tensor"):
             _MixtureEngine(net, all_bits(3))
+
+    def test_engine_limit_is_exactly_2_to_the_26_doubles(self, monkeypatch):
+        # 3-4-1: 8 qubits and 2^4 configurations, so 2^19 samples make a
+        # tensor of exactly 2^26 doubles.  It passes the size check, and the
+        # first allocation after the check fails on purpose; one sample more
+        # is refused.
+        class Allocated(Exception):
+            pass
+
+        def no_allocation(*args, **kwargs):
+            raise Allocated
+
+        net = layered_net(3, [4])
+        monkeypatch.setattr(np, "arange", no_allocation)
+        with pytest.raises(Allocated):
+            _MixtureEngine(net, ["000"] * (1 << 19))
+        with pytest.raises(ValueError, match=r"^4 hidden qubits need a 524289 x 2\^4 x 8 "):
+            _MixtureEngine(net, ["000"] * ((1 << 19) + 1))
