@@ -17,9 +17,9 @@ recomputed every activation it shares.
 
 Gates of one layer have disjoint targets and diagonal controls on earlier
 layers, so they commute: a whole layer can run as one quasi-adiabatic Ising
-passage under the shared ramp, with the final state of forward's
-gate-by-gate pass.  protocol_duration counts one ramp per layer, and rejects
-a net in which a gate sources a qubit of its own layer.
+passage under the shared ramp, and a hardware forward integrates them in one
+sweep.  protocol_duration counts one ramp per layer, and rejects a net in
+which a gate sources a qubit of its own layer.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from ._io import as_index, check_bits, require_finite
 from .activation import ALGEBRAIC, ActivationKind, cao_arctan, df_dx, eval_f
 from .register import (
     PerceptronGateSpec,
-    apply_hardware_perceptron,
+    _apply_hardware_gates,
     apply_ideal_perceptron,
     excitation_probability,
     init_basis,
@@ -151,9 +151,16 @@ def forward(net: NetworkSpec, input_bits: str, schedule=None):
     """
     check_bits(input_bits, net.n_inputs, "input_bits")
     reg = init_basis(net.n_total, input_bits + "0" * (net.n_total - net.n_inputs))
-    apply = apply_ideal_perceptron if schedule is None else apply_hardware_perceptron
-    for gate in net.gates(schedule):
-        reg = apply(reg, gate)
+    if schedule is None:
+        for gate in net.gates():
+            reg = apply_ideal_perceptron(reg, gate)
+    else:
+        run = []  # commuting gates: a new run starts at a gate sourcing a target of this one
+        for gate in net.gates(schedule):
+            if any(g.target in gate.weights for g in run):
+                reg, run = _apply_hardware_gates(reg, run), []
+            run.append(gate)
+        reg = _apply_hardware_gates(reg, run)
     return reg, excitation_probability(reg, net.n_total - 1)
 
 

@@ -21,8 +21,9 @@ hardware gate), broadcast over the other axes by one kernel in one pass; no
 2^n x 2^n matrix is ever materialized.  A hardware gate integrates the ramp
 only for the occupied source configurations, those holding any nonzero
 amplitude: an unoccupied one has only exact zeros, which every propagator
-leaves exactly zero.  Registers are values: every operation returns a new
-register and amplitude arrays are frozen read-only.
+leaves exactly zero.  network.forward integrates each run of commuting
+hardware gates (a layer) in one sweep.  Registers are values: every
+operation returns a new register and amplitude arrays are frozen read-only.
 """
 from __future__ import annotations
 
@@ -206,22 +207,34 @@ def apply_hardware_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) ->
     them exactly zero and no observable can tell which one acted: only the
     occupied sectors' fields are integrated, and the time grid is sized by
     their largest |x|.  From a basis input every first-layer gate has one
-    occupied sector.
+    occupied sector.  It is a one-gate run of the one hardware path.
 
     The physical evolution keeps each sector's dynamical phase.  For z-basis
     feed-forward circuits those phases are unobservable.
     """
-    if gate.schedule is None:
+    return _apply_hardware_gates(reg, [gate])
+
+
+def _apply_hardware_gates(reg: QuantumRegister, gates) -> QuantumRegister:
+    """Hardware gates in order, all their occupied fields integrated in one
+    sweep of the first gate's schedule, every gate checked before it.  The
+    occupied sectors are read from ``reg``: exact when no gate sources
+    another's target, as a gate keeps the norm of every target pair."""
+    if any(gate.schedule is None for gate in gates):
         raise ValueError("gate is in ideal mode; use apply_ideal_perceptron")
-    x = _gate_field(reg, gate)
-    n = reg.n_qubits
-    free = tuple(k for k in range(n) if k not in gate.weights)
-    occ = np.any(_view(reg.amplitudes, n, [], []) != 0, axis=free, keepdims=True)
-    x = np.where(occ, x, x[occ][0])  # any field keeps an unoccupied sector's zeros
-    xu, inv = np.unique(x, return_inverse=True)
-    UH = schedule_propagators(gate.schedule, xu) @ _HADAMARD
-    u = UH.transpose(1, 2, 0)[:, :, inv.reshape(x.shape)]  # entry u[i, j] per sector
-    return _update_pairs(reg, gate.target, u)
+    nonzero = _view(reg.amplitudes, reg.n_qubits, [], []) != 0
+    fields = []
+    for gate in gates:
+        x = _gate_field(reg, gate)
+        free = tuple(k for k in range(reg.n_qubits) if k not in gate.weights)
+        occ = np.any(nonzero, axis=free, keepdims=True)
+        fields.append(np.where(occ, x, x[occ][0]))  # any field keeps an unoccupied sector's zeros
+    xu, inv = np.unique(np.concatenate([x.ravel() for x in fields]), return_inverse=True)
+    u = (schedule_propagators(gates[0].schedule, xu) @ _HADAMARD).transpose(1, 2, 0)  # u[i, j] per x
+    for gate, x in zip(gates, fields):
+        reg = _update_pairs(reg, gate.target, u[:, :, inv[: x.size].reshape(x.shape)])
+        inv = inv[x.size :]
+    return reg
 
 
 def _norm2(psi: np.ndarray) -> float:

@@ -32,7 +32,9 @@ from qperceptron.dynamics import (
     response_to_csv,
     schedule_propagators,
 )
+from qperceptron.network import forward
 from ode_oracles import PLUS, dop853_two_level, landau_zener_propagator
+from test_network import layered_net
 
 X_REF = 1.2720196495140690
 FINITE = dict(allow_nan=False, allow_infinity=False)
@@ -497,6 +499,20 @@ class TestWorkGuard:
     def test_criterion_4_linear_ramp(self, propagate_calls):
         average_fidelity(linear_schedule(4000.0, 1.0, 350.0), x_max=5.0, n_points=11)
         assert column_steps(propagate_calls) <= 1.25 * 26_841_370
+
+    def test_hardware_forwards_sweep_once_per_layer(self, caplog):
+        # 8 forwards of a 3-4-1 net: one sweep per layer, 16 in all, and at
+        # most 2% more column-steps than the 178,160 that sweeping each gate
+        # alone takes, though a layer shares one grid
+        sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
+        net = layered_net(3, [4], np.random.default_rng(5), scale=3.0)
+        with caplog.at_level(logging.DEBUG, logger="qperceptron"):
+            for i in range(8):
+                forward(net, format(i, "03b"), sched)
+        steps = [int(re.search(r"; (\d+) column-steps$", r.getMessage())[1])
+                 for r in caplog.records]
+        assert len(steps) == 8 * 2
+        assert sum(steps) <= 1.02 * 178_160
 
 
 def piecewise_oracle(schedule, x, psi0):

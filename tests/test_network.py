@@ -512,19 +512,79 @@ class TestLayerHamiltonian:
             want = layered_hardware_mixture(net, bits, p_hw.__getitem__)
             assert abs(forward(net, bits, sched)[1] - want) < 1e-8
 
-    def test_basis_input_integrates_occupied_fields_only(self, monkeypatch):
-        # from a basis input each hidden gate has one occupied source sector;
-        # the output gate sees all 16 hidden configurations
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The x values of every schedule_propagators call of the register."""
         asked = []
 
         def recording(schedule, xs, *args, **kwargs):
-            asked.append(len(xs))
+            asked.append(np.asarray(xs))
             return schedule_propagators(schedule, xs, *args, **kwargs)
 
         monkeypatch.setattr(register, "schedule_propagators", recording)
+        return asked
+
+    def test_basis_input_integrates_occupied_fields_only(self, sweeps):
+        # one sweep per layer: from a basis input each hidden gate has one
+        # occupied source sector; the output gate sees all 16 hidden
+        # configurations
         net = layered_net(3, [4], np.random.default_rng(8))
         forward(net, "101", faquad_schedule(100.0, 1.0, 5.0, X_REF))
-        assert asked == [1, 1, 1, 1, 16]
+        assert [xs.size for xs in sweeps] == [4, 16]
+
+    def test_same_layer_source_splits_the_run(self, sweeps):
+        # qubit 3 sources qubit 2, and qubit 4 sources qubit 3: the gates run
+        # as [2], [3], [4, 5], [6], each run as its gates one by one
+        sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
+        net = self.rewired(layered_net(2, [2, 2], np.random.default_rng(9)), 3, 2, 1.0)
+        got = forward(net, "10", sched)[0].amplitudes
+        assert [xs.size for xs in sweeps] == [1, 2, 8, 4]
+        want = init_basis(7, "1000000")
+        for gate in net.gates(sched):
+            want = apply_hardware_perceptron(want, gate)
+        assert np.max(np.abs(got - want.amplitudes)) < 1e-9
+
+    def test_shared_field_of_a_layer_is_integrated_once(self, sweeps):
+        # two hidden gates with equal weights and bias see one field
+        net = layered_net(2, [2], np.random.default_rng(4))
+        J, b = net.J.copy(), net.b.copy()
+        J[3], b[3] = J[2], b[2]
+        net = NetworkSpec(2, net.layer_sizes, net.mask, J, b)
+        forward(net, "01", faquad_schedule(100.0, 1.0, 5.0, X_REF))
+        assert [xs.size for xs in sweeps] == [1, 4]
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_runs_equal_gate_by_gate_and_dop853_mixture(self, data):
+        # forward sweeps once per run of commuting gates; a skip connection
+        # keeps the runs, a same-layer source splits one
+        sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
+        N = data.draw(st.integers(2, 3))
+        hidden = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        layered = layered_net(N, hidden)
+        n = layered.n_total
+        mask = layered.mask.copy()
+        extra = data.draw(st.sampled_from([None, "skip", "same"]))
+        if extra == "skip":
+            mask[n - 1, data.draw(st.integers(0, N - 1))] = 1.0
+        if extra == "same" and max(hidden) > 1:
+            lo = N + sum(hidden[: hidden.index(max(hidden))])
+            mask[lo + 1, lo] = 1.0
+        weight = st.floats(-6.0, 6.0)
+        J = mask * np.reshape(data.draw(st.lists(weight, min_size=n * n, max_size=n * n)), (n, n))
+        b = np.array([0.0] * N + data.draw(st.lists(weight, min_size=n - N, max_size=n - N)))
+        net = NetworkSpec(N, layered.layer_sizes, mask, J, b)
+        bits = data.draw(st.sampled_from(all_bits(N)))
+        reg, p = forward(net, bits, sched)
+        want = init_basis(n, bits + "0" * (n - N))
+        for gate in net.gates(sched):
+            want = apply_hardware_perceptron(want, gate)
+        assert np.max(np.abs(reg.amplitudes - want.amplitudes)) < 1e-9
+        if np.array_equal(mask, layered.mask):
+            fields = []
+            layered_hardware_mixture(net, bits, lambda x: fields.append(x) or 0.5)
+            p_hw = dict(zip(fields, np.abs(dop853_two_level(sched, fields, PLUS)[:, 0, 1]) ** 2))
+            assert abs(p - layered_hardware_mixture(net, bits, p_hw.__getitem__)) < 1e-8
 
     def test_protocol_duration(self):
         net = layered_net(2, [2, 3])

@@ -318,6 +318,19 @@ class TestHardwareGate:
         with pytest.raises(ValueError):
             apply_hardware_perceptron(init_basis(1, "0"), gate)
 
+    def test_run_is_checked_before_its_sweep(self, monkeypatch):
+        # the last gate of a run sources a qubit the register lacks: nothing
+        # is integrated, not even the valid gates before it
+        sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
+        calls = []
+        monkeypatch.setattr(register, "schedule_propagators", lambda *a: calls.append(a))
+        run = [PerceptronGateSpec(target=1, weights={0: 1.0}, schedule=sched),
+               PerceptronGateSpec(target=2, weights={0: 0.5}, schedule=sched),
+               PerceptronGateSpec(target=3, weights={0: 2.0, 7: 1.0}, schedule=sched)]
+        with pytest.raises(IndexError, match="source 7 out of range"):
+            register._apply_hardware_gates(init_basis(4, "1000"), run)
+        assert calls == []
+
 
 class TestObservables:
     def test_basis_and_plus(self):
