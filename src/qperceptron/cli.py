@@ -21,6 +21,7 @@ from .control import (
     perturbed_schedule,
 )
 from .dynamics import (
+    _StepBudgetError,
     benchmark_ramps,
     fit_constants_json,
     report_to_csv,
@@ -128,7 +129,10 @@ def cmd_response(parser, args) -> int:
     if args.epsilon_ctrl > 0:
         sched = perturbed_schedule(sched, args.epsilon_ctrl)
     grid = _x_grid(parser, -args.xmax, args.xmax, args.points, "--xmax")
-    curve = response_curve(sched, grid)
+    try:
+        curve = response_curve(sched, grid)
+    except _StepBudgetError as exc:
+        parser.error(f"{exc}; lower --xmax, --tf or --omega0")
     with open_text(args.out, "w") as fh:
         fh.write(_UNITS_COMMENT)
         fh.write(

@@ -55,7 +55,10 @@ vanishing on [0, tf]), fails with ValueError before any allocation.
 
 Evolutions for distinct x values are an independent vectorized map over one
 shared time grid; reductions over the x grid (the fidelity trapezoid) are
-fixed-order and bitwise reproducible.
+fixed-order and bitwise reproducible.  Mirror rule: H(-x) = sx H(x) sx, so
+U(-x) is U(|x|) with (by, bz) negated, and a sweep integrates each distinct
+|x| once.  This is exact in floating point: x enters a step only through x^2
+and one product, and IEEE rounding is sign-symmetric (up to zeros' signs).
 """
 from __future__ import annotations
 
@@ -109,6 +112,10 @@ _BENCH_X_REF = optimal_design_field(_BENCH_OMEGAF)
 _BENCH_X_MAX = 10.0
 
 
+class _StepBudgetError(ValueError):
+    """A base step grid would need more than _MAX_BASE_STEPS steps."""
+
+
 def _validate_schedule(schedule):
     tf = getattr(schedule, "tf", None)
     if tf is None or not (tf > 0) or not callable(getattr(schedule, "omega", None)):
@@ -117,6 +124,16 @@ def _validate_schedule(schedule):
         raise ValueError("invalid schedule: needs domega(t), the slope of omega(t)")
     if not hasattr(schedule, "samples"):
         raise ValueError("invalid schedule: needs samples, its (t, Omega) knots or None")
+
+
+@functools.lru_cache(maxsize=4)
+def _probe(tf: float) -> np.ndarray:
+    """Knot-free probe grid of _grid_spec, read-only: a uniform body plus a
+    geometric head that resolves steep starts."""
+    probe = np.unique(np.concatenate(
+        [np.linspace(0.0, tf, 4097), tf * np.geomspace(1e-9, 1.0, 2049), [0.0]]))
+    probe.flags.writeable = False
+    return probe
 
 
 def _grid_spec(schedule, x_absmax: float) -> np.ndarray:
@@ -131,13 +148,9 @@ def _grid_spec(schedule, x_absmax: float) -> np.ndarray:
     tf = schedule.tf
     samples = schedule.samples
     knots = np.asarray(samples[0][1:-1] if samples is not None else [], dtype=float)
-    # probe grid: uniform body plus geometric head to resolve steep starts
-    probe = np.unique(np.concatenate([
-        np.linspace(0.0, tf, 4097),
-        tf * np.geomspace(1e-9, 1.0, 2049),
-        [0.0],
-        knots,
-    ]))
+    probe = _probe(tf)
+    if knots.size:
+        probe = np.union1d(probe, knots)
     om = np.asarray(schedule.omega(probe), dtype=float)
     dom = np.asarray(schedule.domega(probe), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -153,7 +166,7 @@ def _grid_spec(schedule, x_absmax: float) -> np.ndarray:
         raise ValueError("drive omega(t) or its slope is not finite on [0, tf]")
     if cum[-1] > _MAX_BASE_STEPS:
         rule = max(rules, key=lambda k: np.trapezoid(rules[k], probe))
-        raise ValueError(
+        raise _StepBudgetError(
             f"step grid needs about {cum[-1]:.3g} base steps, over the budget of "
             f"{_MAX_BASE_STEPS}; the {rule} dominates, peaking at "
             f"t = {probe[np.argmax(rules[rule])]:.6g}"
@@ -349,15 +362,17 @@ def _converged_sweep(schedule, x_values, reduce_fn, tol):
     axis 0.  A column's change is the max-abs change of its entries between
     consecutive halvings; the error-estimate stop cannot fire at the first
     halving, which has no ratio.  A stopped column keeps its quaternion, and
-    later halvings integrate only the columns still moving.  All columns
-    share one grid sized for max |x|, whose base edges are built once and
-    held in memory; each level's edges are generated from them per chunk.
+    later halvings integrate only the distinct |x| of the columns still
+    moving; by the mirror rule, a column with x's sign bit set takes its
+    |x|'s quaternion with (by, bz) negated.  All columns share one grid
+    sized for max |x|, whose base edges are built once and held in memory;
+    each level's edges are generated from them per chunk.
     Returns (xs, quaternion, reduction).  A non-finite reduction fails at
-    once, naming its level.  Each level records the columns integrated, the
+    once, naming its level.  Each level records the |x| integrated, the
     largest change, the columns left moving, those stopped on the estimate
     alone and the wall time.  Failing to converge reports the changes and
-    moving columns per halving; a converged sweep logs the record and the
-    total column-steps as one DEBUG line on the "qperceptron" logger.
+    moving columns per halving; a converged sweep logs its columns, distinct
+    |x|, record and column-steps as one DEBUG line on "qperceptron".
     """
     _validate_schedule(schedule)
     if not (0 <= tol < math.inf):
@@ -369,7 +384,10 @@ def _converged_sweep(schedule, x_values, reduce_fn, tol):
     q = np.empty((4, xs.size))
     if not xs.size:
         return xs, q, reduce_fn(q)
-    base = _grid_spec(schedule, float(np.max(np.abs(xs))))
+    ax, rep = np.unique(np.abs(xs), return_inverse=True)
+    sign = np.where(np.signbit(xs), -1.0, 1.0)
+    qa = np.empty((4, ax.size))
+    base = _grid_spec(schedule, float(ax[-1]))
     live = np.arange(xs.size)
     # each live column's change at the halving before; 0 before the first,
     # so that the error-estimate stop cannot fire there
@@ -377,8 +395,11 @@ def _converged_sweep(schedule, x_values, reduce_fn, tol):
     record = []
     for level in range(_MAX_HALVINGS + 1):
         t0 = time.perf_counter()
-        cols = live.size
-        q[:, live] = _propagate(schedule, xs[live], base, level)
+        need = np.bincount(rep[live], minlength=ax.size) > 0
+        cols = np.count_nonzero(need)
+        qa[:, need] = _propagate(schedule, ax[need], base, level)
+        q[:, live] = qa[:, rep[live]]
+        q[2:, live] *= sign[live]
         nxt = reduce_fn(q)
         if not np.all(np.isfinite(nxt)):
             raise ValueError(f"integration gave a non-finite result at halving level {level}")
@@ -393,12 +414,12 @@ def _converged_sweep(schedule, x_values, reduce_fn, tol):
         if not live.size:
             if _log.isEnabledFor(logging.DEBUG):
                 levels = "; ".join(
-                    f"level {lv}: {n} columns"
+                    f"level {lv}: {n} |x|"
                     + (f", max change {d:.3g}, {e} stopped on the estimate" if lv else "")
                     + f", {sec:.3g} s" for lv, (n, d, _, e, sec) in enumerate(record))
                 steps = sum(((base.size - 1) << lv) * n for lv, (n, *_) in enumerate(record))
-                _log.debug("sweep: %d base steps; %s; %d column-steps",
-                           base.size - 1, levels, steps)
+                _log.debug("sweep: %d x columns, %d distinct |x|, %d base steps; %s; "
+                           "%d column-steps", xs.size, ax.size, base.size - 1, levels, steps)
             return xs, q, nxt
         cur = nxt
     history = ", ".join(f"{d:.3g} ({n} of {xs.size} columns)" for _, d, n, _, _ in record[1:])

@@ -285,14 +285,22 @@ class TestNamedErrors:
     @pytest.mark.parametrize("argv, rc, message", [
         (["response", "--tf", "abc"], 2, "argument --tf: expected a finite number, got 'abc'"),
         (["synthesize", "--m1", "1,5"], 2, "argument --m1: expected a finite number, got '1,5'"),
-        (["response", "--xmax", "1e300", "--points", "3"], 1,
+        # exited 1 without naming a flag; the budget refuses the grid
+        # before any edge is allocated
+        (["response", "--xmax", "1e300", "--points", "3"], 2,
          "error: step grid needs about 5e+300 base steps, over the budget of 16777216; "
-         "the phase rule"),
+         "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+         "lower --xmax, --tf or --omega0"),
+        (["response", "--tf", "1e9", "--points", "3"], 2,
+         "error: step grid needs about 5.28e+09 base steps, over the budget of 16777216; "
+         "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+         "lower --xmax, --tf or --omega0"),
         (["train", "--seed", "-5"], 2, "--seed must be >= 0"),
         # exited 1: the perturbation is defined relative to a faquad base only
         (["response", "--schedule", "linear", "--epsilon-ctrl", "0.2"], 2,
          "--epsilon-ctrl applies to --schedule faquad only"),
-    ], ids=["tf_text", "m1_comma", "step_budget", "negative_seed", "perturbed_linear"])
+    ], ids=["tf_text", "m1_comma", "step_budget", "step_budget_tf", "negative_seed",
+            "perturbed_linear"])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, rc, message):
         out = tmp_path / "x.csv"
         assert main([*argv, "--out", str(out)]) == rc

@@ -401,6 +401,63 @@ class TestColumnBlocks:
         assert peak < 96 * 2**20
 
 
+KINKED = tabulated_schedule([0.0, 0.3, 1.1, 1.7, 2.5], [40.0, 3.0, 9.0, 0.5, 2.0])
+MIRROR_SCHEDULES = {
+    "linear": linear_schedule(100.0, 1.0, 10.0),
+    "faquad": faquad_schedule(100.0, 1.0, 10.0, X_REF),
+    "perturbed": perturbed_schedule(faquad_schedule(40.0, 1.0, 5.0, X_REF), 0.3),
+    "tabulated": KINKED,
+    "reversed": reversed_negated(KINKED),
+}
+
+
+class TestMirrorSymmetry:
+    """U(-x) = sx U(x) sx, which the sweep driver uses to integrate each
+    distinct |x| once: it must hold bit for bit in the kernel."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(sorted(MIRROR_SCHEDULES)),
+           xs=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0, **FINITE)),
+                       min_size=1, max_size=6))
+    def test_negated_x_negates_by_and_bz(self, kind, xs):
+        sched = MIRROR_SCHEDULES[kind]
+        xs = np.array(xs)
+        base = dynamics._grid_spec(sched, float(np.max(np.abs(xs))))
+        for level in range(3):
+            a, bx, by, bz = dynamics._propagate(sched, xs, base, level)
+            mirrored = np.stack(dynamics._propagate(sched, -xs, base, level))
+            # values: the sign of an exact zero may differ
+            assert np.array_equal(mirrored, np.stack([a, bx, -by, -bz]))
+
+    def test_each_column_equals_its_sweep_without_pairs(self, propagate_calls):
+        # mirror pairs, an exact duplicate, +-0.0, a lone negative and the
+        # max |x| of both signs.  A column's result depends only on its x,
+        # the grid's M = max |x| and tol, so a sweep of [x, M] (or [x] when
+        # |x| = M), which has no pairs, must give it exactly
+        xs = np.array([-3.0, 3.0, 1.5, 1.5, -0.0, 0.0, -7.25, 2.0, -2.0, 0.3, 10.0, -10.0])
+        M = 10.0
+
+        def positive_by(q):
+            # a mirror pair's entries and probabilities change by equal
+            # amounts; this reduction lets a column whose by < 0 stop at the
+            # first halving while its mirror moves on
+            return np.maximum(q[2], 0.0)
+
+        for sched in (MIRROR_SCHEDULES["faquad"], MIRROR_SCHEDULES["reversed"]):
+            U = schedule_propagators(sched, xs)
+            P = [p for _, p in response_curve(sched, xs)]
+            _, q, _ = dynamics._converged_sweep(sched, xs, positive_by, 1e-9)
+            for j, x in enumerate(xs):
+                alone = [x] if abs(x) == M else [x, M]
+                assert np.array_equal(schedule_propagators(sched, alone)[0], U[j])
+                assert response_curve(sched, alone)[0][1] == P[j]
+                _, q_alone, _ = dynamics._converged_sweep(sched, alone, positive_by, 1e-9)
+                assert np.array_equal(q_alone[:, 0], q[:, j])
+        for _, _, cols in propagate_calls:
+            assert not np.any(np.signbit(cols))
+            assert np.unique(cols).size == cols.size
+
+
 class TestBaseGridMemory:
     def test_base_edges_peak_is_bounded(self):
         # 4.41e6 base steps: the edges and their quantiles are two 34 MiB
@@ -447,7 +504,9 @@ class TestErrorEstimateStop:
         with caplog.at_level(logging.DEBUG, logger="qperceptron"):
             assert cli.main(["response", "--out", str(tmp_path / "response.csv")]) == 0
         [record] = caplog.records
-        levels = check_record(record.getMessage(), propagate_calls)
+        # linspace(-10, 10, 201) rounds all but 33 of its 100 mirror pairs apart
+        levels = check_record(record.getMessage(), propagate_calls, 201)
+        assert propagate_calls[0][2].size == 168
         # the first halving has no ratio to show the 64-fold regime
         assert levels[1][3] == "0"
 
@@ -456,7 +515,7 @@ class TestErrorEstimateStop:
         with caplog.at_level(logging.DEBUG, logger="qperceptron"):
             schedule_propagators(faquad_schedule(100.0, 1.0, 10.0, X_REF), GATE_FIELDS)
         [record] = caplog.records
-        levels = check_record(record.getMessage(), propagate_calls)
+        levels = check_record(record.getMessage(), propagate_calls, GATE_FIELDS.size)
         assert levels[1][3] == "0"
         assert any(int(early) > 0 and float(d) >= 1e-9 for _, _, d, early in levels[2:])
 
@@ -466,14 +525,16 @@ class TestErrorEstimateStop:
 GATE_FIELDS = -1.0 + np.array(list(itertools.product([-1.0, 1.0], repeat=3))) @ [4.0, -3.0, 2.0]
 
 
-def check_record(msg, calls):
-    """The (level, columns, max change, estimate stops) of a DEBUG sweep
-    record, after checking its base steps, columns and column-steps
-    against the ``_propagate`` calls."""
-    assert msg.startswith(f"sweep: {calls[0][1]} base steps; ")
+def check_record(msg, calls, columns):
+    """The (level, |x| integrated, max change, estimate stops) of a DEBUG
+    sweep record, after checking its x columns, distinct |x|, base steps,
+    per-level |x| and column-steps against the ``_propagate`` calls."""
+    assert msg.startswith(
+        f"sweep: {columns} x columns, {calls[0][2].size} distinct |x|, "
+        f"{calls[0][1]} base steps; ")
     assert msg.endswith(f"; {column_steps(calls)} column-steps")
     levels = re.findall(
-        r"level (\d+): (\d+) columns(?:, max change (\S+), (\d+) stopped on the estimate)?",
+        r"level (\d+): (\d+) \|x\|(?:, max change (\S+), (\d+) stopped on the estimate)?",
         msg)
     assert [(int(lv), int(n)) for lv, n, _, _ in levels] == [
         (level, cols.size) for level, _, cols in calls]
@@ -482,23 +543,31 @@ def check_record(msg, calls):
 
 class TestWorkGuard:
     """Column-steps (grid steps x x columns, summed over ``_propagate``
-    calls) of three fixed sweeps, with 25% headroom over the counts measured
+    calls) of fixed sweeps, with 25% headroom over the counts measured
     with the Magnus-6 step, the phase rule dt E <= 2, per-column
-    convergence and the error-estimate stop.  A change that inflates the grid or the halving
-    levels again fails here, without timing.
+    convergence, the error-estimate stop and each distinct |x| integrated
+    once.  A change that inflates the grid or the halving levels again, or
+    integrates mirrored columns twice, fails here, without timing.
     """
 
     def test_cli_response_default_sweep(self, propagate_calls, tmp_path):
+        # 168 distinct |x|: linspace(-10, 10, 201) has 33 exact mirror pairs
         assert cli.main(["response", "--out", str(tmp_path / "response.csv")]) == 0
-        assert column_steps(propagate_calls) <= 1.25 * 133_790
+        assert column_steps(propagate_calls) <= 1.25 * 109_480
+
+    def test_cli_benchmark_default_sweeps(self, propagate_calls, tmp_path, capsys):
+        # 26 sweeps of the exactly mirror-symmetric 21-point grid
+        assert cli.main(["benchmark", "--out", str(tmp_path / "bench.csv")]) == 0
+        assert column_steps(propagate_calls) <= 1.25 * 401_041
 
     def test_gate_sweep_at_amplitude_tol(self, propagate_calls):
+        # the 8 fields hold two mirror pairs, +-2 and +-4
         schedule_propagators(faquad_schedule(100.0, 1.0, 10.0, X_REF), GATE_FIELDS)
-        assert column_steps(propagate_calls) <= 1.25 * 8_840
+        assert column_steps(propagate_calls) <= 1.25 * 6_460
 
     def test_criterion_4_linear_ramp(self, propagate_calls):
         average_fidelity(linear_schedule(4000.0, 1.0, 350.0), x_max=5.0, n_points=11)
-        assert column_steps(propagate_calls) <= 1.25 * 26_841_370
+        assert column_steps(propagate_calls) <= 1.25 * 13_972_220
 
     def test_hardware_forwards_sweep_once_per_layer(self, caplog):
         # 8 forwards of a 3-4-1 net: one sweep per layer, 16 in all, and at
@@ -554,6 +623,18 @@ class TestKinkedDrives:
             edges = dynamics._grid_spec(sched, 2.0)
             knots = sched.samples[0][1:-1]
             assert np.all(np.isin(knots, edges))
+
+    def test_probe_is_built_once_per_tf_and_read_only(self):
+        # the cached knot-free probe is the one of a fresh build, and a
+        # table merges its knots into a copy: repeated grids stay bitwise equal
+        table = tabulated_schedule([0.0, 0.3, 1.1, 1.7, 2.5], [40.0, 3.0, 9.0, 0.5, 2.0])
+        probe = dynamics._probe(2.5)
+        assert probe is dynamics._probe(2.5) and not probe.flags.writeable
+        assert np.array_equal(probe, np.unique(np.concatenate(
+            [np.linspace(0.0, 2.5, 4097), 2.5 * np.geomspace(1e-9, 1.0, 2049), [0.0]])))
+        for sched in (table, reversed_negated(table), linear_schedule(40.0, 1.0, 2.5)):
+            first = dynamics._grid_spec(sched, 2.0)
+            assert dynamics._grid_spec(sched, 2.0).tobytes() == first.tobytes()
 
 
 class TestResponseCurve:
