@@ -125,7 +125,10 @@ def cmd_response(parser, args) -> int:
     if args.schedule == "linear":
         sched = linear_schedule(args.omega0, 1.0, args.tf)
     else:
-        sched = faquad_schedule(args.omega0, 1.0, args.tf, optimal_design_field(1.0))
+        try:
+            sched = faquad_schedule(args.omega0, 1.0, args.tf, optimal_design_field(1.0))
+        except ValueError as exc:
+            parser.error(f"{exc}; lower --omega0")
     if args.epsilon_ctrl > 0:
         sched = perturbed_schedule(sched, args.epsilon_ctrl)
     grid = _x_grid(parser, -args.xmax, args.xmax, args.points, "--xmax")
@@ -149,7 +152,10 @@ def cmd_benchmark(parser, args) -> int:
     _check(parser, args.tf_min > 0, "--tf-min must be positive")
     _check(parser, args.tf_max > args.tf_min, "--tf-max must exceed --tf-min")
     tf_grid = np.geomspace(args.tf_min, args.tf_max, args.tf_points)
-    report = benchmark_ramps(tf_grid, n_points=21)
+    try:
+        report = benchmark_ramps(tf_grid, n_points=21)
+    except _StepBudgetError as exc:
+        parser.error(f"{exc}; lower --tf-max")
     with open_text(args.out, "w") as fh:
         fh.write(_UNITS_COMMENT)
         report_to_csv(report, fh)

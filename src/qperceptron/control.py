@@ -122,8 +122,6 @@ def faquad_schedule(omega0: float, omegaf: float, tf: float, x_ref: float) -> Co
     mu = |v(omega0) - v(omegaf)| / (2 |x_ref| tf) at x = x_ref for all t.
     """
     omega0, omegaf, tf, x_ref = _faquad_parameters(omega0, omegaf, tf, x_ref)
-    w0 = _w_of_omega(omega0, x_ref)
-    wf = _w_of_omega(omegaf, x_ref)
 
     def field(t):
         w = w0 + (t / tf) * (wf - w0)
@@ -134,6 +132,14 @@ def faquad_schedule(omega0: float, omegaf: float, tf: float, x_ref: float) -> Co
         # dOmega/dw = -|x|/(w(2-w))^{3/2}; dw/dt = (wf-w0)/tf
         return abs(x_ref) * (w * (2.0 - w)) ** -1.5 * (w0 - wf) / tf
 
+    # |Omega| and |dOmega/dt| peak at t = 0: probe them there, quietly, and refuse
+    # a drive that overflows before any grid reads it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w0, wf = _w_of_omega(omega0, x_ref), _w_of_omega(omegaf, x_ref)
+        start = (field(0.0), slope(0.0))
+    if not np.all(np.isfinite(start)):
+        raise ValueError(f"omega0 = {omega0!r} makes the faquad drive or its slope overflow "
+                         f"at t = 0 (tf = {tf!r})")
     return ControlSchedule("faquad", omega0, omegaf, tf, field, slope)
 
 

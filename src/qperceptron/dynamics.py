@@ -543,14 +543,15 @@ def benchmark_ramps(tf_grid, n_points: int = 201) -> FidelityReport:
     the faquad one at the optimal design field; evaluates 1 -
     average_fidelity on n_points over |x| <= 10, and fits the faquad
     curve's stretched-exponential decay.  tf_grid must be strictly
-    increasing.
+    increasing.  The longest tf runs first, so a grid over the step budget
+    fails before any shorter ramp is integrated.
     """
     tf = np.asarray(tf_grid, dtype=float)
     if tf.size == 0 or np.any(np.diff(tf) <= 0) or np.any(tf <= 0):
         raise ValueError("tf_grid must be nonempty, positive, strictly increasing")
     inf_lin = np.empty(tf.size)
     inf_faq = np.empty(tf.size)
-    for i, t in enumerate(tf):
+    for i, t in reversed(list(enumerate(tf))):
         linear = linear_schedule(_BENCH_OMEGA0, _BENCH_OMEGAF, t)
         faquad = faquad_schedule(_BENCH_OMEGA0, _BENCH_OMEGAF, t, _BENCH_X_REF)
         inf_lin[i] = 1.0 - average_fidelity(linear, _BENCH_X_MAX, n_points)

@@ -17,9 +17,9 @@ recomputed every activation it shares.
 
 Gates of one layer have disjoint targets and diagonal controls on earlier
 layers, so they commute: a whole layer can run as one quasi-adiabatic Ising
-passage under the shared ramp, and a hardware forward integrates them in one
-sweep.  protocol_duration counts one ramp per layer, and rejects a net in
-which a gate sources a qubit of its own layer.
+passage under the shared ramp, and the one statevector pass, _pass, runs it
+in one sweep.  protocol_duration counts one ramp per layer, and rejects a net
+in which a gate sources a qubit of its own layer.
 """
 from __future__ import annotations
 
@@ -33,12 +33,8 @@ import numpy as np
 from ._io import as_index, check_bits, require_finite
 from .activation import ALGEBRAIC, ActivationKind, cao_arctan, df_dx, eval_f
 from .register import (
-    PerceptronGateSpec,
-    _apply_hardware_gates,
-    apply_ideal_perceptron,
-    excitation_probability,
-    init_basis,
-)
+    PerceptronGateSpec, QuantumRegister, _apply_hardware_gates, _dimension, _view,
+    apply_ideal_perceptron, excitation_probability)
 
 __all__ = [
     "NetworkSpec",
@@ -143,24 +139,35 @@ def _layer_index(n_inputs: int, sizes) -> np.ndarray:
     return np.repeat(np.arange(len(sizes) + 1), (n_inputs, *sizes))
 
 
-def forward(net: NetworkSpec, input_bits: str, schedule=None):
-    """Run the circuit on |input_bits, 0...0>.
-
-    Ideal gates when ``schedule`` is None, hardware gates otherwise.
-    Returns (final register, output excitation probability).
-    """
-    check_bits(input_bits, net.n_inputs, "input_bits")
-    reg = init_basis(net.n_total, input_bits + "0" * (net.n_total - net.n_inputs))
+def _pass(net: NetworkSpec, inputs, schedule=None) -> QuantumRegister:
+    """The one statevector pass: the circuit on S^(-1/2) sum_i |x_i, 0...0> over
+    the S checked input bitstrings.  Ideal gates run one at a time when
+    ``schedule`` is None; hardware gates otherwise, each run of commuting
+    gates (a layer) in one sweep.  No gate rotates an input qubit."""
+    n = net.n_total
+    amps = np.zeros(_dimension(n), dtype=complex)
+    r = 1.0 / np.sqrt(len(inputs))
+    for x in inputs:
+        check_bits(x, net.n_inputs, "input_bits")
+        _view(amps, n, range(n), map(int, x.ljust(n, "0")))[...] = r
+    reg = QuantumRegister(n, amps)
     if schedule is None:
         for gate in net.gates():
             reg = apply_ideal_perceptron(reg, gate)
-    else:
-        run = []  # commuting gates: a new run starts at a gate sourcing a target of this one
-        for gate in net.gates(schedule):
-            if any(g.target in gate.weights for g in run):
-                reg, run = _apply_hardware_gates(reg, run), []
-            run.append(gate)
-        reg = _apply_hardware_gates(reg, run)
+        return reg
+    run = []  # commuting gates: a new run starts at a gate sourcing a target of this one
+    for gate in net.gates(schedule):
+        if any(g.target in gate.weights for g in run):
+            reg, run = _apply_hardware_gates(reg, run), []
+        run.append(gate)
+    return _apply_hardware_gates(reg, run)
+
+
+def forward(net: NetworkSpec, input_bits: str, schedule=None):
+    """Run the circuit on |input_bits, 0...0>, the shared pass on one input:
+    ideal gates when ``schedule`` is None, hardware gates otherwise.
+    Returns (final register, output excitation probability)."""
+    reg = _pass(net, [input_bits], schedule)
     return reg, excitation_probability(reg, net.n_total - 1)
 
 
@@ -187,10 +194,13 @@ class _MixtureEngine:
     A hidden activation, its factors f and 1 - f and its derivative are
     evaluated once per distinct configuration of that qubit's hidden sources
     (once per sample in a layered net).  ``cost`` is a pure function of
-    (J, b).  The field matmul covers the gate rows only, each configuration's
-    product runs in m order, and the gradient contractions are two-operand
-    einsums over factors pre-scaled by dC/dp.  Every result equals the dense
-    full-tensor form bit for bit; the tests guarantee that, not numpy's
+    (J, b).  The field matmul covers the gate rows only, as one 2-D product
+    over all (sample, configuration) rows, except in a net with no hidden
+    qubit: there a one-row product sums in another order than the dense
+    one, which it therefore uses.  Each configuration's product runs in m
+    order, and the gradient contractions are two-operand einsums over
+    factors pre-scaled by dC/dp.  Every result equals the dense full-tensor
+    form bit for bit; the tests guarantee that, not numpy's
     documentation (checked on numpy 2.4.6 only).
     """
 
@@ -207,6 +217,7 @@ class _MixtureEngine:
         self.Z = 2.0 * ((cfg[:, None] >> np.arange(M)[None, :]) & 1) - 1.0
         V = np.empty((S, C, n))
         for i, x in enumerate(inputs):
+            check_bits(x, N, "input_bits")
             V[i, :, :N] = 2.0 * np.array([int(c) for c in x]) - 1.0
         V[:, :, N : N + M] = self.Z[None, :, :]
         V[:, :, n - 1] = 0.0
@@ -223,8 +234,13 @@ class _MixtureEngine:
     def probabilities(self, J: np.ndarray, b: np.ndarray):
         """(p, (X, [f, 1 - f], P, f_out)), X the gate rows' fields.  P takes
         its factors in m order: any other order can move p by an ulp."""
-        net, N = self.net, self.N
-        X = self.V @ (net.mask[N:] * J[N:]).T - b[N:]
+        net, N, n = self.net, self.N, self.n
+        W = net.mask * J
+        if self.M:
+            X = (self.V.reshape(-1, n) @ W[N:].T).reshape(self.S, -1, n - N)
+        else:  # the dense product itself: BLAS would take one sample's one row as a dot
+            X = (self.V @ W.T)[:, :, N:]
+        X -= b[N:]
         f = eval_f(net.activation, X.reshape(self.S, -1)[:, self._cols])
         B = np.hstack([f, 1.0 - f])
         P = np.ones(X.shape[:2])
@@ -265,7 +281,6 @@ def classical_mixture_oracle(net: NetworkSpec, input_bits: str) -> float:
     Exact for these circuits: diagonal controls and single-targeting make
     the hidden qubits behave as independent classical coins per branch.
     """
-    check_bits(input_bits, net.n_inputs, "input_bits")
     p, _ = _MixtureEngine(net, [input_bits]).probabilities(net.J, net.b)
     return float(p[0])
 

@@ -21,7 +21,7 @@ hardware gate), broadcast over the other axes by one kernel in one pass; no
 2^n x 2^n matrix is ever materialized.  A hardware gate integrates the ramp
 only for the occupied source configurations, those holding any nonzero
 amplitude: an unoccupied one has only exact zeros, which every propagator
-leaves exactly zero.  network.forward integrates each run of commuting
+leaves exactly zero.  The network pass integrates each run of commuting
 hardware gates (a layer) in one sweep.  Registers are values: every
 operation returns a new register and amplitude arrays are frozen read-only.
 """

@@ -28,9 +28,8 @@ from typing import List, Tuple
 import numpy as np
 
 from ._io import as_index, check_bits, read_rows, write_rows
-from .network import NetworkSpec, _cross_entropy, _MixtureEngine, _network_dict, forward
-from .register import (
-    QuantumRegister, _dimension, _view, apply_ideal_perceptron, conditional_probability)
+from .network import NetworkSpec, _cross_entropy, _MixtureEngine, _network_dict, _pass
+from .register import conditional_probability
 
 __all__ = [
     "Dataset",
@@ -99,8 +98,6 @@ def _engine(net: NetworkSpec, dataset: Dataset) -> _MixtureEngine:
     """Mixture engine over the dataset, for the differentiable entry points."""
     if net.activation.variant == "step":
         raise ValueError("step activation is not differentiable; cannot train")
-    if dataset.n_bits != net.n_inputs:
-        raise ValueError("dataset width must match the network inputs")
     return _MixtureEngine(net, [x for x, _ in dataset.pairs], [y for _, y in dataset.pairs])
 
 
@@ -108,12 +105,12 @@ def cross_entropy_cost(net: NetworkSpec, dataset: Dataset, schedule=None) -> flo
     """Mean binary cross entropy of the network on the dataset.
 
     Probabilities are clamped to [1e-12, 1 - 1e-12] inside the logs.  With
-    a schedule the forward passes run in hardware mode: one statevector pass
-    per sample, and no gradient.
+    a schedule the gates run in hardware mode: one statevector pass over the
+    superposition of all inputs, one sweep per layer, and no gradient.
     """
     if schedule is None:
         return _engine(net, dataset).cost(net.J, net.b)[0]
-    ps = np.array([forward(net, x, schedule)[1] for x, _ in dataset.pairs])
+    ps = np.array(_pass_probabilities(net, dataset, schedule))
     return _cross_entropy(ps, np.array([y for _, y in dataset.pairs]))[0]
 
 
@@ -213,26 +210,19 @@ def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainRepo
     return TrainReport(tuple(float(c) for c in trace), net, acc)
 
 
-def batch_state_forward(net: NetworkSpec, dataset: Dataset) -> List[float]:
-    """One pass over the equal-weight superposition of all dataset inputs.
-
-    Builds |xi> = S^(-1/2) sum_i |X_i, 0...0>, applies the whole circuit
-    once, and reads each p(X_i) back as a conditional probability on the
-    input qubits.  Equals per-input forward passes because the gates never
-    rotate input qubits.
-    """
-    if dataset.n_bits != net.n_inputs:
-        raise ValueError("dataset width must match the network inputs")
-    n = net.n_total
-    amps = np.zeros(_dimension(n), dtype=complex)
-    r = 1.0 / np.sqrt(dataset.size)
-    for x, _ in dataset.pairs:
-        _view(amps, n, range(n), map(int, x.ljust(n, "0")))[...] = r
-    reg = QuantumRegister(n, amps)
-    for gate in net.gates():
-        reg = apply_ideal_perceptron(reg, gate)
-    return [conditional_probability(reg, range(net.n_inputs), [int(c) for c in x], n - 1)
+def _pass_probabilities(net: NetworkSpec, dataset: Dataset, schedule=None) -> List[float]:
+    """p(X_i) of every dataset input from one network pass over all of them."""
+    reg = _pass(net, [x for x, _ in dataset.pairs], schedule)
+    return [conditional_probability(reg, range(net.n_inputs), [int(c) for c in x], net.n_total - 1)
             for x, _ in dataset.pairs]
+
+
+def batch_state_forward(net: NetworkSpec, dataset: Dataset) -> List[float]:
+    """One ideal pass over the equal-weight superposition of all dataset inputs:
+    the network's shared pass on S^(-1/2) sum_i |X_i, 0...0>, each p(X_i) read
+    back as a conditional probability on the input qubits.  Equals per-input
+    forward passes because the gates never rotate input qubits."""
+    return _pass_probabilities(net, dataset)
 
 
 def dataset_to_csv(dataset: Dataset, path_or_buf) -> None:

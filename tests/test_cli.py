@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from qperceptron import cli, synthesis
+from qperceptron import cli, dynamics, synthesis
 from qperceptron.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -295,16 +295,39 @@ class TestNamedErrors:
          "error: step grid needs about 5.28e+09 base steps, over the budget of 16777216; "
          "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
          "lower --xmax, --tf or --omega0"),
+        # exited 1 after numpy overflow warnings (a warning fails the suite):
+        # the drive, then only its slope, overflows at t = 0
+        (["response", "--omega0", "1e300"], 2,
+         "error: omega0 = 1e+300 makes the faquad drive or its slope overflow at t = 0 "
+         "(tf = 10.0); lower --omega0"),
+        (["response", "--omega0", "1e120"], 2,
+         "error: omega0 = 1e+120 makes the faquad drive or its slope overflow at t = 0 "
+         "(tf = 10.0); lower --omega0"),
         (["train", "--seed", "-5"], 2, "--seed must be >= 0"),
         # exited 1: the perturbation is defined relative to a faquad base only
         (["response", "--schedule", "linear", "--epsilon-ctrl", "0.2"], 2,
          "--epsilon-ctrl applies to --schedule faquad only"),
-    ], ids=["tf_text", "m1_comma", "step_budget", "step_budget_tf", "negative_seed",
-            "perturbed_linear"])
+    ], ids=["tf_text", "m1_comma", "step_budget", "step_budget_tf", "omega0_drive",
+            "omega0_slope", "negative_seed", "perturbed_linear"])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, rc, message):
         out = tmp_path / "x.csv"
         assert main([*argv, "--out", str(out)]) == rc
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_benchmark_over_the_step_budget_integrates_nothing(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # exited 1 after integrating every shorter tf, naming no flag: the
+        # longest tf now runs first, and its grid is refused before any step
+        calls = []
+        monkeypatch.setattr(dynamics, "_propagate", lambda *args: calls.append(args))
+        out = tmp_path / "bench.csv"
+        assert main(["benchmark", "--tf-max", "1e9", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: step grid needs about 2.61e+10 base steps, over the budget of 16777216; "
+            "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+            "lower --tf-max\n")
+        assert calls == []
         assert not out.exists()
 
 

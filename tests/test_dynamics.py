@@ -33,6 +33,7 @@ from qperceptron.dynamics import (
     schedule_propagators,
 )
 from qperceptron.network import forward
+from qperceptron.training import cross_entropy_cost, prime_dataset
 from ode_oracles import PLUS, dop853_two_level, landau_zener_propagator
 from test_network import layered_net
 
@@ -582,6 +583,19 @@ class TestWorkGuard:
                  for r in caplog.records]
         assert len(steps) == 8 * 2
         assert sum(steps) <= 1.02 * 178_160
+
+    def test_hardware_cost_sweeps_once_per_layer(self, caplog):
+        # the same net's hardware cost on all 8 inputs: one pass over their
+        # superposition, so one sweep per layer in all and 49,640
+        # column-steps, where a forward per input took 16 and 178,160
+        sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
+        net = layered_net(3, [4], np.random.default_rng(5), scale=3.0)
+        with caplog.at_level(logging.DEBUG, logger="qperceptron"):
+            cross_entropy_cost(net, prime_dataset(3), sched)
+        steps = [int(re.search(r"; (\d+) column-steps$", r.getMessage())[1])
+                 for r in caplog.records]
+        assert len(steps) == 2
+        assert sum(steps) <= 1.25 * 49_640
 
 
 def piecewise_oracle(schedule, x, psi0):

@@ -667,6 +667,24 @@ class TestMixtureEngineBitwise:
         for want_grad in (False, True, True):
             assert_same_bits(eng.cost(net.J, net.b, want_grad), ref.cost(net.J, net.b, want_grad))
 
+    @pytest.mark.parametrize("kind, weights, bias, inputs", [
+        # drawn by the property above: p[1], about 1.5e-28, differed
+        (cao_arctan(1), (0.0625, 1.114937012080431e-07, 0.0625), 0.0, ["000", "001"]),
+        (ALGEBRAIC, (-2.1722, 1.7282, 1.0222), 0.0743, ["010"]),
+    ], ids=["drawn", "one_sample"])
+    def test_single_gate_row_examples(self, kind, weights, bias, inputs):
+        # no hidden qubit, so one gate row: a field product that BLAS runs as
+        # one dot per sample (stacked), or as a single dot (2-D, one sample),
+        # sums in another order than the dense vector-matrix product
+        mask, J, b = np.zeros((4, 4)), np.zeros((4, 4)), np.zeros(4)
+        mask[3, :3] = 1.0
+        J[3, :3], b[3] = weights, bias
+        net = NetworkSpec(3, (1,), mask, J, b, kind)
+        labels = [0.0] * len(inputs)
+        eng, ref = _MixtureEngine(net, inputs, labels), DenseMixtureEngine(net, inputs, labels)
+        for want_grad in (False, True):
+            assert_same_bits(eng.cost(net.J, net.b, want_grad), ref.cost(net.J, net.b, want_grad))
+
     # shapes the property above cannot draw, on all inputs: the benchmark's
     # 5-8-1 (8,192 rows), 6-9-1 (32,768 rows), two hidden layers and the
     # logistic kind; all above numpy's 8,192-element einsum buffer

@@ -25,7 +25,9 @@ from qperceptron.training import (
     report_to_json,
     train,
 )
-from test_network import DenseMixtureEngine
+from qperceptron.control import faquad_schedule
+from ode_oracles import PLUS, dop853_two_level
+from test_network import X_REF, DenseMixtureEngine, layered_hardware_mixture
 
 ALG = ActivationKind("algebraic")
 
@@ -505,6 +507,26 @@ class TestTrainLog:
             train(halving_start(), prime_dataset(3), TrainConfig(max_iters=50, restarts=0))
         (m,) = [self.RECORD.fullmatch(r.getMessage()) for r in caplog.records]
         assert (int(m[2]), int(m[3])) == (50, 54)
+
+
+class TestHardwareCost:
+    def test_equals_dop853_mixture_cross_entropy(self):
+        # an oracle sharing no code with the package: each gate of a layer
+        # is a coin with p_hw(x) = |<1|U(x)|+>|^2, U(x) from DOP853
+        sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
+        net = layered_net(3, [4], np.random.default_rng(5), scale=3.0)
+        ds = prime_dataset(3)
+        fields = []
+        for x, _ in ds.pairs:
+            layered_hardware_mixture(net, x, lambda v: fields.append(v) or 0.5)
+        p_hw = dict(zip(fields, np.abs(dop853_two_level(sched, fields, PLUS)[:, 0, 1]) ** 2))
+        want = np.array([layered_hardware_mixture(net, x, p_hw.__getitem__) for x, _ in ds.pairs])
+        got = np.array(training._pass_probabilities(net, ds, sched))
+        assert np.max(np.abs(got - want)) < 1e-8
+        Y = np.array([y for _, y in ds.pairs])
+        pc = np.clip(want, 1e-12, 1.0 - 1e-12)
+        cost = -np.mean(Y * np.log(pc) + (1.0 - Y) * np.log(1.0 - pc))
+        assert cross_entropy_cost(net, ds, sched) == pytest.approx(cost, abs=1e-8)
 
 
 class TestBatchStateForward:
