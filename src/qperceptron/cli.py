@@ -130,7 +130,10 @@ def cmd_response(parser, args) -> int:
         except ValueError as exc:
             parser.error(f"{exc}; lower --omega0")
     if args.epsilon_ctrl > 0:
-        sched = perturbed_schedule(sched, args.epsilon_ctrl)
+        try:
+            sched = perturbed_schedule(sched, args.epsilon_ctrl)
+        except ValueError as exc:
+            parser.error(f"{exc}; lower --epsilon-ctrl")
     grid = _x_grid(parser, -args.xmax, args.xmax, args.points, "--xmax")
     try:
         curve = response_curve(sched, grid)

@@ -157,12 +157,17 @@ def perturbed_schedule(base: ControlSchedule, epsilon_ctrl: float) -> ControlSch
         raise ValueError("epsilon_ctrl must be >= 0")
     eps = float(epsilon_ctrl)
     omega0, omegaf, tf = base.omega0, base.omegaf, base.tf
-    drift = eps * ((omegaf - omega0) / tf)
-    return ControlSchedule(
+    sched = ControlSchedule(
         "perturbed", omega0, omegaf, tf,
         field=lambda t: base.field(t) + eps * (omega0 + (omegaf - omega0) * (t / tf)),
-        slope=lambda t: base.slope(t) + drift,
+        slope=lambda t: base.slope(t) + eps * ((omegaf - omega0) / tf),
     )
+    # the base peaks at t = 0 and the added ramp is linear: probe both ends, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = (sched.omega([0.0, tf]), sched.domega([0.0, tf]))
+    if not np.all(np.isfinite(ends)):
+        raise ValueError(f"epsilon_ctrl = {eps!r} makes the perturbed drive or its slope overflow")
+    return sched
 
 
 def tabulated_schedule(ts, omegas) -> ControlSchedule:

@@ -503,8 +503,9 @@ def fit_infidelity_decay(tf_grid, infidelity):
     Points at or below the 1e-12 numerical floor are excluded; fewer than
     4 usable points is a fit failure (ValueError).  At fixed c2 the fit is
     linear in (log c0, c1), so one residual function of c2 alone serves a
-    scan and a bounded Brent polish within one scan step of its best point
-    (variable projection); the lower of the two is kept.  Returns (c0, c1, c2).
+    scan over [0.02, 0.8] and a bounded Brent polish within one scan step
+    (+-0.005) of its best point (variable projection); the lower of the two
+    is kept, so no c2 outside [0.015, 0.805] is returned.  Returns (c0, c1, c2).
     """
     from scipy.optimize import minimize_scalar
     tf = np.asarray(tf_grid, dtype=float)

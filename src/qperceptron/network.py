@@ -17,9 +17,9 @@ recomputed every activation it shares.
 
 Gates of one layer have disjoint targets and diagonal controls on earlier
 layers, so they commute: a whole layer can run as one quasi-adiabatic Ising
-passage under the shared ramp, and the one statevector pass, _pass, runs it
-in one sweep.  protocol_duration counts one ramp per layer, and rejects a net
-in which a gate sources a qubit of its own layer.
+passage under the shared ramp.  protocol_duration counts one ramp per layer,
+and rejects a net in which a gate sources a qubit of its own layer.  The one
+statevector pass, _pass, integrates every hardware gate's fields in one sweep.
 """
 from __future__ import annotations
 
@@ -142,8 +142,8 @@ def _layer_index(n_inputs: int, sizes) -> np.ndarray:
 def _pass(net: NetworkSpec, inputs, schedule=None) -> QuantumRegister:
     """The one statevector pass: the circuit on S^(-1/2) sum_i |x_i, 0...0> over
     the S checked input bitstrings.  Ideal gates run one at a time when
-    ``schedule`` is None; hardware gates otherwise, each run of commuting
-    gates (a layer) in one sweep.  No gate rotates an input qubit."""
+    ``schedule`` is None; hardware gates otherwise, all of them in one
+    sweep.  No gate rotates an input qubit."""
     n = net.n_total
     amps = np.zeros(_dimension(n), dtype=complex)
     r = 1.0 / np.sqrt(len(inputs))
@@ -151,16 +151,11 @@ def _pass(net: NetworkSpec, inputs, schedule=None) -> QuantumRegister:
         check_bits(x, net.n_inputs, "input_bits")
         _view(amps, n, range(n), map(int, x.ljust(n, "0")))[...] = r
     reg = QuantumRegister(n, amps)
-    if schedule is None:
-        for gate in net.gates():
-            reg = apply_ideal_perceptron(reg, gate)
-        return reg
-    run = []  # commuting gates: a new run starts at a gate sourcing a target of this one
-    for gate in net.gates(schedule):
-        if any(g.target in gate.weights for g in run):
-            reg, run = _apply_hardware_gates(reg, run), []
-        run.append(gate)
-    return _apply_hardware_gates(reg, run)
+    if schedule is not None:
+        return _apply_hardware_gates(reg, net.gates(schedule))
+    for gate in net.gates():
+        reg = apply_ideal_perceptron(reg, gate)
+    return reg
 
 
 def forward(net: NetworkSpec, input_bits: str, schedule=None):

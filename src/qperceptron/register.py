@@ -21,8 +21,8 @@ hardware gate), broadcast over the other axes by one kernel in one pass; no
 2^n x 2^n matrix is ever materialized.  A hardware gate integrates the ramp
 only for the occupied source configurations, those holding any nonzero
 amplitude: an unoccupied one has only exact zeros, which every propagator
-leaves exactly zero.  The network pass integrates each run of commuting
-hardware gates (a layer) in one sweep.  Registers are values: every
+leaves exactly zero.  The network pass integrates the fields of all its
+hardware gates in one sweep.  Registers are values: every
 operation returns a new register and amplitude arrays are frozen read-only.
 """
 from __future__ import annotations
@@ -200,14 +200,9 @@ def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> Qu
 def apply_hardware_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
     """Adiabatic protocol on the target: a Hadamard, then the driven ramp
     U(x) with x fixed by the source sector's configuration, applied as the
-    one matrix U(x) H per occupied sector in one pass.
-
-    A source sector is occupied when any of its amplitudes is nonzero.  An
-    unoccupied sector's amplitudes are exactly zero, so any unitary leaves
-    them exactly zero and no observable can tell which one acted: only the
-    occupied sectors' fields are integrated, and the time grid is sized by
-    their largest |x|.  From a basis input every first-layer gate has one
-    occupied sector.  It is a one-gate run of the one hardware path.
+    one matrix U(x) H per occupied sector in one pass, on a time grid sized
+    by their largest |x|.  From a basis input every first-layer gate has one
+    occupied sector.  It is the one-gate case of the one hardware path.
 
     The physical evolution keeps each sector's dynamical phase.  For z-basis
     feed-forward circuits those phases are unobservable.
@@ -216,19 +211,20 @@ def apply_hardware_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) ->
 
 
 def _apply_hardware_gates(reg: QuantumRegister, gates) -> QuantumRegister:
-    """Hardware gates in order, all their occupied fields integrated in one
-    sweep of the first gate's schedule, every gate checked before it.  The
-    occupied sectors are read from ``reg``: exact when no gate sources
-    another's target, as a gate keeps the norm of every target pair."""
+    """Hardware gates in order, each checked and all their occupied fields
+    integrated in one sweep of the first gate's schedule before any acts.
+    A gate keeps each target pair's norm, so occupancy read from ``reg`` is
+    exact but on a source an earlier gate targets: both its values count."""
     if any(gate.schedule is None for gate in gates):
         raise ValueError("gate is in ideal mode; use apply_ideal_perceptron")
     nonzero = _view(reg.amplitudes, reg.n_qubits, [], []) != 0
-    fields = []
+    fields, targeted = [], set()
     for gate in gates:
         x = _gate_field(reg, gate)
-        free = tuple(k for k in range(reg.n_qubits) if k not in gate.weights)
-        occ = np.any(nonzero, axis=free, keepdims=True)
+        free = tuple(k for k in range(reg.n_qubits) if k not in gate.weights.keys() - targeted)
+        occ = np.broadcast_to(np.any(nonzero, axis=free, keepdims=True), x.shape)
         fields.append(np.where(occ, x, x[occ][0]))  # any field keeps an unoccupied sector's zeros
+        targeted.add(gate.target)
     xu, inv = np.unique(np.concatenate([x.ravel() for x in fields]), return_inverse=True)
     u = (schedule_propagators(gates[0].schedule, xu) @ _HADAMARD).transpose(1, 2, 0)  # u[i, j] per x
     for gate, x in zip(gates, fields):

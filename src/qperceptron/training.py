@@ -106,7 +106,7 @@ def cross_entropy_cost(net: NetworkSpec, dataset: Dataset, schedule=None) -> flo
 
     Probabilities are clamped to [1e-12, 1 - 1e-12] inside the logs.  With
     a schedule the gates run in hardware mode: one statevector pass over the
-    superposition of all inputs, one sweep per layer, and no gradient.
+    superposition of all inputs, all its fields in one sweep, no gradient.
     """
     if schedule is None:
         return _engine(net, dataset).cost(net.J, net.b)[0]

@@ -307,8 +307,12 @@ class TestNamedErrors:
         # exited 1: the perturbation is defined relative to a faquad base only
         (["response", "--schedule", "linear", "--epsilon-ctrl", "0.2"], 2,
          "--epsilon-ctrl applies to --schedule faquad only"),
+        # exited 1 after a numpy overflow warning, naming no flag
+        (["response", "--epsilon-ctrl", "1e307"], 2,
+         "error: epsilon_ctrl = 1e+307 makes the perturbed drive or its slope overflow; "
+         "lower --epsilon-ctrl"),
     ], ids=["tf_text", "m1_comma", "step_budget", "step_budget_tf", "omega0_drive",
-            "omega0_slope", "negative_seed", "perturbed_linear"])
+            "omega0_slope", "negative_seed", "perturbed_linear", "epsilon_overflow"])
     def test_message_names_the_cause(self, tmp_path, capsys, argv, rc, message):
         out = tmp_path / "x.csv"
         assert main([*argv, "--out", str(out)]) == rc

@@ -570,31 +570,34 @@ class TestWorkGuard:
         average_fidelity(linear_schedule(4000.0, 1.0, 350.0), x_max=5.0, n_points=11)
         assert column_steps(propagate_calls) <= 1.25 * 13_972_220
 
-    def test_hardware_forwards_sweep_once_per_layer(self, caplog):
-        # 8 forwards of a 3-4-1 net: one sweep per layer, 16 in all, and at
-        # most 2% more column-steps than the 178,160 that sweeping each gate
-        # alone takes, though a layer shares one grid
+    @pytest.mark.parametrize("inputs, hidden, seed, per_layer_steps", [
+        (3, [4], 5, 178_160), (4, [4, 3, 2], 3, 1_133_560)], ids=["3-4-1", "4-4-3-2-1"])
+    def test_hardware_forwards_sweep_once_per_pass(self, caplog, inputs, hidden, seed,
+                                                   per_layer_steps):
+        # one forward per input, one sweep each, and at most 2% more
+        # column-steps than one grid per layer took, though all the gates
+        # share one grid
+        net = layered_net(inputs, hidden, np.random.default_rng(seed), scale=3.0)
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
-        net = layered_net(3, [4], np.random.default_rng(5), scale=3.0)
         with caplog.at_level(logging.DEBUG, logger="qperceptron"):
-            for i in range(8):
-                forward(net, format(i, "03b"), sched)
+            for i in range(1 << inputs):
+                forward(net, format(i, f"0{inputs}b"), sched)
         steps = [int(re.search(r"; (\d+) column-steps$", r.getMessage())[1])
                  for r in caplog.records]
-        assert len(steps) == 8 * 2
-        assert sum(steps) <= 1.02 * 178_160
+        assert len(steps) == 1 << inputs
+        assert sum(steps) <= 1.02 * per_layer_steps
 
-    def test_hardware_cost_sweeps_once_per_layer(self, caplog):
-        # the same net's hardware cost on all 8 inputs: one pass over their
-        # superposition, so one sweep per layer in all and 49,640
-        # column-steps, where a forward per input took 16 and 178,160
+    def test_hardware_cost_sweeps_once(self, caplog):
+        # the same 3-4-1 net's hardware cost on all 8 inputs: one pass over
+        # their superposition, so one sweep and 49,640 column-steps, where a
+        # forward per input took 8 and 178,160
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
         net = layered_net(3, [4], np.random.default_rng(5), scale=3.0)
         with caplog.at_level(logging.DEBUG, logger="qperceptron"):
             cross_entropy_cost(net, prime_dataset(3), sched)
         steps = [int(re.search(r"; (\d+) column-steps$", r.getMessage())[1])
                  for r in caplog.records]
-        assert len(steps) == 2
+        assert len(steps) == 1
         assert sum(steps) <= 1.25 * 49_640
 
 

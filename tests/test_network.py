@@ -525,24 +525,36 @@ class TestLayerHamiltonian:
         return asked
 
     def test_basis_input_integrates_occupied_fields_only(self, sweeps):
-        # one sweep per layer: from a basis input each hidden gate has one
+        # one sweep per pass: from a basis input each hidden gate has one
         # occupied source sector; the output gate sees all 16 hidden
         # configurations
         net = layered_net(3, [4], np.random.default_rng(8))
         forward(net, "101", faquad_schedule(100.0, 1.0, 5.0, X_REF))
-        assert [xs.size for xs in sweeps] == [4, 16]
+        assert [xs.size for xs in sweeps] == [20]
 
-    def test_same_layer_source_splits_the_run(self, sweeps):
-        # qubit 3 sources qubit 2, and qubit 4 sources qubit 3: the gates run
-        # as [2], [3], [4, 5], [6], each run as its gates one by one
+    def test_same_layer_source_runs_in_the_one_sweep(self, sweeps):
+        # qubit 3 sources qubit 2, and qubit 4 sources qubit 3: still one
+        # sweep, of 1 + 2 + 4 + 4 + 4 fields, equal to the gates one by one
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
         net = self.rewired(layered_net(2, [2, 2], np.random.default_rng(9)), 3, 2, 1.0)
         got = forward(net, "10", sched)[0].amplitudes
-        assert [xs.size for xs in sweeps] == [1, 2, 8, 4]
+        assert [xs.size for xs in sweeps] == [15]
         want = init_basis(7, "1000000")
         for gate in net.gates(sched):
             want = apply_hardware_perceptron(want, gate)
         assert np.max(np.abs(got - want.amplitudes)) < 1e-9
+
+    def test_source_targeted_earlier_counts_as_occupied(self, sweeps):
+        # B sources A's target, which is exactly |0> before the call: B's
+        # fields must cover both of its values, as A excites it first
+        sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
+        a = PerceptronGateSpec(1, {0: 2.0}, 0.5, schedule=sched)
+        b = PerceptronGateSpec(2, {0: 0.7, 1: 3.0}, -0.5, schedule=sched)
+        start = register.apply_hadamard(init_basis(3, "000"), 0)
+        got = register._apply_hardware_gates(start, [a, b])
+        want = apply_hardware_perceptron(apply_hardware_perceptron(start, a), b)
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-9
+        assert sweeps[0].size == 2 + 4
 
     def test_shared_field_of_a_layer_is_integrated_once(self, sweeps):
         # two hidden gates with equal weights and bias see one field
@@ -551,13 +563,13 @@ class TestLayerHamiltonian:
         J[3], b[3] = J[2], b[2]
         net = NetworkSpec(2, net.layer_sizes, net.mask, J, b)
         forward(net, "01", faquad_schedule(100.0, 1.0, 5.0, X_REF))
-        assert [xs.size for xs in sweeps] == [1, 4]
+        assert [xs.size for xs in sweeps] == [5]
 
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
     def test_runs_equal_gate_by_gate_and_dop853_mixture(self, data):
-        # forward sweeps once per run of commuting gates; a skip connection
-        # keeps the runs, a same-layer source splits one
+        # forward sweeps once over all its gates, with a skip connection or
+        # a same-layer source too
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
         N = data.draw(st.integers(2, 3))
         hidden = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
