@@ -138,7 +138,9 @@ def cmd_response(parser, args) -> int:
     try:
         curve = response_curve(sched, grid)
     except _StepBudgetError as exc:
-        parser.error(f"{exc}; lower --xmax, --tf or --omega0")
+        flags = ("--xmax, --tf, --omega0 or --epsilon-ctrl" if args.epsilon_ctrl
+                 else "--xmax, --tf or --omega0")
+        parser.error(f"{exc}; lower {flags}")
     with open_text(args.out, "w") as fh:
         fh.write(_UNITS_COMMENT)
         fh.write(

@@ -18,10 +18,13 @@ comes from the commutators alone.  The step propagator
 exp(i w.s) = cos|w| + i (sin|w| / |w|) w.s is an SU(2) element stored as a
 real quaternion (a, bx, by, bz) representing a + i (bx sx + by sy + bz sz);
 step products are quaternion products taken in a fixed pairwise tree,
-which regroups but never reorders the time-ordered product.  Inside the
-product the scalar part is held as e = a - 1, which keeps full relative
-precision near the identity, where a itself rounds to a spacing of 1e-16:
-a long product of small steps then does not drift off the unit sphere.
+which regroups but never reorders the time-ordered product.  The tree runs
+over a chunk's real steps only: each level multiplies time-adjacent pairs
+and carries an unpaired last node up unchanged, so no identity step is
+built or multiplied.  Inside the product the scalar part is held as
+e = a - 1, which keeps full relative precision near the identity, where a
+itself rounds to a spacing of 1e-16: a long product of small steps then
+does not drift off the unit sphere.
 Unitarity is exact up to roundoff, so the norm is conserved to ~1e-12 even
 over 1e7 steps, and a vanishing field (Omega = x = 0) gives the identity
 step.
@@ -161,16 +164,19 @@ def _grid_spec(schedule, x_absmax: float) -> np.ndarray:
                 np.where(np.abs(om) > 0, np.abs(dom) / np.abs(om) / _SLOPE, 0.0),
         }
     rate = np.maximum.reduce(list(rules.values()))
-    cum = np.concatenate([[0.0], np.cumsum(np.diff(probe) * (rate[1:] + rate[:-1]) / 2.0)])
-    if not math.isfinite(cum[-1]):
+    if not np.all(np.isfinite(rate)):
         raise ValueError("drive omega(t) or its slope is not finite on [0, tf]")
-    if cum[-1] > _MAX_BASE_STEPS:
-        rule = max(rules, key=lambda k: np.trapezoid(rules[k], probe))
-        raise _StepBudgetError(
-            f"step grid needs about {cum[-1]:.3g} base steps, over the budget of "
-            f"{_MAX_BASE_STEPS}; the {rule} dominates, peaking at "
-            f"t = {probe[np.argmax(rules[rule])]:.6g}"
-        )
+    # a finite rate whose integral overflows is a grid over the budget
+    with np.errstate(over="ignore"):
+        cum = np.concatenate([[0.0], np.cumsum(np.diff(probe) * (rate[1:] + rate[:-1]) / 2.0)])
+        if cum[-1] > _MAX_BASE_STEPS:
+            rule = max(rules, key=lambda k: np.trapezoid(rules[k], probe))
+            need = f"about {cum[-1]:.3g}" if cum[-1] < math.inf else "more than 1.8e+308"
+            raise _StepBudgetError(
+                f"step grid needs {need} base steps, over the budget of "
+                f"{_MAX_BASE_STEPS}; the {rule} dominates, peaking at "
+                f"t = {probe[np.argmax(rules[rule])]:.6g}"
+            )
     # a mirrored knot tf - t can round onto tf or onto its neighbour
     starts = np.unique(np.concatenate([[0.0], knots[knots < tf]]))
     at = np.searchsorted(probe, np.append(starts, tf))
@@ -219,19 +225,24 @@ _TINY = np.finfo(float).tiny
 _log = logging.getLogger("qperceptron")
 
 
-@functools.lru_cache(maxsize=None)
-def _bit_reversal(bits: int) -> np.ndarray:
-    """Row order for the pairwise product tree over 2**bits steps.
+@functools.lru_cache(maxsize=64)  # bounded: each distinct chunk size adds an order
+def _tree_order(m: int) -> np.ndarray:
+    """Row order for the pairwise product tree over m steps.
 
-    Row p holds step r[p], where r[p] is p with its `bits` bits reversed.
-    Then every adjacent pair of steps (2j, 2j+1) sits in rows (p, p + half)
-    and its product lands in row p, again in bit-reversed order, so each
-    tree level multiplies two contiguous halves.  The pairs, and the order
-    of each product, are those of the time-ordered tree.
+    At every tree level the rows hold the earlier members of the pairs of
+    time-adjacent nodes (2j, 2j+1), then the later members in the same
+    order, then the unpaired last node if the level has an odd count.  So
+    each level multiplies two contiguous halves, the products land in the
+    order the next level needs, and the carried node is last again.  The
+    pairs, and the order of each product, are those of the time-ordered
+    tree; for m a power of two the order is the bit reversal.
     """
-    r = np.zeros(1, dtype=np.int64)
-    for _ in range(bits):
-        r = np.concatenate([2 * r, 2 * r + 1])
+    h = m // 2
+    r = np.full(m, m - 1, dtype=np.int64)
+    if h:
+        up = _tree_order(m - h)[:h]
+        r[:h] = 2 * up
+        r[h : 2 * h] = 2 * up + 1
     r.flags.writeable = False
     return r
 
@@ -257,14 +268,10 @@ def _propagate(schedule, xs: np.ndarray, base: np.ndarray, level: int):
         tmid = (ts[1:] + ts[:-1]) / 2.0
         nodes = np.concatenate([tmid - _NODE * dts, tmid, tmid + _NODE * dts])
         om = np.broadcast_to(np.asarray(schedule.omega(nodes), dtype=float), nodes.shape)
-        # pad to a power of two with zero-length (identity) steps, in
-        # bit-reversed row order: row m of the padded arrays has dt = 0
+        # the real steps only, in the row order of the product tree
         m = tmid.size
-        rows = np.minimum(_bit_reversal((m - 1).bit_length()), m)
-        padded = np.zeros((4, m + 1))
-        padded[0, :m] = dts
-        padded[1:, :m] = om.reshape(3, m)
-        dt, om1, om2, om3 = padded[:, rows, None]
+        steps = np.concatenate([dts, om.ravel()]).reshape(4, m)
+        dt, om1, om2, om3 = steps[:, _tree_order(m), None]
         # Magnus-6 exponent w = (A0 + A2 y, x (B1 + B3 y), x (D1 + D3 y)),
         # y = x^2, from c = dt / 2, p = c om2 and the first and second
         # differences of the node drives, q and r (weighted, times c)
@@ -287,7 +294,7 @@ def _propagate(schedule, xs: np.ndarray, base: np.ndarray, level: int):
         k1 = 0.25 * (2.0 * A0 * A2 + B1 * B1 + D1 * D1)
         k2 = 0.25 * (A2 * A2 + 2.0 * (B1 * B3 + D1 * D3))
         k3 = 0.25 * (B3 * B3 + D3 * D3)
-        width = max(1, _BLOCK // rows.size)
+        width = max(1, _BLOCK // m)
         for col in range(0, cols, width):
             blk = slice(col, col + width)
             x = xs[None, blk]
@@ -318,12 +325,17 @@ def _propagate(schedule, xs: np.ndarray, base: np.ndarray, level: int):
             bz += D1
             bz *= s
             while e.shape[0] > 1:
-                # later step on the left: rows (p, p + h) hold steps (2j, 2j+1)
+                # later node on the left: rows (p, p + h) hold nodes (2j, 2j+1),
+                # and an unpaired last row is carried, last again
                 h = e.shape[0] // 2
-                e, bx, by, bz = _qmul(
-                    e[h:], bx[h:], by[h:], bz[h:],
+                later = slice(h, 2 * h)
+                prod = _qmul(
+                    e[later], bx[later], by[later], bz[later],
                     e[:h], bx[:h], by[:h], bz[:h],
                 )
+                if e.shape[0] % 2:
+                    prod = [np.concatenate([p, t[-1:]]) for p, t in zip(prod, (e, bx, by, bz))]
+                e, bx, by, bz = prod
             E[blk], BX[blk], BY[blk], BZ[blk] = _qmul(
                 e[0], bx[0], by[0], bz[0], E[blk], BX[blk], BY[blk], BZ[blk])
     return 1.0 + E, BX, BY, BZ

@@ -212,11 +212,14 @@ def apply_hardware_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) ->
 
 def _apply_hardware_gates(reg: QuantumRegister, gates) -> QuantumRegister:
     """Hardware gates in order, each checked and all their occupied fields
-    integrated in one sweep of the first gate's schedule before any acts.
+    integrated in one sweep of their one shared schedule before any acts.
     A gate keeps each target pair's norm, so occupancy read from ``reg`` is
     exact but on a source an earlier gate targets: both its values count."""
     if any(gate.schedule is None for gate in gates):
         raise ValueError("gate is in ideal mode; use apply_ideal_perceptron")
+    if any(gate.schedule is not gates[0].schedule for gate in gates):
+        raise ValueError(f"gates on targets {[gate.target for gate in gates]} do not share "
+                         "one schedule object, and one sweep integrates them all")
     nonzero = _view(reg.amplitudes, reg.n_qubits, [], []) != 0
     fields, targeted = [], set()
     for gate in gates:

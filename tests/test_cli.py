@@ -311,12 +311,32 @@ class TestNamedErrors:
         (["response", "--epsilon-ctrl", "1e307"], 2,
          "error: epsilon_ctrl = 1e+307 makes the perturbed drive or its slope overflow; "
          "lower --epsilon-ctrl"),
+        # named --xmax, --tf or --omega0, never the flag that made the grid
+        (["response", "--epsilon-ctrl", "1e10"], 2,
+         "error: step grid needs about 2.53e+12 base steps, over the budget of 16777216; "
+         "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+         "lower --xmax, --tf, --omega0 or --epsilon-ctrl"),
+        # exited 1 after a numpy overflow warning in the step-count integral,
+        # saying the drive was not finite: a finite step rate whose integral
+        # overflows is a grid over the budget
+        (["response", "--epsilon-ctrl", "1e306"], 2,
+         "error: step grid needs more than 1.8e+308 base steps, over the budget of 16777216; "
+         "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+         "lower --xmax, --tf, --omega0 or --epsilon-ctrl"),
+        (["response", "--xmax", "8e307", "--points", "3"], 2,
+         "error: step grid needs more than 1.8e+308 base steps, over the budget of 16777216; "
+         "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+         "lower --xmax, --tf or --omega0"),
     ], ids=["tf_text", "m1_comma", "step_budget", "step_budget_tf", "omega0_drive",
-            "omega0_slope", "negative_seed", "perturbed_linear", "epsilon_overflow"])
-    def test_message_names_the_cause(self, tmp_path, capsys, argv, rc, message):
+            "omega0_slope", "negative_seed", "perturbed_linear", "epsilon_overflow",
+            "step_budget_epsilon", "step_count_overflow_epsilon", "step_count_overflow_xmax"])
+    def test_message_names_the_cause(self, tmp_path, capsys, monkeypatch, argv, rc, message):
+        calls = []
+        monkeypatch.setattr(dynamics, "_propagate", lambda *args: calls.append(args))
         out = tmp_path / "x.csv"
         assert main([*argv, "--out", str(out)]) == rc
         assert message in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
     def test_benchmark_over_the_step_budget_integrates_nothing(self, tmp_path, capsys,

@@ -344,6 +344,20 @@ def column_steps(calls):
     return sum(steps * cols.size for _, steps, cols in calls)
 
 
+@pytest.fixture
+def qmul_elements(monkeypatch):
+    """[elements multiplied by every ``_qmul`` call], a one-item list."""
+    total = [0]
+    qmul = dynamics._qmul
+
+    def counting(*q):
+        total[0] += np.broadcast(q[0], q[4]).size
+        return qmul(*q)
+
+    monkeypatch.setattr(dynamics, "_qmul", counting)
+    return total
+
+
 class TestPerColumnConvergence:
     def test_live_columns_shrink_and_exact_column_stops_early(self, propagate_calls):
         xs = [-8.0, -1.0, 0.0, 0.4, 3.0, 10.0]
@@ -400,6 +414,45 @@ class TestColumnBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 96 * 2**20
+
+
+class TestProductTree:
+    """The pairwise product tree runs over the real steps of a chunk and
+    carries an unpaired last node; it must multiply the same pairs, in the
+    same order, as a tree padded with identity steps to a power of two."""
+
+    def test_order_pairs_time_adjacent_nodes(self):
+        for m in range(1, 3001):
+            rows = dynamics._tree_order(m)
+            assert np.array_equal(np.sort(rows), np.arange(m))
+            if m & (m - 1) == 0:
+                bits = m.bit_length() - 1
+                reversal = [int(format(p, f"0{bits}b")[::-1], 2) for p in range(m)]
+                assert rows.tolist() == reversal
+            # follow each row's node index up the tree: the earlier half
+            # holds nodes 2j, the later half nodes 2j + 1 in the same rows,
+            # and an odd level's last row holds its last node
+            nodes = rows
+            while nodes.size > 1:
+                n, h = nodes.size, nodes.size // 2
+                assert np.all(nodes[:h] % 2 == 0)
+                assert np.array_equal(nodes[h : 2 * h], nodes[:h] + 1)
+                assert nodes[2 * h :].tolist() == [n - 1] * (n % 2)
+                nodes = np.concatenate([nodes[:h] // 2, nodes[2 * h :] // 2])
+            assert nodes.tolist() == [0]
+
+    @pytest.mark.parametrize("m", [*range(1, 71), 129, 255, 257, (1 << 14) + 3617])
+    def test_equals_the_tree_padded_with_zero_length_steps(self, m):
+        # zero-length steps (edges repeated at tf) up to the next power of
+        # two make every chunk's tree a full one; the values may differ
+        # only in the sign of an exact zero
+        sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
+        base = np.linspace(0.0, 10.0, m + 1)
+        padded = np.concatenate([base, np.full((1 << (m - 1).bit_length()) - m, 10.0)])
+        xs = np.array([0.0, 1.3, -7.5])
+        for level in (0, 1):
+            want = np.stack(dynamics._propagate(sched, xs, padded, level))
+            assert np.array_equal(np.stack(dynamics._propagate(sched, xs, base, level)), want)
 
 
 KINKED = tabulated_schedule([0.0, 0.3, 1.1, 1.7, 2.5], [40.0, 3.0, 9.0, 0.5, 2.0])
@@ -565,6 +618,19 @@ class TestWorkGuard:
         # the 8 fields hold two mirror pairs, +-2 and +-4
         schedule_propagators(faquad_schedule(100.0, 1.0, 10.0, X_REF), GATE_FIELDS)
         assert column_steps(propagate_calls) <= 1.25 * 6_460
+
+    @pytest.mark.parametrize("sweep", ["response", "benchmark", "gate"])
+    def test_tree_multiplies_only_the_real_steps(self, propagate_calls, qmul_elements,
+                                                 tmp_path, capsys, sweep):
+        # a chunk of m steps takes m - 1 products per column in its tree and
+        # one more into the running product: one per column-step.  A tree
+        # padded to a power of two multiplied 164,864 and 563,712 elements
+        # for the CLI sweeps' 109,480 and 401,041 column-steps
+        if sweep == "gate":
+            schedule_propagators(faquad_schedule(100.0, 1.0, 10.0, X_REF), GATE_FIELDS)
+        else:
+            assert cli.main([sweep, "--out", str(tmp_path / "out.csv")]) == 0
+        assert qmul_elements[0] == column_steps(propagate_calls) > 0
 
     def test_criterion_4_linear_ramp(self, propagate_calls):
         average_fidelity(linear_schedule(4000.0, 1.0, 350.0), x_max=5.0, n_points=11)

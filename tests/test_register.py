@@ -331,6 +331,20 @@ class TestHardwareGate:
             register._apply_hardware_gates(init_basis(4, "1000"), run)
         assert calls == []
 
+    def test_mixed_schedules_are_refused(self, monkeypatch):
+        # one sweep integrates every gate on one grid: equal drives held in
+        # two schedule objects are refused, naming the targets, before it
+        calls = []
+        monkeypatch.setattr(register, "schedule_propagators", lambda *a: calls.append(a))
+        run = [PerceptronGateSpec(target=1, weights={0: 1.0},
+                                  schedule=faquad_schedule(100.0, 1.0, 5.0, X_REF)),
+               PerceptronGateSpec(target=2, weights={0: 0.5},
+                                  schedule=faquad_schedule(100.0, 1.0, 5.0, X_REF))]
+        with pytest.raises(ValueError, match=r"gates on targets \[1, 2\] do not share one "
+                                             "schedule object"):
+            register._apply_hardware_gates(init_basis(3, "100"), run)
+        assert calls == []
+
 
 class TestObservables:
     def test_basis_and_plus(self):
