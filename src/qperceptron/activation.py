@@ -78,7 +78,14 @@ def cao_arctan(k: int) -> ActivationKind:
     return ActivationKind("cao", k)
 
 
+def _check_kind(kind, name: str) -> None:
+    """A ValueError naming the argument unless ``kind`` is an ActivationKind."""
+    if not isinstance(kind, ActivationKind):
+        raise ValueError(f"{name} must be an ActivationKind, got {kind!r}")
+
+
 def _checked(kind: ActivationKind, x):
+    _check_kind(kind, "kind")
     x = np.asarray(x, dtype=float)
     require_finite(**{"activation input": x})
     if kind.variant == "cao":

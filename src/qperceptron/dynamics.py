@@ -129,14 +129,12 @@ def _validate_schedule(schedule):
         raise ValueError("invalid schedule: needs samples, its (t, Omega) knots or None")
 
 
-@functools.lru_cache(maxsize=4)
-def _probe(tf: float) -> np.ndarray:
-    """Knot-free probe grid of _grid_spec, read-only: a uniform body plus a
-    geometric head that resolves steep starts."""
-    probe = np.unique(np.concatenate(
-        [np.linspace(0.0, tf, 4097), tf * np.geomspace(1e-9, 1.0, 2049), [0.0]]))
-    probe.flags.writeable = False
-    return probe
+# knot-free probe grid of _grid_spec on [0, 1], read-only: a uniform body plus
+# a geometric head that resolves steep starts.  The body's spacing is 1/4096,
+# a power of two, so tf * _PROBE is bitwise the probe built on [0, tf]
+_PROBE = np.unique(np.concatenate(
+    [np.linspace(0.0, 1.0, 4097), np.geomspace(1e-9, 1.0, 2049), [0.0]]))
+_PROBE.flags.writeable = False
 
 
 def _grid_spec(schedule, x_absmax: float) -> np.ndarray:
@@ -151,7 +149,7 @@ def _grid_spec(schedule, x_absmax: float) -> np.ndarray:
     tf = schedule.tf
     samples = schedule.samples
     knots = np.asarray(samples[0][1:-1] if samples is not None else [], dtype=float)
-    probe = _probe(tf)
+    probe = tf * _PROBE
     if knots.size:
         probe = np.union1d(probe, knots)
     om = np.asarray(schedule.omega(probe), dtype=float)
@@ -518,10 +516,18 @@ def fit_infidelity_decay(tf_grid, infidelity):
     scan over [0.02, 0.8] and a bounded Brent polish within one scan step
     (+-0.005) of its best point (variable projection); the lower of the two
     is kept, so no c2 outside [0.015, 0.805] is returned.  Returns (c0, c1, c2).
+    Input that is not two finite 1-D arrays of one length with tf > 0 is
+    refused before any fit.
     """
     from scipy.optimize import minimize_scalar
+    require_finite(tf_grid=tf_grid, infidelity=infidelity)
     tf = np.asarray(tf_grid, dtype=float)
     infid = np.asarray(infidelity, dtype=float)
+    if tf.ndim != 1 or infid.shape != tf.shape:
+        raise ValueError(f"tf_grid and infidelity must be 1-D of one length, got shapes "
+                         f"{tf.shape} and {infid.shape}")
+    if np.any(tf <= 0):
+        raise ValueError(f"tf_grid must be positive, got {float(np.min(tf))!r}")
     use = infid > 1e-12
     if int(np.sum(use)) < 4:
         raise ValueError("fit failure: fewer than 4 usable infidelity points")

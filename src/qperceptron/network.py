@@ -19,7 +19,7 @@ Gates of one layer have disjoint targets and diagonal controls on earlier
 layers, so they commute: a whole layer can run as one quasi-adiabatic Ising
 passage under the shared ramp.  protocol_duration counts one ramp per layer,
 and rejects a net in which a gate sources a qubit of its own layer.  The one
-statevector pass, _pass, integrates every hardware gate's fields in one sweep.
+statevector pass, _pass, hands all hardware gates to apply_hardware_perceptron.
 """
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from ._io import as_index, check_bits, require_finite
-from .activation import ALGEBRAIC, ActivationKind, cao_arctan, df_dx, eval_f
+from .activation import ALGEBRAIC, ActivationKind, _check_kind, cao_arctan, df_dx, eval_f
 from .register import (
-    PerceptronGateSpec, QuantumRegister, _apply_hardware_gates, _dimension, _view,
+    PerceptronGateSpec, QuantumRegister, _dimension, _view, apply_hardware_perceptron,
     apply_ideal_perceptron, excitation_probability)
 
 __all__ = [
@@ -68,6 +68,7 @@ class NetworkSpec:
         if not sizes or any(m < 1 for m in sizes) or sizes[-1] != 1:
             raise ValueError("layer_sizes must be nonempty, positive, ending in 1 output")
         object.__setattr__(self, "layer_sizes", sizes)
+        _check_kind(self.activation, "activation")
         n = self.n_total
         mask = np.asarray(self.mask, dtype=float)
         J = np.asarray(self.J, dtype=float)
@@ -152,7 +153,7 @@ def _pass(net: NetworkSpec, inputs, schedule=None) -> QuantumRegister:
         _view(amps, n, range(n), map(int, x.ljust(n, "0")))[...] = r
     reg = QuantumRegister(n, amps)
     if schedule is not None:
-        return _apply_hardware_gates(reg, net.gates(schedule))
+        return apply_hardware_perceptron(reg, *net.gates(schedule))
     for gate in net.gates():
         reg = apply_ideal_perceptron(reg, gate)
     return reg

@@ -21,9 +21,9 @@ hardware gate), broadcast over the other axes by one kernel in one pass; no
 2^n x 2^n matrix is ever materialized.  A hardware gate integrates the ramp
 only for the occupied source configurations, those holding any nonzero
 amplitude: an unoccupied one has only exact zeros, which every propagator
-leaves exactly zero.  The network pass integrates the fields of all its
-hardware gates in one sweep.  Registers are values: every
-operation returns a new register and amplitude arrays are frozen read-only.
+leaves exactly zero.  apply_hardware_perceptron integrates the fields of a
+pass's gates in one sweep.  Registers are values: every operation returns
+a new register and amplitude arrays are frozen read-only.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from ._io import as_index, check_bits, require_finite, write_rows
-from .activation import ActivationKind, chi
+from .activation import ActivationKind, _check_kind, chi
 from .control import ControlSchedule
 from .dynamics import _HADAMARD, schedule_propagators
 
@@ -111,6 +111,7 @@ class PerceptronGateSpec:
             raise ValueError("target cannot be one of its own sources")
         if any(k < 0 for k in weights):
             raise ValueError("source indices must be nonnegative integers")
+        _check_kind(self.activation, "activation")
         object.__setattr__(self, "weights", weights)
 
 
@@ -197,24 +198,22 @@ def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> Qu
     return _update_pairs(reg, gate.target, _rotation(chi(gate.activation, _gate_field(reg, gate))))
 
 
-def apply_hardware_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
-    """Adiabatic protocol on the target: a Hadamard, then the driven ramp
-    U(x) with x fixed by the source sector's configuration, applied as the
-    one matrix U(x) H per occupied sector in one pass, on a time grid sized
-    by their largest |x|.  From a basis input every first-layer gate has one
-    occupied sector.  It is the one-gate case of the one hardware path.
+def apply_hardware_perceptron(reg: QuantumRegister, *gates: PerceptronGateSpec) -> QuantumRegister:
+    """Adiabatic protocol on each target of one gate or a pass's gates, in
+    order: a Hadamard, then the driven ramp U(x) at each source sector's
+    field x, applied as the one matrix U(x) H per occupied sector.  All are
+    checked, then their occupied fields are integrated in one sweep of their
+    one shared schedule (the paper runs each layer as one Ising passage),
+    on a grid sized by the largest |x|, before any acts.  A gate keeps each
+    target pair's norm, so occupancy read from ``reg`` is exact but on a
+    source an earlier gate targets: both its values count.
 
     The physical evolution keeps each sector's dynamical phase.  For z-basis
     feed-forward circuits those phases are unobservable.
     """
-    return _apply_hardware_gates(reg, [gate])
-
-
-def _apply_hardware_gates(reg: QuantumRegister, gates) -> QuantumRegister:
-    """Hardware gates in order, each checked and all their occupied fields
-    integrated in one sweep of their one shared schedule before any acts.
-    A gate keeps each target pair's norm, so occupancy read from ``reg`` is
-    exact but on a source an earlier gate targets: both its values count."""
+    if not gates or not all(isinstance(gate, PerceptronGateSpec) for gate in gates):
+        raise ValueError("gates must be one or more PerceptronGateSpec arguments, got "
+                         f"{[type(gate).__name__ for gate in gates]}")
     if any(gate.schedule is None for gate in gates):
         raise ValueError("gate is in ideal mode; use apply_ideal_perceptron")
     if any(gate.schedule is not gates[0].schedule for gate in gates):

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence, Tuple, Union
 import numpy as np
 
 from ._io import as_index, float_if_scalar, require_finite, write_rows
-from .activation import ActivationKind, ALGEBRAIC, chi, dchi_dx
+from .activation import ActivationKind, ALGEBRAIC, _check_kind, chi, dchi_dx
 from .register import QuantumRegister, _check_qubit, _rotation, _sector_field, _update_pairs
 
 __all__ = [
@@ -125,6 +125,7 @@ class CompositionSpec:
         if any(o not in (-1, 1) for _, _, o in cycles):
             raise ValueError("orientation must be +1 or -1")
         require_finite(cycles=cycles)
+        _check_kind(self.activation, "activation")
         object.__setattr__(self, "cycles", cycles)
 
 

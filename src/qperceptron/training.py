@@ -95,9 +95,7 @@ def prime_dataset(n_bits: int) -> Dataset:
 
 
 def _engine(net: NetworkSpec, dataset: Dataset) -> _MixtureEngine:
-    """Mixture engine over the dataset, for the differentiable entry points."""
-    if net.activation.variant == "step":
-        raise ValueError("step activation is not differentiable; cannot train")
+    """Mixture engine over the dataset, for the ideal cost and the gradient."""
     return _MixtureEngine(net, [x for x, _ in dataset.pairs], [y for _, y in dataset.pairs])
 
 
@@ -114,8 +112,14 @@ def cross_entropy_cost(net: NetworkSpec, dataset: Dataset, schedule=None) -> flo
     return _cross_entropy(ps, np.array([y for _, y in dataset.pairs]))[0]
 
 
+def _refuse_step(net: NetworkSpec) -> None:
+    if net.activation.variant == "step":
+        raise ValueError("step activation is not differentiable; cannot train")
+
+
 def cost_gradient(net: NetworkSpec, dataset: Dataset):
     """Analytic (dJ, db) of the cross entropy; masked entries are exactly 0."""
+    _refuse_step(net)
     _, _, dJ, db = _engine(net, dataset).cost(net.J, net.b, want_grad=True)
     return dJ, db
 
@@ -181,6 +185,7 @@ def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainRepo
     """
     if net0.activation.variant == "cao":  # restarts and line search leave its domain
         raise ValueError("cao activation is only defined on [-pi/4, pi/4]; cannot train")
+    _refuse_step(net0)
     eng = _engine(net0, dataset)
     mask = net0.mask
     n = net0.n_total

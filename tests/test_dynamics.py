@@ -707,17 +707,32 @@ class TestKinkedDrives:
             knots = sched.samples[0][1:-1]
             assert np.all(np.isin(knots, edges))
 
-    def test_probe_is_built_once_per_tf_and_read_only(self):
-        # the cached knot-free probe is the one of a fresh build, and a
-        # table merges its knots into a copy: repeated grids stay bitwise equal
+    def test_probe_is_one_read_only_constant(self):
+        # tf times the unit probe is bitwise the probe built on [0, tf], for
+        # the CLI benchmark's 13 tf, criterion 4's 350 and 1,000 tf drawn
+        # log-uniform in [1e-6, 1e9]; a table merges its knots into a copy,
+        # so repeated grids stay bitwise equal
+        assert not dynamics._PROBE.flags.writeable
+        drawn = 10.0 ** np.random.default_rng(0).uniform(-6.0, 9.0, 1000)
+        for tf in [*map(float, CLI_TF), 350.0, *map(float, drawn)]:
+            built = np.unique(np.concatenate(
+                [np.linspace(0.0, tf, 4097), tf * np.geomspace(1e-9, 1.0, 2049), [0.0]]))
+            assert (tf * dynamics._PROBE).tobytes() == built.tobytes(), tf
         table = tabulated_schedule([0.0, 0.3, 1.1, 1.7, 2.5], [40.0, 3.0, 9.0, 0.5, 2.0])
-        probe = dynamics._probe(2.5)
-        assert probe is dynamics._probe(2.5) and not probe.flags.writeable
-        assert np.array_equal(probe, np.unique(np.concatenate(
-            [np.linspace(0.0, 2.5, 4097), 2.5 * np.geomspace(1e-9, 1.0, 2049), [0.0]])))
         for sched in (table, reversed_negated(table), linear_schedule(40.0, 1.0, 2.5)):
             first = dynamics._grid_spec(sched, 2.0)
             assert dynamics._grid_spec(sched, 2.0).tobytes() == first.tobytes()
+            assert not dynamics._PROBE.flags.writeable
+
+    def test_grid_at_a_new_tf_builds_no_probe(self, monkeypatch):
+        # the probe is scaled, not rebuilt: a tf not seen before takes no geomspace
+        sched = linear_schedule(40.0, 1.0, 2.718281828459045)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the probe was rebuilt")
+
+        monkeypatch.setattr(np, "geomspace", no_build)
+        assert dynamics._grid_spec(sched, 2.0)[-1] == sched.tf
 
 
 class TestResponseCurve:
@@ -890,6 +905,23 @@ class TestFitAndBenchmark:
             fit_infidelity_decay([1.0, 2.0, 3.0, 4.0], [1e-13] * 4)
         with pytest.raises(ValueError):
             fit_infidelity_decay([1.0, 2.0, 3.0], [0.1, 0.05, 0.02])
+
+    @pytest.mark.parametrize("tf, infid, name", [
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [0.1, 0.05, 0.02, 0.01], "tf_grid and infidelity"),
+        ([[1.0, 2.0, 3.0, 4.0, 5.0]], [[0.1, 0.05, 0.02, 0.01, 0.005]], "tf_grid and infidelity"),
+        ([1.0, 2.0, math.inf, 4.0, 5.0], [0.1, 0.05, 0.02, 0.01, 0.005], "tf_grid"),
+        ([1.0, -2.0, 3.0, 4.0, 5.0], [0.1, 0.05, 0.02, 0.01, 0.005], "tf_grid"),
+        ([0.0, 2.0, 3.0, 4.0, 5.0], [0.1, 0.05, 0.02, 0.01, 0.005], "tf_grid"),
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [0.1, math.nan, 0.02, 0.01, 0.005], "infidelity"),
+    ], ids=["lengths", "not_1d", "inf_tf", "negative_tf", "zero_tf", "nan_infidelity"])
+    def test_bad_input_is_refused_before_any_fit(self, tf, infid, name, capfd):
+        # refused by name before numpy or LAPACK sees it: no warning, and
+        # nothing printed to stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                fit_infidelity_decay(tf, infid)
+        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("infid", [
         1e-3 * np.geomspace(1.0, 20.0, 6),  # growing with tf

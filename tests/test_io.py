@@ -369,6 +369,13 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "n", lambda: qperceptron.adiabatic_diagnostics(_ramp(), 1.0, n=2.5)),
     (ValueError, "n", lambda: qperceptron.adiabatic_diagnostics(_ramp(), 1.0, n=0)),
     (ValueError, "seed", lambda: qperceptron.TrainConfig(seed=-5)),
+    # activation kinds: activation._check_kind
+    (ValueError, "activation", lambda: qperceptron.NetworkSpec(
+        2, (1,), _net().mask, _net().J, _net().b, activation="algebraic")),
+    (ValueError, "activation", lambda: qperceptron.PerceptronGateSpec(
+        1, {0: 1.0}, activation="logistic")),
+    (ValueError, "activation", lambda: qperceptron.CompositionSpec(((1.0, 0.0, 1),), "step")),
+    (ValueError, "kind", lambda: qperceptron.eval_f("algebraic", 0.3)),
 ], ids=["linear", "linear_str", "linear_huge_int", "linear_complex", "faquad", "perturbed", "design_field", "table_ts", "table_omegas",
         "eigensystem_nan", "eigensystem_inf", "eigensystem_x", "eigensystem_str", "constant_mu",
         "activation",
@@ -379,7 +386,8 @@ _NAN, _INF = math.nan, math.inf
         "gate_bias", "gate_weight_array", "probability",
         "conditional",
         "gate_source_float", "fidelity_points", "benchmark_points", "diagnostics_float",
-        "diagnostics_zero", "train_seed"])
+        "diagnostics_zero", "train_seed", "network_activation", "gate_activation",
+        "composition_activation", "activation_kind"])
 def test_bad_argument_is_refused_by_name(error, name, call):
     # warnings are errors: a bad count once gave nan and two RuntimeWarnings
     with warnings.catch_warnings():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperceptron import register
+from qperceptron import network, register
 from qperceptron.activation import ALGEBRAIC, LOGISTIC, STEP, cao_arctan, df_dx, eval_f
 from qperceptron.control import faquad_schedule
 from qperceptron.dynamics import schedule_propagators
@@ -32,6 +32,7 @@ from qperceptron.register import (
     excitation_probability,
     init_basis,
 )
+from qperceptron.training import cross_entropy_cost, prime_dataset
 from ode_oracles import PLUS, SZ, dop853_ising_passage, dop853_two_level, kron_on
 
 X_REF = 1.2720196495140690
@@ -551,10 +552,28 @@ class TestLayerHamiltonian:
         a = PerceptronGateSpec(1, {0: 2.0}, 0.5, schedule=sched)
         b = PerceptronGateSpec(2, {0: 0.7, 1: 3.0}, -0.5, schedule=sched)
         start = register.apply_hadamard(init_basis(3, "000"), 0)
-        got = register._apply_hardware_gates(start, [a, b])
+        got = apply_hardware_perceptron(start, a, b)
         want = apply_hardware_perceptron(apply_hardware_perceptron(start, a), b)
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-9
         assert sweeps[0].size == 2 + 4
+
+    def test_pass_hands_all_its_gates_to_the_public_entry(self, monkeypatch):
+        # forward and the hardware cost each make one apply_hardware_perceptron
+        # call with every gate of the net, so a wrapper of the public name
+        # sees each pass
+        sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
+        net = layered_net(3, [4], np.random.default_rng(8))
+        calls = []
+
+        def recording(reg, *gates):
+            calls.append(gates)
+            return apply_hardware_perceptron(reg, *gates)
+
+        monkeypatch.setattr(network, "apply_hardware_perceptron", recording)
+        forward(net, "101", sched)
+        assert calls == [tuple(net.gates(sched))]
+        cross_entropy_cost(net, prime_dataset(3), sched)
+        assert calls == [tuple(net.gates(sched))] * 2
 
     def test_shared_field_of_a_layer_is_integrated_once(self, sweeps):
         # two hidden gates with equal weights and bias see one field

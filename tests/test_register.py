@@ -328,7 +328,19 @@ class TestHardwareGate:
                PerceptronGateSpec(target=2, weights={0: 0.5}, schedule=sched),
                PerceptronGateSpec(target=3, weights={0: 2.0, 7: 1.0}, schedule=sched)]
         with pytest.raises(IndexError, match="source 7 out of range"):
-            register._apply_hardware_gates(init_basis(4, "1000"), run)
+            apply_hardware_perceptron(init_basis(4, "1000"), *run)
+        assert calls == []
+
+    def test_no_gate_or_a_list_is_refused_before_any_sweep(self, monkeypatch):
+        # the gates of a pass are arguments: a list passed as one is refused
+        # by name, like a call with no gate, and nothing is integrated
+        calls = []
+        monkeypatch.setattr(register, "schedule_propagators", lambda *a: calls.append(a))
+        run = [PerceptronGateSpec(target=1, weights={0: 1.0},
+                                  schedule=faquad_schedule(100.0, 1.0, 5.0, X_REF))]
+        for gates in ((), (run,)):
+            with pytest.raises(ValueError, match="^gates must be one or more PerceptronGateSpec"):
+                apply_hardware_perceptron(init_basis(2, "10"), *gates)
         assert calls == []
 
     def test_mixed_schedules_are_refused(self, monkeypatch):
@@ -342,7 +354,7 @@ class TestHardwareGate:
                                   schedule=faquad_schedule(100.0, 1.0, 5.0, X_REF))]
         with pytest.raises(ValueError, match=r"gates on targets \[1, 2\] do not share one "
                                              "schedule object"):
-            register._apply_hardware_gates(init_basis(3, "100"), run)
+            apply_hardware_perceptron(init_basis(3, "100"), *run)
         assert calls == []
 
 

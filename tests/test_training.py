@@ -294,14 +294,20 @@ class TestGradient:
         assert db[2] == pytest.approx(0.0, abs=1e-16)
 
     def test_step_activation_rejected(self):
-        n = 3
-        mask = np.zeros((n, n))
-        mask[2, 0] = mask[2, 1] = 1.0
-        net = NetworkSpec(
-            2, (1,), mask, np.zeros((n, n)), np.zeros(n), ActivationKind("step")
-        )
+        # a STEP net has an ideal cost but no gradient.  Dyadic weights and
+        # biases keep every field off the tie at 0; the output copies input
+        # 1, which misclassifies "01" and "10"
+        net = layered_network(2, (1,), ActivationKind("step"))
+        J, b = net.J.copy(), net.b.copy()
+        J[2, :2], b[2] = (0.25, 0.5), 0.125
+        J[3, 2], b[3] = 0.5, 0.125
+        net = NetworkSpec(2, net.layer_sizes, net.mask, J, b, net.activation)
+        ds = prime_dataset(2)
+        assert abs(cross_entropy_cost(net, ds) - manual_cost(net, ds)) <= 1e-12
         with pytest.raises(ValueError, match="step"):
-            cost_gradient(net, prime_dataset(2))
+            cost_gradient(net, ds)
+        with pytest.raises(ValueError, match="step"):
+            train(net, ds, TrainConfig(max_iters=1, restarts=0))
 
 
 class TestTrain:
