@@ -245,31 +245,58 @@ def _tree_order(m: int) -> np.ndarray:
     return r
 
 
-def _propagate(schedule, xs: np.ndarray, base: np.ndarray, level: int):
-    """Total propagator quaternion over the level-`level` grid for each x.
+def _tree(q, rows: int):
+    """Multiply a stack of quaternion rows in `_tree_order` up the product
+    tree until `rows` rows are left; the later node is on the left of each
+    product, and an unpaired last row is carried up, last again."""
+    while q[0].shape[0] > rows:
+        h = q[0].shape[0] // 2
+        later = slice(h, 2 * h)
+        prod = _qmul(*(t[later] for t in q), *(t[:h] for t in q))
+        if q[0].shape[0] % 2:
+            prod = [np.concatenate([p, t[-1:]]) for p, t in zip(prod, q)]
+        q = prod
+    return q
 
-    Steps go in chunks of ``_CHUNK`` rows, whose edges are generated from
-    the base edges ``base``; within a chunk the x columns go in blocks of
+
+def _propagate(schedule, xs: np.ndarray, base: np.ndarray, levels):
+    """Total propagator quaternions over the grids of the halving `levels`.
+
+    `levels` is one level ``(L,)`` or two successive ones; a sweep's first
+    call takes ``(0, 1)``, since the stop rule cannot fire before the first
+    halving.  Returns a (4, len(levels), len(xs)) array of rows
+    (a, bx, by, bz).  Steps go in chunks of ``_CHUNK >> levels[-1]`` base
+    steps, whose edges at each level are generated from the base edges
+    ``base``.  In a chunk of k base steps, each level's steps are gathered
+    in the order of its product tree, and all of them share one pass of node
+    drives, coefficients and exponents.  A finer level's first tree levels
+    reduce its rows to k << levels[0] products in the order of the coarsest
+    level's rows, so the levels then sit side by side as columns of one
+    tree with one accumulate.  Within a chunk the x columns go in blocks of
     at most ``_BLOCK`` rows x columns, so the temporaries stay bounded
-    however many columns a sweep has.  Each column's arithmetic does not
-    depend on the blocking.
+    however many columns a sweep has.  Each column's arithmetic depends
+    neither on the blocking nor on the other levels of the call.
     """
-    n = (base.size - 1) << level
+    n = base.size - 1
     cols = xs.shape[0]
-    E = np.zeros(cols)
-    BX = np.zeros(cols)
-    BY = np.zeros(cols)
-    BZ = np.zeros(cols)
-    for start in range(0, n, _CHUNK):
-        ts = _level_edges(base, level, start, min(start + _CHUNK, n))
-        dts = np.diff(ts)
-        tmid = (ts[1:] + ts[:-1]) / 2.0
+    out = np.zeros((4, len(levels), cols))
+    E, BX, BY, BZ = out
+    chunk = max(1, _CHUNK >> levels[-1])
+    for lo in range(0, n, chunk):
+        k = min(chunk, n - lo)
+        ts = [_level_edges(base, lv, lo << lv, (lo + k) << lv) for lv in levels]
+        dts = np.concatenate([np.diff(t) for t in ts])
+        tmid = np.concatenate([(t[1:] + t[:-1]) / 2.0 for t in ts])
         nodes = np.concatenate([tmid - _NODE * dts, tmid, tmid + _NODE * dts])
         om = np.broadcast_to(np.asarray(schedule.omega(nodes), dtype=float), nodes.shape)
-        # the real steps only, in the row order of the product tree
+        # the real steps only, each level's in the row order of its tree
         m = tmid.size
+        sizes = [k << lv for lv in levels]
+        offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+        order = _tree_order(m) if len(levels) == 1 else np.concatenate(
+            [off + _tree_order(r) for off, r in zip(offsets, sizes)])
         steps = np.concatenate([dts, om.ravel()]).reshape(4, m)
-        dt, om1, om2, om3 = steps[:, _tree_order(m), None]
+        dt, om1, om2, om3 = steps[:, order, None]
         # Magnus-6 exponent w = (A0 + A2 y, x (B1 + B3 y), x (D1 + D3 y)),
         # y = x^2, from c = dt / 2, p = c om2 and the first and second
         # differences of the node drives, q and r (weighted, times c)
@@ -322,21 +349,17 @@ def _propagate(schedule, xs: np.ndarray, base: np.ndarray, level: int):
             bz = D3 * y
             bz += D1
             bz *= s
-            while e.shape[0] > 1:
-                # later node on the left: rows (p, p + h) hold nodes (2j, 2j+1),
-                # and an unpaired last row is carried, last again
-                h = e.shape[0] // 2
-                later = slice(h, 2 * h)
-                prod = _qmul(
-                    e[later], bx[later], by[later], bz[later],
-                    e[:h], bx[:h], by[:h], bz[:h],
-                )
-                if e.shape[0] % 2:
-                    prod = [np.concatenate([p, t[-1:]]) for p, t in zip(prod, (e, bx, by, bz))]
-                e, bx, by, bz = prod
-            E[blk], BX[blk], BY[blk], BZ[blk] = _qmul(
-                e[0], bx[0], by[0], bz[0], E[blk], BX[blk], BY[blk], BZ[blk])
-    return 1.0 + E, BX, BY, BZ
+            # each level's tree down to the coarsest level's rows, then the
+            # levels side by side as columns of one tree
+            q = [_tree([t[off : off + r] for t in (e, bx, by, bz)], sizes[0])
+                 for off, r in zip(offsets, sizes)]
+            q = _tree(q[0] if len(q) == 1 else
+                      [np.concatenate(t, axis=1) for t in zip(*q)], 1)
+            acc = [t[0].reshape(len(levels), -1) for t in q]
+            E[:, blk], BX[:, blk], BY[:, blk], BZ[:, blk] = _qmul(
+                *acc, E[:, blk], BX[:, blk], BY[:, blk], BZ[:, blk])
+    E += 1.0
+    return out
 
 
 def _unitaries(q) -> np.ndarray:
@@ -371,7 +394,10 @@ def _converged_sweep(schedule, x_values, reduce_fn, tol):
     (4, len(xs)) array of rows (a, bx, by, bz), to a float array with x on
     axis 0.  A column's change is the max-abs change of its entries between
     consecutive halvings; the error-estimate stop cannot fire at the first
-    halving, which has no ratio.  A stopped column keeps its quaternion, and
+    halving, which has no ratio.  No column can stop before the first
+    halving, so levels 0 and 1 are integrated in one ``_propagate`` call,
+    and level 1's quaternion is kept for the second iteration; level 0's
+    recorded time covers both.  A stopped column keeps its quaternion, and
     later halvings integrate only the distinct |x| of the columns still
     moving; by the mirror rule, a column with x's sign bit set takes its
     |x|'s quaternion with (by, bz) negated.  All columns share one grid
@@ -407,7 +433,11 @@ def _converged_sweep(schedule, x_values, reduce_fn, tol):
         t0 = time.perf_counter()
         need = np.bincount(rep[live], minlength=ax.size) > 0
         cols = np.count_nonzero(need)
-        qa[:, need] = _propagate(schedule, ax[need], base, level)
+        if level != 1:
+            # levels 0 and 1 share one pass: nothing stops before the first halving
+            levels = (0, 1) if level == 0 else (level,)
+            got = _propagate(schedule, ax[need], base, levels)
+        qa[:, need] = got[:, level - levels[0]]
         q[:, live] = qa[:, rep[live]]
         q[2:, live] *= sign[live]
         nxt = reduce_fn(q)
@@ -428,8 +458,9 @@ def _converged_sweep(schedule, x_values, reduce_fn, tol):
                     + (f", max change {d:.3g}, {e} stopped on the estimate" if lv else "")
                     + f", {sec:.3g} s" for lv, (n, d, _, e, sec) in enumerate(record))
                 steps = sum(((base.size - 1) << lv) * n for lv, (n, *_) in enumerate(record))
-                _log.debug("sweep: %d x columns, %d distinct |x|, %d base steps; %s; "
-                           "%d column-steps", xs.size, ax.size, base.size - 1, levels, steps)
+                _log.debug("sweep: %d x columns, %d distinct |x|, %d base steps; levels 0 "
+                           "and 1 in one pass; %s; %d column-steps",
+                           xs.size, ax.size, base.size - 1, levels, steps)
             return xs, q, nxt
         cur = nxt
     history = ", ".join(f"{d:.3g} ({n} of {xs.size} columns)" for _, d, n, _, _ in record[1:])

@@ -264,7 +264,7 @@ class TestMagnusStep:
 
         xs = np.array([-2.0, 0.0, 0.7, 2.5])
         curved = types.SimpleNamespace(omega=omega)
-        got = dynamics._unitaries(dynamics._propagate(curved, xs, np.array([0.0, 1.0]), 0))
+        got = dynamics._unitaries(dynamics._propagate(curved, xs, np.array([0.0, 1.0]), (0,))[:, 0])
         nodes = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
         sz = np.diag([-1.0, 1.0])
@@ -289,8 +289,8 @@ class TestConvergenceOrder:
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
         xs = np.array([-3.0, 0.5, 2.0])
         base = dynamics._grid_spec(sched, 3.0)
-        ref = np.stack(dynamics._propagate(sched, xs, base, 6))
-        err = [np.abs(np.stack(dynamics._propagate(sched, xs, base, level)) - ref).max()
+        ref = dynamics._propagate(sched, xs, base, (6,))
+        err = [np.abs(dynamics._propagate(sched, xs, base, (level,)) - ref).max()
                for level in range(3)]
         for coarse, fine in zip(err, err[1:]):
             assert 56.0 <= coarse / fine <= 72.0
@@ -328,13 +328,14 @@ def mixed_field_grids(draw):
 
 @pytest.fixture
 def propagate_calls(monkeypatch):
-    """Record (level, grid steps, x columns) of every ``_propagate`` call."""
+    """Record (level, grid steps, x columns) of every level integrated by a
+    ``_propagate`` call: a two-level call counts as both levels."""
     calls = []
     propagate = dynamics._propagate
 
-    def recording(schedule, xs, base, level):
-        calls.append((level, (base.size - 1) << level, xs.copy()))
-        return propagate(schedule, xs, base, level)
+    def recording(schedule, xs, base, levels):
+        calls.extend((level, (base.size - 1) << level, xs.copy()) for level in levels)
+        return propagate(schedule, xs, base, levels)
 
     monkeypatch.setattr(dynamics, "_propagate", recording)
     return calls
@@ -394,11 +395,11 @@ class TestColumnBlocks:
         base = dynamics._grid_spec(sched, 10.0)
         for level in range(3):
             monkeypatch.setattr(dynamics, "_BLOCK", 1 << 62)
-            whole = np.stack(dynamics._propagate(sched, xs, base, level))
+            whole = dynamics._propagate(sched, xs, base, (level,))
             # one column per block, and ragged blocks of a few columns
             for block in (1, 5000):
                 monkeypatch.setattr(dynamics, "_BLOCK", block)
-                got = np.stack(dynamics._propagate(sched, xs, base, level))
+                got = dynamics._propagate(sched, xs, base, (level,))
                 assert np.array_equal(got, whole)
 
     def test_wide_pass_memory_is_bounded(self):
@@ -409,7 +410,7 @@ class TestColumnBlocks:
         base = dynamics._grid_spec(sched, 10.0)
         tracemalloc.start()
         try:
-            dynamics._propagate(sched, xs, base, 0)
+            dynamics._propagate(sched, xs, base, (0,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -451,8 +452,29 @@ class TestProductTree:
         padded = np.concatenate([base, np.full((1 << (m - 1).bit_length()) - m, 10.0)])
         xs = np.array([0.0, 1.3, -7.5])
         for level in (0, 1):
-            want = np.stack(dynamics._propagate(sched, xs, padded, level))
-            assert np.array_equal(np.stack(dynamics._propagate(sched, xs, base, level)), want)
+            want = dynamics._propagate(sched, xs, padded, (level,))
+            assert np.array_equal(dynamics._propagate(sched, xs, base, (level,)), want)
+
+
+class TestFusedLevels:
+    """A sweep's first call integrates levels 0 and 1 in one pass, their
+    steps sharing one exponent pass and one tree; each level must be bitwise
+    the call of that level alone."""
+
+    @pytest.mark.parametrize("m", [*range(1, 71), 129, 255, 257, 883, 20_001])
+    def test_each_level_equals_its_own_call(self, m):
+        # up to _CHUNK >> 1 base steps both calls take one chunk; beyond it
+        # level 0 alone groups its steps in longer chunks, level 1 does not
+        for sched in (faquad_schedule(100.0, 1.0, 10.0, X_REF), linear_schedule(100.0, 1.0, 10.0)):
+            base = np.linspace(0.0, 10.0, m + 1)
+            for xs in (np.array([0.7]), np.array([-2.5, 0.0, 9.6]), np.linspace(-10.0, 10.0, 11)):
+                fused = dynamics._propagate(sched, xs, base, (0, 1))
+                assert fused.shape == (4, 2, xs.size)
+                level1 = dynamics._propagate(sched, xs, base, (1,))
+                assert np.array_equal(fused[:, 1:], level1)
+                if m <= dynamics._CHUNK >> 1:
+                    level0 = dynamics._propagate(sched, xs, base, (0,))
+                    assert np.array_equal(fused[:, :1], level0)
 
 
 KINKED = tabulated_schedule([0.0, 0.3, 1.1, 1.7, 2.5], [40.0, 3.0, 9.0, 0.5, 2.0])
@@ -478,8 +500,8 @@ class TestMirrorSymmetry:
         xs = np.array(xs)
         base = dynamics._grid_spec(sched, float(np.max(np.abs(xs))))
         for level in range(3):
-            a, bx, by, bz = dynamics._propagate(sched, xs, base, level)
-            mirrored = np.stack(dynamics._propagate(sched, -xs, base, level))
+            a, bx, by, bz = dynamics._propagate(sched, xs, base, (level,))
+            mirrored = dynamics._propagate(sched, -xs, base, (level,))
             # values: the sign of an exact zero may differ
             assert np.array_equal(mirrored, np.stack([a, bx, -by, -bz]))
 
