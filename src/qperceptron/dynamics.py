@@ -99,9 +99,9 @@ _EARLY_FACTOR = 7.5
 _EARLY_RATIO = 12.0
 # dt-rule constants of the base grid: phase per step, steps per ramp and
 # relative drive change per step (see the module docstring)
-_PHASE = 2.0
-_MIN_STEPS = 62.5
-_SLOPE = 0.032
+_PHASE = 3.0
+_MIN_STEPS = 45.0
+_SLOPE = 0.05
 # base steps a grid may need before construction gives up: the edges are
 # held in memory, and 2^24 steps cost about 135 MiB and 6 s per x column
 # (the criterion-4 linear ramp, the largest grid in the tests, needs 3.7e5)
@@ -130,10 +130,10 @@ def _validate_schedule(schedule):
 
 
 # knot-free probe grid of _grid_spec on [0, 1], read-only: a uniform body plus
-# a geometric head that resolves steep starts.  The body's spacing is 1/4096,
+# a geometric head that resolves steep starts.  The body's spacing is 1/1024,
 # a power of two, so tf * _PROBE is bitwise the probe built on [0, tf]
 _PROBE = np.unique(np.concatenate(
-    [np.linspace(0.0, 1.0, 4097), np.geomspace(1e-9, 1.0, 2049), [0.0]]))
+    [np.linspace(0.0, 1.0, 1025), np.geomspace(1e-9, 1.0, 513), [0.0]]))
 _PROBE.flags.writeable = False
 
 

@@ -288,12 +288,12 @@ class TestNamedErrors:
         # exited 1 without naming a flag; the budget refuses the grid
         # before any edge is allocated
         (["response", "--xmax", "1e300", "--points", "3"], 2,
-         "error: step grid needs about 5e+300 base steps, over the budget of 16777216; "
-         "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+         "error: step grid needs about 3.33e+300 base steps, over the budget of 16777216; "
+         "the phase rule dt <= 3.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
          "lower --xmax, --tf or --omega0"),
         (["response", "--tf", "1e9", "--points", "3"], 2,
-         "error: step grid needs about 5.28e+09 base steps, over the budget of 16777216; "
-         "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+         "error: step grid needs about 3.52e+09 base steps, over the budget of 16777216; "
+         "the phase rule dt <= 3.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
          "lower --xmax, --tf or --omega0"),
         # exited 1 after numpy overflow warnings (a warning fails the suite):
         # the drive, then only its slope, overflows at t = 0
@@ -313,19 +313,19 @@ class TestNamedErrors:
          "lower --epsilon-ctrl"),
         # named --xmax, --tf or --omega0, never the flag that made the grid
         (["response", "--epsilon-ctrl", "1e10"], 2,
-         "error: step grid needs about 2.53e+12 base steps, over the budget of 16777216; "
-         "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+         "error: step grid needs about 1.68e+12 base steps, over the budget of 16777216; "
+         "the phase rule dt <= 3.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
          "lower --xmax, --tf, --omega0 or --epsilon-ctrl"),
         # exited 1 after a numpy overflow warning in the step-count integral,
-        # saying the drive was not finite: a finite step rate whose integral
-        # overflows is a grid over the budget
+        # saying the drive was not finite.  At dt E <= 3 that integral stays
+        # just finite here; the --xmax row below still overflows it
         (["response", "--epsilon-ctrl", "1e306"], 2,
-         "error: step grid needs more than 1.8e+308 base steps, over the budget of 16777216; "
-         "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+         "error: step grid needs about 1.68e+308 base steps, over the budget of 16777216; "
+         "the phase rule dt <= 3.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
          "lower --xmax, --tf, --omega0 or --epsilon-ctrl"),
         (["response", "--xmax", "8e307", "--points", "3"], 2,
          "error: step grid needs more than 1.8e+308 base steps, over the budget of 16777216; "
-         "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+         "the phase rule dt <= 3.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
          "lower --xmax, --tf or --omega0"),
     ], ids=["tf_text", "m1_comma", "step_budget", "step_budget_tf", "omega0_drive",
             "omega0_slope", "negative_seed", "perturbed_linear", "epsilon_overflow",
@@ -348,8 +348,8 @@ class TestNamedErrors:
         out = tmp_path / "bench.csv"
         assert main(["benchmark", "--tf-max", "1e9", "--out", str(out)]) == 2
         assert capsys.readouterr().err.endswith(
-            "error: step grid needs about 2.61e+10 base steps, over the budget of 16777216; "
-            "the phase rule dt <= 2.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
+            "error: step grid needs about 1.74e+10 base steps, over the budget of 16777216; "
+            "the phase rule dt <= 3.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
             "lower --tf-max\n")
         assert calls == []
         assert not out.exists()

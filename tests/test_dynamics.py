@@ -538,7 +538,7 @@ class TestBaseGridMemory:
     def test_base_edges_peak_is_bounded(self):
         # 4.41e6 base steps: the edges and their quantiles are two 34 MiB
         # arrays, and no third array of that size may exist alongside them
-        sched = linear_schedule(4000.0, 1.0, 4200.0)
+        sched = linear_schedule(4000.0, 1.0, 6300.0)
         tracemalloc.start()
         try:
             base = dynamics._grid_spec(sched, 5.0)
@@ -622,9 +622,24 @@ class TestWorkGuard:
     calls) of fixed sweeps, with 25% headroom over the counts measured
     with the Magnus-6 step, the phase rule dt E <= 2, per-column
     convergence, the error-estimate stop and each distinct |x| integrated
-    once.  A change that inflates the grid or the halving levels again, or
-    integrates mirrored columns twice, fails here, without timing.
+    once; the base grid of dt E <= 3 stays below them.  A change that
+    inflates the grid or the halving levels again, or integrates mirrored
+    columns twice, fails here, without timing.
     """
+
+    def test_cli_ramp_pass_work(self, propagate_calls, monkeypatch, tmp_path, capsys):
+        # a ramp pass of perfbench: 27 sweeps, each with levels 0 and 1 in
+        # one call, on the grid of dt E <= 3.  With a call per level and
+        # dt E <= 2 it took 74 calls and 510,521 column-steps
+        calls = []
+        propagate = dynamics._propagate
+        monkeypatch.setattr(dynamics, "_propagate",
+                            lambda *args: calls.append(args[3]) or propagate(*args))
+        assert cli.main(["response", "--out", str(tmp_path / "response.csv")]) == 0
+        assert cli.main(["benchmark", "--out", str(tmp_path / "bench.csv")]) == 0
+        assert calls.count((0, 1)) == 27
+        assert len(calls) <= 1.02 * 49
+        assert column_steps(propagate_calls) <= 1.02 * 388_432
 
     def test_cli_response_default_sweep(self, propagate_calls, tmp_path):
         # 168 distinct |x|: linspace(-10, 10, 201) has 33 exact mirror pairs
@@ -733,12 +748,14 @@ class TestKinkedDrives:
         # tf times the unit probe is bitwise the probe built on [0, tf], for
         # the CLI benchmark's 13 tf, criterion 4's 350 and 1,000 tf drawn
         # log-uniform in [1e-6, 1e9]; a table merges its knots into a copy,
-        # so repeated grids stay bitwise equal
+        # so repeated grids stay bitwise equal.  A 1,025-point body and a
+        # 513-point head, 1,538 points in all
         assert not dynamics._PROBE.flags.writeable
+        assert dynamics._PROBE.size == 1025 + 513 - 1
         drawn = 10.0 ** np.random.default_rng(0).uniform(-6.0, 9.0, 1000)
         for tf in [*map(float, CLI_TF), 350.0, *map(float, drawn)]:
             built = np.unique(np.concatenate(
-                [np.linspace(0.0, tf, 4097), tf * np.geomspace(1e-9, 1.0, 2049), [0.0]]))
+                [np.linspace(0.0, tf, 1025), tf * np.geomspace(1e-9, 1.0, 513), [0.0]]))
             assert (tf * dynamics._PROBE).tobytes() == built.tobytes(), tf
         table = tabulated_schedule([0.0, 0.3, 1.1, 1.7, 2.5], [40.0, 3.0, 9.0, 0.5, 2.0])
         for sched in (table, reversed_negated(table), linear_schedule(40.0, 1.0, 2.5)):
