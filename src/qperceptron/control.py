@@ -259,11 +259,15 @@ def adiabatic_mu(schedule: ControlSchedule, x: float, t) -> float:
     """Adiabatic parameter mu(t) = |x dOmega/dt| / (2 (Omega^2 + x^2)^(3/2)).
 
     The ratio of the eigenstate rotation rate to the gap; small mu means
-    adiabatic.  Vectorized over t.
+    adiabatic.  Vectorized over t.  A non-finite x or t, or a point where
+    Omega(t) = x = 0, is refused.
     """
+    require_finite(x=x, t=t)
     om = schedule.omega(t)
     dom = schedule.domega(t)
     E = np.hypot(om, x)
+    if np.any(E == 0):
+        raise ValueError("Omega(t) = x = 0 is degenerate; the gap closes")
     return float_if_scalar(np.abs(x * dom) / (2.0 * E**3))
 
 

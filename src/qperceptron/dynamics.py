@@ -592,13 +592,19 @@ def benchmark_ramps(tf_grid, n_points: int = 201) -> FidelityReport:
     Builds both schedules at each tf, from omega0 = 100 down to omegaf = 1,
     the faquad one at the optimal design field; evaluates 1 -
     average_fidelity on n_points over |x| <= 10, and fits the faquad
-    curve's stretched-exponential decay.  tf_grid must be strictly
-    increasing.  The longest tf runs first, so a grid over the step budget
-    fails before any shorter ramp is integrated.
+    curve's stretched-exponential decay.  tf_grid must be a finite,
+    positive, strictly increasing 1-D grid of at least 4 points, the fit's
+    minimum; anything else is refused before any ramp is integrated.  The
+    longest tf runs first, so a grid over the step budget fails before any
+    shorter ramp is integrated.
     """
+    require_finite(tf_grid=tf_grid)
     tf = np.asarray(tf_grid, dtype=float)
-    if tf.size == 0 or np.any(np.diff(tf) <= 0) or np.any(tf <= 0):
-        raise ValueError("tf_grid must be nonempty, positive, strictly increasing")
+    if tf.ndim != 1 or tf.size < 4:
+        raise ValueError(f"tf_grid must be 1-D with at least 4 points (the fit's minimum), "
+                         f"got shape {tf.shape}")
+    if np.any(np.diff(tf) <= 0) or np.any(tf <= 0):
+        raise ValueError("tf_grid must be positive and strictly increasing")
     inf_lin = np.empty(tf.size)
     inf_faq = np.empty(tf.size)
     for i, t in reversed(list(enumerate(tf))):

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qperceptron
+from qperceptron import dynamics
 from qperceptron._io import read_rows, write_rows
 from qperceptron.control import faquad_schedule
 from qperceptron.dynamics import FidelityReport, report_to_csv, response_curve, response_to_csv
@@ -310,6 +311,17 @@ def _reg():
     return qperceptron.init_basis(2, "10")
 
 
+def _benchmark(tf_grid):
+    """``benchmark_ramps`` with the integrator replaced by a failure: a bad
+    grid must be refused before any ramp is integrated."""
+    def no_steps(*args):
+        raise AssertionError("steps were integrated")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_propagate", no_steps)
+        return qperceptron.benchmark_ramps(tf_grid, n_points=21)
+
+
 _SPEC = qperceptron.CompositionSpec(((1.0, 0.0, 1),))
 _NAN, _INF = math.nan, math.inf
 
@@ -376,6 +388,24 @@ _NAN, _INF = math.nan, math.inf
         1, {0: 1.0}, activation="logistic")),
     (ValueError, "activation", lambda: qperceptron.CompositionSpec(((1.0, 0.0, 1),), "step")),
     (ValueError, "kind", lambda: qperceptron.eval_f("algebraic", 0.3)),
+    # benchmark grids: the fit's minimum of 4 points, 1-D and finite
+    (ValueError, "tf_grid", lambda: _benchmark([1.0, 30.0, 100.0])),
+    (ValueError, "tf_grid", lambda: _benchmark(5.0)),
+    (ValueError, "tf_grid", lambda: _benchmark([[1.0, 2.0], [3.0, 4.0]])),
+    (ValueError, "tf_grid", lambda: _benchmark([1.0, 2.0, _NAN, 4.0])),
+    (ValueError, "tf_grid", lambda: _benchmark([1.0, 2.0, 3.0, _INF])),
+    (ValueError, "tf_grid", lambda: _benchmark([1.0, 3.0, 2.0, 4.0])),
+    # adiabatic parameter: finite arguments and an open gap
+    (ValueError, "x", lambda: qperceptron.adiabatic_mu(_ramp(), _NAN, 1.0)),
+    (ValueError, "t", lambda: qperceptron.adiabatic_mu(_ramp(), 1.0, [0.0, _INF])),
+    (ValueError, "Omega(t) = x = 0", lambda: qperceptron.adiabatic_mu(
+        qperceptron.linear_schedule(10.0, 0.0, 5.0), 0.0, 5.0)),
+    (ValueError, "Omega(t) = x = 0", lambda: qperceptron.adiabatic_diagnostics(
+        qperceptron.tabulated_schedule([0.0, 1.0, 2.0], [2.0, 1.0, 0.0]), 0.0, 5)),
+    # network shapes
+    (ValueError, "hidden_sizes", lambda: qperceptron.layered_network(2, 3)),
+    (ValueError, "hidden_sizes", lambda: qperceptron.layered_network(2, None)),
+    (ValueError, "hidden_sizes", lambda: qperceptron.layered_network(2, 2.0)),
 ], ids=["linear", "linear_str", "linear_huge_int", "linear_complex", "faquad", "perturbed", "design_field", "table_ts", "table_omegas",
         "eigensystem_nan", "eigensystem_inf", "eigensystem_x", "eigensystem_str", "constant_mu",
         "activation",
@@ -387,7 +417,9 @@ _NAN, _INF = math.nan, math.inf
         "conditional",
         "gate_source_float", "fidelity_points", "benchmark_points", "diagnostics_float",
         "diagnostics_zero", "train_seed", "network_activation", "gate_activation",
-        "composition_activation", "activation_kind"])
+        "composition_activation", "activation_kind", "benchmark_3_points", "benchmark_scalar",
+        "benchmark_2d", "benchmark_nan", "benchmark_inf", "benchmark_unsorted", "mu_x", "mu_t",
+        "mu_closed_gap", "diagnostics_closed_gap", "hidden_int", "hidden_none", "hidden_float"])
 def test_bad_argument_is_refused_by_name(error, name, call):
     # warnings are errors: a bad count once gave nan and two RuntimeWarnings
     with warnings.catch_warnings():
