@@ -266,16 +266,18 @@ def _propagate(schedule, xs: np.ndarray, base: np.ndarray, levels):
     call takes ``(0, 1)``, since the stop rule cannot fire before the first
     halving.  Returns a (4, len(levels), len(xs)) array of rows
     (a, bx, by, bz).  Steps go in chunks of ``_CHUNK >> levels[-1]`` base
-    steps, whose edges at each level are generated from the base edges
-    ``base``.  In a chunk of k base steps, each level's steps are gathered
+    steps (at least one), whose edges at each level are generated from the
+    base edges ``base``.  In a chunk of k base steps, each level's steps are gathered
     in the order of its product tree, and all of them share one pass of node
     drives, coefficients and exponents.  A finer level's first tree levels
     reduce its rows to k << levels[0] products in the order of the coarsest
     level's rows, so the levels then sit side by side as columns of one
     tree with one accumulate.  Within a chunk the x columns go in blocks of
     at most ``_BLOCK`` rows x columns, so the temporaries stay bounded
-    however many columns a sweep has.  Each column's arithmetic depends
-    neither on the blocking nor on the other levels of the call.
+    however many columns a sweep has.  A column's arithmetic does not depend
+    on the blocking, nor a level's on the other levels of the call, except
+    through the chunk size: level 0 of a ``(0, 1)`` call equals a ``(0,)``
+    call on grids of one chunk, level 1 equals a ``(1,)`` call on every grid.
     """
     n = base.size - 1
     cols = xs.shape[0]
@@ -351,11 +353,15 @@ def _propagate(schedule, xs: np.ndarray, base: np.ndarray, levels):
             bz *= s
             # each level's tree down to the coarsest level's rows, then the
             # levels side by side as columns of one tree
-            q = [_tree([t[off : off + r] for t in (e, bx, by, bz)], sizes[0])
-                 for off, r in zip(offsets, sizes)]
-            q = _tree(q[0] if len(q) == 1 else
-                      [np.concatenate(t, axis=1) for t in zip(*q)], 1)
-            acc = [t[0].reshape(len(levels), -1) for t in q]
+            del half, s
+            prods = [_tree([t[off : off + r] for t in (e, bx, by, bz)], sizes[0])
+                     for off, r in zip(offsets, sizes)]
+            del e, bx, by, bz
+            if len(prods) > 1:
+                prods = [np.concatenate(t, axis=1) for t in zip(*prods)]
+            else:
+                prods = prods[0]
+            acc = [t[0].reshape(len(levels), -1) for t in _tree(prods, 1)]
             E[:, blk], BX[:, blk], BY[:, blk], BZ[:, blk] = _qmul(
                 *acc, E[:, blk], BX[:, blk], BY[:, blk], BZ[:, blk])
     E += 1.0

@@ -403,18 +403,20 @@ class TestColumnBlocks:
                 assert np.array_equal(got, whole)
 
     def test_wide_pass_memory_is_bounded(self):
-        # 2001 columns on a 1584-step grid: an unblocked chunk of 2048 rows
-        # peaks near 280 MiB of temporaries, blocks of 2^20 near 72 MiB
+        # 2001 columns on a 1057-step grid: an unblocked chunk of 2048 rows
+        # peaks near 280 MiB of temporaries, blocks of 2^20 near 80 MiB.
+        # Two levels in one call hold both levels' steps, blocked together
         sched = linear_schedule(100.0, 100.0, 30.0)
         xs = np.linspace(-10.0, 10.0, 2001)
         base = dynamics._grid_spec(sched, 10.0)
-        tracemalloc.start()
-        try:
-            dynamics._propagate(sched, xs, base, (0,))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 96 * 2**20
+        for levels in ((0,), (0, 1)):
+            tracemalloc.start()
+            try:
+                dynamics._propagate(sched, xs, base, levels)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 96 * 2**20, levels
 
 
 class TestProductTree:
