@@ -30,14 +30,17 @@ over 1e7 steps, and a vanishing field (Omega = x = 0) gives the identity
 step.
 
 Step-size policy: the base grid is built in one pass.  Its steps follow
-the tightest of dt <= 2 / sqrt(Omega^2 + x_max^2), dt <= tf / 62.5 and a
-relative-slope cap dt <= 0.032 |Omega / dOmega| (for the near-vertical
+the tightest of dt <= 3 / sqrt(Omega^2 + x_max^2), dt <= tf / 45 and a
+relative-slope cap dt <= 0.05 |Omega / dOmega| (for the near-vertical
 start of constant-adiabaticity ramps), and every interior knot of a
 tabulated drive is a step edge, so that no step straddles a kink.  The
 phase rule keeps each step inside the Magnus series' convergence region:
 the series converges for ||H|| dt < pi, and ||H|| = E / 2 with
-E = sqrt(Omega^2 + x^2), so dt E < 2 pi, and the rule dt E <= 2 rad sits at
-a third of that radius.  Within it the rule sets no accuracy; the grid is
+E = sqrt(Omega^2 + x^2), so dt E < 2 pi, and the rule dt E <= 3 rad stays
+under half of that radius.  The three constants are sized for the
+sixth-order step: the fourth-order step's dt E <= 2, tf / 62.5 and 0.032
+took 1.31x the column-steps of a CLI response and benchmark pass, for
+results within 1e-9.  Within the rules no accuracy is set; the grid is
 midpoint-halved until the requested quantity converges, and that loop, not
 a re-check of the rules, is the accuracy guarantee.
 
@@ -48,11 +51,15 @@ error left is about change / 63.  A column stops when its change is below
 the tolerance tol, or below 7.5 tol after such a drop, which leaves about
 tol / 8.  Convergence is per x column: a column that stops keeps its value,
 and later halvings integrate only the columns still moving, on the one grid
-sized for max |x|.
+sized for max |x|.  No column can stop before the first halving, so
+levels 0 and 1 are integrated in one pass: their steps share the node
+drives, coefficients and exponents, and level 1's products, reduced to one
+per base step, join level 0's as more columns of one product tree.
 The propagators converge each entry of U to tol (default 1e-9); grid
 sweeps (response curves, fidelity averages) converge every reported
 probability to 1e-8.  The base edges are held in memory; a
-halved grid's edges are generated per chunk of steps.  A non-finite x or
+halved grid's edges are generated per chunk of base steps, 2^14 >> L for
+the finest level L of the pass (at least one).  A non-finite x or
 drive, or a drive whose base grid would exceed 2^24 steps (a drive
 vanishing on [0, tf]), fails with ValueError before any allocation.
 
@@ -205,14 +212,26 @@ def _level_edges(base: np.ndarray, level: int, lo: int, hi: int) -> np.ndarray:
 
 def _qmul(e1, x1, y1, z1, e2, x2, y2, z2):
     # (a1 + i b1.s)(a2 + i b2.s) = a1 a2 - b1.b2 + i (a1 b2 + a2 b1 - b1 x b2).s
-    # with each scalar part held as e = a - 1 (see the module docstring)
+    # with each scalar part held as e = a - 1 (see the module docstring):
+    # e = (e1 + e2) + (e1 e2 - b1.b2), x = (a1 x2 + a2 x1) - (y1 z2 - z1 y2)
+    # and cyclically, each sum taken in place in that order
     a1 = 1.0 + e1
     a2 = 1.0 + e2
-    e = e1 + e2 + (e1 * e2 - x1 * x2 - y1 * y2 - z1 * z2)
-    x = a1 * x2 + a2 * x1 - (y1 * z2 - z1 * y2)
-    y = a1 * y2 + a2 * y1 - (z1 * x2 - x1 * z2)
-    z = a1 * z2 + a2 * z1 - (x1 * y2 - y1 * x2)
-    return e, x, y, z
+    e = e1 * e2
+    e -= x1 * x2
+    e -= y1 * y2
+    e -= z1 * z2
+    e += e1 + e2
+    out = [e]
+    for u1, v1, w1, u2, v2, w2 in ((x1, y1, z1, x2, y2, z2), (y1, z1, x1, y2, z2, x2),
+                                   (z1, x1, y1, z2, x2, y2)):
+        u = a1 * u2
+        u += a2 * u1
+        cross = v1 * w2
+        cross -= w1 * v2
+        u -= cross
+        out.append(u)
+    return out
 
 _CHUNK = 1 << 14
 _BLOCK = 1 << 20  # rows x columns of one block of step temporaries
@@ -267,17 +286,18 @@ def _propagate(schedule, xs: np.ndarray, base: np.ndarray, levels):
     halving.  Returns a (4, len(levels), len(xs)) array of rows
     (a, bx, by, bz).  Steps go in chunks of ``_CHUNK >> levels[-1]`` base
     steps (at least one), whose edges at each level are generated from the
-    base edges ``base``.  In a chunk of k base steps, each level's steps are gathered
-    in the order of its product tree, and all of them share one pass of node
-    drives, coefficients and exponents.  A finer level's first tree levels
-    reduce its rows to k << levels[0] products in the order of the coarsest
-    level's rows, so the levels then sit side by side as columns of one
-    tree with one accumulate.  Within a chunk the x columns go in blocks of
-    at most ``_BLOCK`` rows x columns, so the temporaries stay bounded
-    however many columns a sweep has.  A column's arithmetic does not depend
-    on the blocking, nor a level's on the other levels of the call, except
-    through the chunk size: level 0 of a ``(0, 1)`` call equals a ``(0,)``
-    call on grids of one chunk, level 1 equals a ``(1,)`` call on every grid.
+    base edges ``base``.  In a chunk of k base steps, each level's steps
+    are gathered in the order of its product tree, and all of them share
+    one pass of node drives, coefficients and exponents.  A finer level's
+    first tree levels reduce its rows to k << levels[0] products in the
+    order of the coarsest level's rows, so the levels then sit side by side
+    as columns of one tree with one accumulate.  Within a chunk the x
+    columns go in blocks of at most ``_BLOCK`` rows x columns, so the
+    temporaries stay bounded however many columns a sweep has.  A column's
+    arithmetic does not depend on the blocking, nor a level's on the other
+    levels of the call, except through the chunk size: level 0 of a
+    ``(0, 1)`` call equals a ``(0,)`` call on grids of one chunk, and
+    level 1 equals a ``(1,)`` call on every grid.
     """
     n = base.size - 1
     cols = xs.shape[0]
@@ -439,8 +459,7 @@ def _converged_sweep(schedule, x_values, reduce_fn, tol):
         t0 = time.perf_counter()
         need = np.bincount(rep[live], minlength=ax.size) > 0
         cols = np.count_nonzero(need)
-        if level != 1:
-            # levels 0 and 1 share one pass: nothing stops before the first halving
+        if level != 1:  # level 1 came with level 0
             levels = (0, 1) if level == 0 else (level,)
             got = _propagate(schedule, ax[need], base, levels)
         qa[:, need] = got[:, level - levels[0]]

@@ -128,7 +128,7 @@ def layered_network(
     if n_inputs < 1:
         raise ValueError("need at least one input")
     if np.ndim(hidden_sizes) != 1:
-        raise ValueError(f"hidden_sizes must be a 1-D sequence of layer sizes, got {hidden_sizes!r}")
+        raise ValueError(f"hidden_sizes must be a 1-D sequence of sizes, got {hidden_sizes!r}")
     sizes = tuple(as_index(m, "layer size") for m in hidden_sizes) + (1,)
     if any(m < 1 for m in sizes):
         raise ValueError("layer sizes must be positive")
