@@ -315,8 +315,7 @@ def _propagate(schedule, xs: np.ndarray, base: np.ndarray, levels):
         m = tmid.size
         sizes = [k << lv for lv in levels]
         offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-        order = _tree_order(m) if len(levels) == 1 else np.concatenate(
-            [off + _tree_order(r) for off, r in zip(offsets, sizes)])
+        order = np.concatenate([off + _tree_order(r) for off, r in zip(offsets, sizes)])
         steps = np.concatenate([dts, om.ravel()]).reshape(4, m)
         dt, om1, om2, om3 = steps[:, order, None]
         # Magnus-6 exponent w = (A0 + A2 y, x (B1 + B3 y), x (D1 + D3 y)),
