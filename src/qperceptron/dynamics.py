@@ -537,6 +537,9 @@ def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201) -> floa
     if not (0 < x_max < math.inf) or n_points < 2:
         raise ValueError("need finite x_max > 0 and n_points >= 2")
     xs = np.linspace(-x_max, x_max, n_points)
+    # the exact mirror of its upper half, 0 at an odd centre: one column per |x|
+    half = n_points // 2
+    xs[:half], xs[half:n_points - half] = -xs[:-half - 1:-1], 0.0
     g0, g1 = eigensystem(schedule.omegaf, xs).phi0
 
     def overlaps(q):
@@ -567,14 +570,15 @@ def fit_infidelity_decay(tf_grid, infidelity):
 
     Points at or below the 1e-12 numerical floor are excluded; fewer than
     4 usable points is a fit failure (ValueError).  At fixed c2 the fit is
-    linear in (log c0, c1), so one residual function of c2 alone serves a
-    scan over [0.02, 0.8] and a bounded Brent polish within one scan step
-    (+-0.005) of its best point (variable projection); the lower of the two
-    is kept, so no c2 outside [0.015, 0.805] is returned.  Returns (c0, c1, c2).
-    Input that is not two finite 1-D arrays of one length with tf > 0 is
-    refused before any fit.
+    linear in (log c0, c1) (variable projection): with z = -tf^c2, centred
+    2x2 normal equations solve it for a vector of c2 at once, and a residual
+    is infinite unless c1 > 0.  A 157-point scan over [0.02, 0.8] is polished
+    within one scan step (+-0.005) of its best point by 4 rounds of 101-point
+    grids, each 50x narrower, to a spacing of 8e-10; the lower of the two is
+    kept (one DEBUG record gives both), so no c2 outside [0.015, 0.805] is
+    returned.  Returns (c0, c1, c2).  Input that is not two finite 1-D
+    arrays of one length with tf > 0 is refused before any fit.
     """
-    from scipy.optimize import minimize_scalar
     require_finite(tf_grid=tf_grid, infidelity=infidelity)
     tf = np.asarray(tf_grid, dtype=float)
     infid = np.asarray(infidelity, dtype=float)
@@ -588,26 +592,32 @@ def fit_infidelity_decay(tf_grid, infidelity):
         raise ValueError("fit failure: fewer than 4 usable infidelity points")
     lt = np.log(tf[use])
     li = np.log(infid[use])
+    yc = li - li.mean()
 
     def fit(c2):
-        """(residual sum of squares, (log c0, c1)); inf unless c1 > 0."""
-        A = np.stack([np.ones_like(lt), -np.exp(c2 * lt)], axis=1)
-        coef, *_ = np.linalg.lstsq(A, li, rcond=None)
-        r = li - A @ coef
-        return (float(r @ r) if coef[1] > 0 else math.inf), coef
+        """(residual sum of squares, c2, log c0, c1) at the best exponent in c2."""
+        z = -np.exp(np.multiply.outer(c2, lt))
+        zc = z - z.mean(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):  # equal tf: c1 = 0 / 0, no fit
+            c1 = (zc @ yc) / np.einsum("ij,ij->i", zc, zc)
+        r = yc - c1[:, None] * zc
+        ss = np.where(c1 > 0, np.einsum("ij,ij->i", r, r), math.inf)
+        i = int(np.argmin(ss))
+        return float(ss[i]), float(c2[i]), float(li.mean() - c1[i] * z[i].mean()), float(c1[i])
 
-    grid = np.linspace(0.02, 0.8, 157)
-    ss, c2 = min((fit(c)[0], float(c)) for c in grid)
+    ss, c2, _, _ = fit(np.linspace(0.02, 0.8, 157))
     if ss == math.inf:
         raise ValueError("fit failure: no decreasing-exponential fit found")
-    # an inf residual makes Brent's parabola nan, and it takes a golden step
-    with np.errstate(invalid="ignore"):
-        polish = minimize_scalar(lambda c: fit(c)[0], bounds=(c2 - 0.005, c2 + 0.005),
-                                 method="bounded", options={"xatol": 1e-8})
-    if polish.fun < ss:
-        c2 = float(polish.x)
-    _, (lc0, c1) = fit(c2)
-    return float(np.exp(lc0)), float(c1), c2
+    pss, pc2 = math.inf, c2
+    for half in (5e-3, 1e-4, 2e-6, 4e-8):  # each grid 50x narrower, inside the bracket
+        got = fit(np.linspace(max(c2 - 5e-3, pc2 - half), min(c2 + 5e-3, pc2 + half), 101))
+        pss, pc2 = min((pss, pc2), got[:2], key=lambda p: p[0])
+    _log.debug("decay fit: scan c2 %r, residual %.6g; polish c2 %r, residual %.6g; kept the %s",
+               c2, ss, pc2, pss, "polish" if pss < ss else "scan")
+    if pss < ss:
+        c2 = pc2
+    _, _, lc0, c1 = fit(np.array([c2]))
+    return float(np.exp(lc0)), c1, c2
 
 
 def benchmark_ramps(tf_grid, n_points: int = 201) -> FidelityReport:

@@ -370,13 +370,26 @@ class TestEntryPoint:
         assert "points" in proc.stderr
 
     def test_import_response_and_train_load_no_scipy(self, tmp_path):
-        # scipy loads only inside the solvers that need it (decay fit, synthesis, logistic)
+        # scipy loads only inside the solvers that need it (synthesis, logistic)
         code = (
             "import sys\n"
             "import qperceptron, qperceptron.cli\n"
             f"assert qperceptron.cli.main(['response', '--out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
             "assert qperceptron.cli.main(['train', '--iters', '1', "
             f"'--out', {str(tmp_path / 't.json')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = run_child(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_benchmark_loads_no_scipy(self, tmp_path):
+        # the decay fit is numpy-only, so the whole ramp path runs without scipy
+        code = (
+            "import sys\n"
+            "import qperceptron.cli\n"
+            "assert qperceptron.cli.main(['benchmark', '--tf-points', '4', '--tf-max', '3', "
+            f"'--out', {str(tmp_path / 'b.csv')!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = run_child(["-c", code])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, minimize_scalar
 
 from qperceptron import cli, dynamics
 from qperceptron.activation import ALGEBRAIC, eval_CS, eval_f
@@ -671,6 +671,13 @@ class TestWorkGuard:
             assert cli.main([sweep, "--out", str(tmp_path / "out.csv")]) == 0
         assert qmul_elements[0] == column_steps(propagate_calls) > 0
 
+    def test_average_fidelity_default_grid(self, propagate_calls):
+        # 101 distinct |x| on the mirror-exact 201-point grid; on
+        # linspace(-10, 10, 201), with 168, it took 95,824
+        average_fidelity(faquad_schedule(100.0, 1.0, 10.0, X_REF))
+        assert propagate_calls[0][2].size == 101
+        assert column_steps(propagate_calls) <= 1.02 * 58_647
+
     def test_criterion_4_linear_ramp(self, propagate_calls):
         average_fidelity(linear_schedule(4000.0, 1.0, 350.0), x_max=5.0, n_points=11)
         assert column_steps(propagate_calls) <= 1.25 * 13_972_220
@@ -860,6 +867,34 @@ class TestAverageFidelity:
             li = average_fidelity(linear_schedule(100.0, 1.0, tf), 10.0, 21)
             assert fa > li
 
+    @staticmethod
+    def swept_grid(x_max, n_points):
+        """The x grid that average_fidelity hands to its sweep."""
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_converged_sweep",
+                       lambda s, xs, f, tol: seen.append(xs.copy()) or (xs, None, np.ones(xs.size)))
+            average_fidelity(faquad_schedule(100.0, 1.0, 5.0, X_REF), x_max, n_points)
+        [xs] = seen
+        return xs
+
+    @settings(max_examples=60, deadline=None)
+    @given(x_max=st.floats(1e-3, 1e3, **FINITE), n_points=st.integers(2, 402))
+    def test_grid_is_the_exact_mirror_of_linspace(self, x_max, n_points):
+        # sign-symmetric, so each |x| is one column; x moves from linspace
+        # by at most 2 ulp of the span 2 x_max, the sum of linspace's own
+        # rounding at x and at -x (up to 3 ulp of x_max)
+        xs = self.swept_grid(x_max, n_points)
+        assert np.array_equal(xs, -xs[::-1])
+        ref = np.linspace(-x_max, x_max, n_points)
+        assert np.all(np.abs(xs - ref) <= 2 * np.spacing(2.0 * x_max))
+
+    def test_default_and_benchmark_grids(self):
+        # linspace(-10, 10, 201) has 168 distinct |x|, its mirror 101; the
+        # benchmark's 21-point grid was already symmetric and stays bitwise
+        assert np.unique(np.abs(self.swept_grid(10.0, 201))).size == 101
+        assert self.swept_grid(10.0, 21).tobytes() == np.linspace(-10.0, 10.0, 21).tobytes()
+
     def test_bounds_and_validation(self):
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
         f = average_fidelity(sched, x_max=4.0, n_points=21)
@@ -907,6 +942,33 @@ def least_squares_residual(tf, infid):
     return best
 
 
+def brent_decay_fit(tf, infid):
+    """((c0, c1, c2), scan c2) of the decay fit by one lstsq per exponent: a
+    157-point scan over [0.02, 0.8] and scipy's bounded Brent polish within
+    +-0.005 of its best point, the lower kept.  The fit's former algorithm,
+    an oracle that shares no code with dynamics."""
+    use = infid > 1e-12
+    lt, li = np.log(tf[use]), np.log(infid[use])
+
+    def fit(c2):
+        A = np.stack([np.ones_like(lt), -np.exp(c2 * lt)], axis=1)
+        coef, *_ = np.linalg.lstsq(A, li, rcond=None)
+        r = li - A @ coef
+        return (float(r @ r) if coef[1] > 0 else math.inf), coef
+
+    ss, scan = min((fit(c)[0], float(c)) for c in np.linspace(0.02, 0.8, 157))
+    if ss == math.inf:
+        raise ValueError("no scanned exponent gives c1 > 0")
+    c2 = scan
+    with np.errstate(invalid="ignore"):
+        polish = minimize_scalar(lambda c: fit(c)[0], bounds=(c2 - 0.005, c2 + 0.005),
+                                 method="bounded", options={"xatol": 1e-8})
+    if polish.fun < ss:
+        c2 = float(polish.x)
+    _, (lc0, c1) = fit(c2)
+    return (math.exp(lc0), float(c1), c2), scan
+
+
 class TestFitAndBenchmark:
     def test_fit_recovers_exact_decay(self):
         tf = np.geomspace(0.1, 50.0, 12)
@@ -926,6 +988,51 @@ class TestFitAndBenchmark:
     def test_fit_residual_matches_least_squares_oracle(self, tf, infid):
         got = decay_residual(tf, infid, *fit_infidelity_decay(tf, infid))
         assert got <= least_squares_residual(tf, infid) + 1e-12
+
+    @pytest.mark.parametrize("tf, infid", [
+        (np.geomspace(0.1, 50.0, 12), 5.0 * np.exp(-2.0 * np.geomspace(0.1, 50.0, 12) ** 0.2)),
+        (CLI_TF, 50.0 * np.exp(-3.0 * CLI_TF**0.3
+                               + 0.1 * np.random.default_rng(0).standard_normal(13))),
+        (CLI_TF, CLI_INFID),
+    ], ids=["exact", "noisy", "cli_default"])
+    def test_fit_matches_brent_oracle(self, tf, infid):
+        # the grid polish lands within the oracle's 1e-8 of the same minimum
+        want, _ = brent_decay_fit(tf, infid)
+        assert fit_infidelity_decay(tf, infid) == pytest.approx(want, rel=1e-6)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(5, 12), tf0=st.floats(0.5, 2.0), span=st.floats(5.0, 15.0),
+           c0=st.floats(0.1, 100.0), c1=st.floats(0.2, 3.0), c2=st.floats(0.05, 0.6),
+           noise=st.floats(0.0, 0.3), seed=st.integers(0, 2**32 - 1))
+    def test_fit_is_no_worse_than_brent_oracle(self, n, tf0, span, c0, c1, c2, noise, seed):
+        tf = np.geomspace(tf0, tf0 * span, n)
+        infid = c0 * np.exp(-c1 * tf**c2 + noise * np.random.default_rng(seed).standard_normal(n))
+        try:
+            want, scan = brent_decay_fit(tf, infid)
+        except ValueError:  # no scanned exponent gives c1 > 0
+            with pytest.raises(ValueError, match="^fit failure: no decreasing"):
+                fit_infidelity_decay(tf, infid)
+            return
+        got = fit_infidelity_decay(tf, infid)
+        assert got[1] > 0 and abs(got[2] - scan) <= 0.005 + 1e-15
+        assert decay_residual(tf, infid, *got) <= decay_residual(tf, infid, *want) + 1e-12
+
+    def test_one_debug_record_per_fit(self, caplog):
+        with caplog.at_level(logging.INFO, logger="qperceptron"):
+            fit_infidelity_decay(CLI_TF, CLI_INFID)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="qperceptron"):
+            c0, c1, c2 = fit_infidelity_decay(CLI_TF, CLI_INFID)
+        [record] = caplog.records
+        m = re.fullmatch(r"decay fit: scan c2 (\S+), residual (\S+); "
+                         r"polish c2 (\S+), residual (\S+); kept the (scan|polish)",
+                         record.getMessage())
+        scan, scan_ss, polish, polish_ss = map(float, m.groups()[:4])
+        assert scan == brent_decay_fit(CLI_TF, CLI_INFID)[1]
+        assert m[5] == ("polish" if polish_ss < scan_ss else "scan")
+        assert c2 == (polish if m[5] == "polish" else scan) and abs(polish - scan) <= 0.005
+        assert decay_residual(CLI_TF, CLI_INFID, c0, c1, c2) == pytest.approx(
+            min(scan_ss, polish_ss), rel=1e-5)
 
     def test_polish_bracket_with_no_decreasing_fit_warns_nothing(self):
         # on this noisy curve only exponents up to about 0.021 give c1 > 0,
