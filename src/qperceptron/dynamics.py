@@ -569,15 +569,15 @@ def fit_infidelity_decay(tf_grid, infidelity):
     """Least-squares fit of log infidelity to log(c0) - c1 * tf^c2.
 
     Points at or below the 1e-12 numerical floor are excluded; fewer than
-    4 usable points is a fit failure (ValueError).  At fixed c2 the fit is
-    linear in (log c0, c1) (variable projection): with z = -tf^c2, centred
-    2x2 normal equations solve it for a vector of c2 at once, and a residual
-    is infinite unless c1 > 0.  A 157-point scan over [0.02, 0.8] is polished
-    within one scan step (+-0.005) of its best point by 4 rounds of 101-point
-    grids, each 50x narrower, to a spacing of 8e-10; the lower of the two is
-    kept (one DEBUG record gives both), so no c2 outside [0.015, 0.805] is
-    returned.  Returns (c0, c1, c2).  Input that is not two finite 1-D
-    arrays of one length with tf > 0 is refused before any fit.
+    4 usable points, or all at one tf, is a fit failure (ValueError).  At
+    fixed c2 the fit is linear in (log c0, c1) (variable projection): with
+    z = -tf^c2, centred 2x2 normal equations solve it for a vector of c2 at
+    once; a residual is infinite unless c1 > 0.  A 157-point scan over
+    [0.02, 0.8] is polished within +-0.005 of its best point by 4 rounds of
+    101-point grids, each 50x narrower, to a spacing of 8e-10; the lower of
+    the two is kept (one DEBUG record gives both), so no c2 outside
+    [0.015, 0.805] is returned.  Returns (c0, c1, c2).  Input that is not two
+    finite 1-D arrays of one length with tf > 0 is refused before any fit.
     """
     require_finite(tf_grid=tf_grid, infidelity=infidelity)
     tf = np.asarray(tf_grid, dtype=float)
@@ -591,6 +591,8 @@ def fit_infidelity_decay(tf_grid, infidelity):
     if int(np.sum(use)) < 4:
         raise ValueError("fit failure: fewer than 4 usable infidelity points")
     lt = np.log(tf[use])
+    if np.ptp(lt) == 0:
+        raise ValueError("fit failure: all usable points share one tf")
     li = np.log(infid[use])
     yc = li - li.mean()
 
@@ -598,8 +600,7 @@ def fit_infidelity_decay(tf_grid, infidelity):
         """(residual sum of squares, c2, log c0, c1) at the best exponent in c2."""
         z = -np.exp(np.multiply.outer(c2, lt))
         zc = z - z.mean(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):  # equal tf: c1 = 0 / 0, no fit
-            c1 = (zc @ yc) / np.einsum("ij,ij->i", zc, zc)
+        c1 = (zc @ yc) / np.einsum("ij,ij->i", zc, zc)
         r = yc - c1[:, None] * zc
         ss = np.where(c1 > 0, np.einsum("ij,ij->i", r, r), math.inf)
         i = int(np.argmin(ss))
