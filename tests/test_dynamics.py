@@ -1080,7 +1080,8 @@ class TestFitAndBenchmark:
         with pytest.raises(ValueError, match="^fit failure: no decreasing-exponential fit found$"):
             fit_infidelity_decay(np.geomspace(1.0, 20.0, 6), infid)
 
-    @pytest.mark.parametrize("tf", [[3.0] * 5, [1.0, 3.0, 3.0, 3.0, 3.0]], ids=["equal_tf", "equal_usable_tf"])
+    @pytest.mark.parametrize("tf", [[3.0] * 5, [1.0, 3.0, 3.0, 3.0, 3.0]],
+                             ids=["equal_tf", "equal_usable_tf"])
     def test_fit_refuses_one_tf(self, tf):
         # one tf cannot fix c1 and c2; lstsq returned a minimum-norm answer
         with pytest.raises(ValueError, match="^fit failure: all usable points share one tf$"):
