@@ -18,7 +18,8 @@ Variants:
   success response, defined only on [-pi/4, pi/4]; outside that interval
   the underlying construction phase-wraps, which we surface as an error.
 
-All functions are pure and take a scalar (giving a float) or a numpy array.
+All functions are pure and take a scalar (giving a float) or a numpy array;
+a scalar gets the bits it gets in an array, as powers use ``np.power``, not ``**``.
 """
 from __future__ import annotations
 
@@ -113,7 +114,7 @@ def eval_f(kind: ActivationKind, x):
     elif kind.variant == "step":
         f = np.where(xa < 0, 0.0, np.where(xa > 0, 1.0, 0.5))
     else:
-        t = np.tan(xa) ** (2**kind.k)  # even exponent, t >= 0
+        t = np.power(np.tan(xa), 2**kind.k)  # even exponent, t >= 0
         f = (t * t) / (1.0 + t * t)
     return float_if_scalar(f)
 
@@ -138,8 +139,8 @@ def df_dx(kind: ActivationKind, x):
     else:
         m = 2**kind.k
         u = np.tan(xa)
-        t = u**m
-        d = 2.0 * t * m * u ** (m - 1) * (1.0 + u * u) / (1.0 + t * t) ** 2
+        t = np.power(u, m)
+        d = 2.0 * t * m * np.power(u, m - 1) * (1.0 + u * u) / np.square(1.0 + t * t)
     return float_if_scalar(d)
 
 
@@ -162,7 +163,7 @@ def eval_CS(kind: ActivationKind, x):
         C = np.where(xa < 0, 1.0, np.where(xa > 0, -1.0, 0.0))
         S = np.where(xa == 0, 1.0, 0.0)
     else:
-        t = np.tan(xa) ** (2**kind.k)
+        t = np.power(np.tan(xa), 2**kind.k)
         C = (1.0 - t * t) / (1.0 + t * t)
         S = 2.0 * t / (1.0 + t * t)
     return float_if_scalar(C), float_if_scalar(S)
@@ -179,7 +180,7 @@ def chi(kind: ActivationKind, x):
     elif kind.variant == "step":
         c = np.where(xa < 0, 0.0, np.where(xa > 0, np.pi / 2, np.pi / 4))
     else:
-        c = np.arctan(np.tan(xa) ** (2**kind.k))
+        c = np.arctan(np.power(np.tan(xa), 2**kind.k))
     return float_if_scalar(c)
 
 
@@ -204,6 +205,6 @@ def dchi_dx(kind: ActivationKind, x):
     else:
         m = 2**kind.k
         u = np.tan(xa)
-        t = u**m
-        d = m * u ** (m - 1) * (1.0 + u * u) / (1.0 + t * t)
+        t = np.power(u, m)
+        d = m * np.power(u, m - 1) * (1.0 + u * u) / (1.0 + t * t)
     return float_if_scalar(d)

@@ -324,6 +324,7 @@ def approximator_readout(p_out: float, lambda_lin: float) -> float:
     """
     if not (lambda_lin > 0):  # the readout of build_universal_approximator's nets
         raise ValueError("lambda_lin must be positive")
+    require_finite(p_out=p_out, lambda_lin=lambda_lin)
     slope = float(df_dx(ALGEBRAIC, 0.0))
     return (((p_out - 0.5) / (slope * lambda_lin)) - 1.0) / 2.0
 
@@ -396,8 +397,13 @@ def network_from_json(doc: str) -> NetworkSpec:
         except (TypeError, ValueError, AttributeError) as exc:
             raise ValueError(f"network JSON {key!r} is malformed: {exc}") from None
 
-    n_inputs = read("n_inputs", operator.index)  # an int: 2.5 or "2" is malformed
-    sizes = read("layer_sizes", lambda v: [operator.index(m) for m in v])
+    def index(v):  # an int: 2.5, "2" or true is malformed
+        if isinstance(v, bool):
+            raise TypeError(f"{v!r} is a bool, not an integer")
+        return operator.index(v)
+
+    n_inputs = read("n_inputs", index)
+    sizes = read("layer_sizes", lambda v: [index(m) for m in v])
     n = n_inputs + sum(sizes)
 
     def entries(key, count):

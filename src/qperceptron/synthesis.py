@@ -17,7 +17,6 @@ count lies between M1 and M2"; per-cycle thresholds absorb any offset.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple, Union
@@ -136,12 +135,16 @@ def composition_angle(spec: CompositionSpec, x):
     return float_if_scalar(_angle(spec.activation, spec.cycles, x))
 
 
+def _cycle_terms(f, kind, cycles, x):
+    """o_n f(kind, w_n x - th_n) per (w, th, o) row of ``cycles``: shape (cycles, *x.shape)."""
+    w, th, o = np.moveaxis(np.reshape(cycles, (-1, 3) + (1,) * np.ndim(x)), 1, 0)
+    return o * f(kind, w * x - th)
+
+
 def _angle(kind, cycles, x):
-    """sum_n o_n chi(w_n x - th_n) over (w, th, o) cycles, added in order."""
-    total = np.zeros_like(x)
-    for w, th, o in cycles:
-        total = total + o * chi(kind, w * x - th)
-    return total
+    """sum_n o_n chi(w_n x - th_n) over (w, th, o) cycles, added in order from 0.0."""
+    # cumsum adds in cycle order; + 0.0 makes an all -0.0 sum 0.0, as a sum from 0.0 is
+    return np.cumsum(_cycle_terms(chi, kind, cycles, x), axis=0)[-1] + 0.0
 
 
 def analytic_rectangle(rect: Rectangle, steepness: float) -> CompositionSpec:
@@ -165,33 +168,22 @@ class SynthesisResult:
 
 def _fit_once(tgt, x, orients, w0, th0):
     from scipy.optimize import least_squares
-    m = len(orients)
-
-    def split(p):
-        return p[:m], p[m:]
 
     def resid(p):
-        return _angle(ALGEBRAIC, zip(*split(p), orients), x) - tgt
+        return _angle(ALGEBRAIC, np.column_stack([*p.reshape(2, -1), orients]), x) - tgt
 
-    def jac(p):
-        w, th = split(p)
-        J = np.empty((x.size, 2 * m))
-        for i in range(m):
-            d = orients[i] * dchi_dx(ALGEBRAIC, w[i] * x - th[i])
-            J[:, i] = d * x
-            J[:, m + i] = -d
-        return J
+    def jac(p):  # columns d/dw_n, then d/dth_n
+        d = _cycle_terms(dchi_dx, ALGEBRAIC, np.column_stack([*p.reshape(2, -1), orients]), x)
+        return np.hstack([(d * x).T, -d.T])
 
     sol = least_squares(resid, np.concatenate([w0, th0]), jac=jac, max_nfev=400)
     rms = float(np.sqrt(np.mean(sol.fun**2)))
-    w, th = split(sol.x)
-    return rms, tuple((w[i], th[i], int(orients[i])) for i in range(m))
+    return rms, tuple(zip(*sol.x.reshape(2, -1), orients))
 
 
 def _orientation_patterns(n):
-    # pattern j reverses cycle i where bit i of j is set
-    pats = (p[::-1] for p in itertools.product((1, -1), repeat=n))
-    return [p for p in pats if 1 in p]  # all-reversed stacks cannot reach angle > 0
+    # pattern j reverses cycle i at bit i of j; the last, all reversed, cannot reach angle > 0
+    return [tuple(1 - 2 * (j >> i & 1) for i in range(n)) for j in range(2**n - 1)]
 
 
 def synthesize(target: TargetResponse, cycles: int, x_grid) -> SynthesisResult:

@@ -197,6 +197,19 @@ class TestSharedProperties:
         C, S = eval_CS(kind, xs)
         assert np.max(np.abs(df_dx(kind, xs) - S * dchi_dx(kind, xs))) < 1e-12
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_scalar_gets_its_bits_inside_an_array(self, kind):
+        # a numpy scalar's ** once rounded differently from an array's
+        rng = np.random.default_rng(23)
+        lim = math.pi / 4 if kind.variant == "cao" else 40.0
+        xs = rng.uniform(-lim, lim, size=400)
+        maps = [eval_f, chi, lambda k, x: eval_CS(k, x)[0], lambda k, x: eval_CS(k, x)[1]]
+        if kind != STEP:
+            maps += [df_dx, dchi_dx]
+        for f in maps:
+            scalars = np.array([f(kind, x) for x in xs])
+            assert scalars.tobytes() == np.asarray(f(kind, xs)).tobytes()
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             eval_f(ALGEBRAIC, float("nan"))

@@ -652,6 +652,7 @@ class TestNetworkJsonErrors:
         ("layer_sizes", 3), ("n_inputs", None), ("activation", 5), ("layer_sizes", [None]),
         ("n_inputs", [3]), ("n_inputs", 2.5), ("n_inputs", "3"), ("layer_sizes", [1.5, 1]),
         ("J", "junk"), ("activation", "cao_arctan:x"), ("activation", "tanh"),
+        ("n_inputs", True), ("layer_sizes", [1, True]),
     ])
     def test_wrongly_typed_value_is_named(self, key, value):
         d = self.doc()

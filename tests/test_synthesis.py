@@ -1,11 +1,14 @@
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qperceptron import synthesis
-from qperceptron.activation import ALGEBRAIC, chi
+from qperceptron.activation import ALGEBRAIC, LOGISTIC, STEP, cao_arctan, chi
 from qperceptron.register import (
     QuantumRegister,
     excitation_probability,
@@ -133,6 +136,47 @@ class TestCompositionAngle:
             ang = composition_angle(analytic_rectangle(rect, w), grid)
             rms.append(float(np.sqrt(np.mean((ang - tgt) ** 2))))
         assert all(b < a for a, b in zip(rms, rms[1:]))
+
+
+def loop_angle(kind, cycles, x):
+    """The cycle sum as a loop from 0.0, one cycle at a time."""
+    total = np.zeros_like(x)
+    for w, th, o in cycles:
+        total = total + o * chi(kind, w * x - th)
+    return total
+
+
+@st.composite
+def kernel_cases(draw):
+    """A kind, 1 to 6 cycles and x values keeping every w x - th in the kind's
+    domain: |w x - th| <= 0.7 < pi/4 for the cao kinds."""
+    kind = draw(st.sampled_from([ALGEBRAIC, LOGISTIC, STEP, cao_arctan(1), cao_arctan(3)]))
+    lim = (1.0, 0.35, 0.35) if kind.variant == "cao" else (20.0, 20.0, 10.0)
+    num = lambda b: st.floats(-b, b) | st.sampled_from([0.0, -0.0])
+    cycles = draw(st.lists(st.tuples(num(lim[0]), num(lim[1]), st.sampled_from([1, -1])),
+                           min_size=1, max_size=6))
+    xs = lambda n: st.lists(num(lim[2]), min_size=n, max_size=n)
+    scalar, grid, reg = draw(num(lim[2])), draw(xs(draw(st.integers(1, 40)))), draw(xs(4))
+    return kind, cycles, [np.asarray(scalar), np.array(grid), np.reshape(reg, (1, 2, 1, 2))]
+
+
+class TestCycleKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    @example((STEP, [(1.0, 1.0, -1)], [np.asarray(0.0), np.zeros(3), np.zeros((1, 2, 1, 2))]))
+    def test_angle_is_the_in_order_loop_bitwise(self, case):
+        # the example's every term is -0.0: the loop's sum from 0.0 is +0.0
+        kind, cycles, xs = case
+        for x in xs:
+            got, want = synthesis._angle(kind, cycles, x), loop_angle(kind, cycles, x)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (x, got, want)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_orientation_patterns_match_product_order(self, n):
+        # pattern j reverses cycle i where bit i of j is set; all-reversed is dropped
+        want = [p[::-1] for p in itertools.product((1, -1), repeat=n) if 1 in p]
+        assert synthesis._orientation_patterns(n) == want
 
 
 class TestSynthesize:
