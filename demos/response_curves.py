@@ -1,6 +1,6 @@
 """Sweep the perceptron's excitation response for several controls.
 
-Writes the response each control delivers as a CSV (x, p_excite) and
+Writes the response each control delivers as a CSV (x, p_excite, g_ideal) and
 prints how far it strays from the ideal sigmoid: a clean FAQUAD passage, a
 linear ramp of the same duration, and FAQUAD with degraded control
 amplitudes.

@@ -12,8 +12,7 @@ import sys
 
 import numpy as np
 
-from ._io import open_text, write_rows
-from .activation import ALGEBRAIC, eval_f
+from ._io import open_text
 from .control import (
     faquad_schedule,
     linear_schedule,
@@ -26,6 +25,7 @@ from .dynamics import (
     fit_constants_json,
     report_to_csv,
     response_curve,
+    response_to_csv,
 )
 from .network import layered_network
 from .synthesis import _MAX_CYCLES, Peak, Rectangle, composition_to_csv, synthesize
@@ -49,10 +49,6 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", required=True, help="output file path")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qperceptron",
@@ -68,14 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=_finite, default=10.0)
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--epsilon-ctrl", type=_finite, default=0.0)
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=cmd_response)
 
     p = sub.add_parser("benchmark", help="linear vs faquad infidelity CSV + fit JSON")
     p.add_argument("--tf-min", type=_finite, default=1.0)
     p.add_argument("--tf-max", type=_finite, default=30.0)
     p.add_argument("--tf-points", type=int, default=13)
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("train", help="train a prime classifier, write JSON report")
@@ -84,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("synthesize", help="fit a conditional-gate response, write CSV")
@@ -94,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", type=_finite, default=2.0,
                    help="rect: upper edge; peak: width (> 0)")
     p.add_argument("--cycles", type=int, default=2)
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=cmd_synthesize)
 
     return parser
@@ -147,7 +143,7 @@ def cmd_response(parser, args) -> int:
             f"# schedule={args.schedule} tf={args.tf!r} omega0={args.omega0!r} "
             f"epsilon_ctrl={args.epsilon_ctrl!r}\n"
         )
-        write_rows(fh, "x,p_excite,g_ideal", ((x, p, eval_f(ALGEBRAIC, x)) for x, p in curve))
+        response_to_csv(curve, fh)
     return 0
 
 

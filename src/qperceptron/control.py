@@ -156,15 +156,15 @@ def perturbed_schedule(base: ControlSchedule, epsilon_ctrl: float) -> ControlSch
     if epsilon_ctrl < 0:
         raise ValueError("epsilon_ctrl must be >= 0")
     eps = float(epsilon_ctrl)
-    omega0, omegaf, tf = base.omega0, base.omegaf, base.tf
+    ramp = linear_schedule(base.omega0, base.omegaf, base.tf)
     sched = ControlSchedule(
-        "perturbed", omega0, omegaf, tf,
-        field=lambda t: base.field(t) + eps * (omega0 + (omegaf - omega0) * (t / tf)),
-        slope=lambda t: base.slope(t) + eps * ((omegaf - omega0) / tf),
+        "perturbed", base.omega0, base.omegaf, base.tf,
+        field=lambda t: base.field(t) + eps * ramp.field(t),
+        slope=lambda t: base.slope(t) + eps * ramp.slope(t),
     )
     # the base peaks at t = 0 and the added ramp is linear: probe both ends, quietly
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = (sched.omega([0.0, tf]), sched.domega([0.0, tf]))
+        ends = (sched.omega([0.0, base.tf]), sched.domega([0.0, base.tf]))
     if not np.all(np.isfinite(ends)):
         raise ValueError(f"epsilon_ctrl = {eps!r} makes the perturbed drive or its slope overflow")
     return sched

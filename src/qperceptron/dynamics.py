@@ -82,6 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import as_index, require_finite, write_rows
+from .activation import ALGEBRAIC, eval_f
 from .control import eigensystem, faquad_schedule, linear_schedule, optimal_design_field
 
 __all__ = [
@@ -606,19 +607,19 @@ def fit_infidelity_decay(tf_grid, infidelity):
         i = int(np.argmin(ss))
         return float(ss[i]), float(c2[i]), float(li.mean() - c1[i] * z[i].mean()), float(c1[i])
 
-    ss, c2, _, _ = fit(np.linspace(0.02, 0.8, 157))
-    if ss == math.inf:
+    scan = fit(np.linspace(0.02, 0.8, 157))
+    if scan[0] == math.inf:
         raise ValueError("fit failure: no decreasing-exponential fit found")
-    pss, pc2 = math.inf, c2
-    for half in (5e-3, 1e-4, 2e-6, 4e-8):  # each grid 50x narrower, inside the bracket
-        got = fit(np.linspace(max(c2 - 5e-3, pc2 - half), min(c2 + 5e-3, pc2 + half), 101))
-        pss, pc2 = min((pss, pc2), got[:2], key=lambda p: p[0])
+    lo, hi = scan[1] - 5e-3, scan[1] + 5e-3
+    best = fit(np.linspace(lo, hi, 101))
+    for half in (1e-4, 2e-6, 4e-8):  # each grid 50x narrower, inside the bracket
+        got = fit(np.linspace(max(lo, best[1] - half), min(hi, best[1] + half), 101))
+        best = min(best, got, key=lambda p: p[0])
+    kept = min(scan, best, key=lambda p: p[0])
     _log.debug("decay fit: scan c2 %r, residual %.6g; polish c2 %r, residual %.6g; kept the %s",
-               c2, ss, pc2, pss, "polish" if pss < ss else "scan")
-    if pss < ss:
-        c2 = pc2
-    _, _, lc0, c1 = fit(np.array([c2]))
-    return float(np.exp(lc0)), c1, c2
+               scan[1], scan[0], best[1], best[0], "scan" if kept is scan else "polish")
+    _, _, lc0, c1 = fit(np.array([kept[1]]))
+    return float(np.exp(lc0)), c1, kept[1]
 
 
 def benchmark_ramps(tf_grid, n_points: int = 201) -> FidelityReport:
@@ -652,11 +653,11 @@ def benchmark_ramps(tf_grid, n_points: int = 201) -> FidelityReport:
 
 
 def response_to_csv(pairs, path_or_buf) -> None:
-    """Write a response curve as CSV with header ``x,p_excite``.
+    """Write (x, P_excite) pairs as CSV, header ``x,p_excite,g_ideal``: g = eval_f(ALGEBRAIC, x).
 
     Write-only: the package has no public reader for it.
     """
-    write_rows(path_or_buf, "x,p_excite", pairs)
+    write_rows(path_or_buf, "x,p_excite,g_ideal", ((x, p, eval_f(ALGEBRAIC, x)) for x, p in pairs))
 
 
 def report_to_csv(report: FidelityReport, path_or_buf) -> None:

@@ -70,9 +70,10 @@ class NetworkSpec:
         object.__setattr__(self, "layer_sizes", sizes)
         _check_kind(self.activation, "activation")
         n = self.n_total
-        mask = np.asarray(self.mask, dtype=float)
-        J = np.asarray(self.J, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        # copies, frozen below: the caller's arrays stay writable and out of reach
+        mask = np.array(self.mask, dtype=float)
+        J = np.array(self.J, dtype=float)
+        b = np.array(self.b, dtype=float)
         if mask.shape != (n, n) or J.shape != (n, n) or b.shape != (n,):
             raise ValueError("mask/J must be (n_total, n_total) and b (n_total,)")
         require_finite(J=J, b=b)
@@ -392,18 +393,15 @@ def network_from_json(doc: str) -> NetworkSpec:
             raise ValueError(f"network JSON has no {key!r} key")
 
     def read(key, convert):
-        try:
+        try:  # true or false, which int() and float() would read as 1 or 0, is malformed
+            if any(isinstance(v, bool) for v in np.ravel(np.array(d[key], dtype=object))):
+                raise TypeError("a JSON true or false is not a number")
             return convert(d[key])
         except (TypeError, ValueError, AttributeError) as exc:
             raise ValueError(f"network JSON {key!r} is malformed: {exc}") from None
 
-    def index(v):  # an int: 2.5, "2" or true is malformed
-        if isinstance(v, bool):
-            raise TypeError(f"{v!r} is a bool, not an integer")
-        return operator.index(v)
-
-    n_inputs = read("n_inputs", index)
-    sizes = read("layer_sizes", lambda v: [index(m) for m in v])
+    n_inputs = read("n_inputs", operator.index)  # 2.5 or "2" is malformed
+    sizes = read("layer_sizes", lambda v: [operator.index(m) for m in v])
     n = n_inputs + sum(sizes)
 
     def entries(key, count):

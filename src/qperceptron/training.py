@@ -18,6 +18,7 @@ per restart.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 _GRAD_TOL = 1e-8
-_COST_TOL = 1e-12
 _LEARNING_RATE = 2.0  # first line-search step
 _INIT_SCALE = 0.5  # restarts draw weights and biases from [-0.5, 0.5]
 _TARGET_COST = 0.02  # a restart at or below it that classifies every sample stops the search
@@ -153,8 +153,6 @@ def _descend(eng: _MixtureEngine, J, b, config: TrainConfig):
     cost, p, dJ, db = eng.cost(J, b, want_grad=True)
     trace, trials = [cost], 0
     for _ in range(config.max_iters):
-        if cost <= _COST_TOL:
-            break
         gmax = max(float(np.max(np.abs(dJ))), float(np.max(np.abs(db))))
         if gmax <= _GRAD_TOL:
             break
@@ -209,10 +207,7 @@ def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainRepo
         if acc == 1.0 and trace[-1] <= _TARGET_COST:
             break
     _, trace, J, b, acc = best
-    net = NetworkSpec(
-        net0.n_inputs, net0.layer_sizes, net0.mask, J, b, net0.activation
-    )
-    return TrainReport(tuple(float(c) for c in trace), net, acc)
+    return TrainReport(tuple(float(c) for c in trace), dataclasses.replace(net0, J=J, b=b), acc)
 
 
 def _pass_probabilities(net: NetworkSpec, dataset: Dataset, schedule=None) -> List[float]:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -6,9 +7,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from qperceptron import cli, dynamics, synthesis
+from qperceptron.control import faquad_schedule, optimal_design_field, perturbed_schedule
 from qperceptron.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -54,6 +57,20 @@ class TestResponse:
         for x, p, g in rows:
             assert 0.0 <= p <= 1.0
             assert g == pytest.approx(0.5 * (1 + x / math.sqrt(1 + x * x)))
+
+    @pytest.mark.parametrize("flags, eps", [([], 0.0), (["--epsilon-ctrl", "0.5"], 0.5)],
+                             ids=["defaults", "epsilon_ctrl_0.5"])
+    def test_rows_are_response_to_csv_bytes(self, tmp_path, flags, eps):
+        out = tmp_path / "resp.csv"
+        assert main(["response", *flags, "--out", str(out)]) == 0
+        sched = faquad_schedule(100.0, 1.0, 10.0, optimal_design_field(1.0))
+        if eps:
+            sched = perturbed_schedule(sched, eps)
+        buf = io.StringIO()
+        dynamics.response_to_csv(dynamics.response_curve(sched, np.linspace(-10.0, 10.0, 201)), buf)
+        first, second, rows = out.read_bytes().split(b"\n", 2)
+        assert first.startswith(b"# units") and second.startswith(b"# schedule=faquad")
+        assert rows == buf.getvalue().encode("utf-8")
 
     def test_perturbation_flattens_central_slope(self, tmp_path):
         ranges = {}

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
@@ -245,6 +247,20 @@ class TestPerturbed:
     def test_requires_faquad_base(self):
         with pytest.raises(ValueError):
             perturbed_schedule(linear_schedule(100, 1, 10), 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(omega0=st.floats(2.0, 1e4), tf=st.floats(0.1, 100.0), eps=st.floats(0.0, 5.0),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_adds_eps_times_the_linear_ramp_bitwise(self, omega0, tf, eps, fractions):
+        base = faquad_schedule(omega0, 1.0, tf, X_STAR)
+        ramp = linear_schedule(omega0, 1.0, tf)
+        p = perturbed_schedule(base, eps)
+        t = np.array(fractions) * tf
+        for got, want in [(p.omega(t), base.omega(t) + eps * ramp.omega(t)),
+                          (p.domega(t), base.domega(t) + eps * ramp.domega(t)),
+                          (p.omega(t[0]), base.omega(t[0]) + eps * ramp.omega(t[0])),
+                          (p.domega(t[0]), base.domega(t[0]) + eps * ramp.domega(t[0]))]:
+            assert bits(got) == bits(want)
 
 
 class TestEigensystem:

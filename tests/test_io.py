@@ -1,7 +1,7 @@
 """The shared CSV writer and reader, a guard that keeps CSV rows in them and
-print calls in the CLI, a guard that each module exports only what it
-defines, one that the package exports exactly its layer modules' exports,
-and one that keeps the tests' ODE reference solves in the shared oracles;
+print calls in the CLI, one that keeps the CLI's CSV rows in the modules'
+writers, a guard that each module exports only what it defines, one that
+the package exports exactly its layer modules' exports, and one that keeps the tests' ODE reference solves in the shared oracles;
 the shared argument checks, driven through every entry point that uses
 them, and a guard that keeps finiteness and bitstring checks in them; a
 guard that keeps the bit order in register._view; and the scalar-in,
@@ -78,6 +78,13 @@ def io_offences(path):
     return found
 
 
+def row_writer_uses(path):
+    """Lines where the module imports or reaches ``write_rows``, the shared CSV row writer."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and any(a.name == "write_rows" for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "write_rows"]
+
+
 class TestSingleIoModule:
     @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
     def test_only_io_touches_files(self, module):
@@ -98,6 +105,16 @@ class TestSingleIoModule:
         src = tmp_path / "m.py"
         src.write_text("print('x')\nlog.info('x')\nprint('y', file=fh)\nfh.print('z')\n")
         assert io_offences(src) == [(1, "print"), (3, "print")]
+
+    def test_cli_writes_rows_through_module_writers(self):
+        # each CLI artifact's rows come from its module's *_to_csv, so its format exists once
+        assert row_writer_uses(PACKAGE / "cli.py") == []
+
+    def test_guard_sees_a_row_writer(self, tmp_path):
+        src = tmp_path / "m.py"
+        src.write_text("from ._io import open_text, write_rows\nfrom . import _io\n"
+                       "_io.write_rows(fh, 'x', [])\nwrite_rows_out = 1\nfrom ._io import read_rows\n")
+        assert row_writer_uses(src) == [1, 3]
 
 
 def foreign_exports(module):
@@ -501,8 +518,9 @@ class TestWriteOnlyFormatsReadBack:
     def test_response(self):
         curve = response_curve(faquad_schedule(100.0, 1.0, 10.0, 1.272), np.linspace(-4, 4, 9))
         pairs = list(curve) + [(-0.0, 5e-324), (MAX, -MAX)]
-        back = read_back(response_to_csv, (pairs,), "x,p_excite", float, float)
-        assert bits(np.ravel(back)) == bits(np.ravel(pairs))
+        back = read_back(response_to_csv, (pairs,), "x,p_excite,g_ideal", float, float, float)
+        want = [(x, p, qperceptron.eval_f(qperceptron.ALGEBRAIC, x)) for x, p in pairs]
+        assert bits(np.ravel(back)) == bits(np.ravel(want))
 
     def test_report(self):
         tf = np.array([1.0, 2.5, 7.0, 30.0])

@@ -190,6 +190,16 @@ class TestNetworkSpec:
         with pytest.raises(ValueError):
             NetworkSpec(2, (2, 1), net.mask, net.J, bad_b)
 
+    def test_keeps_copies_of_the_callers_arrays(self):
+        mask = np.array([[0.0, 0.0], [1.0, 0.0]])
+        J, b = 0.5 * mask, np.array([0.0, 0.25])
+        net = NetworkSpec(1, (1,), mask, J, b)
+        assert net.mask is not mask and net.J is not J and net.b is not b
+        mask[1, 0], J[1, 0], b[1] = 0.0, 1.0, 1.0  # the caller's arrays stay writable
+        assert net.mask[1, 0] == 1.0 and net.J[1, 0] == 0.5 and net.b[1] == 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            net.J[1, 0] = 1.0
+
     @pytest.mark.parametrize("n_inputs, hidden", [(2, [2]), (3, [4]), (5, [10, 4]), (2, [])])
     def test_layered_network_wires_each_layer_to_the_previous(self, n_inputs, hidden):
         net = layered_network(n_inputs, hidden)
@@ -653,6 +663,9 @@ class TestNetworkJsonErrors:
         ("n_inputs", [3]), ("n_inputs", 2.5), ("n_inputs", "3"), ("layer_sizes", [1.5, 1]),
         ("J", "junk"), ("activation", "cao_arctan:x"), ("activation", "tanh"),
         ("n_inputs", True), ("layer_sizes", [1, True]),
+        # a bool where the 3-(1)-1 net takes a number, in a document float() would load
+        ("mask", [0] * 15 + [1, 1, True] + [0] * 5 + [1, 0]), ("J", [False] + [0.0] * 24),
+        ("b", [0.0] * 4 + [True]),
     ])
     def test_wrongly_typed_value_is_named(self, key, value):
         d = self.doc()

@@ -354,16 +354,17 @@ class TestTrain:
         assert not J.any() and not b.any()
 
     def test_saturated_cost_stops_descent(self, monkeypatch):
-        # |x| = 1e7 clamps both outputs, so each sample costs 9.99978e-13,
-        # at or below the cost tolerance; with the gradient stop disabled
-        # only the cost stop can end the descent before a trial
+        # |x| = 1e7 clamps both outputs, so each sample costs 9.99978e-13, the
+        # clamp's floor, and no trial can lower the cost; with the gradient
+        # stop disabled the line search ends the descent where it started
         monkeypatch.setattr(training, "_GRAD_TOL", 0.0)
         mask = np.array([[0.0, 0.0], [1.0, 0.0]])
         net = NetworkSpec(1, (1,), mask, 1e7 * mask, np.zeros(2), ALG)
-        eng = CountingEngine(training._engine(net, Dataset(1, (("0", 0.0), ("1", 1.0)))))
-        _, _, trace, _, trials = training._descend(eng, net.J, net.b, TrainConfig())
-        assert len(trace) == 1 and trace[0] <= training._COST_TOL
-        assert trials == 0 and eng.want_grads == [True]
+        eng = training._engine(net, Dataset(1, (("0", 0.0), ("1", 1.0))))
+        cost0, p0, _, _ = eng.cost(net.J, net.b, want_grad=True)
+        J, b, trace, p, trials = training._descend(eng, net.J, net.b, TrainConfig())
+        assert J is net.J and b is net.b and trials == 30
+        assert trace == [cost0] and cost0 < 1e-12 and p.tobytes() == p0.tobytes()
 
     def test_perfect_start_terminates_immediately(self):
         mask = np.zeros((2, 2))
