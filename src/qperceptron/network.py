@@ -19,11 +19,12 @@ Gates of one layer have disjoint targets and diagonal controls on earlier
 layers, so they commute: a whole layer can run as one quasi-adiabatic Ising
 passage under the shared ramp.  protocol_duration counts one ramp per layer,
 and rejects a net in which a gate sources a qubit of its own layer.  The one
-statevector pass, _pass, hands all hardware gates to apply_hardware_perceptron.
+statevector pass, _pass, hands its schedule and all gates to apply_hardware_perceptron.
 """
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -100,18 +101,13 @@ class NetworkSpec:
     def effective_weights(self) -> np.ndarray:
         return self.mask * self.J
 
-    def gates(self, schedule=None):
+    def gates(self):
         """Perceptron gates in global qubit order."""
         W = self.effective_weights()
         out = []
         for j in range(self.n_inputs, self.n_total):
             srcs = {int(k): float(W[j, k]) for k in np.nonzero(self.mask[j])[0]}
-            out.append(
-                PerceptronGateSpec(
-                    target=j, weights=srcs, bias=float(self.b[j]),
-                    activation=self.activation, schedule=schedule,
-                )
-            )
+            out.append(PerceptronGateSpec(j, srcs, float(self.b[j]), self.activation))
         return out
 
 
@@ -154,9 +150,10 @@ def _pass(net: NetworkSpec, inputs, schedule=None) -> QuantumRegister:
     for x in inputs:
         check_bits(x, net.n_inputs, "input_bits")
         _view(amps, n, range(n), map(int, x.ljust(n, "0")))[...] = r
+    amps.flags.writeable = False
     reg = QuantumRegister(n, amps)
     if schedule is not None:
-        return apply_hardware_perceptron(reg, *net.gates(schedule))
+        return apply_hardware_perceptron(reg, schedule, *net.gates())
     for gate in net.gates():
         reg = apply_ideal_perceptron(reg, gate)
     return reg
@@ -284,6 +281,16 @@ def classical_mixture_oracle(net: NetworkSpec, input_bits: str) -> float:
     return float(p[0])
 
 
+def _lambda_lin(lam) -> float:
+    """lambda_lin as a float; a ValueError naming it unless real, positive and finite."""
+    if not isinstance(lam, numbers.Real):
+        raise ValueError(f"lambda_lin must be a real number, got {lam!r}")
+    if not (lam > 0):
+        raise ValueError("lambda_lin must be positive")
+    require_finite(lambda_lin=lam)
+    return float(lam)
+
+
 def build_universal_approximator(classical, lambda_lin: float) -> NetworkSpec:
     """Three-layer network whose output reads the classical sum linearly.
 
@@ -302,9 +309,7 @@ def build_universal_approximator(classical, lambda_lin: float) -> NetworkSpec:
         raise ValueError("alpha must be a nonempty vector")
     if w.shape[0] != alpha.size or theta.shape != alpha.shape:
         raise ValueError("w must be (M, N) and theta (M,) matching alpha")
-    lam = float(lambda_lin)
-    if not (lam > 0):
-        raise ValueError("lambda_lin must be positive")
+    lam = _lambda_lin(lambda_lin)
     M, N = w.shape
     n = N + M + 1
     J = np.zeros((n, n))
@@ -323,11 +328,10 @@ def approximator_readout(p_out: float, lambda_lin: float) -> float:
     p = 1/2 + f'(0) lambda (2G + 1), so G = ((p - 1/2)/(f'(0) lambda) - 1)/2,
     f the algebraic sigmoid every approximator network uses.
     """
-    if not (lambda_lin > 0):  # the readout of build_universal_approximator's nets
-        raise ValueError("lambda_lin must be positive")
-    require_finite(p_out=p_out, lambda_lin=lambda_lin)
+    lam = _lambda_lin(lambda_lin)  # the readout of build_universal_approximator's nets
+    require_finite(p_out=p_out)
     slope = float(df_dx(ALGEBRAIC, 0.0))
-    return (((p_out - 0.5) / (slope * lambda_lin)) - 1.0) / 2.0
+    return (((p_out - 0.5) / (slope * lam)) - 1.0) / 2.0
 
 
 def protocol_duration(net: NetworkSpec, schedule) -> float:

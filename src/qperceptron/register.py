@@ -21,20 +21,19 @@ hardware gate), broadcast over the other axes by one kernel in one pass; no
 2^n x 2^n matrix is ever materialized.  A hardware gate integrates the ramp
 only for the occupied source configurations, those holding any nonzero
 amplitude: an unoccupied one has only exact zeros, which every propagator
-leaves exactly zero.  apply_hardware_perceptron integrates the fields of a
-pass's gates in one sweep.  Registers are values: every operation returns
-a new register and amplitude arrays are frozen read-only.
+leaves exactly zero.  apply_hardware_perceptron integrates a pass's gates in
+one sweep of the schedule it takes.  Registers are values: every operation
+returns a new register and amplitude arrays are frozen read-only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
 from ._io import as_index, check_bits, require_finite, write_rows
 from .activation import ActivationKind, _check_kind, chi
-from .control import ControlSchedule
 from .dynamics import _HADAMARD, schedule_propagators
 
 __all__ = [
@@ -60,8 +59,8 @@ class ZeroProbabilityError(ValueError):
 
 
 def _dimension(n: int) -> int:
-    """2^n for n in [1, MAX_QUBITS]; any other n raises before anything is allocated."""
-    if not (1 <= n <= MAX_QUBITS):
+    """2^n for an integer n in [1, MAX_QUBITS]; any other n raises before any allocation."""
+    if not (1 <= as_index(n, "n_qubits") <= MAX_QUBITS):
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
     return 1 << n
 
@@ -72,8 +71,12 @@ class QuantumRegister:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        amps.flags.writeable = False
+        object.__setattr__(self, "n_qubits", as_index(self.n_qubits, "n_qubits"))
+        amps = self.amplitudes  # kept if frozen and owning its memory, else copied and frozen
+        if not (isinstance(amps, np.ndarray) and amps.dtype == complex and amps.base is None
+                and not amps.flags.writeable):
+            amps = np.array(amps, dtype=complex)
+            amps.flags.writeable = False
         if amps.shape != (_dimension(self.n_qubits),):
             raise ValueError("amplitude count must be 2**n_qubits")
         norm = float(np.sum(np.abs(amps) ** 2))
@@ -88,16 +91,14 @@ class QuantumRegister:
 class PerceptronGateSpec:
     """One perceptron gate: target qubit, weighted sources, bias, activation.
 
-    ``schedule is None`` selects the ideal (exact rotation) mode; a control
-    schedule selects the hardware mode, which runs the full adiabatic
-    protocol per occupied source sector.
+    It carries no mode: the call picks it, apply_ideal_perceptron for the
+    exact rotation or apply_hardware_perceptron with a schedule.
     """
 
     target: int
     weights: Mapping[int, float] = field(default_factory=dict)
     bias: float = 0.0
     activation: ActivationKind = ActivationKind("algebraic")
-    schedule: Optional[ControlSchedule] = None
 
     def __post_init__(self):
         object.__setattr__(self, "target", as_index(self.target, "target"))
@@ -117,9 +118,10 @@ class PerceptronGateSpec:
 
 def init_basis(n: int, bits: str) -> QuantumRegister:
     """Computational basis state |bits>."""
+    amps = np.zeros(_dimension(n), dtype=complex)  # n checked first: 2.0 is no qubit count
     check_bits(bits, n, "bits")
-    amps = np.zeros(_dimension(n), dtype=complex)
     _view(amps, n, range(n), map(int, bits))[...] = 1.0
+    amps.flags.writeable = False
     return QuantumRegister(n, amps)
 
 
@@ -170,6 +172,7 @@ def _update_pairs(reg: QuantumRegister, target: int, u) -> QuantumRegister:
     out = np.empty_like(a)
     _view(out, n, [target], [0])[...] = u00 * a0 + u01 * a1
     _view(out, n, [target], [1])[...] = u10 * a0 + u11 * a1
+    out.flags.writeable = False
     return QuantumRegister(n, out)
 
 
@@ -193,18 +196,16 @@ def apply_hadamard(reg: QuantumRegister, target: int) -> QuantumRegister:
 
 def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
     """Exact conditional rotation by chi(x) on the target (O(2^n))."""
-    if gate.schedule is not None:
-        raise ValueError("gate is in hardware mode; use apply_hardware_perceptron")
     return _update_pairs(reg, gate.target, _rotation(chi(gate.activation, _gate_field(reg, gate))))
 
 
-def apply_hardware_perceptron(reg: QuantumRegister, *gates: PerceptronGateSpec) -> QuantumRegister:
+def apply_hardware_perceptron(reg: QuantumRegister, schedule, *gates) -> QuantumRegister:
     """Adiabatic protocol on each target of one gate or a pass's gates, in
     order: a Hadamard, then the driven ramp U(x) at each source sector's
     field x, applied as the one matrix U(x) H per occupied sector.  All are
-    checked, then their occupied fields are integrated in one sweep of their
-    one shared schedule (the paper runs each layer as one Ising passage),
-    on a grid sized by the largest |x|, before any acts.  A gate keeps each
+    checked, then their occupied fields are integrated in one sweep of the
+    one ``schedule`` (the paper runs each layer as one Ising passage), on a
+    grid sized by the largest |x|, before any acts.  A gate keeps each
     target pair's norm, so occupancy read from ``reg`` is exact but on a
     source an earlier gate targets: both its values count.
 
@@ -214,11 +215,6 @@ def apply_hardware_perceptron(reg: QuantumRegister, *gates: PerceptronGateSpec) 
     if not gates or not all(isinstance(gate, PerceptronGateSpec) for gate in gates):
         raise ValueError("gates must be one or more PerceptronGateSpec arguments, got "
                          f"{[type(gate).__name__ for gate in gates]}")
-    if any(gate.schedule is None for gate in gates):
-        raise ValueError("gate is in ideal mode; use apply_ideal_perceptron")
-    if any(gate.schedule is not gates[0].schedule for gate in gates):
-        raise ValueError(f"gates on targets {[gate.target for gate in gates]} do not share "
-                         "one schedule object, and one sweep integrates them all")
     nonzero = _view(reg.amplitudes, reg.n_qubits, [], []) != 0
     fields, targeted = [], set()
     for gate in gates:
@@ -228,7 +224,7 @@ def apply_hardware_perceptron(reg: QuantumRegister, *gates: PerceptronGateSpec) 
         fields.append(np.where(occ, x, x[occ][0]))  # any field keeps an unoccupied sector's zeros
         targeted.add(gate.target)
     xu, inv = np.unique(np.concatenate([x.ravel() for x in fields]), return_inverse=True)
-    u = (schedule_propagators(gates[0].schedule, xu) @ _HADAMARD).transpose(1, 2, 0)  # u[i, j] per x
+    u = (schedule_propagators(schedule, xu) @ _HADAMARD).transpose(1, 2, 0)  # u[i, j] per x
     for gate, x in zip(gates, fields):
         reg = _update_pairs(reg, gate.target, u[:, :, inv[: x.size].reshape(x.shape)])
         inv = inv[x.size :]

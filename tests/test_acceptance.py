@@ -203,14 +203,12 @@ def test_criterion_06_heisenberg_identities():
 def test_criterion_07_oracle_equivalences(faquad10):
     # (a) sectorized hardware gate vs dense 4-qubit Schrodinger integration
     n = 4
-    gate = PerceptronGateSpec(
-        3, weights={0: 1.4, 1: -2.2, 2: 0.9}, bias=0.6, schedule=faquad10
-    )
+    gate = PerceptronGateSpec(3, weights={0: 1.4, 1: -2.2, 2: 0.9}, bias=0.6)
     rng = np.random.default_rng(8)
     v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     v /= np.linalg.norm(v)
     reg = QuantumRegister(n, v)
-    got = apply_hardware_perceptron(reg, gate).amplitudes
+    got = apply_hardware_perceptron(reg, faquad10, gate).amplitudes
 
     SX = np.array([[0.0, 1.0], [1.0, 0.0]])
     SZ = np.diag([-1.0, 1.0])

@@ -1,7 +1,9 @@
 """The shared CSV writer and reader, a guard that keeps CSV rows in them and
 print calls in the CLI, one that keeps the CLI's CSV rows in the modules'
-writers, a guard that each module exports only what it defines, one that
-the package exports exactly its layer modules' exports, and one that keeps the tests' ODE reference solves in the shared oracles;
+writers, one that keeps each module's package imports to earlier layers, a
+guard that each module exports only what it defines, one that the package
+exports exactly its layer modules' exports, and one that keeps the tests'
+ODE reference solves in the shared oracles;
 the shared argument checks, driven through every entry point that uses
 them, and a guard that keeps finiteness and bitstring checks in them; a
 guard that keeps the bit order in register._view; and the scalar-in,
@@ -78,6 +80,33 @@ def io_offences(path):
     return found
 
 
+# the package's modules in layer order: each imports package modules from earlier ones only
+LAYERS = ("_io", "activation", "control", "dynamics", "register", "network", "training",
+          "synthesis", "cli")
+
+
+def layer_offences(path):
+    """(line, module) for each package module the file imports that is not earlier than the
+    file's own in LAYERS, relative or absolute; "qperceptron" for the whole package."""
+    rank = {m: i for i, m in enumerate(LAYERS)}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["qperceptron" if node.level else None, node.module]))
+            names = [f"{base}.{a.name}" for a in node.names] if base == "qperceptron" else [base]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "qperceptron":
+                module = parts[1] if len(parts) > 1 else "qperceptron"
+                if rank.get(module, len(LAYERS)) >= rank[path.stem]:
+                    found.append((node.lineno, module))
+    return sorted(found)
+
+
 def row_writer_uses(path):
     """Lines where the module imports or reaches ``write_rows``, the shared CSV row writer."""
     return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -115,6 +144,24 @@ class TestSingleIoModule:
         src.write_text("from ._io import open_text, write_rows\nfrom . import _io\n"
                        "_io.write_rows(fh, 'x', [])\nwrite_rows_out = 1\nfrom ._io import read_rows\n")
         assert row_writer_uses(src) == [1, 3]
+
+
+class TestLayerOrder:
+    def test_every_module_has_a_layer(self):
+        assert sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__") == sorted(LAYERS)
+
+    @pytest.mark.parametrize("module", LAYERS)
+    def test_module_imports_only_earlier_layers(self, module):
+        assert layer_offences(PACKAGE / f"{module}.py") == []
+
+    def test_guard_sees_a_late_import(self, tmp_path):
+        src = tmp_path / "register.py"
+        src.write_text("from ._io import as_index\nfrom .network import forward\n"
+                       "from . import dynamics, training\nimport qperceptron.cli\n"
+                       "from qperceptron import synthesis\nimport qperceptron\n"
+                       "from .register import _view\nimport numpy\nfrom qperceptron.control import X\n")
+        assert layer_offences(src) == [(2, "network"), (3, "training"), (4, "cli"),
+                                       (5, "synthesis"), (6, "qperceptron"), (7, "register")]
 
 
 def foreign_exports(module):
@@ -350,6 +397,7 @@ def _benchmark(tf_grid):
 
 
 _SPEC = qperceptron.CompositionSpec(((1.0, 0.0, 1),))
+_SUM = (np.array([0.5]), np.zeros((1, 1)), np.zeros(1))  # (alpha, w, theta) of one neuron
 _NAN, _INF = math.nan, math.inf
 
 
@@ -385,6 +433,9 @@ _NAN, _INF = math.nan, math.inf
         qperceptron.Rectangle(0.0, 2.0), 2, [0.0, _INF])),
     (ValueError, "p_out", lambda: qperceptron.approximator_readout(_NAN, 0.01)),
     (ValueError, "lambda_lin", lambda: qperceptron.approximator_readout(0.5, _INF)),
+    (ValueError, "lambda_lin", lambda: qperceptron.approximator_readout(0.5, "1")),
+    (ValueError, "lambda_lin", lambda: qperceptron.build_universal_approximator(_SUM, "x")),
+    (ValueError, "lambda_lin", lambda: qperceptron.build_universal_approximator(_SUM, _INF)),
     # bitstrings: _io.check_bits
     (ValueError, "input_bits", lambda: qperceptron.forward(_net(), "1")),
     (ValueError, "input_bits", lambda: qperceptron.forward(_net(), "0x")),
@@ -413,6 +464,9 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "n", lambda: qperceptron.adiabatic_diagnostics(_ramp(), 1.0, n=2.5)),
     (ValueError, "n", lambda: qperceptron.adiabatic_diagnostics(_ramp(), 1.0, n=0)),
     (ValueError, "seed", lambda: qperceptron.TrainConfig(seed=-5)),
+    (ValueError, "n_qubits", lambda: qperceptron.QuantumRegister(2.0, _reg().amplitudes)),
+    (ValueError, "n_qubits", lambda: qperceptron.init_basis(2.0, "00")),
+    (ValueError, "n_qubits", lambda: qperceptron.QuantumRegister("2", _reg().amplitudes)),
     # activation kinds: activation._check_kind
     (ValueError, "activation", lambda: qperceptron.NetworkSpec(
         2, (1,), _net().mask, _net().J, _net().b, activation="algebraic")),
@@ -444,12 +498,14 @@ _NAN, _INF = math.nan, math.inf
         "activation",
         "propagators", "response", "network_J", "network_b", "rectangle", "peak", "sampled",
         "composition", "composition_angle", "synthesize", "readout_p", "readout_lambda",
+        "readout_lambda_str", "approximator_lambda_str", "approximator_lambda_inf",
         "forward_short", "forward_char", "oracle", "basis_short", "basis_char", "dataset",
         "composition_target", "composition_source", "hadamard", "gate_source", "gate_weight",
         "gate_bias", "gate_weight_array", "gate_weight_ragged", "gate_bias_array", "probability",
         "conditional",
         "gate_source_float", "fidelity_points", "benchmark_points", "diagnostics_float",
-        "diagnostics_zero", "train_seed", "network_activation", "gate_activation",
+        "diagnostics_zero", "train_seed", "register_float", "basis_float", "register_str",
+        "network_activation", "gate_activation",
         "composition_activation", "activation_kind", "benchmark_3_points", "benchmark_scalar",
         "benchmark_2d", "benchmark_nan", "benchmark_inf", "benchmark_unsorted", "mu_x", "mu_t",
         "mu_closed_gap", "diagnostics_closed_gap", "hidden_int", "hidden_none", "hidden_float"])

@@ -469,10 +469,12 @@ class TestLayerHamiltonian:
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
         rng = np.random.default_rng(3)
         net = layered_net(2, [2], rng)
-        gates = net.gates(sched)[:2]  # the two hidden-layer gates
+        gates = net.gates()[:2]  # the two hidden-layer gates
         reg0 = init_basis(5, "10000")
-        ab = apply_hardware_perceptron(apply_hardware_perceptron(reg0, gates[0]), gates[1])
-        ba = apply_hardware_perceptron(apply_hardware_perceptron(reg0, gates[1]), gates[0])
+        ab = apply_hardware_perceptron(apply_hardware_perceptron(reg0, sched, gates[0]),
+                                       sched, gates[1])
+        ba = apply_hardware_perceptron(apply_hardware_perceptron(reg0, sched, gates[1]),
+                                       sched, gates[0])
         assert np.max(np.abs(ab.amplitudes - ba.amplitudes)) < 1e-10
 
     def test_adiabatic_matches_ideal(self):
@@ -551,39 +553,39 @@ class TestLayerHamiltonian:
         got = forward(net, "10", sched)[0].amplitudes
         assert [xs.size for xs in sweeps] == [15]
         want = init_basis(7, "1000000")
-        for gate in net.gates(sched):
-            want = apply_hardware_perceptron(want, gate)
+        for gate in net.gates():
+            want = apply_hardware_perceptron(want, sched, gate)
         assert np.max(np.abs(got - want.amplitudes)) < 1e-9
 
     def test_source_targeted_earlier_counts_as_occupied(self, sweeps):
         # B sources A's target, which is exactly |0> before the call: B's
         # fields must cover both of its values, as A excites it first
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
-        a = PerceptronGateSpec(1, {0: 2.0}, 0.5, schedule=sched)
-        b = PerceptronGateSpec(2, {0: 0.7, 1: 3.0}, -0.5, schedule=sched)
+        a = PerceptronGateSpec(1, {0: 2.0}, 0.5)
+        b = PerceptronGateSpec(2, {0: 0.7, 1: 3.0}, -0.5)
         start = register.apply_hadamard(init_basis(3, "000"), 0)
-        got = apply_hardware_perceptron(start, a, b)
-        want = apply_hardware_perceptron(apply_hardware_perceptron(start, a), b)
+        got = apply_hardware_perceptron(start, sched, a, b)
+        want = apply_hardware_perceptron(apply_hardware_perceptron(start, sched, a), sched, b)
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-9
         assert sweeps[0].size == 2 + 4
 
     def test_pass_hands_all_its_gates_to_the_public_entry(self, monkeypatch):
         # forward and the hardware cost each make one apply_hardware_perceptron
-        # call with every gate of the net, so a wrapper of the public name
-        # sees each pass
+        # call with their schedule and every gate of the net, so a wrapper of
+        # the public name sees each pass
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
         net = layered_net(3, [4], np.random.default_rng(8))
         calls = []
 
-        def recording(reg, *gates):
-            calls.append(gates)
-            return apply_hardware_perceptron(reg, *gates)
+        def recording(reg, schedule, *gates):
+            calls.append((schedule, gates))
+            return apply_hardware_perceptron(reg, schedule, *gates)
 
         monkeypatch.setattr(network, "apply_hardware_perceptron", recording)
         forward(net, "101", sched)
-        assert calls == [tuple(net.gates(sched))]
+        assert calls == [(sched, tuple(net.gates()))]
         cross_entropy_cost(net, prime_dataset(3), sched)
-        assert calls == [tuple(net.gates(sched))] * 2
+        assert calls == [(sched, tuple(net.gates()))] * 2
 
     def test_shared_field_of_a_layer_is_integrated_once(self, sweeps):
         # two hidden gates with equal weights and bias see one field
@@ -618,8 +620,8 @@ class TestLayerHamiltonian:
         bits = data.draw(st.sampled_from(all_bits(N)))
         reg, p = forward(net, bits, sched)
         want = init_basis(n, bits + "0" * (n - N))
-        for gate in net.gates(sched):
-            want = apply_hardware_perceptron(want, gate)
+        for gate in net.gates():
+            want = apply_hardware_perceptron(want, sched, gate)
         assert np.max(np.abs(reg.amplitudes - want.amplitudes)) < 1e-9
         if np.array_equal(mask, layered.mask):
             fields = []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qperceptron import register
+from qperceptron import dynamics, register
 from qperceptron.activation import ALGEBRAIC, STEP, cao_arctan, eval_CS, eval_f
 from qperceptron.control import faquad_schedule
 from qperceptron.register import (
@@ -32,13 +32,13 @@ def random_state(n, rng):
     return QuantumRegister(n, v / np.linalg.norm(v))
 
 
-def dense_hardware_gate(reg, gate):
-    """The gate as one dense Ising passage on its target, with the field the
-    diagonal operator -bias + sum_k w_k sz_k."""
+def dense_hardware_gate(reg, schedule, gate):
+    """The gate as one dense Ising passage on its target under ``schedule``,
+    with the field the diagonal operator -bias + sum_k w_k sz_k."""
     n = reg.n_qubits
     field = -gate.bias + sum(wk * np.diag(kron_on(n, k, SZ)).real
                              for k, wk in gate.weights.items())
-    return dop853_ising_passage(reg.amplitudes, [gate.target], [field], gate.schedule)
+    return dop853_ising_passage(reg.amplitudes, [gate.target], [field], schedule)
 
 
 class TestBasics:
@@ -87,6 +87,29 @@ class TestBasics:
         reg = init_basis(1, "0")
         with pytest.raises(ValueError):
             reg.amplitudes[0] = 0.0
+
+    def test_callers_array_stays_its_own(self):
+        # a writable array is copied: the caller may still write it, and the
+        # write does not reach the register; a refused one is left writable
+        a = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        reg = QuantumRegister(2, a)
+        a[:2] = 0.0, 1.0
+        assert a.flags.writeable and reg.amplitudes.tolist() == [1.0, 0.0, 0.0, 0.0]
+        b = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="amplitude count"):
+            QuantumRegister(2, b)
+        assert b.flags.writeable
+
+    def test_frozen_owning_array_is_kept(self):
+        # what every gate hands over, so no gate pays a copy; a frozen view
+        # of another array is copied, as its base may still be written
+        a = np.array([0.6, 0.8j])
+        a.flags.writeable = False
+        assert QuantumRegister(1, a).amplitudes is a
+        base = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        view = base[:2]
+        view.flags.writeable = False
+        assert QuantumRegister(1, view).amplitudes is not view
 
     def test_hadamard(self):
         reg = apply_hadamard(init_basis(1, "0"), 0)
@@ -231,9 +254,8 @@ class TestIdealGate:
         gate = PerceptronGateSpec(target=0, weights={5: 1.0})
         with pytest.raises(IndexError):
             apply_ideal_perceptron(init_basis(2, "00"), gate)
-        hw = PerceptronGateSpec(target=0, schedule=faquad_schedule(100, 1, 1, X_REF))
-        with pytest.raises(ValueError):
-            apply_ideal_perceptron(init_basis(1, "0"), hw)
+        with pytest.raises(TypeError, match="schedule"):  # the call picks the mode, not the gate
+            PerceptronGateSpec(target=0, schedule=faquad_schedule(100, 1, 1, X_REF))
 
 
 class TestHardwareGate:
@@ -241,10 +263,10 @@ class TestHardwareGate:
         # the oracle is one DOP853 solve from |+> at x = -bias, sharing no
         # code with the gate's propagators
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
-        gate = PerceptronGateSpec(target=0, bias=-1.0, schedule=sched)
+        gate = PerceptronGateSpec(target=0, bias=-1.0)
         start = init_basis(1, "0")
-        reg = apply_hardware_perceptron(start, gate)
-        ref = dense_hardware_gate(start, gate)
+        reg = apply_hardware_perceptron(start, sched, gate)
+        ref = dense_hardware_gate(start, sched, gate)
         assert abs(reg.amplitudes[0] - ref[0]) < 1e-8
         assert abs(reg.amplitudes[1] - ref[1]) < 1e-8
 
@@ -255,7 +277,7 @@ class TestHardwareGate:
         reg = apply_hadamard(reg, 0)
         reg = apply_hadamard(reg, 1)
         hard = apply_hardware_perceptron(
-            reg, PerceptronGateSpec(target=2, weights=w, bias=0.6, schedule=sched)
+            reg, sched, PerceptronGateSpec(target=2, weights=w, bias=0.6)
         )
         ideal = apply_ideal_perceptron(
             reg, PerceptronGateSpec(target=2, weights=w, bias=0.6)
@@ -269,11 +291,10 @@ class TestHardwareGate:
         # full 16x16 time-dependent integration vs the sector decomposition
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
         rng = np.random.default_rng(31)
-        gate = PerceptronGateSpec(target=3, weights={0: 1.1, 1: -0.8, 2: 1.9},
-                                  bias=0.35, schedule=sched)
+        gate = PerceptronGateSpec(target=3, weights={0: 1.1, 1: -0.8, 2: 1.9}, bias=0.35)
         reg = random_state(4, rng)
-        got = apply_hardware_perceptron(reg, gate)
-        assert np.max(np.abs(got.amplitudes - dense_hardware_gate(reg, gate))) < 1e-8
+        got = apply_hardware_perceptron(reg, sched, gate)
+        assert np.max(np.abs(got.amplitudes - dense_hardware_gate(reg, sched, gate))) < 1e-8
 
     def test_unoccupied_sectors_dense_oracle(self):
         # sources 0 and 1 sit in |1>|0>, source 2 and the target in a random
@@ -281,12 +302,11 @@ class TestHardwareGate:
         # their fields are integrated
         sched = faquad_schedule(100.0, 1.0, 10.0, X_REF)
         rng = np.random.default_rng(37)
-        gate = PerceptronGateSpec(target=3, weights={0: 1.1, 1: -0.8, 2: 1.9},
-                                  bias=0.35, schedule=sched)
+        gate = PerceptronGateSpec(target=3, weights={0: 1.1, 1: -0.8, 2: 1.9}, bias=0.35)
         amps = np.kron([0.0, 0.0, 1.0, 0.0], random_state(2, rng).amplitudes)
         reg = QuantumRegister(4, amps)
-        got = apply_hardware_perceptron(reg, gate).amplitudes
-        assert np.max(np.abs(got - dense_hardware_gate(reg, gate))) < 1e-8
+        got = apply_hardware_perceptron(reg, sched, gate).amplitudes
+        assert np.max(np.abs(got - dense_hardware_gate(reg, sched, gate))) < 1e-8
         assert np.all(got[amps == 0] == 0)
 
     def test_sector_phases_invisible_in_z_basis(self, monkeypatch):
@@ -296,9 +316,9 @@ class TestHardwareGate:
         reg = init_basis(4, "0000")
         for q in (0, 1):
             reg = apply_hadamard(reg, q)
-        g1 = PerceptronGateSpec(target=2, weights={0: 1.2, 1: -0.9}, bias=0.3, schedule=sched)
-        g2 = PerceptronGateSpec(target=3, weights={0: 0.7, 2: 1.5}, bias=-0.4, schedule=sched)
-        phys = apply_hardware_perceptron(apply_hardware_perceptron(reg, g1), g2)
+        g1 = PerceptronGateSpec(target=2, weights={0: 1.2, 1: -0.9}, bias=0.3)
+        g2 = PerceptronGateSpec(target=3, weights={0: 0.7, 2: 1.5}, bias=-0.4)
+        phys = apply_hardware_perceptron(apply_hardware_perceptron(reg, sched, g1), sched, g2)
         propagators = register.schedule_propagators
 
         def phase_stripped(schedule, xs):
@@ -308,15 +328,23 @@ class TestHardwareGate:
             return U * np.exp(-1j * np.angle(ref))[:, None, None]
 
         monkeypatch.setattr(register, "schedule_propagators", phase_stripped)
-        bare = apply_hardware_perceptron(apply_hardware_perceptron(reg, g1), g2)
+        bare = apply_hardware_perceptron(apply_hardware_perceptron(reg, sched, g1), sched, g2)
         p_phys = np.abs(phys.amplitudes) ** 2
         p_bare = np.abs(bare.amplitudes) ** 2
         assert np.max(np.abs(p_phys - p_bare)) < 1e-10
 
-    def test_mode_mismatch(self):
-        gate = PerceptronGateSpec(target=0)
-        with pytest.raises(ValueError):
-            apply_hardware_perceptron(init_basis(1, "0"), gate)
+    def test_gate_in_the_schedules_place_is_refused(self, monkeypatch):
+        # the schedule is the second argument: the old call form, with no
+        # schedule, leaves no gate; a gate in its place is no schedule
+        calls = []
+        monkeypatch.setattr(dynamics, "_propagate", lambda *args: calls.append(args))
+        g1 = PerceptronGateSpec(target=1, weights={0: 1.0})
+        g2 = PerceptronGateSpec(target=2, weights={0: 0.5})
+        with pytest.raises(ValueError, match="^gates must be one or more PerceptronGateSpec"):
+            apply_hardware_perceptron(init_basis(3, "100"), g1)
+        with pytest.raises(ValueError, match="^invalid schedule"):
+            apply_hardware_perceptron(init_basis(3, "100"), g1, g2)
+        assert calls == []
 
     def test_run_is_checked_before_its_sweep(self, monkeypatch):
         # the last gate of a run sources a qubit the register lacks: nothing
@@ -324,11 +352,11 @@ class TestHardwareGate:
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
         calls = []
         monkeypatch.setattr(register, "schedule_propagators", lambda *a: calls.append(a))
-        run = [PerceptronGateSpec(target=1, weights={0: 1.0}, schedule=sched),
-               PerceptronGateSpec(target=2, weights={0: 0.5}, schedule=sched),
-               PerceptronGateSpec(target=3, weights={0: 2.0, 7: 1.0}, schedule=sched)]
+        run = [PerceptronGateSpec(target=1, weights={0: 1.0}),
+               PerceptronGateSpec(target=2, weights={0: 0.5}),
+               PerceptronGateSpec(target=3, weights={0: 2.0, 7: 1.0})]
         with pytest.raises(IndexError, match="source 7 out of range"):
-            apply_hardware_perceptron(init_basis(4, "1000"), *run)
+            apply_hardware_perceptron(init_basis(4, "1000"), sched, *run)
         assert calls == []
 
     def test_no_gate_or_a_list_is_refused_before_any_sweep(self, monkeypatch):
@@ -336,25 +364,11 @@ class TestHardwareGate:
         # by name, like a call with no gate, and nothing is integrated
         calls = []
         monkeypatch.setattr(register, "schedule_propagators", lambda *a: calls.append(a))
-        run = [PerceptronGateSpec(target=1, weights={0: 1.0},
-                                  schedule=faquad_schedule(100.0, 1.0, 5.0, X_REF))]
+        sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
+        run = [PerceptronGateSpec(target=1, weights={0: 1.0})]
         for gates in ((), (run,)):
             with pytest.raises(ValueError, match="^gates must be one or more PerceptronGateSpec"):
-                apply_hardware_perceptron(init_basis(2, "10"), *gates)
-        assert calls == []
-
-    def test_mixed_schedules_are_refused(self, monkeypatch):
-        # one sweep integrates every gate on one grid: equal drives held in
-        # two schedule objects are refused, naming the targets, before it
-        calls = []
-        monkeypatch.setattr(register, "schedule_propagators", lambda *a: calls.append(a))
-        run = [PerceptronGateSpec(target=1, weights={0: 1.0},
-                                  schedule=faquad_schedule(100.0, 1.0, 5.0, X_REF)),
-               PerceptronGateSpec(target=2, weights={0: 0.5},
-                                  schedule=faquad_schedule(100.0, 1.0, 5.0, X_REF))]
-        with pytest.raises(ValueError, match=r"gates on targets \[1, 2\] do not share one "
-                                             "schedule object"):
-            apply_hardware_perceptron(init_basis(3, "100"), *run)
+                apply_hardware_perceptron(init_basis(2, "10"), sched, *gates)
         assert calls == []
 
 
