@@ -1,5 +1,5 @@
-"""Path-or-stream handling, the one CSV writer and reader, the one check of each kind of
-argument (integer, finite, bitstring), a ValueError naming it, and scalar-in, float-out."""
+"""Path-or-stream handling, the one CSV writer and reader, the one check of an integer or a
+bitstring and the one read of a real argument, a ValueError naming it, and scalar-in, float-out."""
 from __future__ import annotations
 
 import contextlib
@@ -18,15 +18,18 @@ def as_index(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def require_finite(**params) -> None:
-    """ValueError "<name> must be finite" for the first number or array in ``params`` with a
-    nan, an inf or an int past float range (a float is quoted); "... must be real" for anything
-    that is not a real number or an array of them: a str, a complex, a ragged sequence."""
+def require_finite(**params):
+    """Each value in ``params`` read as a real: a Python float if scalar, else a float64 array
+    (a float64 one as is, not copied); the one value, or a tuple of them in keyword order.
+    ValueError "<name> must be finite" for a nan, an inf or an int past float range (a float
+    is quoted); "... must be real" for anything else not real: a str, a complex, a ragged list."""
+    out = []
     for name, value in params.items():
         if isinstance(value, (int, float)):  # about 50x faster than numpy on a scalar
             if not abs(value) <= sys.float_info.max:  # an int compares exactly: 10**400 fails
                 got = repr(value) if isinstance(value, float) else f"a {value.bit_length()}-bit int"
                 raise ValueError(f"{name} must be finite, got {got}")
+            out.append(float(value))
         else:
             try:
                 arr = np.asarray(value)
@@ -36,6 +39,8 @@ def require_finite(**params) -> None:
                 raise ValueError(f"{name} must be real, got {value!r}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
+            out.append(float(arr) if arr.ndim == 0 else arr.astype(float, copy=False))
+    return out[0] if len(out) == 1 else tuple(out)
 
 
 def float_if_scalar(out):

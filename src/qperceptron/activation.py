@@ -87,8 +87,7 @@ def _check_kind(kind, name: str) -> None:
 
 def _checked(kind: ActivationKind, x):
     _check_kind(kind, "kind")
-    x = np.asarray(x, dtype=float)
-    require_finite(**{"activation input": x})
+    x = require_finite(**{"activation input": x})
     if kind.variant == "cao":
         # allow the closed endpoints; beyond them the tangent wraps
         if np.any(np.abs(x) > _CAO_BOUND * (1 + 1e-12)):

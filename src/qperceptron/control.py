@@ -87,12 +87,11 @@ def linear_schedule(omega0: float, omegaf: float, tf: float) -> ControlSchedule:
     omega0 == omegaf is allowed and gives a constant drive (used for Rabi
     and free-evolution checks); increasing ramps are rejected.
     """
-    require_finite(omega0=omega0, omegaf=omegaf, tf=tf)
+    omega0, omegaf, tf = require_finite(omega0=omega0, omegaf=omegaf, tf=tf)
     if tf <= 0:
         raise ValueError("tf must be positive")
     if omega0 < omegaf or omegaf < 0:
         raise ValueError("need omega0 >= omegaf >= 0")
-    omega0, omegaf, tf = float(omega0), float(omegaf), float(tf)
     return ControlSchedule(
         "linear", omega0, omegaf, tf,
         field=lambda t: omega0 + (omegaf - omega0) * (t / tf),
@@ -102,14 +101,14 @@ def linear_schedule(omega0: float, omegaf: float, tf: float) -> ControlSchedule:
 
 def _faquad_parameters(omega0, omegaf, tf, x_ref):
     """The four as floats, checked once for faquad_schedule and faquad_constant_mu."""
-    require_finite(omega0=omega0, omegaf=omegaf, tf=tf, x_ref=x_ref)
+    omega0, omegaf, tf, x_ref = require_finite(omega0=omega0, omegaf=omegaf, tf=tf, x_ref=x_ref)
     if tf <= 0:
         raise ValueError("tf must be positive")
     if not omega0 > omegaf > 0:
         raise ValueError("need omega0 > omegaf > 0")
     if x_ref == 0:
         raise ValueError("x_ref = 0 has no avoided crossing; mu is undefined")
-    return float(omega0), float(omegaf), float(tf), float(x_ref)
+    return omega0, omegaf, tf, x_ref
 
 
 def faquad_schedule(omega0: float, omegaf: float, tf: float, x_ref: float) -> ControlSchedule:
@@ -152,10 +151,8 @@ def perturbed_schedule(base: ControlSchedule, epsilon_ctrl: float) -> ControlSch
     """
     if base.kind != "faquad":
         raise ValueError("perturbation is defined relative to a faquad base")
-    require_finite(epsilon_ctrl=epsilon_ctrl)
-    if epsilon_ctrl < 0:
+    if (eps := require_finite(epsilon_ctrl=epsilon_ctrl)) < 0:
         raise ValueError("epsilon_ctrl must be >= 0")
-    eps = float(epsilon_ctrl)
     ramp = linear_schedule(base.omega0, base.omegaf, base.tf)
     sched = ControlSchedule(
         "perturbed", base.omega0, base.omegaf, base.tf,
@@ -177,11 +174,9 @@ def tabulated_schedule(ts, omegas) -> ControlSchedule:
     finite samples, and knots so close that the slope overflows, raise
     ValueError.
     """
-    ts = np.array(ts, dtype=float)
-    omegas = np.array(omegas, dtype=float)
+    ts, omegas = map(np.array, require_finite(ts=ts, omegas=omegas))  # copies, frozen below
     if ts.ndim != 1 or ts.shape != omegas.shape or ts.size < 2:
         raise ValueError("need matching 1-d arrays with at least two samples")
-    require_finite(ts=ts, omegas=omegas)
     if not np.all(np.diff(ts) > 0) or ts[0] != 0:
         raise ValueError("sample times must start at 0 and increase strictly")
     ts.flags.writeable = omegas.flags.writeable = False
@@ -309,10 +304,9 @@ def optimal_design_field(omegaf: float) -> float:
     omega0 -> inf limit sqrt((1 + sqrt 5)/2), it is the input field the
     passage handles worst, the reference a shared control is designed for.
     """
-    require_finite(omegaf=omegaf)
-    if omegaf <= 0:
+    if (omegaf := require_finite(omegaf=omegaf)) <= 0:
         raise ValueError("omegaf must be positive")
-    if math.isinf(x_ref := float(omegaf) * 1.2720196363352636):
+    if math.isinf(x_ref := omegaf * 1.2720196363352636):
         raise ValueError(f"omegaf = {omegaf!r} overflows the design field")
     return x_ref
 

@@ -439,10 +439,9 @@ def _converged_sweep(schedule, x_values, reduce_fn, tol):
     _validate_schedule(schedule)
     if not (0 <= tol < math.inf):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    xs = np.asarray(x_values, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError(f"x must be a 1-D array of field values, got shape {xs.shape}")
-    require_finite(**{"x values": xs})
+    xs = require_finite(**{"x values": x_values})
+    if np.ndim(xs) != 1:
+        raise ValueError(f"x must be a 1-D array of field values, got shape {np.shape(xs)}")
     q = np.empty((4, xs.size))
     if not xs.size:
         return xs, q, reduce_fn(q)
@@ -535,6 +534,8 @@ def average_fidelity(schedule, x_max: float = 10.0, n_points: int = 201) -> floa
     if not hasattr(schedule, "omegaf"):
         raise ValueError("invalid schedule: average_fidelity needs omegaf, its final drive")
     n_points = as_index(n_points, "n_points")
+    if x_max != math.inf:  # inf is not read but refused below, with the range
+        x_max = require_finite(x_max=x_max)
     if not (0 < x_max < math.inf) or n_points < 2:
         raise ValueError("need finite x_max > 0 and n_points >= 2")
     xs = np.linspace(-x_max, x_max, n_points)
@@ -580,12 +581,10 @@ def fit_infidelity_decay(tf_grid, infidelity):
     [0.015, 0.805] is returned.  Returns (c0, c1, c2).  Input that is not two
     finite 1-D arrays of one length with tf > 0 is refused before any fit.
     """
-    require_finite(tf_grid=tf_grid, infidelity=infidelity)
-    tf = np.asarray(tf_grid, dtype=float)
-    infid = np.asarray(infidelity, dtype=float)
-    if tf.ndim != 1 or infid.shape != tf.shape:
+    tf, infid = require_finite(tf_grid=tf_grid, infidelity=infidelity)
+    if np.ndim(tf) != 1 or np.shape(infid) != np.shape(tf):
         raise ValueError(f"tf_grid and infidelity must be 1-D of one length, got shapes "
-                         f"{tf.shape} and {infid.shape}")
+                         f"{np.shape(tf)} and {np.shape(infid)}")
     if np.any(tf <= 0):
         raise ValueError(f"tf_grid must be positive, got {float(np.min(tf))!r}")
     use = infid > 1e-12
@@ -634,11 +633,10 @@ def benchmark_ramps(tf_grid, n_points: int = 201) -> FidelityReport:
     longest tf runs first, so a grid over the step budget fails before any
     shorter ramp is integrated.
     """
-    require_finite(tf_grid=tf_grid)
-    tf = np.asarray(tf_grid, dtype=float)
-    if tf.ndim != 1 or tf.size < 4:
+    tf = require_finite(tf_grid=tf_grid)
+    if np.ndim(tf) != 1 or tf.size < 4:
         raise ValueError(f"tf_grid must be 1-D with at least 4 points (the fit's minimum), "
-                         f"got shape {tf.shape}")
+                         f"got shape {np.shape(tf)}")
     if np.any(np.diff(tf) <= 0) or np.any(tf <= 0):
         raise ValueError("tf_grid must be positive and strictly increasing")
     inf_lin = np.empty(tf.size)

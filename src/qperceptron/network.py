@@ -72,12 +72,9 @@ class NetworkSpec:
         _check_kind(self.activation, "activation")
         n = self.n_total
         # copies, frozen below: the caller's arrays stay writable and out of reach
-        mask = np.array(self.mask, dtype=float)
-        J = np.array(self.J, dtype=float)
-        b = np.array(self.b, dtype=float)
+        J, b, mask = map(np.array, require_finite(J=self.J, b=self.b, mask=self.mask))
         if mask.shape != (n, n) or J.shape != (n, n) or b.shape != (n,):
             raise ValueError("mask/J must be (n_total, n_total) and b (n_total,)")
-        require_finite(J=J, b=b)
         if not np.all((mask == 0) | (mask == 1)):
             raise ValueError("mask must be binary")
         if np.any(np.triu(mask) != 0):
@@ -287,8 +284,7 @@ def _lambda_lin(lam) -> float:
         raise ValueError(f"lambda_lin must be a real number, got {lam!r}")
     if not (lam > 0):
         raise ValueError("lambda_lin must be positive")
-    require_finite(lambda_lin=lam)
-    return float(lam)
+    return require_finite(lambda_lin=lam)
 
 
 def build_universal_approximator(classical, lambda_lin: float) -> NetworkSpec:
@@ -302,9 +298,8 @@ def build_universal_approximator(classical, lambda_lin: float) -> NetworkSpec:
     G = Sum_j alpha_j <f_j>, recoverable via approximator_readout.
     """
     alpha, w, theta = classical
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    alpha, w, theta = require_finite(alpha=alpha, w=w, theta=theta)
+    alpha, w, theta = np.atleast_1d(alpha), np.atleast_2d(w), np.atleast_1d(theta)
     if alpha.ndim != 1 or alpha.size == 0:
         raise ValueError("alpha must be a nonempty vector")
     if w.shape[0] != alpha.size or theta.shape != alpha.shape:

@@ -67,6 +67,11 @@ def _dimension(n: int) -> int:
 
 @dataclass(frozen=True)
 class QuantumRegister:
+    """2^n amplitudes of norm-squared 1.  A read-only complex array that owns its memory is
+    kept, so no gate pays a copy; any other is copied and the copy frozen.  Open defect: a
+    writable view taken before the caller froze the array still writes into the register
+    (``v = a[:]; a.flags.writeable = False; v[3] = 5``), as numpy cannot see that view."""
+
     n_qubits: int
     amplitudes: np.ndarray
 

@@ -81,14 +81,14 @@ class Sampled:
     points: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
-        pts = tuple(sorted((float(x), float(a)) for x, a in self.points))
+        pts = tuple(self.points)
+        xs, angles = require_finite(**{"sampled point x": [x for x, _ in pts],
+                                       "sampled angles": [a for _, a in pts]})
         if not pts:
             raise ValueError("sampled target needs at least one point")
-        for x, a in pts:
-            require_finite(**{"sampled point x": x})
-            if not (0.0 <= a <= _HALF_PI + 1e-12):
-                raise ValueError("sampled angles must lie in [0, pi/2]")
-        object.__setattr__(self, "points", pts)
+        if not np.all((0.0 <= angles) & (angles <= _HALF_PI + 1e-12)):
+            raise ValueError("sampled angles must lie in [0, pi/2]")
+        object.__setattr__(self, "points", tuple(sorted(zip(xs.tolist(), angles.tolist()))))
 
 
 TargetResponse = Union[Rectangle, Peak, Sampled]
@@ -96,7 +96,7 @@ TargetResponse = Union[Rectangle, Peak, Sampled]
 
 def target_angle(target: TargetResponse, x):
     """Target rotation angle profile evaluated on x (scalar or array)."""
-    x = np.asarray(x, dtype=float)
+    x = require_finite(x=x)
     if isinstance(target, Rectangle):
         return float_if_scalar(np.where((x > target.m1) & (x < target.m2), _HALF_PI, 0.0))
     if isinstance(target, Peak):
@@ -116,22 +116,21 @@ class CompositionSpec:
     activation: ActivationKind = ALGEBRAIC
 
     def __post_init__(self):
-        cycles = tuple(
-            (float(w), float(th), as_index(o, "orientation")) for w, th, o in self.cycles
-        )
-        if not cycles:
+        rows = tuple(self.cycles)
+        orients = [as_index(o, "orientation") for _, _, o in rows]
+        if not rows:
             raise ValueError("composition needs at least one cycle")
-        if any(o not in (-1, 1) for _, _, o in cycles):
+        if any(o not in (-1, 1) for o in orients):
             raise ValueError("orientation must be +1 or -1")
-        require_finite(cycles=cycles)
+        w_th = require_finite(cycles=[(w, th) for w, th, _ in rows]).tolist()
+        cycles = tuple((w, th, o) for (w, th), o in zip(w_th, orients))
         _check_kind(self.activation, "activation")
         object.__setattr__(self, "cycles", cycles)
 
 
 def composition_angle(spec: CompositionSpec, x):
     """Total y-rotation angle at conditioning value x (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    require_finite(x=x)
+    x = require_finite(x=x)
     return float_if_scalar(_angle(spec.activation, spec.cycles, x))
 
 
@@ -153,9 +152,10 @@ def analytic_rectangle(rect: Rectangle, steepness: float) -> CompositionSpec:
     The forward cycle saturates to pi/2 once x clears m1; the reversed
     cycle cancels it again past m2.  Larger steepness sharpens both walls.
     """
-    if not (steepness > 0):
+    # nan is not read but refused below, as not positive
+    w = require_finite(steepness=steepness) if steepness == steepness else steepness
+    if not (w > 0):
         raise ValueError("steepness must be positive")
-    w = float(steepness)
     return CompositionSpec(((w, w * rect.m1, 1), (w, w * rect.m2, -1)))
 
 
@@ -199,10 +199,9 @@ def synthesize(target: TargetResponse, cycles: int, x_grid) -> SynthesisResult:
     if cycles > _MAX_CYCLES:
         raise ValueError(f"cycles={cycles} needs {_RESTARTS} x (2^{cycles} - 1) fits; "
                          f"at most {_MAX_CYCLES} cycles are allowed")
-    x = np.asarray(x_grid, dtype=float).ravel()
+    x = np.ravel(require_finite(x_grid=x_grid))
     if x.size == 0:
         raise ValueError("x_grid must be nonempty")
-    require_finite(x_grid=x)
     tgt = target_angle(target, x)
     span = max(float(x.max() - x.min()), 1e-6)
     rng = np.random.default_rng(0)
@@ -239,7 +238,8 @@ def apply_composition(
     count of excited sources, x = sum_k w_k s_k with s_k in {0, 1}.
     """
     target_qubit = _check_qubit(reg, target_qubit, "target qubit")
-    srcs = {_check_qubit(reg, k, "source qubit"): float(v) for k, v in source_weights.items()}
+    weights = require_finite(**{"source weights": list(source_weights.values())}).tolist()
+    srcs = {_check_qubit(reg, k, "source qubit"): v for k, v in zip(source_weights, weights)}
     if target_qubit in srcs:
         raise ValueError("target cannot be its own source")
     x = _sector_field(reg.n_qubits, srcs, 0.0, (0.0, 1.0))
@@ -253,7 +253,7 @@ def composition_to_csv(
 
     Write-only: the package has no public reader for it.
     """
-    x = np.asarray(x_grid, dtype=float).ravel()
+    x = np.ravel(require_finite(x_grid=x_grid))
     tgt = target_angle(target, x)
     ang = composition_angle(result.spec, x)
     exc = np.sin(ang) ** 2

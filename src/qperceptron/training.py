@@ -28,7 +28,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ._io import as_index, check_bits, read_rows, write_rows
+from ._io import as_index, check_bits, read_rows, require_finite, write_rows
 from .network import NetworkSpec, _cross_entropy, _MixtureEngine, _network_dict, _pass
 from .register import conditional_probability
 
@@ -63,7 +63,9 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "n_bits", as_index(self.n_bits, "n_bits"))
-        pairs = tuple((str(x), float(y)) for x, y in self.pairs)
+        pairs = tuple(self.pairs)
+        labels = require_finite(labels=[y for _, y in pairs]).tolist()
+        pairs = tuple(zip((str(x) for x, _ in pairs), labels))
         if not pairs:
             raise ValueError("dataset must hold at least one pair")
         seen = set()

@@ -259,14 +259,79 @@ def handwritten_checks(path):
     return found
 
 
+def real_reads(path):
+    """(function, line) of each ``float(a)``, ``np.asarray(a, dtype=float)`` or
+    ``np.array(a, dtype=float)`` whose ``a`` is a parameter of a public function
+    or method, or a field ``self.a`` inside ``__post_init__``: a real argument
+    read without _io.require_finite."""
+    def read(call):
+        """The expression the call converts to float, or None."""
+        if isinstance(call.func, ast.Name) and call.func.id == "float" and len(call.args) == 1:
+            return call.args[0]
+        dtype = call.args[1:2] + [k.value for k in call.keywords if k.arg == "dtype"]
+        if call_name(call) in ("asarray", "array") and call.args and any(
+                isinstance(d, ast.Name) and d.id == "float"
+                or isinstance(d, ast.Attribute) and d.attr == "float64" for d in dtype):
+            return call.args[0]
+        return None
+
+    def is_argument(expr, fn):
+        if fn.name == "__post_init__":
+            return (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+                    and expr.value.id == "self")
+        params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+        return isinstance(expr, ast.Name) and expr.id in params - {"self"}
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    methods = [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body]
+    found = []
+    for fn in tree.body + methods:
+        if isinstance(fn, ast.FunctionDef) and (fn.name == "__post_init__"
+                                                or not fn.name.startswith("_")):
+            found += [(fn.name, node.lineno) for node in ast.walk(fn) if isinstance(node, ast.Call)
+                      and (arg := read(node)) is not None and is_argument(arg, fn)]
+    return sorted(found, key=lambda f: f[1])
+
+
 class TestSharedArgumentChecks:
     """Finite numbers and bitstrings are checked by _io alone, so that each
     check is worded once.  The register's own test runs only once its norm
     test has failed, so that no gate pays a second pass over 2^n amplitudes;
-    tol's is a range check, [0, inf)."""
+    tol's is a range check, [0, inf).  A real argument is read (converted
+    and checked) by _io.require_finite alone."""
 
     ALLOWED = {"register.py": {"register amplitudes must be finite"},
                "dynamics.py": {"tol must be finite and >= 0, got "}}
+    # function -> why it may read a real argument itself
+    READS_ALLOWED = {"control.py": {
+        "omega": "evaluates a built schedule at t, on the integrator's own grids: no check",
+        "domega": "evaluates a built schedule's slope at t, as omega does",
+    }}
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                              if p.name != "_io.py"))
+    def test_no_real_read_outside_io(self, module):
+        bad = [(fn, line) for fn, line in real_reads(PACKAGE / module)
+               if fn not in self.READS_ALLOWED.get(module, {})]
+        assert bad == [], f"{module} reads a real argument without require_finite: {bad}"
+
+    def test_guard_sees_each_read(self, tmp_path):
+        src = tmp_path / "m.py"
+        src.write_text("def f(x, y, *, z):\n"
+                       "    a = float(x)\n"
+                       "    b = np.asarray(y, dtype=float)\n"
+                       "    c = np.array(z, float)\n"
+                       "    d = np.asarray(x), float(a), np.array(y, dtype=complex)\n"
+                       "    return np.array(x, dtype=np.float64)\n"
+                       "def _g(x):\n"
+                       "    return float(x)\n"
+                       "class C:\n"
+                       "    def __post_init__(self):\n"
+                       "        float(self.x), float(len(self.y))\n"
+                       "    def value(self, t):\n"
+                       "        return np.asarray(t, dtype=float), float(self)\n")
+        assert real_reads(src) == [("f", 2), ("f", 3), ("f", 4), ("f", 6),
+                                   ("__post_init__", 11), ("value", 13)]
 
     @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
                                               if p.name != "_io.py"))
@@ -436,6 +501,28 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "lambda_lin", lambda: qperceptron.approximator_readout(0.5, "1")),
     (ValueError, "lambda_lin", lambda: qperceptron.build_universal_approximator(_SUM, "x")),
     (ValueError, "lambda_lin", lambda: qperceptron.build_universal_approximator(_SUM, _INF)),
+    # reals read by _io.require_finite, where a str, a nan or an inf was not named
+    (ValueError, "x values", lambda: qperceptron.schedule_propagators(_ramp(), ["a"])),
+    (ValueError, "x values", lambda: qperceptron.response_curve(_ramp(), ["a"])),
+    (ValueError, "x", lambda: qperceptron.composition_angle(_SPEC, "a")),
+    (ValueError, "x_grid", lambda: qperceptron.synthesize(Rectangle(0, 2), 2, ["a"])),
+    (ValueError, "sampled point x", lambda: Sampled([("a", 0.1)])),
+    (ValueError, "cycles", lambda: qperceptron.CompositionSpec((("a", 0, 1),))),
+    (ValueError, "x", lambda: target_angle(Rectangle(0, 1), "x")),
+    (ValueError, "labels", lambda: qperceptron.Dataset(1, (("0", "x"),))),
+    (ValueError, "J", lambda: qperceptron.NetworkSpec(2, (1, 1), _net().mask, [["a"] * 4] * 4,
+                                                      _net().b)),
+    (ValueError, "x_grid", lambda: composition_to_csv(
+        SynthesisResult(_SPEC, 0.0, True), Rectangle(0, 2), ["a"], io.StringIO())),
+    (ValueError, "x_max", lambda: qperceptron.average_fidelity(_ramp(), "a", 5)),
+    (ValueError, "steepness", lambda: analytic_rectangle(Rectangle(0, 2), _INF)),
+    (ValueError, "steepness", lambda: analytic_rectangle(Rectangle(0, 2), "2")),
+    (ValueError, "source weights", lambda: qperceptron.apply_composition(
+        _reg(), _SPEC, 1, {0: _NAN})),
+    (ValueError, "alpha", lambda: qperceptron.build_universal_approximator(
+        ([_NAN], [[1, 1]], [0]), 0.1)),
+    (ValueError, "w", lambda: qperceptron.build_universal_approximator(
+        ([0.5], [[1, _INF]], [0]), 0.1)),
     # bitstrings: _io.check_bits
     (ValueError, "input_bits", lambda: qperceptron.forward(_net(), "1")),
     (ValueError, "input_bits", lambda: qperceptron.forward(_net(), "0x")),
@@ -499,6 +586,11 @@ _NAN, _INF = math.nan, math.inf
         "propagators", "response", "network_J", "network_b", "rectangle", "peak", "sampled",
         "composition", "composition_angle", "synthesize", "readout_p", "readout_lambda",
         "readout_lambda_str", "approximator_lambda_str", "approximator_lambda_inf",
+        "propagators_str", "response_str", "composition_angle_str", "synthesize_str",
+        "sampled_str", "composition_str", "target_str", "dataset_label_str", "network_J_str",
+        "composition_csv_str", "fidelity_x_max_str", "rectangle_steepness_inf",
+        "rectangle_steepness_str", "composition_source_nan", "approximator_alpha_nan",
+        "approximator_w_inf",
         "forward_short", "forward_char", "oracle", "basis_short", "basis_char", "dataset",
         "composition_target", "composition_source", "hadamard", "gate_source", "gate_weight",
         "gate_bias", "gate_weight_array", "gate_weight_ragged", "gate_bias_array", "probability",
