@@ -5,7 +5,8 @@ guard that each module exports only what it defines, one that the package
 exports exactly its layer modules' exports, and one that keeps the tests'
 ODE reference solves in the shared oracles;
 the shared argument checks, driven through every entry point that uses
-them, and a guard that keeps finiteness and bitstring checks in them; a
+them, a guard that keeps finiteness and bitstring checks in them and one
+that keeps the reads of real arguments in _io.require_finite; a
 guard that keeps the bit order in register._view; and the scalar-in,
 float-out rule of every entry point."""
 import ast
