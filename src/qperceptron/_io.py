@@ -3,6 +3,7 @@ bitstring and the one read of a real argument, a ValueError naming it, and scala
 from __future__ import annotations
 
 import contextlib
+import numbers
 import operator
 import os
 import sys
@@ -11,20 +12,26 @@ import numpy as np
 
 
 def as_index(value, name: str) -> int:
-    """``operator.index(value)``, or a ValueError naming the argument (1.5, 2.0, "2")."""
+    """``operator.index(value)``, or a ValueError naming the argument (1.5, 2.0, "2", True)."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):  # a numpy bool has no __index__
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def require_finite(**params):
     """Each value in ``params`` read as a real: a Python float if scalar, else a float64 array
-    (a float64 one as is, not copied); the one value, or a tuple of them in keyword order.
-    ValueError "<name> must be finite" for a nan, an inf or an int past float range (a float
-    is quoted); "... must be real" for anything else not real: a str, a complex, a ragged list."""
+    (a float64 one as is, not copied; a list of reals that numpy holds as objects, element by
+    element); the one value, or a tuple of them in keyword order.  ValueError "<name> must be
+    finite" for a nan, an inf or an int past float range (a float is quoted); "... must be
+    real" for anything else not real: a str, a complex, a ragged list.  A bool scalar is
+    refused by name; an array of bools reads as 0s and 1s."""
     out = []
     for name, value in params.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be a number, got the bool {value!r}")
         if isinstance(value, (int, float)):  # about 50x faster than numpy on a scalar
             if not abs(value) <= sys.float_info.max:  # an int compares exactly: 10**400 fails
                 got = repr(value) if isinstance(value, float) else f"a {value.bit_length()}-bit int"
@@ -35,6 +42,12 @@ def require_finite(**params):
                 arr = np.asarray(value)
             except ValueError:  # a ragged sequence
                 arr = None
+            if arr is not None and arr.dtype == object and all(  # [0, 2**64], say
+                    isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+                    for v in arr.flat):
+                if not all(abs(v) <= sys.float_info.max for v in arr.flat):  # as for a scalar
+                    raise ValueError(f"{name} must be finite")
+                arr = arr.astype(float)
             if arr is None or arr.dtype.kind not in "biuf":
                 raise ValueError(f"{name} must be real, got {value!r}")
             if not np.isfinite(arr).all():

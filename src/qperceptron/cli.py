@@ -31,7 +31,7 @@ from .network import layered_network
 from .synthesis import _MAX_CYCLES, Peak, Rectangle, composition_to_csv, synthesize
 from .training import TrainConfig, prime_dataset, report_to_json, train
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 _UNITS_COMMENT = "# units: frequencies in omega_f = 1, times in 1/omega_f\n"
 _MAX_POINTS = 1_000_000
@@ -49,7 +49,7 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qperceptron",
         description="perceptron-gate simulation, control benchmarks, "
@@ -203,7 +203,7 @@ def cmd_synthesize(parser, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(parser, args)

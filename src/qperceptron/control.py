@@ -4,9 +4,8 @@ The hardware protocol drives H(t) = -1/2 [Omega(t) sx + x sz] from a large
 transverse field Omega(0) = omega0 down to omegaf, dragging the ground
 state from |+> to the sigmoid superposition.  This module builds the two
 ramp families studied here (linear and constant-adiabaticity "faquad"),
-their perturbed variants, tabulated waveforms and the time-reversed,
-sign-flipped drive that undoes a passage, all as the one schedule type
-``ControlSchedule``; plus the instantaneous eigensystem and the
+their perturbed variants and tabulated waveforms, all as the one schedule
+type ``ControlSchedule``; plus the instantaneous eigensystem and the
 adiabatic-parameter diagnostics used to compare the ramps.
 
 Units: omegaf is the frequency unit (set it to 1), times are in 1/omegaf,
@@ -31,7 +30,6 @@ __all__ = [
     "faquad_schedule",
     "perturbed_schedule",
     "tabulated_schedule",
-    "reversed_negated",
     "eigensystem",
     "adiabatic_mu",
     "adiabatic_diagnostics",
@@ -55,12 +53,12 @@ class ControlSchedule:
 
     Built by the factories below, which close ``field`` and ``slope`` (the
     vectorised Omega(t) and dOmega/dt) over their parameters.  ``kind`` is
-    a label only: ``linear``, ``faquad``, ``perturbed``, ``tabulated`` or
-    ``reversed``.  ``omega0``/``omegaf`` are the design endpoints; for the
-    perturbed kind they keep the *base* schedule's values and evaluation
-    intentionally overshoots them by the degradation term.  ``samples``
-    holds the (t, Omega) knots of a tabulated drive (mirrored for a reversed
-    one), each a step edge of the integrator, and is None otherwise.
+    a label only: ``linear``, ``faquad``, ``perturbed`` or ``tabulated``.
+    ``omega0``/``omegaf`` are the design endpoints; for the perturbed kind
+    they keep the *base* schedule's values and evaluation intentionally
+    overshoots them by the degradation term.  ``samples`` holds the
+    (t, Omega) knots of a tabulated drive, each a step edge of the
+    integrator, and is None otherwise.
     Equality and hashing are by identity.
     """
 
@@ -74,11 +72,11 @@ class ControlSchedule:
 
     def omega(self, t):
         """Field value(s) at time t (scalar or array)."""
-        return float_if_scalar(self.field(np.asarray(t, dtype=float)))
+        return float_if_scalar(self.field(np.asarray(require_finite(t=t))))
 
     def domega(self, t):
         """Time derivative of the field (scalar or array)."""
-        return float_if_scalar(self.slope(np.asarray(t, dtype=float)))
+        return float_if_scalar(self.slope(np.asarray(require_finite(t=t))))
 
 
 def linear_schedule(omega0: float, omegaf: float, tf: float) -> ControlSchedule:
@@ -192,31 +190,6 @@ def tabulated_schedule(ts, omegas) -> ControlSchedule:
     )
 
 
-def reversed_negated(schedule) -> ControlSchedule:
-    """Time-reversed, sign-flipped drive Omega'(t) = -Omega(tf - t).
-
-    Evolving with this schedule and the longitudinal field negated undoes
-    the original evolution exactly: both fields must flip so that H'(t) =
-    -H(tf - t), which turns the time-ordered product into its inverse.
-
-    Knots closer than an ulp of tf - t mirror onto one time; the mirrored
-    table keeps the last knot of each such run, so its times increase
-    strictly (t = 0 cannot collide, and the knot at tf is kept).
-    """
-    tf = schedule.tf
-    samples = schedule.samples
-    if samples is not None:
-        ts, oms = tf - samples[0][::-1], -samples[1][::-1]
-        keep = np.append(np.diff(ts) > 0, True)
-        samples = (ts[keep], oms[keep])
-    return ControlSchedule(
-        "reversed", -schedule.omegaf, -schedule.omega0, tf,
-        field=lambda t: -schedule.omega(tf - t),
-        slope=lambda t: schedule.domega(tf - t),
-        samples=samples,
-    )
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Instantaneous eigensystem of H = -1/2 (Omega sx + x sz).
@@ -240,11 +213,11 @@ class EigenSystem:
 
 def eigensystem(omega: float, x) -> EigenSystem:
     """Diagonalize the two-level Hamiltonian at fixed Omega and x (scalar or array)."""
-    require_finite(omega=omega, x=x)
+    omega, x = require_finite(omega=omega, x=x)
     E = np.hypot(omega, x)
     if np.any(E == 0):
         raise ValueError("omega = x = 0 is degenerate; the gap closes")
-    theta = np.arccos(np.clip(np.negative(x) / E, -1.0, 1.0))  # x may be a list
+    theta = np.arccos(np.clip(-x / E, -1.0, 1.0))
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return EigenSystem(*map(float_if_scalar, (theta, -E / 2.0, E / 2.0)),
                        np.array([c, s]), np.array([-s, c]))
@@ -257,7 +230,7 @@ def adiabatic_mu(schedule: ControlSchedule, x: float, t) -> float:
     adiabatic.  Vectorized over t.  A non-finite x or t, or a point where
     Omega(t) = x = 0, is refused.
     """
-    require_finite(x=x, t=t)
+    x = require_finite(x=x)
     om = schedule.omega(t)
     dom = schedule.domega(t)
     E = np.hypot(om, x)

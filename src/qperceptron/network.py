@@ -34,7 +34,7 @@ import numpy as np
 from ._io import as_index, check_bits, require_finite
 from .activation import ALGEBRAIC, ActivationKind, _check_kind, cao_arctan, df_dx, eval_f
 from .register import (
-    PerceptronGateSpec, QuantumRegister, _dimension, _view, apply_hardware_perceptron,
+    PerceptronGateSpec, QuantumRegister, _adopt, _dimension, _view, apply_hardware_perceptron,
     apply_ideal_perceptron, excitation_probability)
 
 __all__ = [
@@ -147,8 +147,7 @@ def _pass(net: NetworkSpec, inputs, schedule=None) -> QuantumRegister:
     for x in inputs:
         check_bits(x, net.n_inputs, "input_bits")
         _view(amps, n, range(n), map(int, x.ljust(n, "0")))[...] = r
-    amps.flags.writeable = False
-    reg = QuantumRegister(n, amps)
+    reg = _adopt(n, amps)
     if schedule is not None:
         return apply_hardware_perceptron(reg, schedule, *net.gates())
     for gate in net.gates():

@@ -5,7 +5,7 @@ Conventions, fixed once for the whole package:
 - Bitstrings read left to right: qubit 0 is the leftmost character and the
   most significant bit of the amplitude index, so ``init_basis(2, "10")``
   puts the amplitude at index 0b10 = 2.  _view alone maps qubits to amplitude
-  positions; register_to_csv prints the labels.
+  positions.
 - The active state is |1> with sz|1> = +|1>, sz|0> = -|0>; the excitation
   probability of a qubit is P = (1 + <sz>) / 2.  Two-level vectors are
   (amp0, amp1) pairs everywhere, and a scalar input gives a Python float.
@@ -23,7 +23,8 @@ only for the occupied source configurations, those holding any nonzero
 amplitude: an unoccupied one has only exact zeros, which every propagator
 leaves exactly zero.  apply_hardware_perceptron integrates a pass's gates in
 one sweep of the schedule it takes.  Registers are values: every operation
-returns a new register and amplitude arrays are frozen read-only.
+returns a new register, whose amplitude array is frozen read-only and
+reachable through no other name.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._io import as_index, check_bits, require_finite, write_rows
+from ._io import as_index, check_bits, require_finite
 from .activation import ActivationKind, _check_kind, chi
 from .dynamics import _HADAMARD, schedule_propagators
 
@@ -42,13 +43,10 @@ __all__ = [
     "PerceptronGateSpec",
     "ZeroProbabilityError",
     "init_basis",
-    "apply_hadamard",
     "apply_ideal_perceptron",
     "apply_hardware_perceptron",
-    "z_expectation",
     "excitation_probability",
     "conditional_probability",
-    "register_to_csv",
 ]
 
 MAX_QUBITS = 24
@@ -67,29 +65,32 @@ def _dimension(n: int) -> int:
 
 @dataclass(frozen=True)
 class QuantumRegister:
-    """2^n amplitudes of norm-squared 1.  A read-only complex array that owns its memory is
-    kept, so no gate pays a copy; any other is copied and the copy frozen.  Open defect: a
-    writable view taken before the caller froze the array still writes into the register
-    (``v = a[:]; a.flags.writeable = False; v[3] = 5``), as numpy cannot see that view."""
+    """2^n amplitudes of norm-squared 1, held as a frozen copy of the array given, so that
+    no view of the caller's can write into the register."""
 
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", as_index(self.n_qubits, "n_qubits"))
-        amps = self.amplitudes  # kept if frozen and owning its memory, else copied and frozen
-        if not (isinstance(amps, np.ndarray) and amps.dtype == complex and amps.base is None
-                and not amps.flags.writeable):
-            amps = np.array(amps, dtype=complex)
-            amps.flags.writeable = False
-        if amps.shape != (_dimension(self.n_qubits),):
-            raise ValueError("amplitude count must be 2**n_qubits")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm - 1.0) <= 1e-10:  # a nan norm fails too
-            if not np.all(np.isfinite(amps)):
-                raise ValueError("register amplitudes must be finite")
-            raise ValueError(f"register norm-squared {norm} is not 1")
-        object.__setattr__(self, "amplitudes", amps)
+        _adopt(as_index(self.n_qubits, "n_qubits"), np.array(self.amplitudes, dtype=complex), self)
+
+
+def _adopt(n: int, amps: np.ndarray, reg: QuantumRegister = None) -> QuantumRegister:
+    """``reg``, or a new register, holding n qubits and taking ownership of ``amps``, a fresh
+    complex array that nothing else holds: checked and frozen, not copied, so no gate pays a
+    copy."""
+    if amps.shape != (_dimension(n),):
+        raise ValueError("amplitude count must be 2**n_qubits")
+    norm = float(np.sum(np.abs(amps) ** 2))
+    if not abs(norm - 1.0) <= 1e-10:  # a nan norm fails too
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("register amplitudes must be finite")
+        raise ValueError(f"register norm-squared {norm} is not 1")
+    amps.flags.writeable = False
+    reg = object.__new__(QuantumRegister) if reg is None else reg
+    object.__setattr__(reg, "n_qubits", n)
+    object.__setattr__(reg, "amplitudes", amps)
+    return reg
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,7 @@ def init_basis(n: int, bits: str) -> QuantumRegister:
     amps = np.zeros(_dimension(n), dtype=complex)  # n checked first: 2.0 is no qubit count
     check_bits(bits, n, "bits")
     _view(amps, n, range(n), map(int, bits))[...] = 1.0
-    amps.flags.writeable = False
-    return QuantumRegister(n, amps)
+    return _adopt(n, amps)
 
 
 def _check_qubit(reg: QuantumRegister, q: int, name: str = "qubit") -> int:
@@ -177,8 +177,7 @@ def _update_pairs(reg: QuantumRegister, target: int, u) -> QuantumRegister:
     out = np.empty_like(a)
     _view(out, n, [target], [0])[...] = u00 * a0 + u01 * a1
     _view(out, n, [target], [1])[...] = u10 * a0 + u11 * a1
-    out.flags.writeable = False
-    return QuantumRegister(n, out)
+    return _adopt(n, out)
 
 
 def _rotation(ang):
@@ -193,10 +192,6 @@ def _gate_field(reg, gate) -> np.ndarray:
     for k in gate.weights:
         _check_qubit(reg, k, "source")
     return _sector_field(reg.n_qubits, gate.weights, -float(gate.bias), (-1.0, 1.0))
-
-
-def apply_hadamard(reg: QuantumRegister, target: int) -> QuantumRegister:
-    return _update_pairs(reg, _check_qubit(reg, target, "target"), _HADAMARD)
 
 
 def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
@@ -245,10 +240,6 @@ def excitation_probability(reg: QuantumRegister, qubit: int) -> float:
     return _norm2(_view(reg.amplitudes, reg.n_qubits, [_check_qubit(reg, qubit)], [1]))
 
 
-def z_expectation(reg: QuantumRegister, qubit: int) -> float:
-    return 2.0 * excitation_probability(reg, qubit) - 1.0
-
-
 def conditional_probability(reg, condition_qubits, condition_bits, query_qubit) -> float:
     """P(query = 1 | condition qubits carry the given bits).
 
@@ -256,7 +247,8 @@ def conditional_probability(reg, condition_qubits, condition_bits, query_qubit) 
     probability (squared norm below 1e-30).
     """
     conds = [_check_qubit(reg, q, "condition qubit") for q in condition_qubits]
-    bits = [as_index(b, "condition bit") for b in condition_bits]
+    bits = [int(b) if isinstance(b, bool) else as_index(b, "condition bit")  # True is a bit
+            for b in condition_bits]
     if len(conds) != len(bits) or any(b not in (0, 1) for b in bits):
         raise ValueError("condition bits must pair 0/1 values with the qubits")
     query = _check_qubit(reg, query_qubit, "query qubit")
@@ -265,13 +257,3 @@ def conditional_probability(reg, condition_qubits, condition_bits, query_qubit) 
     if p_cond < 1e-30:
         raise ZeroProbabilityError("conditioning event has zero probability")
     return _norm2(_view(a, n, conds + [query], bits + [1])) / p_cond
-
-
-def register_to_csv(reg: QuantumRegister, path_or_buf) -> None:
-    """Debug dump: one row per basis state, ``index,bitstring,re,im``.
-
-    Write-only: the package has no public reader for it.
-    """
-    n = reg.n_qubits
-    rows = ((str(i), format(i, f"0{n}b"), a.real, a.imag) for i, a in enumerate(reg.amplitudes))
-    write_rows(path_or_buf, "index,bitstring,re,im", rows)

@@ -6,12 +6,20 @@ package or with each other: ``dop853_two_level`` for the single-qubit ramp,
 ``landau_zener_propagator``, the exact solution of a linear ramp, and
 ``dop853_ising_passage`` for a dense Ising passage on a whole register.
 Qubit 0 is the leftmost factor, and the active |1> has sz = +1.
+
+Two test devices built on the package sit here too, as no package caller
+needs them: ``reversed_negated``, the drive that undoes a passage, and
+``apply_hadamard``, a Hadamard through the register's gate kernel.
 """
 import math
 
 import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from qperceptron.control import ControlSchedule
+from qperceptron.dynamics import _HADAMARD
+from qperceptron.register import _check_qubit, _update_pairs
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[-1.0, 0.0], [0.0, 1.0]])  # active |1> has sz = +1
@@ -108,3 +116,33 @@ def dop853_ising_passage(psi, targets, fields, schedule):
     sol = solve_ivp(rhs, (0.0, schedule.tf), np.concatenate([psi.real, psi.imag]),
                     method="DOP853", rtol=1e-11, atol=1e-11)
     return sol.y[:dim, -1] + 1j * sol.y[dim:, -1]
+
+
+def reversed_negated(schedule):
+    """Time-reversed, sign-flipped drive Omega'(t) = -Omega(tf - t).
+
+    Evolving with this schedule and the longitudinal field negated undoes
+    the original evolution exactly: both fields must flip so that H'(t) =
+    -H(tf - t), which turns the time-ordered product into its inverse.
+
+    Knots closer than an ulp of tf - t mirror onto one time; the mirrored
+    table keeps the last knot of each such run, so its times increase
+    strictly (t = 0 cannot collide, and the knot at tf is kept).
+    """
+    tf = schedule.tf
+    samples = schedule.samples
+    if samples is not None:
+        ts, oms = tf - samples[0][::-1], -samples[1][::-1]
+        keep = np.append(np.diff(ts) > 0, True)
+        samples = (ts[keep], oms[keep])
+    return ControlSchedule(
+        "reversed", -schedule.omegaf, -schedule.omega0, tf,
+        field=lambda t: -schedule.omega(tf - t),
+        slope=lambda t: schedule.domega(tf - t),
+        samples=samples,
+    )
+
+
+def apply_hadamard(reg, target):
+    """H on one target qubit of a register, through the gate kernel."""
+    return _update_pairs(reg, _check_qubit(reg, target, "target"), _HADAMARD)

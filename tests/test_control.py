@@ -25,11 +25,11 @@ from qperceptron.control import (
     linear_schedule,
     optimal_design_field,
     perturbed_schedule,
-    reversed_negated,
     schedule_from_csv,
     schedule_to_csv,
     tabulated_schedule,
 )
+from ode_oracles import reversed_negated
 
 X_STAR = 1.2720196495140690  # sqrt((1 + sqrt 5)/2)
 
@@ -395,7 +395,7 @@ class TestCsvRoundTrip:
 
 
 def every_kind():
-    """One schedule of each kind the factories build."""
+    """One schedule of each kind the factories build, and the oracles' time-reversed one."""
     faq = faquad_schedule(100, 1, 10, X_STAR)
     return [
         linear_schedule(100, 1, 10),

@@ -20,7 +20,7 @@ from scipy.optimize import least_squares, minimize_scalar
 from qperceptron import cli, dynamics
 from qperceptron.activation import ALGEBRAIC, eval_CS, eval_f
 from qperceptron.control import (faquad_schedule, linear_schedule, perturbed_schedule,
-                                 reversed_negated, tabulated_schedule)
+                                 tabulated_schedule)
 from qperceptron.dynamics import (
     FidelityReport,
     average_fidelity,
@@ -34,7 +34,7 @@ from qperceptron.dynamics import (
 )
 from qperceptron.network import forward
 from qperceptron.training import cross_entropy_cost, prime_dataset
-from ode_oracles import PLUS, dop853_two_level, landau_zener_propagator
+from ode_oracles import PLUS, dop853_two_level, landau_zener_propagator, reversed_negated
 from test_network import layered_net
 
 X_REF = 1.2720196495140690

@@ -1,9 +1,10 @@
 """The shared CSV writer and reader, a guard that keeps CSV rows in them and
 print calls in the CLI, one that keeps the CLI's CSV rows in the modules'
 writers, one that keeps each module's package imports to earlier layers, a
-guard that each module exports only what it defines, one that the package
-exports exactly its layer modules' exports, and one that keeps the tests'
-ODE reference solves in the shared oracles;
+guard that each module exports only what it defines, one that each exported
+name has a caller or a stated reason, one that the package exports exactly
+its layer modules' exports, and one that keeps the tests' ODE reference
+solves in the shared oracles;
 the shared argument checks, driven through every entry point that uses
 them, a guard that keeps finiteness and bitstring checks in them and one
 that keeps the reads of real arguments in _io.require_finite; a
@@ -30,7 +31,6 @@ from qperceptron import dynamics
 from qperceptron._io import read_rows, write_rows
 from qperceptron.control import faquad_schedule
 from qperceptron.dynamics import FidelityReport, report_to_csv, response_curve, response_to_csv
-from qperceptron.register import QuantumRegister, register_to_csv
 from qperceptron.synthesis import (
     Peak,
     Rectangle,
@@ -44,6 +44,7 @@ from qperceptron.synthesis import (
 
 PACKAGE = pathlib.Path(qperceptron.__file__).parent
 TESTS = pathlib.Path(__file__).parent
+ROOT = TESTS.parent
 MAX = 1.7976931348623157e308
 EDGES = [0.0, -0.0, 5e-324, -5e-324, MAX, -MAX, 1 / 3, 2.2250738585072014e-308]
 
@@ -190,6 +191,75 @@ class TestExportsAreOwn:
         assert foreign_exports(mod) == ["dumps", "Fraction"]
 
 
+def caller_texts(module):
+    """Text of each file where a public name of ``module`` may have its caller: the other
+    package modules, the files of demos/ and perfbench/, and the acceptance tests."""
+    files = [p for p in PACKAGE.glob("*.py") if p.stem not in (module, "__init__")]
+    files += [p for d in ("demos", "perfbench") for p in sorted((ROOT / d).iterdir()) if p.is_file()]
+    return [p.read_text(encoding="utf-8") for p in files + [TESTS / "test_acceptance.py"]]
+
+
+def uncalled_exports(module, texts):
+    """Names in the module's ``__all__`` that no text names as a whole word."""
+    return [name for name in getattr(module, "__all__", ())
+            if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)]
+
+
+class TestEachExportHasACaller:
+    """A public name stays for a caller outside its module and the unit tests,
+    or for one of four stated reasons; a name with neither leaves the API."""
+
+    REASONS = {
+        "type": "a type that a public function takes, returns or raises",
+        "round-trip": "one half of a serialized round-trip pair",
+        "constant": "a constant that a caller passes in or checks against",
+        "paper": "a quantity of the paper that the README names",
+    }
+    UNCALLED = {
+        "ControlSchedule": "type",
+        "EigenSystem": "type",
+        "AdiabaticDiagnostics": "type",
+        "FidelityReport": "type",
+        "ZeroProbabilityError": "type",
+        "Dataset": "type",
+        "TrainReport": "type",
+        "TargetResponse": "type",
+        "CompositionSpec": "type",
+        "SynthesisResult": "type",
+        "schedule_to_csv": "round-trip",
+        "network_to_json": "round-trip",
+        "dataset_to_csv": "round-trip",
+        "dataset_from_csv": "round-trip",
+        "LOGISTIC": "constant",
+        "STEP": "constant",
+        "MAX_QUBITS": "constant",
+        "adiabatic_mu": "paper",  # the mu that FAQUAD holds constant
+        "protocol_duration": "paper",  # the abstract's "dominated by the number of layers"
+        "target_angle": "paper",
+    }
+
+    @pytest.mark.parametrize("module", LAYERS)
+    def test_every_export_has_a_caller_or_a_reason(self, module):
+        mod = importlib.import_module(f"qperceptron.{module}")
+        bad = [name for name in uncalled_exports(mod, caller_texts(module))
+               if name not in self.UNCALLED]
+        assert bad == [], f"{module} exports names with no caller and no reason: {bad}"
+
+    def test_no_entry_is_stale(self):
+        # each entry is still exported and still uncalled, for a reason of the four
+        uncalled = set().union(*(
+            uncalled_exports(importlib.import_module(f"qperceptron.{m}"), caller_texts(m))
+            for m in LAYERS))
+        assert set(self.UNCALLED.values()) <= set(self.REASONS)
+        assert set(self.UNCALLED) <= uncalled, sorted(set(self.UNCALLED) - uncalled)
+
+    def test_guard_sees_an_uncalled_export(self):
+        mod = types.ModuleType("qperceptron.fake")
+        exec("def used():\n    pass\ndef orphan():\n    pass\nLIMIT = 3\n"
+             "__all__ = ['used', 'orphan', 'LIMIT']", vars(mod))
+        assert uncalled_exports(mod, ["used(LIMIT)", "orphans = 2  # no orphan_call"]) == ["orphan"]
+
+
 def solve_ivp_calls(path):
     """(enclosing function, line) of each solve_ivp call or renaming import
     in a module; "<module>" outside any function."""
@@ -303,17 +373,10 @@ class TestSharedArgumentChecks:
 
     ALLOWED = {"register.py": {"register amplitudes must be finite"},
                "dynamics.py": {"tol must be finite and >= 0, got "}}
-    # function -> why it may read a real argument itself
-    READS_ALLOWED = {"control.py": {
-        "omega": "evaluates a built schedule at t, on the integrator's own grids: no check",
-        "domega": "evaluates a built schedule's slope at t, as omega does",
-    }}
-
     @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
                                               if p.name != "_io.py"))
     def test_no_real_read_outside_io(self, module):
-        bad = [(fn, line) for fn, line in real_reads(PACKAGE / module)
-               if fn not in self.READS_ALLOWED.get(module, {})]
+        bad = real_reads(PACKAGE / module)
         assert bad == [], f"{module} reads a real argument without require_finite: {bad}"
 
     def test_guard_sees_each_read(self, tmp_path):
@@ -534,7 +597,8 @@ _NAN, _INF = math.nan, math.inf
     # qubit indices: register._check_qubit
     (IndexError, "target qubit", lambda: qperceptron.apply_composition(_reg(), _SPEC, 2, {0: 1.0})),
     (IndexError, "source qubit", lambda: qperceptron.apply_composition(_reg(), _SPEC, 0, {5: 1.0})),
-    (IndexError, "target", lambda: qperceptron.apply_hadamard(_reg(), 2)),
+    (IndexError, "target", lambda: qperceptron.apply_ideal_perceptron(
+        _reg(), qperceptron.PerceptronGateSpec(2, {0: 1.0}))),
     (IndexError, "source", lambda: qperceptron.apply_ideal_perceptron(
         _reg(), qperceptron.PerceptronGateSpec(0, {3: 1.0}))),
     (ValueError, "weights", lambda: qperceptron.PerceptronGateSpec(1, {0: _NAN})),
@@ -576,6 +640,15 @@ _NAN, _INF = math.nan, math.inf
         qperceptron.linear_schedule(10.0, 0.0, 5.0), 0.0, 5.0)),
     (ValueError, "Omega(t) = x = 0", lambda: qperceptron.adiabatic_diagnostics(
         qperceptron.tabulated_schedule([0.0, 1.0, 2.0], [2.0, 1.0, 0.0]), 0.0, 5)),
+    # a bool is no number: _io.as_index and _io.require_finite
+    (ValueError, "n_qubits", lambda: qperceptron.init_basis(True, "0")),
+    (ValueError, "max_iters", lambda: qperceptron.TrainConfig(max_iters=True)),
+    (ValueError, "omega0", lambda: qperceptron.linear_schedule(True, 1.0, 1.0)),
+    (ValueError, "x", lambda: qperceptron.eigensystem(1.0, np.bool_(True))),
+    # a built schedule's time: _io.require_finite
+    (ValueError, "t", lambda: _ramp().omega("a")),
+    (ValueError, "t", lambda: _ramp().omega(_NAN)),
+    (ValueError, "t", lambda: _ramp().domega([0.0, _INF])),
     # network shapes
     (ValueError, "hidden_sizes", lambda: qperceptron.layered_network(2, 3)),
     (ValueError, "hidden_sizes", lambda: qperceptron.layered_network(2, None)),
@@ -593,7 +666,7 @@ _NAN, _INF = math.nan, math.inf
         "rectangle_steepness_str", "composition_source_nan", "approximator_alpha_nan",
         "approximator_w_inf",
         "forward_short", "forward_char", "oracle", "basis_short", "basis_char", "dataset",
-        "composition_target", "composition_source", "hadamard", "gate_source", "gate_weight",
+        "composition_target", "composition_source", "gate_target", "gate_source", "gate_weight",
         "gate_bias", "gate_weight_array", "gate_weight_ragged", "gate_bias_array", "probability",
         "conditional",
         "gate_source_float", "fidelity_points", "benchmark_points", "diagnostics_float",
@@ -601,7 +674,9 @@ _NAN, _INF = math.nan, math.inf
         "network_activation", "gate_activation",
         "composition_activation", "activation_kind", "benchmark_3_points", "benchmark_scalar",
         "benchmark_2d", "benchmark_nan", "benchmark_inf", "benchmark_unsorted", "mu_x", "mu_t",
-        "mu_closed_gap", "diagnostics_closed_gap", "hidden_int", "hidden_none", "hidden_float"])
+        "mu_closed_gap", "diagnostics_closed_gap", "basis_bool", "train_iters_bool", "linear_bool",
+        "eigensystem_numpy_bool", "omega_str", "omega_nan", "domega_inf", "hidden_int",
+        "hidden_none", "hidden_float"])
 def test_bad_argument_is_refused_by_name(error, name, call):
     # warnings are errors: a bad count once gave nan and two RuntimeWarnings
     with warnings.catch_warnings():
@@ -610,6 +685,19 @@ def test_bad_argument_is_refused_by_name(error, name, call):
             call()
     assert err.type is error
     assert str(err.value).startswith(f"{name} "), str(err.value)
+
+
+def test_reals_held_as_objects_or_bools_are_read():
+    # numpy holds a list with an int past int64 as objects, each a real; a
+    # bool array holds 0s and 1s: both read as floats, past float range as no finite one
+    table = qperceptron.tabulated_schedule([0, 2**64], [1.0, 0.0])
+    assert table.tf == 2.0**64 and table.samples[0].dtype == float
+    assert qperceptron.eigensystem(1, [2**64]).theta_bloch.tolist() == [math.pi]
+    net = _net()
+    spec = qperceptron.NetworkSpec(2, net.layer_sizes, net.mask.astype(bool), net.J, net.b)
+    assert spec.mask.dtype == float and np.array_equal(spec.mask, net.mask)
+    with pytest.raises(ValueError, match=r"^ts must be finite$"):
+        qperceptron.tabulated_schedule([0, 10**400], [1.0, 0.0])
 
 
 class TestReadRows:
@@ -690,15 +778,3 @@ class TestWriteOnlyFormatsReadBack:
         ang = composition_angle(spec, x)
         written = np.column_stack([x, target_angle(rect, x), ang, np.sin(ang) ** 2])
         assert bits(np.ravel(back)) == bits(written.ravel())
-
-    @pytest.mark.parametrize("n", [1, 3, 7])
-    def test_register(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        a[0] = complex(-0.0, a[0].imag)  # the sign of a zero must survive
-        a /= np.linalg.norm(a)
-        back = read_back(register_to_csv, (QuantumRegister(n, a),), "index,bitstring,re,im",
-                         int, str, float, float)
-        assert [r[0] for r in back] == list(range(1 << n))
-        assert [r[1] for r in back] == [format(i, f"0{n}b") for i in range(1 << n)]
-        assert bits([v for r in back for v in r[2:]]) == bits(np.column_stack([a.real, a.imag]).ravel())

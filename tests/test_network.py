@@ -33,7 +33,7 @@ from qperceptron.register import (
     init_basis,
 )
 from qperceptron.training import cross_entropy_cost, prime_dataset
-from ode_oracles import PLUS, SZ, dop853_ising_passage, dop853_two_level, kron_on
+from ode_oracles import PLUS, SZ, apply_hadamard, dop853_ising_passage, dop853_two_level, kron_on
 
 X_REF = 1.2720196495140690
 
@@ -563,7 +563,7 @@ class TestLayerHamiltonian:
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
         a = PerceptronGateSpec(1, {0: 2.0}, 0.5)
         b = PerceptronGateSpec(2, {0: 0.7, 1: 3.0}, -0.5)
-        start = register.apply_hadamard(init_basis(3, "000"), 0)
+        start = apply_hadamard(init_basis(3, "000"), 0)
         got = apply_hardware_perceptron(start, sched, a, b)
         want = apply_hardware_perceptron(apply_hardware_perceptron(start, sched, a), sched, b)
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-9

@@ -10,12 +10,12 @@ from qperceptron.control import (
     faquad_schedule,
     linear_schedule,
     perturbed_schedule,
-    reversed_negated,
     schedule_from_csv,
     schedule_to_csv,
     tabulated_schedule,
 )
 from qperceptron.dynamics import schedule_propagators
+from ode_oracles import reversed_negated
 
 finite = dict(allow_nan=False, allow_infinity=False)
 

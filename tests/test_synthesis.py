@@ -26,6 +26,7 @@ from qperceptron.synthesis import (
     synthesize,
     target_angle,
 )
+from ode_oracles import apply_hadamard
 
 HALF_PI = math.pi / 2
 
@@ -292,8 +293,6 @@ class TestApplyComposition:
                 assert p <= 0.05, s
 
     def test_entangles_superposed_control(self):
-        from qperceptron.register import apply_hadamard
-
         res = synthesize(Rectangle(0.0, 2.0), 2, np.linspace(-1, 3, 41))
         reg = apply_hadamard(init_basis(2, "00"), 0)
         out = apply_composition(reg, res.spec, 1, {0: 1.0})
