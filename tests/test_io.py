@@ -235,7 +235,7 @@ class TestEachExportHasACaller:
         "MAX_QUBITS": "constant",
         "adiabatic_mu": "paper",  # the mu that FAQUAD holds constant
         "protocol_duration": "paper",  # the abstract's "dominated by the number of layers"
-        "target_angle": "paper",
+        "target_angle": "paper",  # the rotation angle a perceptron composition is fitted to
     }
 
     @pytest.mark.parametrize("module", LAYERS)
