@@ -19,7 +19,7 @@ Gates of one layer have disjoint targets and diagonal controls on earlier
 layers, so they commute: a whole layer can run as one quasi-adiabatic Ising
 passage under the shared ramp.  protocol_duration counts one ramp per layer,
 and rejects a net in which a gate sources a qubit of its own layer.  The one
-statevector pass, _pass, hands its schedule and all gates to apply_hardware_perceptron.
+statevector pass, _pass, runs ideal gates in place and hardware ones in one sweep.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ import numpy as np
 from ._io import as_index, check_bits, require_finite
 from .activation import ALGEBRAIC, ActivationKind, _check_kind, cao_arctan, df_dx, eval_f
 from .register import (
-    PerceptronGateSpec, QuantumRegister, _adopt, _dimension, _view, apply_hardware_perceptron,
-    apply_ideal_perceptron, excitation_probability)
+    PerceptronGateSpec, QuantumRegister, _adopt, _dimension, _ideal_step, _in_place, _view,
+    apply_hardware_perceptron, excitation_probability)
 
 __all__ = [
     "NetworkSpec",
@@ -138,21 +138,18 @@ def _layer_index(n_inputs: int, sizes) -> np.ndarray:
 
 def _pass(net: NetworkSpec, inputs, schedule=None) -> QuantumRegister:
     """The one statevector pass: the circuit on S^(-1/2) sum_i |x_i, 0...0> over
-    the S checked input bitstrings.  Ideal gates run one at a time when
-    ``schedule`` is None; hardware gates otherwise, all of them in one
-    sweep.  No gate rotates an input qubit."""
+    the S checked input bitstrings.  Ideal gates run one at a time, in place
+    in the pass's one state, when ``schedule`` is None; hardware gates
+    otherwise, all of them in one sweep.  No gate rotates an input qubit."""
     n = net.n_total
     amps = np.zeros(_dimension(n), dtype=complex)
     r = 1.0 / np.sqrt(len(inputs))
     for x in inputs:
         check_bits(x, net.n_inputs, "input_bits")
         _view(amps, n, range(n), map(int, x.ljust(n, "0")))[...] = r
-    reg = _adopt(n, amps)
     if schedule is not None:
-        return apply_hardware_perceptron(reg, schedule, *net.gates())
-    for gate in net.gates():
-        reg = apply_ideal_perceptron(reg, gate)
-    return reg
+        return apply_hardware_perceptron(_adopt(n, amps), schedule, *net.gates())
+    return _in_place(n, amps, (_ideal_step(n, gate) for gate in net.gates()))
 
 
 def forward(net: NetworkSpec, input_bits: str, schedule=None):

@@ -17,14 +17,16 @@ Conventions, fixed once for the whole package:
 Gates act in O(2^n) on the amplitudes viewed as a (2,)*n tensor with qubit
 k on axis k: the target's two halves are slices of its axis, and every gate
 is one 2x2 matrix per source configuration (a rotation, or U(x) H of a
-hardware gate), broadcast over the other axes by one kernel in one pass; no
-2^n x 2^n matrix is ever materialized.  A hardware gate integrates the ramp
-only for the occupied source configurations, those holding any nonzero
-amplitude: an unoccupied one has only exact zeros, which every propagator
-leaves exactly zero.  apply_hardware_perceptron integrates a pass's gates in
-one sweep of the schedule it takes.  Registers are values: every operation
-returns a new register, whose amplitude array is frozen read-only and
-reachable through no other name.
+hardware gate), broadcast over the other axes by one kernel in slabs of at
+most _SLAB amplitudes; no 2^n x 2^n matrix is ever materialized.  A hardware
+gate integrates the ramp only for the occupied source configurations, those
+holding any nonzero amplitude: an unoccupied one has only exact zeros, which
+every propagator leaves exactly zero.  apply_hardware_perceptron integrates a
+pass's gates in one sweep of the schedule it takes.  Registers are values:
+every operation returns a new register, whose amplitude array is frozen
+read-only and reachable through no other name.  A pass (the network's, or
+apply_hardware_perceptron's gates) writes its gates into one state, checked
+after each, so it holds one state plus the slab scratch.
 """
 from __future__ import annotations
 
@@ -50,6 +52,7 @@ __all__ = [
 ]
 
 MAX_QUBITS = 24
+_SLAB = 1 << 16  # amplitudes, both halves together, that the pair kernel takes at a time
 
 
 class ZeroProbabilityError(ValueError):
@@ -63,10 +66,10 @@ def _dimension(n: int) -> int:
     return 1 << n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumRegister:
     """2^n amplitudes of norm-squared 1, held as a frozen copy of the array given, so that
-    no view of the caller's can write into the register."""
+    no view of the caller's can write into the register; equal only to itself."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -75,17 +78,20 @@ class QuantumRegister:
         _adopt(as_index(self.n_qubits, "n_qubits"), np.array(self.amplitudes, dtype=complex), self)
 
 
-def _adopt(n: int, amps: np.ndarray, reg: QuantumRegister = None) -> QuantumRegister:
-    """``reg``, or a new register, holding n qubits and taking ownership of ``amps``, a fresh
-    complex array that nothing else holds: checked and frozen, not copied, so no gate pays a
-    copy."""
+def _check(n: int, amps: np.ndarray) -> None:
+    """Refuse amps unless it is 2^n finite amplitudes of norm-squared 1 (by vdot, no temporary)."""
     if amps.shape != (_dimension(n),):
         raise ValueError("amplitude count must be 2**n_qubits")
-    norm = float(np.sum(np.abs(amps) ** 2))
+    norm = float(np.vdot(amps, amps).real)
     if not abs(norm - 1.0) <= 1e-10:  # a nan norm fails too
         if not np.all(np.isfinite(amps)):
             raise ValueError("register amplitudes must be finite")
         raise ValueError(f"register norm-squared {norm} is not 1")
+
+
+def _adopt(n: int, amps: np.ndarray, reg: QuantumRegister = None) -> QuantumRegister:
+    """``reg``, or a new register, taking over (checked and frozen) the fresh ``amps``."""
+    _check(n, amps)
     amps.flags.writeable = False
     reg = object.__new__(QuantumRegister) if reg is None else reg
     object.__setattr__(reg, "n_qubits", n)
@@ -130,11 +136,11 @@ def init_basis(n: int, bits: str) -> QuantumRegister:
     return _adopt(n, amps)
 
 
-def _check_qubit(reg: QuantumRegister, q: int, name: str = "qubit") -> int:
-    """q as an int, or a ValueError (not an integer) or IndexError naming it."""
+def _check_qubit(n: int, q: int, name: str = "qubit") -> int:
+    """q as an int, or a ValueError (not an integer) or IndexError naming it, n qubits given."""
     q = as_index(q, name)
-    if not (0 <= q < reg.n_qubits):
-        raise IndexError(f"{name} {q} out of range for {reg.n_qubits}-qubit register")
+    if not (0 <= q < n):
+        raise IndexError(f"{name} {q} out of range for {n}-qubit register")
     return q
 
 
@@ -168,16 +174,39 @@ def _sector_field(n: int, weights, offset: float, levels) -> np.ndarray:
     return x
 
 
+def _pair_kernel(out: np.ndarray, a: np.ndarray, n: int, target: int, u) -> None:
+    """Write (u00 a0 + u01 a1, u10 a0 + u11 a1) of each target pair (a0, a1) of ``a`` into
+    ``out``, which may be ``a``; u's entries are scalars or arrays per source sector.  Slab
+    by slab along the leading non-target axes, each product goes to scratch, u first: numpy
+    rounds a complex product written over an input's memory range in another loop."""
+    a0, a1, o0, o1 = (_view(arr, n, [target], [b]) for arr in (a, out) for b in (0, 1))
+    k = max(0, n + 1 - _SLAB.bit_length())  # leading non-target axes to slab along
+    m = k + (target < k)  # the axes they span, the target's one length-1 axis included
+    u00, u01, u10, u11 = (np.broadcast_to(e, a0.shape) if m else e for row in u for e in row)
+    s0, s1, s2 = (np.empty((1,) * m + a0.shape[m:], complex) for _ in range(3))
+    for idx in np.ndindex(a0.shape[:m]):
+        sel = tuple(slice(i, i + 1) for i in idx)
+        np.multiply(u00[sel], a0[sel], out=s0)
+        np.multiply(u10[sel], a0[sel], out=s1)
+        np.multiply(u01[sel], a1[sel], out=s2)
+        np.add(s0, s2, out=o0[sel])  # a0 is not read again
+        np.multiply(u11[sel], a1[sel], out=s0)
+        np.add(s1, s0, out=o1[sel])
+
+
 def _update_pairs(reg: QuantumRegister, target: int, u) -> QuantumRegister:
-    """Map each target pair (a0, a1) to (u00 a0 + u01 a1, u10 a0 + u11 a1) for
-    u = ((u00, u01), (u10, u11)), entries scalars or arrays per source sector."""
-    n, a = reg.n_qubits, reg.amplitudes
-    (u00, u01), (u10, u11) = u
-    a0, a1 = _view(a, n, [target], [0]), _view(a, n, [target], [1])
-    out = np.empty_like(a)
-    _view(out, n, [target], [0])[...] = u00 * a0 + u01 * a1
-    _view(out, n, [target], [1])[...] = u10 * a0 + u11 * a1
-    return _adopt(n, out)
+    """A new register with each target pair mapped by u as _pair_kernel maps it."""
+    out = np.empty_like(reg.amplitudes)
+    _pair_kernel(out, reg.amplitudes, reg.n_qubits, target, u)
+    return _adopt(reg.n_qubits, out)
+
+
+def _in_place(n: int, amps: np.ndarray, steps) -> QuantumRegister:
+    """Register of the fresh ``amps`` after each (target, u) step in place, checked around each."""
+    for target, u in steps:
+        _check(n, amps)
+        _pair_kernel(amps, amps, n, target, u)
+    return _adopt(n, amps)
 
 
 def _rotation(ang):
@@ -186,17 +215,22 @@ def _rotation(ang):
     return (c, -s), (s, c)
 
 
-def _gate_field(reg, gate) -> np.ndarray:
-    """Activation field x = sum w_k z_k - bias of each source sector."""
-    _check_qubit(reg, gate.target, "target")
+def _gate_field(n: int, gate) -> np.ndarray:
+    """Activation field x = sum w_k z_k - bias of each source sector of an n-qubit register."""
+    _check_qubit(n, gate.target, "target")
     for k in gate.weights:
-        _check_qubit(reg, k, "source")
-    return _sector_field(reg.n_qubits, gate.weights, -float(gate.bias), (-1.0, 1.0))
+        _check_qubit(n, k, "source")
+    return _sector_field(n, gate.weights, -float(gate.bias), (-1.0, 1.0))
+
+
+def _ideal_step(n: int, gate):
+    """(target, rotation by chi(x) per source sector) of an ideal gate on n qubits."""
+    return gate.target, _rotation(chi(gate.activation, _gate_field(n, gate)))
 
 
 def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
     """Exact conditional rotation by chi(x) on the target (O(2^n))."""
-    return _update_pairs(reg, gate.target, _rotation(chi(gate.activation, _gate_field(reg, gate))))
+    return _update_pairs(reg, *_ideal_step(reg.n_qubits, gate))
 
 
 def apply_hardware_perceptron(reg: QuantumRegister, schedule, *gates) -> QuantumRegister:
@@ -215,20 +249,21 @@ def apply_hardware_perceptron(reg: QuantumRegister, schedule, *gates) -> Quantum
     if not gates or not all(isinstance(gate, PerceptronGateSpec) for gate in gates):
         raise ValueError("gates must be one or more PerceptronGateSpec arguments, got "
                          f"{[type(gate).__name__ for gate in gates]}")
-    nonzero = _view(reg.amplitudes, reg.n_qubits, [], []) != 0
+    n = reg.n_qubits
+    nonzero = _view(reg.amplitudes, n, [], []) != 0
     fields, targeted = [], set()
     for gate in gates:
-        x = _gate_field(reg, gate)
-        free = tuple(k for k in range(reg.n_qubits) if k not in gate.weights.keys() - targeted)
+        x = _gate_field(n, gate)
+        free = tuple(k for k in range(n) if k not in gate.weights.keys() - targeted)
         occ = np.broadcast_to(np.any(nonzero, axis=free, keepdims=True), x.shape)
         fields.append(np.where(occ, x, x[occ][0]))  # any field keeps an unoccupied sector's zeros
         targeted.add(gate.target)
+    del nonzero  # a pass holds one state and the slab scratch
     xu, inv = np.unique(np.concatenate([x.ravel() for x in fields]), return_inverse=True)
     u = (schedule_propagators(schedule, xu) @ _HADAMARD).transpose(1, 2, 0)  # u[i, j] per x
-    for gate, x in zip(gates, fields):
-        reg = _update_pairs(reg, gate.target, u[:, :, inv[: x.size].reshape(x.shape)])
-        inv = inv[x.size :]
-    return reg
+    parts = np.split(inv, np.cumsum([x.size for x in fields])[:-1])
+    steps = ((g.target, u[:, :, i.reshape(x.shape)]) for g, x, i in zip(gates, fields, parts))
+    return _in_place(n, reg.amplitudes.copy(), steps)
 
 
 def _norm2(psi: np.ndarray) -> float:
@@ -237,7 +272,8 @@ def _norm2(psi: np.ndarray) -> float:
 
 def excitation_probability(reg: QuantumRegister, qubit: int) -> float:
     """P(qubit = 1) = (1 + <sz>) / 2."""
-    return _norm2(_view(reg.amplitudes, reg.n_qubits, [_check_qubit(reg, qubit)], [1]))
+    n = reg.n_qubits
+    return _norm2(_view(reg.amplitudes, n, [_check_qubit(n, qubit)], [1]))
 
 
 def conditional_probability(reg, condition_qubits, condition_bits, query_qubit) -> float:
@@ -246,14 +282,14 @@ def conditional_probability(reg, condition_qubits, condition_bits, query_qubit) 
     Raises ZeroProbabilityError when the conditioning event has zero
     probability (squared norm below 1e-30).
     """
-    conds = [_check_qubit(reg, q, "condition qubit") for q in condition_qubits]
+    n = reg.n_qubits
+    conds = [_check_qubit(n, q, "condition qubit") for q in condition_qubits]
     bits = [int(b) if isinstance(b, bool) else as_index(b, "condition bit")  # True is a bit
             for b in condition_bits]
     if len(conds) != len(bits) or any(b not in (0, 1) for b in bits):
         raise ValueError("condition bits must pair 0/1 values with the qubits")
-    query = _check_qubit(reg, query_qubit, "query qubit")
-    a, n = reg.amplitudes, reg.n_qubits
-    p_cond = _norm2(_view(a, n, conds, bits))
+    query = _check_qubit(n, query_qubit, "query qubit")
+    p_cond = _norm2(_view(reg.amplitudes, n, conds, bits))
     if p_cond < 1e-30:
         raise ZeroProbabilityError("conditioning event has zero probability")
-    return _norm2(_view(a, n, conds + [query], bits + [1])) / p_cond
+    return _norm2(_view(reg.amplitudes, n, conds + [query], bits + [1])) / p_cond

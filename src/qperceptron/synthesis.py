@@ -237,13 +237,15 @@ def apply_composition(
     The conditioning value in each computational sector is the weighted
     count of excited sources, x = sum_k w_k s_k with s_k in {0, 1}.
     """
-    target_qubit = _check_qubit(reg, target_qubit, "target qubit")
+    n = reg.n_qubits
+    target_qubit = _check_qubit(n, target_qubit, "target qubit")
     weights = require_finite(**{"source weights": list(source_weights.values())}).tolist()
-    srcs = {_check_qubit(reg, k, "source qubit"): v for k, v in zip(source_weights, weights)}
+    srcs = {_check_qubit(n, k, "source qubit"): v for k, v in zip(source_weights, weights)}
     if target_qubit in srcs:
         raise ValueError("target cannot be its own source")
-    x = _sector_field(reg.n_qubits, srcs, 0.0, (0.0, 1.0))
-    return _update_pairs(reg, target_qubit, _rotation(composition_angle(spec, x)))
+    # no name holds the field or the angle: each is freed once used, before the rotation runs
+    return _update_pairs(reg, target_qubit, _rotation(composition_angle(
+        spec, _sector_field(n, srcs, 0.0, (0.0, 1.0)))))
 
 
 def composition_to_csv(

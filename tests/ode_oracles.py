@@ -145,4 +145,4 @@ def reversed_negated(schedule):
 
 def apply_hadamard(reg, target):
     """H on one target qubit of a register, through the gate kernel."""
-    return _update_pairs(reg, _check_qubit(reg, target, "target"), _HADAMARD)
+    return _update_pairs(reg, _check_qubit(reg.n_qubits, target, "target"), _HADAMARD)

@@ -619,6 +619,11 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "n_qubits", lambda: qperceptron.QuantumRegister(2.0, _reg().amplitudes)),
     (ValueError, "n_qubits", lambda: qperceptron.init_basis(2.0, "00")),
     (ValueError, "n_qubits", lambda: qperceptron.QuantumRegister("2", _reg().amplitudes)),
+    # amplitudes: register._check, with the norm read by vdot
+    (ValueError, "register amplitudes", lambda: qperceptron.QuantumRegister(1, [_NAN, 0.0])),
+    (ValueError, "register amplitudes", lambda: qperceptron.QuantumRegister(1, [_INF, 0.0])),
+    (ValueError, "register norm-squared", lambda: qperceptron.QuantumRegister(
+        1, [math.sqrt(1.0 + 2e-10), 0.0])),
     # activation kinds: activation._check_kind
     (ValueError, "activation", lambda: qperceptron.NetworkSpec(
         2, (1,), _net().mask, _net().J, _net().b, activation="algebraic")),
@@ -671,6 +676,7 @@ _NAN, _INF = math.nan, math.inf
         "conditional",
         "gate_source_float", "fidelity_points", "benchmark_points", "diagnostics_float",
         "diagnostics_zero", "train_seed", "register_float", "basis_float", "register_str",
+        "register_nan", "register_inf", "register_norm",
         "network_activation", "gate_activation",
         "composition_activation", "activation_kind", "benchmark_3_points", "benchmark_scalar",
         "benchmark_2d", "benchmark_nan", "benchmark_inf", "benchmark_unsorted", "mu_x", "mu_t",

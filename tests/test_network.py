@@ -28,11 +28,14 @@ from qperceptron.network import (
 )
 from qperceptron.register import (
     PerceptronGateSpec,
+    QuantumRegister,
     apply_hardware_perceptron,
+    apply_ideal_perceptron,
+    conditional_probability,
     excitation_probability,
     init_basis,
 )
-from qperceptron.training import cross_entropy_cost, prime_dataset
+from qperceptron.training import Dataset, batch_state_forward, cross_entropy_cost, prime_dataset
 from ode_oracles import PLUS, SZ, apply_hadamard, dop853_ising_passage, dop853_two_level, kron_on
 
 X_REF = 1.2720196495140690
@@ -355,6 +358,43 @@ class TestForwardAndOracle:
         for bits in all_bits(N):
             _, p = forward(net, bits)
             assert abs(p - classical_mixture_oracle(net, bits)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_passes_are_the_gate_chain_bitwise(self, data):
+        # the ideal pass runs every gate in place in one buffer, slab by
+        # slab: at the default slab and at a 2-amplitude slab, which puts
+        # each target pair in a slab of its own, forward and the batched
+        # pass must give the bytes of the gate-by-gate chain of new registers
+        N = data.draw(st.integers(1, 3))
+        hidden = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+        kind = data.draw(st.sampled_from([ALGEBRAIC, LOGISTIC]))
+        net = layered_net(N, hidden, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                          kind)
+        n = net.n_total
+        inputs = data.draw(st.lists(st.sampled_from(all_bits(N)), min_size=1, unique=True))
+
+        def chain(bits):
+            amps = np.zeros(1 << n, dtype=complex)
+            for x in bits:
+                amps[int(x.ljust(n, "0"), 2)] = 1.0 / np.sqrt(len(bits))
+            reg = QuantumRegister(n, amps)
+            for gate in net.gates():
+                reg = apply_ideal_perceptron(reg, gate)
+            return reg
+
+        one, many = chain(inputs[:1]), chain(inputs)
+        want = [conditional_probability(many, range(N), [int(c) for c in x], n - 1)
+                for x in inputs]
+        dataset = Dataset(N, tuple((x, 0.0) for x in inputs))
+        for slab in (register._SLAB, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(register, "_SLAB", slab)
+                reg, p = forward(net, inputs[0])
+                batch = batch_state_forward(net, dataset)
+            assert reg.amplitudes.tobytes() == one.amplitudes.tobytes()
+            assert p == excitation_probability(one, n - 1)
+            assert np.array(batch).tobytes() == np.array(want).tobytes()
 
     def test_no_hidden_layer_closed_form(self):
         # output reads the inputs directly: p = f(sum w s - theta) exactly

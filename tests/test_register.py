@@ -19,6 +19,9 @@ from qperceptron.register import (
     excitation_probability,
     init_basis,
 )
+from qperceptron.network import NetworkSpec, layered_network
+from qperceptron.synthesis import CompositionSpec, apply_composition
+from qperceptron.training import batch_state_forward, prime_dataset
 from ode_oracles import H2, SZ, apply_hadamard, dop853_ising_passage, kron_on
 from test_register_properties import dense_gate
 
@@ -80,6 +83,12 @@ class TestBasics:
         # a nan norm compares False against any tolerance, so it must be caught apart
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             QuantumRegister(1, np.array(amps, dtype=complex))
+
+    def test_registers_compare_and_hash_by_identity(self):
+        # equal-field comparison compared the amplitude arrays and raised
+        a, b = init_basis(2, "00"), init_basis(2, "00")
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
     def test_amplitudes_read_only(self):
         reg = init_basis(1, "0")
@@ -389,6 +398,54 @@ class TestHardwareGate:
             with pytest.raises(ValueError, match="^gates must be one or more PerceptronGateSpec"):
                 apply_hardware_perceptron(init_basis(2, "10"), sched, *gates)
         assert calls == []
+
+
+N_MEM = 19
+STATE = 16 << N_MEM  # bytes of one 19-qubit state
+ALLOWANCE = 2 << 20  # 2 MiB: the pair kernel's slab scratch (1.5 MiB) and arrays of a few sectors
+
+
+def peak_bytes(call):
+    """tracemalloc's peak over call(), its result included: what the call
+    allocated beyond the arrays that already existed."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneBuffer:
+    """A pass holds one state plus slab scratch; a gate, its new state too."""
+
+    def test_ideal_pass_holds_one_state(self):
+        rng = np.random.default_rng(5)
+        base = layered_network(3, (N_MEM - 4,))
+        n = base.n_total
+        b = np.concatenate([np.zeros(3), rng.uniform(-1.0, 1.0, n - 3)])
+        net = NetworkSpec(3, base.layer_sizes, base.mask, base.mask * rng.uniform(-2, 2, (n, n)), b)
+        assert n == N_MEM
+        assert peak_bytes(lambda: batch_state_forward(net, prime_dataset(3))) <= \
+            1.25 * STATE + ALLOWANCE
+
+    @pytest.mark.parametrize("call", [
+        lambda reg, every: apply_ideal_perceptron(
+            reg, PerceptronGateSpec(N_MEM - 1, every, 0.3)),
+        lambda reg, every: apply_composition(
+            reg, CompositionSpec(((1.0, 0.5, 1), (2.0, -0.5, -1))), N_MEM - 1, every),
+        lambda reg, every: apply_hardware_perceptron(
+            reg, faquad_schedule(20.0, 1.0, 2.0, X_REF),
+            PerceptronGateSpec(N_MEM - 1, {0: 1.0, 1: -0.5}, 0.2),
+            PerceptronGateSpec(N_MEM - 2, {0: 0.7}, -0.1),
+            PerceptronGateSpec(N_MEM - 3, {2: 0.4})),
+    ], ids=["ideal_every_source", "composition_every_source", "hardware_pass"])
+    def test_gate_holds_two_states(self, call):
+        # the new state, the gate's matrices (0.75 states with every other
+        # qubit a source) and the slab scratch; the input is not counted
+        reg = random_state(N_MEM, np.random.default_rng(6))
+        every = {k: 0.1 * (k + 1) for k in range(N_MEM - 1)}
+        assert peak_bytes(lambda: call(reg, every)) <= 2.25 * STATE + ALLOWANCE
 
 
 class TestObservables:

@@ -133,15 +133,11 @@ def test_ideal_gate_equals_dense_oracle(data):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_ideal_gate_is_bitwise_the_rotation_formula(data):
-    # the gate must compute c a0 - s a1 and s a0 + c a1 with exactly these
-    # products and sums: a reassociated or fused update changes some bits
+def assert_rotation_formula(data):
     reg = data.draw(registers())
     gate = data.draw(gates(reg.n_qubits))
     n, t = reg.n_qubits, gate.target
-    ang = chi(gate.activation, register._gate_field(reg, gate))
+    ang = chi(gate.activation, register._gate_field(n, gate))
     c, s = np.cos(ang), np.sin(ang)
     a = reg.amplitudes.reshape((2,) * n)
     a0, a1 = np.take(a, [0], axis=t), np.take(a, [1], axis=t)
@@ -149,6 +145,24 @@ def test_ideal_gate_is_bitwise_the_rotation_formula(data):
     got = apply_ideal_perceptron(reg, gate).amplitudes
     assert np.array_equal(got, want)
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()  # + 0.0 turns -0.0 into +0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ideal_gate_is_bitwise_the_rotation_formula(data):
+    # the gate must compute c a0 - s a1 and s a0 + c a1 with exactly these
+    # products and sums: a reassociated or fused update changes some bits
+    assert_rotation_formula(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rotation_formula_holds_across_slab_edges(data):
+    # a 2-amplitude slab puts each target pair of the drawn registers in a
+    # slab of its own
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(register, "_SLAB", 2)
+        assert_rotation_formula(data)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,6 +233,22 @@ def test_composition_equals_its_cycles_in_sequence(data):
     M = dense_rotation(n, target, lambda b: composition_angle(
         spec, sum(w * b[k] for k, w in weights.items())))
     assert np.max(np.abs(got.amplitudes - M @ reg.amplitudes)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hardware_pass_is_the_same_bytes_across_slab_edges(data):
+    # a pass writes its gates in place in one buffer, slab by slab: a
+    # 2-amplitude slab must not move a bit
+    reg = data.draw(registers(min_qubits=2))
+    run = data.draw(st.lists(gates(reg.n_qubits), min_size=2, max_size=3))
+    sched = faquad_schedule(20.0, 1.0, 2.0, 1.272)
+    want = apply_hardware_perceptron(reg, sched, *run).amplitudes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(register, "_SLAB", 2)
+        got = apply_hardware_perceptron(reg, sched, *run).amplitudes
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, reg.amplitudes)
 
 
 @settings(max_examples=40, deadline=None)
