@@ -191,7 +191,10 @@ def cmd_synthesize(parser, args) -> int:
         lo, hi = args.m1 - span, args.m2 + span
     else:
         _check(parser, args.m2 > 0, "peak width (--m2) must be positive")
-        target = Peak(args.m1, args.m2)
+        try:
+            target = Peak(args.m1, args.m2)
+        except ValueError as exc:
+            parser.error(f"{exc}; change --m2")
         lo, hi = args.m1 - 4 * args.m2, args.m1 + 4 * args.m2
     grid = _x_grid(parser, lo, hi, 161, "--m1 and --m2")
     result = synthesize(target, args.cycles, grid)

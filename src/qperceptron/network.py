@@ -140,7 +140,9 @@ def _pass(net: NetworkSpec, inputs, schedule=None) -> QuantumRegister:
     """The one statevector pass: the circuit on S^(-1/2) sum_i |x_i, 0...0> over
     the S checked input bitstrings.  Ideal gates run one at a time, in place
     in the pass's one state, when ``schedule`` is None; hardware gates
-    otherwise, all of them in one sweep.  No gate rotates an input qubit."""
+    otherwise, all of them in one sweep by the public entry, which runs them
+    on a copy, so that pass holds the input state too.  No gate rotates an
+    input qubit."""
     n = net.n_total
     amps = np.zeros(_dimension(n), dtype=complex)
     r = 1.0 / np.sqrt(len(inputs))

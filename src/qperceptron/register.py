@@ -24,9 +24,10 @@ holding any nonzero amplitude: an unoccupied one has only exact zeros, which
 every propagator leaves exactly zero.  apply_hardware_perceptron integrates a
 pass's gates in one sweep of the schedule it takes.  Registers are values:
 every operation returns a new register, whose amplitude array is frozen
-read-only and reachable through no other name.  A pass (the network's, or
-apply_hardware_perceptron's gates) writes its gates into one state, checked
-after each, so it holds one state plus the slab scratch.
+read-only and reachable through no other name.  Every gate runs in place in
+_in_place: a pass (the network's, or apply_hardware_perceptron's gates) in
+one state, checked around each gate, so it holds one state plus the slab
+scratch, and a single gate as a one-step pass on a copy of its input.
 """
 from __future__ import annotations
 
@@ -114,6 +115,8 @@ class PerceptronGateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "target", as_index(self.target, "target"))
+        if not isinstance(self.weights, Mapping):
+            raise ValueError(f"weights must map source qubits to weights, got {self.weights!r}")
         weights = {as_index(k, "source"): w for k, w in self.weights.items()}
         require_finite(weights=list(weights.values()), bias=self.bias)
         if any(np.ndim(w) for w in weights.values()):
@@ -174,12 +177,12 @@ def _sector_field(n: int, weights, offset: float, levels) -> np.ndarray:
     return x
 
 
-def _pair_kernel(out: np.ndarray, a: np.ndarray, n: int, target: int, u) -> None:
-    """Write (u00 a0 + u01 a1, u10 a0 + u11 a1) of each target pair (a0, a1) of ``a`` into
-    ``out``, which may be ``a``; u's entries are scalars or arrays per source sector.  Slab
-    by slab along the leading non-target axes, each product goes to scratch, u first: numpy
-    rounds a complex product written over an input's memory range in another loop."""
-    a0, a1, o0, o1 = (_view(arr, n, [target], [b]) for arr in (a, out) for b in (0, 1))
+def _pair_kernel(a: np.ndarray, n: int, target: int, u) -> None:
+    """Map each target pair (a0, a1) of ``a`` in place to (u00 a0 + u01 a1, u10 a0 + u11 a1);
+    u's entries are scalars or arrays per source sector.  Slab by slab along the leading
+    non-target axes, each product goes to scratch, u first: numpy rounds a complex product
+    written over an input's memory range in another loop."""
+    a0, a1 = (_view(a, n, [target], [b]) for b in (0, 1))
     k = max(0, n + 1 - _SLAB.bit_length())  # leading non-target axes to slab along
     m = k + (target < k)  # the axes they span, the target's one length-1 axis included
     u00, u01, u10, u11 = (np.broadcast_to(e, a0.shape) if m else e for row in u for e in row)
@@ -189,23 +192,16 @@ def _pair_kernel(out: np.ndarray, a: np.ndarray, n: int, target: int, u) -> None
         np.multiply(u00[sel], a0[sel], out=s0)
         np.multiply(u10[sel], a0[sel], out=s1)
         np.multiply(u01[sel], a1[sel], out=s2)
-        np.add(s0, s2, out=o0[sel])  # a0 is not read again
+        np.add(s0, s2, out=a0[sel])  # a0 is not read again
         np.multiply(u11[sel], a1[sel], out=s0)
-        np.add(s1, s0, out=o1[sel])
-
-
-def _update_pairs(reg: QuantumRegister, target: int, u) -> QuantumRegister:
-    """A new register with each target pair mapped by u as _pair_kernel maps it."""
-    out = np.empty_like(reg.amplitudes)
-    _pair_kernel(out, reg.amplitudes, reg.n_qubits, target, u)
-    return _adopt(reg.n_qubits, out)
+        np.add(s1, s0, out=a1[sel])
 
 
 def _in_place(n: int, amps: np.ndarray, steps) -> QuantumRegister:
     """Register of the fresh ``amps`` after each (target, u) step in place, checked around each."""
     for target, u in steps:
         _check(n, amps)
-        _pair_kernel(amps, amps, n, target, u)
+        _pair_kernel(amps, n, target, u)
     return _adopt(n, amps)
 
 
@@ -229,8 +225,9 @@ def _ideal_step(n: int, gate):
 
 
 def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
-    """Exact conditional rotation by chi(x) on the target (O(2^n))."""
-    return _update_pairs(reg, *_ideal_step(reg.n_qubits, gate))
+    """Exact conditional rotation by chi(x) on the target (O(2^n)), in place in a copy of reg."""
+    step = _ideal_step(reg.n_qubits, gate)
+    return _in_place(reg.n_qubits, reg.amplitudes.copy(), [step])
 
 
 def apply_hardware_perceptron(reg: QuantumRegister, schedule, *gates) -> QuantumRegister:

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._io import as_index, float_if_scalar, require_finite, write_rows
 from .activation import ActivationKind, ALGEBRAIC, _check_kind, chi, dchi_dx
-from .register import QuantumRegister, _check_qubit, _rotation, _sector_field, _update_pairs
+from .register import QuantumRegister, _check_qubit, _in_place, _rotation, _sector_field
 
 __all__ = [
     "Rectangle",
@@ -69,9 +69,13 @@ class Peak:
     width: float
 
     def __post_init__(self):
-        require_finite(**{"peak center": self.center, "peak width": self.width})
-        if not (self.width > 0):
+        _, width = require_finite(**{"peak center": self.center, "peak width": self.width})
+        if not (width > 0):
             raise ValueError("peak width must be positive")
+        spread = 2 * (width * width)  # target_angle's denominator; a float product never raises
+        if not (0 < spread < math.inf):  # 0/0 or inf/inf there
+            raise ValueError(f"peak width {self.width!r} leaves 2 width^2 = {spread!r}, "
+                             "not positive and finite")
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,8 @@ class CompositionSpec:
 
     def __post_init__(self):
         rows = tuple(self.cycles)
+        if not all(hasattr(r, "__len__") and len(r) == 3 for r in rows):
+            raise ValueError(f"cycles must be (weight, threshold, orientation) rows, got {rows!r}")
         orients = [as_index(o, "orientation") for _, _, o in rows]
         if not rows:
             raise ValueError("composition needs at least one cycle")
@@ -239,13 +245,17 @@ def apply_composition(
     """
     n = reg.n_qubits
     target_qubit = _check_qubit(n, target_qubit, "target qubit")
-    weights = require_finite(**{"source weights": list(source_weights.values())}).tolist()
-    srcs = {_check_qubit(n, k, "source qubit"): v for k, v in zip(source_weights, weights)}
+    if not isinstance(source_weights, Mapping):
+        raise ValueError(f"source weights must map source qubits to weights, got {source_weights!r}")
+    weights = require_finite(**{"source weights": list(source_weights.values())})
+    if weights.ndim != 1:
+        raise ValueError("source weights must be numbers, one per source")
+    srcs = {_check_qubit(n, k, "source qubit"): v for k, v in zip(source_weights, weights.tolist())}
     if target_qubit in srcs:
         raise ValueError("target cannot be its own source")
-    # no name holds the field or the angle: each is freed once used, before the rotation runs
-    return _update_pairs(reg, target_qubit, _rotation(composition_angle(
-        spec, _sector_field(n, srcs, 0.0, (0.0, 1.0)))))
+    # no name holds the field or the angle: each is freed once used, before the copy is made
+    step = target_qubit, _rotation(composition_angle(spec, _sector_field(n, srcs, 0.0, (0.0, 1.0))))
+    return _in_place(n, reg.amplitudes.copy(), [step])
 
 
 def composition_to_csv(

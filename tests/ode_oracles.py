@@ -9,7 +9,7 @@ Qubit 0 is the leftmost factor, and the active |1> has sz = +1.
 
 Two test devices built on the package sit here too, as no package caller
 needs them: ``reversed_negated``, the drive that undoes a passage, and
-``apply_hadamard``, a Hadamard through the register's gate kernel.
+``apply_hadamard``, a Hadamard through the register's in-place runner.
 """
 import math
 
@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 
 from qperceptron.control import ControlSchedule
 from qperceptron.dynamics import _HADAMARD
-from qperceptron.register import _check_qubit, _update_pairs
+from qperceptron.register import _check_qubit, _in_place
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[-1.0, 0.0], [0.0, 1.0]])  # active |1> has sz = +1
@@ -144,5 +144,6 @@ def reversed_negated(schedule):
 
 
 def apply_hadamard(reg, target):
-    """H on one target qubit of a register, through the gate kernel."""
-    return _update_pairs(reg, _check_qubit(reg.n_qubits, target, "target"), _HADAMARD)
+    """H on one target qubit of a register: a one-step pass on a copy of it."""
+    step = _check_qubit(reg.n_qubits, target, "target"), _HADAMARD
+    return _in_place(reg.n_qubits, reg.amplitudes.copy(), [step])

@@ -344,9 +344,14 @@ class TestNamedErrors:
          "error: step grid needs more than 1.8e+308 base steps, over the budget of 16777216; "
          "the phase rule dt <= 3.0 / sqrt(Omega^2 + x^2) dominates, peaking at t = 0; "
          "lower --xmax, --tf or --omega0"),
+        # exited 1 after scipy found the fit's residuals not finite: the
+        # width squares to 0, so the profile was 0/0 at the centre
+        (["synthesize", "--target", "peak", "--m2", "1e-200"], 2,
+         "error: peak width 1e-200 leaves 2 width^2 = 0.0, not positive and finite; change --m2"),
     ], ids=["tf_text", "m1_comma", "step_budget", "step_budget_tf", "omega0_drive",
             "omega0_slope", "negative_seed", "perturbed_linear", "epsilon_overflow",
-            "step_budget_epsilon", "step_count_overflow_epsilon", "step_count_overflow_xmax"])
+            "step_budget_epsilon", "step_count_overflow_epsilon", "step_count_overflow_xmax",
+            "peak_width_squares_to_0"])
     def test_message_names_the_cause(self, tmp_path, capsys, monkeypatch, argv, rc, message):
         calls = []
         monkeypatch.setattr(dynamics, "_propagate", lambda *args: calls.append(args))

@@ -583,6 +583,16 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "steepness", lambda: analytic_rectangle(Rectangle(0, 2), "2")),
     (ValueError, "source weights", lambda: qperceptron.apply_composition(
         _reg(), _SPEC, 1, {0: _NAN})),
+    # shapes and types that failed deep inside: 0/0 in the peak profile, a tuple
+    # unpack, a dict method, a broadcast
+    (ValueError, "peak width", lambda: qperceptron.Peak(0.0, 1e-200)),
+    (ValueError, "peak width", lambda: qperceptron.Peak(0.0, 1e200)),
+    (ValueError, "cycles", lambda: qperceptron.CompositionSpec(((1.0, 0.5),))),
+    (ValueError, "weights", lambda: qperceptron.PerceptronGateSpec(1, [1.0])),
+    (ValueError, "source weights", lambda: qperceptron.apply_composition(
+        _reg(), _SPEC, 1, [1.0])),
+    (ValueError, "source weights", lambda: qperceptron.apply_composition(
+        _reg(), _SPEC, 1, {0: [1.0, 2.0]})),
     (ValueError, "alpha", lambda: qperceptron.build_universal_approximator(
         ([_NAN], [[1, 1]], [0]), 0.1)),
     (ValueError, "w", lambda: qperceptron.build_universal_approximator(
@@ -668,7 +678,9 @@ _NAN, _INF = math.nan, math.inf
         "propagators_str", "response_str", "composition_angle_str", "synthesize_str",
         "sampled_str", "composition_str", "target_str", "dataset_label_str", "network_J_str",
         "composition_csv_str", "fidelity_x_max_str", "rectangle_steepness_inf",
-        "rectangle_steepness_str", "composition_source_nan", "approximator_alpha_nan",
+        "rectangle_steepness_str", "composition_source_nan", "peak_width_squares_to_0",
+        "peak_width_square_overflows", "composition_cycle_pair", "gate_weights_list",
+        "composition_sources_list", "composition_source_array", "approximator_alpha_nan",
         "approximator_w_inf",
         "forward_short", "forward_char", "oracle", "basis_short", "basis_char", "dataset",
         "composition_target", "composition_source", "gate_target", "gate_source", "gate_weight",

@@ -1,6 +1,8 @@
 """Register and gate tests against dense-matrix and closed-form oracles."""
+import ast
 import inspect
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -121,12 +123,14 @@ class TestBasics:
 
     @pytest.mark.parametrize("owner, make", [
         (register.init_basis, lambda reg: init_basis(reg.n_qubits, "1" * reg.n_qubits)),
-        (register._update_pairs, lambda reg: apply_ideal_perceptron(
+        (apply_ideal_perceptron, lambda reg: apply_ideal_perceptron(
             reg, PerceptronGateSpec(reg.n_qubits - 1, {0: 1.0}, 0.3))),
-    ], ids=["init_basis", "gate"])
+        (apply_composition, lambda reg: apply_composition(
+            reg, CompositionSpec(((1.0, 0.5, 1),)), reg.n_qubits - 1, {0: 1.0})),
+    ], ids=["init_basis", "gate", "composition"])
     def test_new_state_is_not_copied(self, owner, make):
         # the one state-sized block allocated is the buffer that ``owner``
-        # filled: the register takes it over with no copy
+        # made: the runner fills it in place and the register takes it over
         reg = apply_hadamard(init_basis(14, "0" * 14), 0)
         tracemalloc.start()
         try:
@@ -137,7 +141,7 @@ class TestBasics:
             tracemalloc.stop()
         lines, first = inspect.getsourcelines(owner)
         assert [(f.filename, first <= f.lineno < first + len(lines)) for f in blocks] == [
-            (register.__file__, True)]
+            (owner.__code__.co_filename, True)]
 
     def test_hadamard(self):
         reg = apply_hadamard(init_basis(1, "0"), 0)
@@ -446,6 +450,46 @@ class TestOneBuffer:
         reg = random_state(N_MEM, np.random.default_rng(6))
         every = {k: 0.1 * (k + 1) for k in range(N_MEM - 1)}
         assert peak_bytes(lambda: call(reg, every)) <= 2.25 * STATE + ALLOWANCE
+
+
+def pair_kernel_and_old_runner_names(path):
+    """(name, enclosing function) of each def, import, name or attribute in a module
+    spelled _pair_kernel or _update_pairs; "<module>" outside any function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            name = (child.name if is_def or isinstance(child, ast.alias) else
+                    child.id if isinstance(child, ast.Name) else
+                    child.attr if isinstance(child, ast.Attribute) else None)
+            if name in ("_pair_kernel", "_update_pairs"):
+                found.append((name, scope))
+            visit(child, child.name if is_def else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+class TestOneRunner:
+    """Every gate runs through register._in_place, the pair kernel's one caller:
+    a single gate is a one-step pass on a copy, so no second runner is kept."""
+
+    def test_pair_kernel_is_called_from_in_place_only(self):
+        root = pathlib.Path(__file__).parents[1]
+        paths = [p for d in ("src/qperceptron", "tests", "demos", "perfbench")
+                 for p in sorted((root / d).glob("*.py"))]
+        found = {p.relative_to(root).as_posix(): pair_kernel_and_old_runner_names(p)
+                 for p in paths}
+        assert {k: v for k, v in found.items() if v} == {"src/qperceptron/register.py": [
+            ("_pair_kernel", "<module>"), ("_pair_kernel", "_in_place")]}
+
+    def test_guard_sees_a_second_runner(self, tmp_path):
+        path = tmp_path / "m.py"
+        path.write_text("from r import _update_pairs\n"
+                        "def run(r):\n    r._pair_kernel(a, n, t, u)\n", encoding="utf-8")
+        assert pair_kernel_and_old_runner_names(path) == [
+            ("_update_pairs", "<module>"), ("_pair_kernel", "run")]
 
 
 class TestObservables:
