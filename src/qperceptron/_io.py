@@ -1,5 +1,6 @@
-"""Path-or-stream handling, the one CSV writer and reader, the one check of an integer or a
-bitstring and the one read of a real argument, a ValueError naming it, and scalar-in, float-out."""
+"""Path-or-stream handling, the one CSV writer and reader, the one check of an integer, a
+bitstring or a type and the one read of a real argument, a ValueError naming it, and scalar-in,
+float-out."""
 from __future__ import annotations
 
 import contextlib
@@ -54,6 +55,13 @@ def require_finite(**params):
                 raise ValueError(f"{name} must be finite")
             out.append(float(arr) if arr.ndim == 0 else arr.astype(float, copy=False))
     return out[0] if len(out) == 1 else tuple(out)
+
+
+def require_type(value, cls, name: str):
+    """``value``, or a ValueError naming the argument and ``cls`` unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def float_if_scalar(out):

@@ -99,8 +99,10 @@ def _checked(kind: ActivationKind, x):
 
 
 def _expit(x):
-    from scipy.special import expit  # scipy loads only for the logistic variant
-    return expit(x)
+    """1 / (1 + e^-x), within 3 ulp of scipy.special.expit; e^-x overflows to inf below -709.78,
+    where the result is the 0.0 expit gives."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def eval_f(kind: ActivationKind, x):

@@ -19,7 +19,7 @@ Gates of one layer have disjoint targets and diagonal controls on earlier
 layers, so they commute: a whole layer can run as one quasi-adiabatic Ising
 passage under the shared ramp.  protocol_duration counts one ramp per layer,
 and rejects a net in which a gate sources a qubit of its own layer.  The one
-statevector pass, _pass, runs ideal gates in place and hardware ones in one sweep.
+statevector pass, _pass, runs either mode's gates in place in one state.
 """
 from __future__ import annotations
 
@@ -31,11 +31,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import as_index, check_bits, require_finite
+from ._io import as_index, check_bits, require_finite, require_type
 from .activation import ALGEBRAIC, ActivationKind, _check_kind, cao_arctan, df_dx, eval_f
 from .register import (
-    PerceptronGateSpec, QuantumRegister, _adopt, _dimension, _ideal_step, _in_place, _view,
-    apply_hardware_perceptron, excitation_probability)
+    PerceptronGateSpec, QuantumRegister, _dimension, _hardware_steps, _ideal_step, _in_place,
+    _view, excitation_probability)
 
 __all__ = [
     "NetworkSpec",
@@ -138,20 +138,18 @@ def _layer_index(n_inputs: int, sizes) -> np.ndarray:
 
 def _pass(net: NetworkSpec, inputs, schedule=None) -> QuantumRegister:
     """The one statevector pass: the circuit on S^(-1/2) sum_i |x_i, 0...0> over
-    the S checked input bitstrings.  Ideal gates run one at a time, in place
-    in the pass's one state, when ``schedule`` is None; hardware gates
-    otherwise, all of them in one sweep by the public entry, which runs them
-    on a copy, so that pass holds the input state too.  No gate rotates an
-    input qubit."""
-    n = net.n_total
+    the S checked input bitstrings, its ideal gates (``schedule`` None) or
+    hardware ones, integrated in one sweep, run in place in its one state.
+    No gate rotates an input qubit."""
+    n = require_type(net, NetworkSpec, "net").n_total
     amps = np.zeros(_dimension(n), dtype=complex)
     r = 1.0 / np.sqrt(len(inputs))
     for x in inputs:
         check_bits(x, net.n_inputs, "input_bits")
         _view(amps, n, range(n), map(int, x.ljust(n, "0")))[...] = r
-    if schedule is not None:
-        return apply_hardware_perceptron(_adopt(n, amps), schedule, *net.gates())
-    return _in_place(n, amps, (_ideal_step(n, gate) for gate in net.gates()))
+    steps = ((_ideal_step(n, gate) for gate in net.gates()) if schedule is None
+             else _hardware_steps(n, amps, schedule, net.gates()))
+    return _in_place(n, amps, steps)
 
 
 def forward(net: NetworkSpec, input_bits: str, schedule=None):

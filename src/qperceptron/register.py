@@ -15,19 +15,17 @@ Conventions, fixed once for the whole package:
   |0> maps to sqrt(1-f)|0> + sqrt(f)|1> (matrix [[c, -s], [s, c]] on the pair).
 
 Gates act in O(2^n) on the amplitudes viewed as a (2,)*n tensor with qubit
-k on axis k: the target's two halves are slices of its axis, and every gate
-is one 2x2 matrix per source configuration (a rotation, or U(x) H of a
-hardware gate), broadcast over the other axes by one kernel in slabs of at
-most _SLAB amplitudes; no 2^n x 2^n matrix is ever materialized.  A hardware
-gate integrates the ramp only for the occupied source configurations, those
-holding any nonzero amplitude: an unoccupied one has only exact zeros, which
-every propagator leaves exactly zero.  apply_hardware_perceptron integrates a
-pass's gates in one sweep of the schedule it takes.  Registers are values:
-every operation returns a new register, whose amplitude array is frozen
-read-only and reachable through no other name.  Every gate runs in place in
-_in_place: a pass (the network's, or apply_hardware_perceptron's gates) in
-one state, checked around each gate, so it holds one state plus the slab
-scratch, and a single gate as a one-step pass on a copy of its input.
+k on axis k: every gate is one 2x2 matrix per source configuration (a
+rotation, or U(x) H of a hardware gate) on the target's two halves, slices
+of its axis, broadcast over the other axes by one kernel in slabs of at most
+_SLAB amplitudes; no 2^n x 2^n matrix is ever materialized.  Hardware gates
+integrate, in one sweep, only the fields of occupied source configurations:
+an unoccupied one holds exact zeros, which every propagator keeps.
+Registers are values: every operation returns a new register, whose
+amplitude array is frozen read-only and reachable through no other name.
+Every gate or pass checks, builds its steps (_ideal_step, _hardware_steps or a
+rotation) and runs them in place in _in_place, checked around each step, on
+a buffer it owns: a network pass in its one state, an apply_* entry in a copy.
 """
 from __future__ import annotations
 
@@ -36,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._io import as_index, check_bits, require_finite
+from ._io import as_index, check_bits, require_finite, require_type
 from .activation import ActivationKind, _check_kind, chi
 from .dynamics import _HADAMARD, schedule_propagators
 
@@ -226,28 +224,34 @@ def _ideal_step(n: int, gate):
 
 def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
     """Exact conditional rotation by chi(x) on the target (O(2^n)), in place in a copy of reg."""
-    step = _ideal_step(reg.n_qubits, gate)
-    return _in_place(reg.n_qubits, reg.amplitudes.copy(), [step])
+    n = require_type(reg, QuantumRegister, "reg").n_qubits
+    step = _ideal_step(n, require_type(gate, PerceptronGateSpec, "gate"))
+    return _in_place(n, reg.amplitudes.copy(), [step])
 
 
 def apply_hardware_perceptron(reg: QuantumRegister, schedule, *gates) -> QuantumRegister:
     """Adiabatic protocol on each target of one gate or a pass's gates, in
     order: a Hadamard, then the driven ramp U(x) at each source sector's
     field x, applied as the one matrix U(x) H per occupied sector.  All are
-    checked, then their occupied fields are integrated in one sweep of the
-    one ``schedule`` (the paper runs each layer as one Ising passage), on a
-    grid sized by the largest |x|, before any acts.  A gate keeps each
-    target pair's norm, so occupancy read from ``reg`` is exact but on a
-    source an earlier gate targets: both its values count.
-
-    The physical evolution keeps each sector's dynamical phase.  For z-basis
-    feed-forward circuits those phases are unobservable.
+    checked, then their occupied fields integrated in one sweep of the one
+    ``schedule`` (the paper runs each layer as one Ising passage), on a grid
+    sized by the largest |x|, before any acts.  Occupancy is read from
+    ``reg``: exact, as a gate keeps each target pair's norm, but on a source
+    an earlier gate targets, where both its values count.  The physical
+    evolution keeps each sector's dynamical phase, unobservable in z-basis
+    feed-forward circuits.
     """
+    n = require_type(reg, QuantumRegister, "reg").n_qubits
     if not gates or not all(isinstance(gate, PerceptronGateSpec) for gate in gates):
         raise ValueError("gates must be one or more PerceptronGateSpec arguments, got "
                          f"{[type(gate).__name__ for gate in gates]}")
-    n = reg.n_qubits
-    nonzero = _view(reg.amplitudes, n, [], []) != 0
+    steps = _hardware_steps(n, reg.amplitudes, schedule, gates)
+    return _in_place(n, reg.amplitudes.copy(), steps)
+
+
+def _hardware_steps(n: int, amps: np.ndarray, schedule, gates):
+    """Lazy (target, U(x) H per sector) steps; gates checked and occupied fields integrated now."""
+    nonzero = _view(amps, n, [], []) != 0
     fields, targeted = [], set()
     for gate in gates:
         x = _gate_field(n, gate)
@@ -259,8 +263,7 @@ def apply_hardware_perceptron(reg: QuantumRegister, schedule, *gates) -> Quantum
     xu, inv = np.unique(np.concatenate([x.ravel() for x in fields]), return_inverse=True)
     u = (schedule_propagators(schedule, xu) @ _HADAMARD).transpose(1, 2, 0)  # u[i, j] per x
     parts = np.split(inv, np.cumsum([x.size for x in fields])[:-1])
-    steps = ((g.target, u[:, :, i.reshape(x.shape)]) for g, x, i in zip(gates, fields, parts))
-    return _in_place(n, reg.amplitudes.copy(), steps)
+    return ((g.target, u[:, :, i.reshape(x.shape)]) for g, x, i in zip(gates, fields, parts))
 
 
 def _norm2(psi: np.ndarray) -> float:

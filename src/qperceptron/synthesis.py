@@ -23,7 +23,7 @@ from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._io import as_index, float_if_scalar, require_finite, write_rows
+from ._io import as_index, float_if_scalar, require_finite, require_type, write_rows
 from .activation import ActivationKind, ALGEBRAIC, _check_kind, chi, dchi_dx
 from .register import QuantumRegister, _check_qubit, _in_place, _rotation, _sector_field
 
@@ -86,6 +86,8 @@ class Sampled:
 
     def __post_init__(self):
         pts = tuple(self.points)
+        if not all(hasattr(p, "__len__") and len(p) == 2 for p in pts):
+            raise ValueError(f"points must be (x, angle) pairs, got {pts!r}")
         xs, angles = require_finite(**{"sampled point x": [x for x, _ in pts],
                                        "sampled angles": [a for _, a in pts]})
         if not pts:
@@ -243,7 +245,8 @@ def apply_composition(
     The conditioning value in each computational sector is the weighted
     count of excited sources, x = sum_k w_k s_k with s_k in {0, 1}.
     """
-    n = reg.n_qubits
+    n = require_type(reg, QuantumRegister, "reg").n_qubits
+    require_type(spec, CompositionSpec, "spec")
     target_qubit = _check_qubit(n, target_qubit, "target qubit")
     if not isinstance(source_weights, Mapping):
         raise ValueError(f"source weights must map source qubits to weights, got {source_weights!r}")

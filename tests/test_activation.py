@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from qperceptron.activation import (
     ALGEBRAIC,
@@ -62,6 +63,14 @@ class TestLogistic:
         assert dchi_dx(LOGISTIC, -1.0) == pytest.approx(0.221704720992518477, abs=1e-15)
         assert dchi_dx(LOGISTIC, 0.0) == pytest.approx(0.25, abs=1e-15)
         assert dchi_dx(LOGISTIC, 2.0) == pytest.approx(0.162013568415971350, abs=1e-15)
+
+    def test_within_3_ulp_of_scipy_expit(self):
+        # scipy's expit as an oracle sharing no code with the package's numpy form,
+        # past both ends of float range for e^-x, with no warning escaping
+        x = np.linspace(-760.0, 745.0, 100_001)
+        want = expit(x)
+        got = eval_f(LOGISTIC, x)
+        assert np.max(np.abs(got.view(np.int64) - want.view(np.int64))) <= 3  # f >= 0: ulps apart
 
     def test_extreme_arguments_stay_bounded(self):
         assert eval_f(LOGISTIC, 800.0) == 1.0

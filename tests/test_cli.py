@@ -392,13 +392,17 @@ class TestEntryPoint:
         assert "points" in proc.stderr
 
     def test_import_response_and_train_load_no_scipy(self, tmp_path):
-        # scipy loads only inside the solvers that need it (synthesis, logistic)
+        # scipy loads only inside the solver that needs it (synthesis): the
+        # logistic activation is numpy-only too
         code = (
             "import sys\n"
             "import qperceptron, qperceptron.cli\n"
             f"assert qperceptron.cli.main(['response', '--out', {str(tmp_path / 'r.csv')!r}]) == 0\n"
             "assert qperceptron.cli.main(['train', '--iters', '1', "
             f"'--out', {str(tmp_path / 't.json')!r}]) == 0\n"
+            "assert qperceptron.eval_f(qperceptron.LOGISTIC, -800.0) == 0.0\n"
+            "net = qperceptron.layered_network(2, (1,), qperceptron.LOGISTIC)\n"
+            "assert abs(qperceptron.forward(net, '01')[1] - 0.5) < 1e-12\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         proc = run_child(["-c", code])

@@ -109,6 +109,15 @@ def layer_offences(path):
     return sorted(found)
 
 
+def scipy_imports(path):
+    """Lines where the module imports scipy or one of its submodules, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy"
+                                                    for a in node.names)
+            or isinstance(node, ast.ImportFrom) and not node.level
+            and node.module.split(".")[0] == "scipy"]
+
+
 def row_writer_uses(path):
     """Lines where the module imports or reaches ``write_rows``, the shared CSV row writer."""
     return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -146,6 +155,20 @@ class TestSingleIoModule:
         src.write_text("from ._io import open_text, write_rows\nfrom . import _io\n"
                        "_io.write_rows(fh, 'x', [])\nwrite_rows_out = 1\nfrom ._io import read_rows\n")
         assert row_writer_uses(src) == [1, 3]
+
+
+class TestScipyOnlyInSynthesis:
+    """The runtime is numpy-only but for synthesize's least-squares fit."""
+
+    def test_no_other_module_imports_scipy(self):
+        found = {p.name: scipy_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+        assert [name for name, lines in found.items() if lines] == ["synthesis.py"]
+
+    def test_guard_sees_each_import(self, tmp_path):
+        src = tmp_path / "m.py"
+        src.write_text("import scipy\nimport numpy, scipy.special\ndef f():\n"
+                       "    from scipy.special import expit\nfrom .scipy import x\nimport scipyx\n")
+        assert scipy_imports(src) == [1, 2, 4]
 
 
 class TestLayerOrder:
@@ -668,6 +691,19 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "hidden_sizes", lambda: qperceptron.layered_network(2, 3)),
     (ValueError, "hidden_sizes", lambda: qperceptron.layered_network(2, None)),
     (ValueError, "hidden_sizes", lambda: qperceptron.layered_network(2, 2.0)),
+    # argument types: _io.require_type, where an attribute of a wrong type failed
+    (ValueError, "gate", lambda: qperceptron.apply_ideal_perceptron(_reg(), "g")),
+    (ValueError, "reg", lambda: qperceptron.apply_ideal_perceptron(
+        _reg().amplitudes, qperceptron.PerceptronGateSpec(1, {0: 1.0}))),
+    (ValueError, "spec", lambda: qperceptron.apply_composition(_reg(), "x", 1, {0: 1.0})),
+    (ValueError, "reg", lambda: qperceptron.apply_composition("r", _SPEC, 1, {0: 1.0})),
+    (ValueError, "reg", lambda: qperceptron.apply_hardware_perceptron(
+        "r", _ramp(), qperceptron.PerceptronGateSpec(1, {0: 1.0}))),
+    (ValueError, "net", lambda: qperceptron.forward("net", "00")),
+    (ValueError, "net", lambda: qperceptron.batch_state_forward("net", qperceptron.prime_dataset(2))),
+    (ValueError, "net", lambda: qperceptron.cross_entropy_cost(
+        "net", qperceptron.prime_dataset(2), _ramp())),
+    (ValueError, "points", lambda: Sampled([(0.1,)])),
 ], ids=["linear", "linear_str", "linear_huge_int", "linear_complex", "faquad", "perturbed", "design_field", "table_ts", "table_omegas",
         "eigensystem_nan", "eigensystem_inf", "eigensystem_x", "eigensystem_str",
         "eigensystem_ragged", "constant_mu",
@@ -694,7 +730,9 @@ _NAN, _INF = math.nan, math.inf
         "benchmark_2d", "benchmark_nan", "benchmark_inf", "benchmark_unsorted", "mu_x", "mu_t",
         "mu_closed_gap", "diagnostics_closed_gap", "basis_bool", "train_iters_bool", "linear_bool",
         "eigensystem_numpy_bool", "omega_str", "omega_nan", "domega_inf", "hidden_int",
-        "hidden_none", "hidden_float"])
+        "hidden_none", "hidden_float", "ideal_gate_str", "ideal_reg_array", "composition_spec_str",
+        "composition_reg_str", "hardware_reg_str", "forward_net_str", "batch_net_str",
+        "hardware_cost_net_str", "sampled_point_short"])
 def test_bad_argument_is_refused_by_name(error, name, call):
     # warnings are errors: a bad count once gave nan and two RuntimeWarnings
     with warnings.catch_warnings():

@@ -609,23 +609,28 @@ class TestLayerHamiltonian:
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-9
         assert sweeps[0].size == 2 + 4
 
-    def test_pass_hands_all_its_gates_to_the_public_entry(self, monkeypatch):
-        # forward and the hardware cost each make one apply_hardware_perceptron
-        # call with their schedule and every gate of the net, so a wrapper of
-        # the public name sees each pass
+    def test_pass_is_one_sweep_equal_to_the_public_entry(self, sweeps, monkeypatch):
+        # forward and the hardware cost each integrate the occupied fields of
+        # every gate in one sweep, and each pass's state is, byte for byte,
+        # the public entry's on the same input register with the same gates
         sched = faquad_schedule(100.0, 1.0, 5.0, X_REF)
         net = layered_net(3, [4], np.random.default_rng(8))
-        calls = []
+        runs = []
 
-        def recording(reg, schedule, *gates):
-            calls.append((schedule, gates))
-            return apply_hardware_perceptron(reg, schedule, *gates)
+        def recording(n, amps, steps):
+            start = QuantumRegister(n, amps)  # a copy, taken after the sweep, before any step
+            runs.append((start, register._in_place(n, amps, steps)))
+            return runs[-1][1]
 
-        monkeypatch.setattr(network, "apply_hardware_perceptron", recording)
+        monkeypatch.setattr(network, "_in_place", recording)
         forward(net, "101", sched)
-        assert calls == [(sched, tuple(net.gates()))]
+        assert [xs.size for xs in sweeps] == [4 + 16]
         cross_entropy_cost(net, prime_dataset(3), sched)
-        assert calls == [(sched, tuple(net.gates()))] * 2
+        assert len(sweeps) == 2 and len(runs) == 2
+        for (start, got), pass_sweep in zip(runs, list(sweeps)):
+            want = apply_hardware_perceptron(start, sched, *net.gates())
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert sweeps[-1].tobytes() == pass_sweep.tobytes()  # the entry's one sweep
 
     def test_shared_field_of_a_layer_is_integrated_once(self, sweeps):
         # two hidden gates with equal weights and bias see one field

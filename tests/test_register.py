@@ -23,7 +23,7 @@ from qperceptron.register import (
 )
 from qperceptron.network import NetworkSpec, layered_network
 from qperceptron.synthesis import CompositionSpec, apply_composition
-from qperceptron.training import batch_state_forward, prime_dataset
+from qperceptron.training import batch_state_forward, cross_entropy_cost, prime_dataset
 from ode_oracles import H2, SZ, apply_hadamard, dop853_ising_passage, kron_on
 from test_register_properties import dense_gate
 
@@ -433,6 +433,18 @@ class TestOneBuffer:
         assert peak_bytes(lambda: batch_state_forward(net, prime_dataset(3))) <= \
             1.25 * STATE + ALLOWANCE
 
+    def test_hardware_pass_holds_one_state(self):
+        # the hardware pass writes its gates in its one state, as the ideal one does
+        rng = np.random.default_rng(7)
+        base = layered_network(3, (N_MEM - 4,))
+        n = base.n_total
+        b = np.concatenate([np.zeros(3), rng.choice([-0.5, 0.5], n - 3)])
+        net = NetworkSpec(3, base.layer_sizes, base.mask, base.mask * rng.choice([-1.0, 1.0], (n, n)), b)
+        sched = faquad_schedule(20.0, 1.0, 2.0, X_REF)
+        assert n == N_MEM
+        assert peak_bytes(lambda: cross_entropy_cost(net, prime_dataset(3), sched)) <= \
+            1.35 * STATE + ALLOWANCE
+
     @pytest.mark.parametrize("call", [
         lambda reg, every: apply_ideal_perceptron(
             reg, PerceptronGateSpec(N_MEM - 1, every, 0.3)),
@@ -452,9 +464,9 @@ class TestOneBuffer:
         assert peak_bytes(lambda: call(reg, every)) <= 2.25 * STATE + ALLOWANCE
 
 
-def pair_kernel_and_old_runner_names(path):
+def names_in(path, names):
     """(name, enclosing function) of each def, import, name or attribute in a module
-    spelled _pair_kernel or _update_pairs; "<module>" outside any function."""
+    spelled as one of ``names``; "<module>" outside any function."""
     found = []
 
     def visit(node, scope):
@@ -463,7 +475,7 @@ def pair_kernel_and_old_runner_names(path):
             name = (child.name if is_def or isinstance(child, ast.alias) else
                     child.id if isinstance(child, ast.Name) else
                     child.attr if isinstance(child, ast.Attribute) else None)
-            if name in ("_pair_kernel", "_update_pairs"):
+            if name in names:
                 found.append((name, scope))
             visit(child, child.name if is_def else scope)
 
@@ -471,25 +483,53 @@ def pair_kernel_and_old_runner_names(path):
     return found
 
 
+def names_by_module(names):
+    """names_in of every module of the package, tests, demos and perfbench that names any."""
+    root = pathlib.Path(__file__).parents[1]
+    paths = [p for d in ("src/qperceptron", "tests", "demos", "perfbench")
+             for p in sorted((root / d).glob("*.py"))]
+    found = {p.relative_to(root).as_posix(): names_in(p, names) for p in paths}
+    return {k: v for k, v in found.items() if v}
+
+
 class TestOneRunner:
     """Every gate runs through register._in_place, the pair kernel's one caller:
-    a single gate is a one-step pass on a copy, so no second runner is kept."""
+    a single gate is a one-step pass on a copy, so no second runner is kept.
+    Hardware steps are built by _hardware_steps for the public entry and the
+    network's pass alone, and only register makes a register of an array."""
 
     def test_pair_kernel_is_called_from_in_place_only(self):
-        root = pathlib.Path(__file__).parents[1]
-        paths = [p for d in ("src/qperceptron", "tests", "demos", "perfbench")
-                 for p in sorted((root / d).glob("*.py"))]
-        found = {p.relative_to(root).as_posix(): pair_kernel_and_old_runner_names(p)
-                 for p in paths}
-        assert {k: v for k, v in found.items() if v} == {"src/qperceptron/register.py": [
-            ("_pair_kernel", "<module>"), ("_pair_kernel", "_in_place")]}
+        assert names_by_module(("_pair_kernel", "_update_pairs")) == {
+            "src/qperceptron/register.py": [("_pair_kernel", "<module>"),
+                                            ("_pair_kernel", "_in_place")]}
+
+    def test_hardware_steps_have_two_callers_and_registers_one_maker(self):
+        assert set(names_by_module(("_adopt",))) == {"src/qperceptron/register.py"}
+        assert names_by_module(("_hardware_steps",)) == {
+            "src/qperceptron/register.py": [("_hardware_steps", "apply_hardware_perceptron"),
+                                            ("_hardware_steps", "<module>")],
+            "src/qperceptron/network.py": [("_hardware_steps", "<module>"),
+                                           ("_hardware_steps", "_pass")]}
+        network_py = pathlib.Path(__file__).parents[1] / "src/qperceptron/network.py"
+        assert names_in(network_py, ("apply_hardware_perceptron",)) == []
 
     def test_guard_sees_a_second_runner(self, tmp_path):
         path = tmp_path / "m.py"
         path.write_text("from r import _update_pairs\n"
                         "def run(r):\n    r._pair_kernel(a, n, t, u)\n", encoding="utf-8")
-        assert pair_kernel_and_old_runner_names(path) == [
+        assert names_in(path, ("_pair_kernel", "_update_pairs")) == [
             ("_update_pairs", "<module>"), ("_pair_kernel", "run")]
+
+    def test_guard_sees_a_detour_through_the_public_entry(self, tmp_path):
+        # the network's old hardware pass: the input adopted, then handed to the public entry
+        path = tmp_path / "m.py"
+        path.write_text("from .register import _adopt, apply_hardware_perceptron\n"
+                        "def _pass(net, amps, s):\n"
+                        "    return apply_hardware_perceptron(_adopt(n, amps), s, *net.gates())\n",
+                        encoding="utf-8")
+        assert names_in(path, ("_adopt", "_hardware_steps", "apply_hardware_perceptron")) == [
+            ("_adopt", "<module>"), ("apply_hardware_perceptron", "<module>"),
+            ("apply_hardware_perceptron", "_pass"), ("_adopt", "_pass")]
 
 
 class TestObservables:
