@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._io import as_index, float_if_scalar, read_rows, require_finite, write_rows
+from ._io import as_index, float_if_scalar, read_rows, require_finite, require_type, write_rows
 
 __all__ = [
     "ControlSchedule",
@@ -147,7 +147,7 @@ def perturbed_schedule(base: ControlSchedule, epsilon_ctrl: float) -> ControlSch
     Evaluation gives Omega'(0) = (1 + eps) omega0 and Omega'(tf) =
     (1 + eps) omegaf, deliberately missing the stored design endpoints.
     """
-    if base.kind != "faquad":
+    if require_type(base, ControlSchedule, "base").kind != "faquad":
         raise ValueError("perturbation is defined relative to a faquad base")
     if (eps := require_finite(epsilon_ctrl=epsilon_ctrl)) < 0:
         raise ValueError("epsilon_ctrl must be >= 0")

@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import as_index, require_finite, write_rows
+from ._io import as_index, require_finite, require_type, write_rows
 from .activation import ALGEBRAIC, eval_f
 from .control import eigensystem, faquad_schedule, linear_schedule, optimal_design_field
 
@@ -663,6 +663,7 @@ def report_to_csv(report: FidelityReport, path_or_buf) -> None:
 
     Write-only: the package has no public reader for it.
     """
+    require_type(report, FidelityReport, "report")
     rows = zip(report.tf_grid, report.infidelity_linear, report.infidelity_faquad)
     write_rows(path_or_buf, "tf,infid_linear,infid_faquad", rows)
 
@@ -672,6 +673,7 @@ def fit_constants_json(report: FidelityReport) -> str:
 
     Write-only: the package has no public reader for it.
     """
+    require_type(report, FidelityReport, "report")
     return json.dumps(
         {"c0": report.fit_c0, "c1": report.fit_c1, "c2": report.fit_c2}
     )

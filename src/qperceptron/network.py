@@ -194,7 +194,7 @@ class _MixtureEngine:
     """
 
     def __init__(self, net: NetworkSpec, inputs: Sequence[str], labels=()):
-        self.net = net
+        self.net = require_type(net, NetworkSpec, "net")
         N, M, n = net.n_inputs, net.n_hidden, net.n_total
         S, C = len(inputs), 1 << M
         if S * C * n > 1 << 26:
@@ -293,6 +293,8 @@ def build_universal_approximator(classical, lambda_lin: float) -> NetworkSpec:
     small lambda the output probability is affine in the classical sum
     G = Sum_j alpha_j <f_j>, recoverable via approximator_readout.
     """
+    if not (hasattr(classical, "__len__") and len(classical) == 3):
+        raise ValueError(f"classical must be the triple (alpha, w, theta), got {classical!r}")
     alpha, w, theta = classical
     alpha, w, theta = require_finite(alpha=alpha, w=w, theta=theta)
     alpha, w, theta = np.atleast_1d(alpha), np.atleast_2d(w), np.atleast_1d(theta)
@@ -332,7 +334,7 @@ def protocol_duration(net: NetworkSpec, schedule) -> float:
     of the same layer; such a net raises ValueError naming the target, the
     source and their layer.  Sources in any earlier layer are allowed.
     """
-    layer = _layer_index(net.n_inputs, net.layer_sizes)
+    layer = _layer_index(require_type(net, NetworkSpec, "net").n_inputs, net.layer_sizes)
     target, source = np.nonzero(net.mask)
     same = layer[target] == layer[source]
     if np.any(same):
@@ -358,7 +360,7 @@ def _activation_from_tag(tag: str) -> ActivationKind:
 
 def _network_dict(net: NetworkSpec) -> dict:
     """The JSON object of network_to_json, before it is dumped."""
-    n = net.n_total
+    n = require_type(net, NetworkSpec, "net").n_total
     return {
         "n_inputs": net.n_inputs,
         "layer_sizes": list(net.layer_sizes),

@@ -9,10 +9,10 @@ Conventions, fixed once for the whole package:
 - The active state is |1> with sz|1> = +|1>, sz|0> = -|0>; the excitation
   probability of a qubit is P = (1 + <sz>) / 2.  Two-level vectors are
   (amp0, amp1) pairs everywhere, and a scalar input gives a Python float.
-- The activation field of a gate is x = sum_k w_k z_k - bias with z_k = +/-1
-  the sz eigenvalue of source qubit k.
-- The ideal gate rotates the target by chi(x) about y with the sign fixed so
-  |0> maps to sqrt(1-f)|0> + sqrt(f)|1> (matrix [[c, -s], [s, c]] on the pair).
+- The field of a gate is x = -bias + sum_k w_k levels[s_k], s_k the bit of source
+  qubit k: levels (-1, 1), its sz eigenvalue, for a perceptron; (0, 1) for a composition.
+- A rotation gate turns the target by angle(x) about y, chi(x) for the ideal gate, with
+  the sign fixed so |0> maps to sqrt(1-f)|0> + sqrt(f)|1> ([[c, -s], [s, c]] on the pair).
 
 Gates act in O(2^n) on the amplitudes viewed as a (2,)*n tensor with qubit
 k on axis k: every gate is one 2x2 matrix per source configuration (a
@@ -23,13 +23,14 @@ integrate, in one sweep, only the fields of occupied source configurations:
 an unoccupied one holds exact zeros, which every propagator keeps.
 Registers are values: every operation returns a new register, whose
 amplitude array is frozen read-only and reachable through no other name.
-Every gate or pass checks, builds its steps (_ideal_step, _hardware_steps or a
-rotation) and runs them in place in _in_place, checked around each step, on
+Every gate or pass checks, builds its steps (_rotation_step or _hardware_steps)
+and runs them in place in _in_place, checked around each step, on
 a buffer it owns: a network pass in its one state, an apply_* entry in a copy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -115,18 +116,19 @@ class PerceptronGateSpec:
         object.__setattr__(self, "target", as_index(self.target, "target"))
         if not isinstance(self.weights, Mapping):
             raise ValueError(f"weights must map source qubits to weights, got {self.weights!r}")
-        weights = {as_index(k, "source"): w for k, w in self.weights.items()}
-        require_finite(weights=list(weights.values()), bias=self.bias)
-        if any(np.ndim(w) for w in weights.values()):
+        sources = [as_index(k, "source") for k in self.weights]
+        values, bias = require_finite(weights=list(self.weights.values()), bias=self.bias)
+        if values.ndim != 1:
             raise ValueError("weights must be numbers, one per source")
-        if np.ndim(self.bias):
+        if np.ndim(bias):
             raise ValueError("bias must be a number")
-        if self.target in weights:
+        if self.target in sources:
             raise ValueError("target cannot be one of its own sources")
-        if any(k < 0 for k in weights):
+        if any(k < 0 for k in sources):
             raise ValueError("source indices must be nonnegative integers")
         _check_kind(self.activation, "activation")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", dict(zip(sources, values.tolist())))
+        object.__setattr__(self, "bias", bias)
 
 
 def init_basis(n: int, bits: str) -> QuantumRegister:
@@ -160,21 +162,6 @@ def _view(amps: np.ndarray, n: int, qubits, bits) -> np.ndarray:
     return amps.reshape((2,) * n)[tuple(sel)]
 
 
-def _sector_field(n: int, weights, offset: float, levels) -> np.ndarray:
-    """offset + sum_k w_k levels[s_k] for every source configuration.
-
-    Source k's axis has length 2 and every other axis length 1, so the
-    field broadcasts against the target halves.  The terms are added in
-    the order of ``weights``.
-    """
-    x = np.full((1,) * n, offset)
-    for k, w in weights.items():
-        shape = [1] * n
-        shape[k] = 2
-        x = x + w * np.reshape(levels, shape)
-    return x
-
-
 def _pair_kernel(a: np.ndarray, n: int, target: int, u) -> None:
     """Map each target pair (a0, a1) of ``a`` in place to (u00 a0 + u01 a1, u10 a0 + u11 a1);
     u's entries are scalars or arrays per source sector.  Slab by slab along the leading
@@ -203,23 +190,32 @@ def _in_place(n: int, amps: np.ndarray, steps) -> QuantumRegister:
     return _adopt(n, amps)
 
 
-def _rotation(ang):
-    """[[c, -s], [s, c]] at each sector's angle."""
-    c, s = np.cos(ang), np.sin(ang)
-    return (c, -s), (s, c)
+def _gate_field(n: int, gate, levels=(-1.0, 1.0)) -> np.ndarray:
+    """Field x = -bias + sum_k w_k levels[s_k] of each source sector of an n-qubit register.
 
-
-def _gate_field(n: int, gate) -> np.ndarray:
-    """Activation field x = sum w_k z_k - bias of each source sector of an n-qubit register."""
+    Source k's axis has length 2 and every other axis length 1, so the
+    field broadcasts against the target halves.  The terms are added in
+    the order of ``gate.weights``.
+    """
     _check_qubit(n, gate.target, "target")
-    for k in gate.weights:
-        _check_qubit(n, k, "source")
-    return _sector_field(n, gate.weights, -float(gate.bias), (-1.0, 1.0))
+    x = np.full((1,) * n, -gate.bias)
+    for k, w in gate.weights.items():
+        shape = [1] * n
+        shape[_check_qubit(n, k, "source")] = 2
+        x = x + w * np.reshape(levels, shape)
+    return x
+
+
+def _rotation_step(n: int, gate, angle, levels=(-1.0, 1.0)):
+    """(target, [[c, -s], [s, c]] at angle(x) per source sector) of a rotation gate on n qubits."""
+    ang = angle(_gate_field(n, gate, levels))
+    c, s = np.cos(ang), np.sin(ang)
+    return gate.target, ((c, -s), (s, c))
 
 
 def _ideal_step(n: int, gate):
     """(target, rotation by chi(x) per source sector) of an ideal gate on n qubits."""
-    return gate.target, _rotation(chi(gate.activation, _gate_field(n, gate)))
+    return _rotation_step(n, gate, partial(chi, gate.activation))
 
 
 def apply_ideal_perceptron(reg: QuantumRegister, gate: PerceptronGateSpec) -> QuantumRegister:
@@ -272,7 +268,7 @@ def _norm2(psi: np.ndarray) -> float:
 
 def excitation_probability(reg: QuantumRegister, qubit: int) -> float:
     """P(qubit = 1) = (1 + <sz>) / 2."""
-    n = reg.n_qubits
+    n = require_type(reg, QuantumRegister, "reg").n_qubits
     return _norm2(_view(reg.amplitudes, n, [_check_qubit(n, qubit)], [1]))
 
 
@@ -282,7 +278,7 @@ def conditional_probability(reg, condition_qubits, condition_bits, query_qubit) 
     Raises ZeroProbabilityError when the conditioning event has zero
     probability (squared norm below 1e-30).
     """
-    n = reg.n_qubits
+    n = require_type(reg, QuantumRegister, "reg").n_qubits
     conds = [_check_qubit(n, q, "condition qubit") for q in condition_qubits]
     bits = [int(b) if isinstance(b, bool) else as_index(b, "condition bit")  # True is a bit
             for b in condition_bits]

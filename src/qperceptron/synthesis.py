@@ -25,7 +25,7 @@ import numpy as np
 
 from ._io import as_index, float_if_scalar, require_finite, require_type, write_rows
 from .activation import ActivationKind, ALGEBRAIC, _check_kind, chi, dchi_dx
-from .register import QuantumRegister, _check_qubit, _in_place, _rotation, _sector_field
+from .register import PerceptronGateSpec, QuantumRegister, _in_place, _rotation_step
 
 __all__ = [
     "Rectangle",
@@ -138,8 +138,8 @@ class CompositionSpec:
 
 def composition_angle(spec: CompositionSpec, x):
     """Total y-rotation angle at conditioning value x (scalar or array)."""
-    x = require_finite(x=x)
-    return float_if_scalar(_angle(spec.activation, spec.cycles, x))
+    require_type(spec, CompositionSpec, "spec")
+    return float_if_scalar(_angle(spec.activation, spec.cycles, require_finite(x=x)))
 
 
 def _cycle_terms(f, kind, cycles, x):
@@ -160,6 +160,7 @@ def analytic_rectangle(rect: Rectangle, steepness: float) -> CompositionSpec:
     The forward cycle saturates to pi/2 once x clears m1; the reversed
     cycle cancels it again past m2.  Larger steepness sharpens both walls.
     """
+    require_type(rect, Rectangle, "rect")
     # nan is not read but refused below, as not positive
     w = require_finite(steepness=steepness) if steepness == steepness else steepness
     if not (w > 0):
@@ -247,17 +248,9 @@ def apply_composition(
     """
     n = require_type(reg, QuantumRegister, "reg").n_qubits
     require_type(spec, CompositionSpec, "spec")
-    target_qubit = _check_qubit(n, target_qubit, "target qubit")
-    if not isinstance(source_weights, Mapping):
-        raise ValueError(f"source weights must map source qubits to weights, got {source_weights!r}")
-    weights = require_finite(**{"source weights": list(source_weights.values())})
-    if weights.ndim != 1:
-        raise ValueError("source weights must be numbers, one per source")
-    srcs = {_check_qubit(n, k, "source qubit"): v for k, v in zip(source_weights, weights.tolist())}
-    if target_qubit in srcs:
-        raise ValueError("target cannot be its own source")
-    # no name holds the field or the angle: each is freed once used, before the copy is made
-    step = target_qubit, _rotation(composition_angle(spec, _sector_field(n, srcs, 0.0, (0.0, 1.0))))
+    gate = PerceptronGateSpec(target_qubit, source_weights)
+    # the step is built, and its field and angle freed, before the copy is made
+    step = _rotation_step(n, gate, lambda x: composition_angle(spec, x), (0.0, 1.0))
     return _in_place(n, reg.amplitudes.copy(), [step])
 
 
@@ -268,6 +261,7 @@ def composition_to_csv(
 
     Write-only: the package has no public reader for it.
     """
+    require_type(result, SynthesisResult, "result")
     x = np.ravel(require_finite(x_grid=x_grid))
     tgt = target_angle(target, x)
     ang = composition_angle(result.spec, x)

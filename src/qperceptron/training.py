@@ -28,7 +28,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ._io import as_index, check_bits, read_rows, require_finite, write_rows
+from ._io import as_index, check_bits, read_rows, require_finite, require_type, write_rows
 from .network import NetworkSpec, _cross_entropy, _MixtureEngine, _network_dict, _pass
 from .register import conditional_probability
 
@@ -64,6 +64,8 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "n_bits", as_index(self.n_bits, "n_bits"))
         pairs = tuple(self.pairs)
+        if not all(hasattr(p, "__len__") and len(p) == 2 for p in pairs):
+            raise ValueError(f"pairs must be (bits, label) rows, got {pairs!r}")
         labels = require_finite(labels=[y for _, y in pairs]).tolist()
         pairs = tuple(zip((str(x) for x, _ in pairs), labels))
         if not pairs:
@@ -98,7 +100,8 @@ def prime_dataset(n_bits: int) -> Dataset:
 
 def _engine(net: NetworkSpec, dataset: Dataset) -> _MixtureEngine:
     """Mixture engine over the dataset, for the ideal cost and the gradient."""
-    return _MixtureEngine(net, [x for x, _ in dataset.pairs], [y for _, y in dataset.pairs])
+    pairs = require_type(dataset, Dataset, "dataset").pairs
+    return _MixtureEngine(net, [x for x, _ in pairs], [y for _, y in pairs])
 
 
 def cross_entropy_cost(net: NetworkSpec, dataset: Dataset, schedule=None) -> float:
@@ -114,8 +117,8 @@ def cross_entropy_cost(net: NetworkSpec, dataset: Dataset, schedule=None) -> flo
     return _cross_entropy(ps, np.array([y for _, y in dataset.pairs]))[0]
 
 
-def _refuse_step(net: NetworkSpec) -> None:
-    if net.activation.variant == "step":
+def _refuse_step(net: NetworkSpec, name: str = "net") -> None:
+    if require_type(net, NetworkSpec, name).activation.variant == "step":
         raise ValueError("step activation is not differentiable; cannot train")
 
 
@@ -183,9 +186,10 @@ def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainRepo
     entries of J to +0.0.  Stops early once a restart classifies every sample
     correctly with cost at or below 0.02.
     """
+    _refuse_step(net0, "net0")
     if net0.activation.variant == "cao":  # restarts and line search leave its domain
         raise ValueError("cao activation is only defined on [-pi/4, pi/4]; cannot train")
-    _refuse_step(net0)
+    require_type(config, TrainConfig, "config")
     eng = _engine(net0, dataset)
     mask = net0.mask
     n = net0.n_total
@@ -214,7 +218,7 @@ def train(net0: NetworkSpec, dataset: Dataset, config: TrainConfig) -> TrainRepo
 
 def _pass_probabilities(net: NetworkSpec, dataset: Dataset, schedule=None) -> List[float]:
     """p(X_i) of every dataset input from one network pass over all of them."""
-    reg = _pass(net, [x for x, _ in dataset.pairs], schedule)
+    reg = _pass(net, [x for x, _ in require_type(dataset, Dataset, "dataset").pairs], schedule)
     return [conditional_probability(reg, range(net.n_inputs), [int(c) for c in x], net.n_total - 1)
             for x, _ in dataset.pairs]
 
@@ -229,7 +233,7 @@ def batch_state_forward(net: NetworkSpec, dataset: Dataset) -> List[float]:
 
 def dataset_to_csv(dataset: Dataset, path_or_buf) -> None:
     """CSV with header ``x_bits,y``; bitstrings kept as text."""
-    write_rows(path_or_buf, "x_bits,y", dataset.pairs)
+    write_rows(path_or_buf, "x_bits,y", require_type(dataset, Dataset, "dataset").pairs)
 
 
 def dataset_from_csv(path_or_buf) -> Dataset:
@@ -245,6 +249,7 @@ def report_to_json(report: TrainReport) -> str:
     Write-only: the package has no public reader for it; ``network_from_json``
     reads the ``params`` object alone.
     """
+    require_type(report, TrainReport, "report")
     return json.dumps(
         {
             "cost_trace": list(report.cost_trace),

@@ -604,7 +604,7 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "x_max", lambda: qperceptron.average_fidelity(_ramp(), "a", 5)),
     (ValueError, "steepness", lambda: analytic_rectangle(Rectangle(0, 2), _INF)),
     (ValueError, "steepness", lambda: analytic_rectangle(Rectangle(0, 2), "2")),
-    (ValueError, "source weights", lambda: qperceptron.apply_composition(
+    (ValueError, "weights", lambda: qperceptron.apply_composition(
         _reg(), _SPEC, 1, {0: _NAN})),
     # shapes and types that failed deep inside: 0/0 in the peak profile, a tuple
     # unpack, a dict method, a broadcast
@@ -612,9 +612,9 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "peak width", lambda: qperceptron.Peak(0.0, 1e200)),
     (ValueError, "cycles", lambda: qperceptron.CompositionSpec(((1.0, 0.5),))),
     (ValueError, "weights", lambda: qperceptron.PerceptronGateSpec(1, [1.0])),
-    (ValueError, "source weights", lambda: qperceptron.apply_composition(
+    (ValueError, "weights", lambda: qperceptron.apply_composition(
         _reg(), _SPEC, 1, [1.0])),
-    (ValueError, "source weights", lambda: qperceptron.apply_composition(
+    (ValueError, "weights", lambda: qperceptron.apply_composition(
         _reg(), _SPEC, 1, {0: [1.0, 2.0]})),
     (ValueError, "alpha", lambda: qperceptron.build_universal_approximator(
         ([_NAN], [[1, 1]], [0]), 0.1)),
@@ -628,8 +628,8 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "bits", lambda: qperceptron.init_basis(2, "0x")),
     (ValueError, "input", lambda: qperceptron.Dataset(2, (("01", 1.0), ("1", 0.0)))),
     # qubit indices: register._check_qubit
-    (IndexError, "target qubit", lambda: qperceptron.apply_composition(_reg(), _SPEC, 2, {0: 1.0})),
-    (IndexError, "source qubit", lambda: qperceptron.apply_composition(_reg(), _SPEC, 0, {5: 1.0})),
+    (IndexError, "target", lambda: qperceptron.apply_composition(_reg(), _SPEC, 2, {0: 1.0})),
+    (IndexError, "source", lambda: qperceptron.apply_composition(_reg(), _SPEC, 0, {5: 1.0})),
     (IndexError, "target", lambda: qperceptron.apply_ideal_perceptron(
         _reg(), qperceptron.PerceptronGateSpec(2, {0: 1.0}))),
     (IndexError, "source", lambda: qperceptron.apply_ideal_perceptron(
@@ -704,6 +704,32 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "net", lambda: qperceptron.cross_entropy_cost(
         "net", qperceptron.prime_dataset(2), _ramp())),
     (ValueError, "points", lambda: Sampled([(0.1,)])),
+    (ValueError, "reg", lambda: qperceptron.excitation_probability("r", 0)),
+    (ValueError, "reg", lambda: qperceptron.conditional_probability("r", [0], [1], 1)),
+    (ValueError, "net", lambda: qperceptron.classical_mixture_oracle("net", "00")),
+    (ValueError, "net", lambda: qperceptron.protocol_duration("net", _ramp())),
+    (ValueError, "net", lambda: qperceptron.network_to_json("net")),
+    (ValueError, "dataset", lambda: qperceptron.cross_entropy_cost(_net(), "d")),
+    (ValueError, "dataset", lambda: qperceptron.cost_gradient(_net(), "d")),
+    (ValueError, "net", lambda: qperceptron.cost_gradient("net", qperceptron.prime_dataset(2))),
+    (ValueError, "dataset", lambda: qperceptron.batch_state_forward(_net(), "d")),
+    (ValueError, "dataset", lambda: qperceptron.dataset_to_csv("d", io.StringIO())),
+    (ValueError, "dataset", lambda: qperceptron.train(_net(), "d", qperceptron.TrainConfig())),
+    (ValueError, "net0", lambda: qperceptron.train(
+        "net", qperceptron.prime_dataset(2), qperceptron.TrainConfig())),
+    (ValueError, "config", lambda: qperceptron.train(_net(), qperceptron.prime_dataset(2), "c")),
+    (ValueError, "report", lambda: report_to_csv("r", io.StringIO())),
+    (ValueError, "report", lambda: qperceptron.fit_constants_json("r")),
+    (ValueError, "report", lambda: qperceptron.report_to_json("r")),
+    (ValueError, "result", lambda: composition_to_csv(
+        "r", Rectangle(0, 2), [0.0], io.StringIO())),
+    (ValueError, "spec", lambda: qperceptron.composition_angle("s", 0.0)),
+    (ValueError, "rect", lambda: analytic_rectangle("r", 2.0)),
+    (ValueError, "base", lambda: qperceptron.perturbed_schedule("b", 0.1)),
+    # malformed rows, where a tuple unpack failed
+    (ValueError, "pairs", lambda: qperceptron.Dataset(2, [("01",)])),
+    (ValueError, "classical", lambda: qperceptron.build_universal_approximator(
+        ([1.0], [[1.0]]), 0.1)),
 ], ids=["linear", "linear_str", "linear_huge_int", "linear_complex", "faquad", "perturbed", "design_field", "table_ts", "table_omegas",
         "eigensystem_nan", "eigensystem_inf", "eigensystem_x", "eigensystem_str",
         "eigensystem_ragged", "constant_mu",
@@ -732,7 +758,13 @@ _NAN, _INF = math.nan, math.inf
         "eigensystem_numpy_bool", "omega_str", "omega_nan", "domega_inf", "hidden_int",
         "hidden_none", "hidden_float", "ideal_gate_str", "ideal_reg_array", "composition_spec_str",
         "composition_reg_str", "hardware_reg_str", "forward_net_str", "batch_net_str",
-        "hardware_cost_net_str", "sampled_point_short"])
+        "hardware_cost_net_str", "sampled_point_short", "probability_reg_str",
+        "conditional_reg_str", "oracle_net_str", "duration_net_str", "network_json_net_str",
+        "cost_dataset_str", "gradient_dataset_str", "gradient_net_str", "batch_dataset_str",
+        "dataset_csv_str", "train_dataset_str", "train_net_str", "train_config_str",
+        "report_csv_str", "fit_json_str", "train_json_str", "composition_csv_result_str",
+        "composition_angle_spec_str", "rectangle_rect_str", "perturbed_base_str",
+        "dataset_pair_short", "approximator_classical_pair"])
 def test_bad_argument_is_refused_by_name(error, name, call):
     # warnings are errors: a bad count once gave nan and two RuntimeWarnings
     with warnings.catch_warnings():

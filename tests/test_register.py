@@ -492,11 +492,20 @@ def names_by_module(names):
     return {k: v for k, v in found.items() if v}
 
 
+def imported_from(path, module):
+    """Sorted names a module imports from the package's ``module`` by a relative import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+                  for alias in node.names)
+
+
 class TestOneRunner:
     """Every gate runs through register._in_place, the pair kernel's one caller:
     a single gate is a one-step pass on a copy, so no second runner is kept.
     Hardware steps are built by _hardware_steps for the public entry and the
-    network's pass alone, and only register makes a register of an array."""
+    network's pass alone, every rotation step, ideal or composed, by
+    _rotation_step, and only register makes a register of an array."""
 
     def test_pair_kernel_is_called_from_in_place_only(self):
         assert names_by_module(("_pair_kernel", "_update_pairs")) == {
@@ -530,6 +539,32 @@ class TestOneRunner:
         assert names_in(path, ("_adopt", "_hardware_steps", "apply_hardware_perceptron")) == [
             ("_adopt", "<module>"), ("apply_hardware_perceptron", "<module>"),
             ("apply_hardware_perceptron", "_pass"), ("_adopt", "_pass")]
+
+    def test_rotations_have_one_builder(self):
+        # a composition is a checked PerceptronGateSpec whose step _rotation_step builds
+        assert names_by_module(("_sector_field", "_rotation")) == {}
+        assert names_by_module(("_rotation_step",)) == {
+            "src/qperceptron/register.py": [("_rotation_step", "<module>"),
+                                            ("_rotation_step", "_ideal_step")],
+            "src/qperceptron/synthesis.py": [("_rotation_step", "<module>"),
+                                             ("_rotation_step", "apply_composition")]}
+        synthesis_py = pathlib.Path(__file__).parents[1] / "src/qperceptron/synthesis.py"
+        assert imported_from(synthesis_py, "register") == [
+            "PerceptronGateSpec", "QuantumRegister", "_in_place", "_rotation_step"]
+
+    def test_guard_sees_a_second_rotation_builder(self, tmp_path):
+        # the composition's old step: its own field and rotation from four register privates
+        path = tmp_path / "m.py"
+        path.write_text("from .register import QuantumRegister, _check_qubit, _rotation\n"
+                        "from .register import _sector_field\n"
+                        "def apply_composition(n, t, w, spec):\n"
+                        "    return t, _rotation(angle(spec, _sector_field(n, w, 0.0, (0, 1))))\n",
+                        encoding="utf-8")
+        assert names_in(path, ("_sector_field", "_rotation")) == [
+            ("_rotation", "<module>"), ("_sector_field", "<module>"),
+            ("_rotation", "apply_composition"), ("_sector_field", "apply_composition")]
+        assert imported_from(path, "register") == [
+            "QuantumRegister", "_check_qubit", "_rotation", "_sector_field"]
 
 
 class TestObservables:

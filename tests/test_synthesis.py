@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from qperceptron import synthesis
 from qperceptron.activation import ALGEBRAIC, LOGISTIC, STEP, cao_arctan, chi
 from qperceptron.register import (
+    PerceptronGateSpec,
     QuantumRegister,
+    apply_ideal_perceptron,
     excitation_probability,
     init_basis,
 )
@@ -318,9 +321,9 @@ class TestApplyComposition:
         (lambda: CompositionSpec(((1.0, 0.0, 1.0),)),
          r"orientation must be an integer, got 1\.0"),
         (lambda: apply_composition(init_basis(2, "10"), CompositionSpec(((1.0, 0.0, 1),)), 1.5,
-                                   {0: 1.0}), r"target qubit must be an integer, got 1\.5"),
+                                   {0: 1.0}), r"target must be an integer, got 1\.5"),
         (lambda: apply_composition(init_basis(2, "10"), CompositionSpec(((1.0, 0.0, 1),)), 0,
-                                   {1.7: 1.0}), r"source qubit must be an integer, got 1\.7"),
+                                   {1.7: 1.0}), r"source must be an integer, got 1\.7"),
         (lambda: synthesize(Rectangle(0.0, 2.0), 2.0, [0.0, 1.0]),
          r"cycles must be an integer, got 2\.0"),
     ], ids=["orientation", "integral_orientation", "target", "source", "cycles"])
@@ -328,6 +331,19 @@ class TestApplyComposition:
         # int() turned orientation -1.9 into -1 and source 1.7 into qubit 1
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
+
+    @pytest.mark.parametrize("target, weights", [
+        (1, {-1: 1.0}), (1, {1: 1.0}), (0, {1: np.nan}), (0, [1.0]), (2, {0: 1.0}), (0, {5: 1.0}),
+    ], ids=["negative_source", "self_source", "nan_weight", "list", "target_range",
+            "source_range"])
+    def test_wiring_is_refused_as_a_gate_refuses_it(self, target, weights):
+        # the composition checks its target and weighted sources as a PerceptronGateSpec:
+        # a negative source was an IndexError, and the self-source message its own
+        reg, spec = init_basis(2, "10"), CompositionSpec(((1.0, 0.0, 1),))
+        with pytest.raises((ValueError, IndexError)) as want:
+            apply_ideal_perceptron(reg, PerceptronGateSpec(target, weights))
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            apply_composition(reg, spec, target, weights)
 
 
 class TestCsv:
