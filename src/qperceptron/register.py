@@ -206,9 +206,12 @@ def _gate_field(n: int, gate, levels=(-1.0, 1.0)) -> np.ndarray:
     return x
 
 
-def _rotation_step(n: int, gate, angle, levels=(-1.0, 1.0)):
-    """(target, [[c, -s], [s, c]] at angle(x) per source sector) of a rotation gate on n qubits."""
-    ang = angle(_gate_field(n, gate, levels))
+def _rotation_step(n: int, gate, angle, *levels):
+    """(target, [[c, -s], [s, c]] at angle(x) per source sector) of a rotation gate on n qubits.
+
+    ``levels``, if given, go to _gate_field, which holds the perceptron's default.
+    """
+    ang = angle(_gate_field(n, gate, *levels))
     c, s = np.cos(ang), np.sin(ang)
     return gate.target, ((c, -s), (s, c))
 

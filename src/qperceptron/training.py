@@ -64,8 +64,9 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "n_bits", as_index(self.n_bits, "n_bits"))
         pairs = tuple(self.pairs)
-        if not all(hasattr(p, "__len__") and len(p) == 2 for p in pairs):
-            raise ValueError(f"pairs must be (bits, label) rows, got {pairs!r}")
+        bad = [p for p in pairs if isinstance(p, str) or not (hasattr(p, "__len__") and len(p) == 2)]
+        if bad:  # a 2-character bitstring is no (bits, label) row
+            raise ValueError(f"pairs must be (bits, label) rows, got row {bad[0]!r}")
         labels = require_finite(labels=[y for _, y in pairs]).tolist()
         pairs = tuple(zip((str(x) for x, _ in pairs), labels))
         if not pairs:

@@ -728,6 +728,7 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "base", lambda: qperceptron.perturbed_schedule("b", 0.1)),
     # malformed rows, where a tuple unpack failed
     (ValueError, "pairs", lambda: qperceptron.Dataset(2, [("01",)])),
+    (ValueError, "pairs", lambda: qperceptron.Dataset(2, ["01"])),
     (ValueError, "classical", lambda: qperceptron.build_universal_approximator(
         ([1.0], [[1.0]]), 0.1)),
 ], ids=["linear", "linear_str", "linear_huge_int", "linear_complex", "faquad", "perturbed", "design_field", "table_ts", "table_omegas",
@@ -764,7 +765,7 @@ _NAN, _INF = math.nan, math.inf
         "dataset_csv_str", "train_dataset_str", "train_net_str", "train_config_str",
         "report_csv_str", "fit_json_str", "train_json_str", "composition_csv_result_str",
         "composition_angle_spec_str", "rectangle_rect_str", "perturbed_base_str",
-        "dataset_pair_short", "approximator_classical_pair"])
+        "dataset_pair_short", "dataset_pair_str", "approximator_classical_pair"])
 def test_bad_argument_is_refused_by_name(error, name, call):
     # warnings are errors: a bad count once gave nan and two RuntimeWarnings
     with warnings.catch_warnings():
