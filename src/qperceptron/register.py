@@ -207,10 +207,7 @@ def _gate_field(n: int, gate, levels=(-1.0, 1.0)) -> np.ndarray:
 
 
 def _rotation_step(n: int, gate, angle, *levels):
-    """(target, [[c, -s], [s, c]] at angle(x) per source sector) of a rotation gate on n qubits.
-
-    ``levels``, if given, go to _gate_field, which holds the perceptron's default.
-    """
+    """(target, [[c, -s], [s, c]] at angle(x) per source sector); any levels go to _gate_field."""
     ang = angle(_gate_field(n, gate, *levels))
     c, s = np.cos(ang), np.sin(ang)
     return gate.target, ((c, -s), (s, c))
