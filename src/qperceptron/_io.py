@@ -1,12 +1,13 @@
 """Path-or-stream handling, the one CSV writer and reader, the one check of an integer, a
-bitstring or a type and the one read of a real argument, a ValueError naming it, and scalar-in,
-float-out."""
+bitstring, a type or rows and the one read of a real argument, a ValueError naming it, and
+scalar-in, float-out."""
 from __future__ import annotations
 
 import contextlib
 import numbers
 import operator
 import os
+import stat
 import sys
 
 import numpy as np
@@ -64,6 +65,17 @@ def require_type(value, cls, name: str):
     return value
 
 
+def require_rows(rows, width: int, name: str) -> tuple:
+    """``rows`` as a nonempty tuple, or a ValueError naming the argument; of the rows that are a
+    str or do not hold ``width`` values, it quotes the first."""
+    if not (rows := tuple(rows)):
+        raise ValueError(f"{name} must hold at least one row")
+    for row in rows:
+        if isinstance(row, str) or not (hasattr(row, "__len__") and len(row) == width):
+            raise ValueError(f"{name} must be rows of {width} values, got row {row!r}")
+    return rows
+
+
 def float_if_scalar(out):
     """A 0-d result as a Python float, any other as is: a scalar in gives a float out."""
     return float(out) if np.ndim(out) == 0 else out
@@ -79,13 +91,20 @@ def check_bits(bits, n: int, name: str) -> None:
 def open_text(path_or_buf, mode: str = "r"):
     """Yield a text stream for ``path_or_buf``.
 
-    A path is opened as UTF-8 with ``newline=""`` (rows are written with
-    explicit ``\\n`` and read back verbatim) and closed on exit; an already
-    open stream is yielded as is and left open for its owner.
+    A path is opened as UTF-8 with ``newline=""`` (rows are written with explicit ``\\n`` and
+    read back verbatim) and closed on exit; an open stream is yielded as is, left to its owner.
+    Mode "w" writes over old bytes in place, not by O_TRUNC (50-100 ms on ext4 with discard),
+    then cuts a regular file to the bytes written, on an error too: a crash can leave old after new.
     """
     if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        if mode == "w":  # a symlink, a hard link or a file's permissions stay as they were
+            path_or_buf = os.open(path_or_buf, os.O_WRONLY | os.O_CREAT, 0o666)
         with open(path_or_buf, mode, encoding="utf-8", newline="") as fh:
-            yield fh
+            try:
+                yield fh
+            finally:  # not for /dev/null, a pipe or a tty
+                if mode == "w" and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
     else:
         yield path_or_buf
 

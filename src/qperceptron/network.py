@@ -31,8 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import as_index, check_bits, require_finite, require_type
+from ._io import as_index, check_bits, require_finite, require_rows, require_type
 from .activation import ALGEBRAIC, ActivationKind, _check_kind, cao_arctan, df_dx, eval_f
+from .dynamics import _validate_schedule
 from .register import (
     PerceptronGateSpec, QuantumRegister, _dimension, _hardware_steps, _ideal_step, _in_place,
     _view, excitation_probability)
@@ -293,9 +294,7 @@ def build_universal_approximator(classical, lambda_lin: float) -> NetworkSpec:
     small lambda the output probability is affine in the classical sum
     G = Sum_j alpha_j <f_j>, recoverable via approximator_readout.
     """
-    if not (hasattr(classical, "__len__") and len(classical) == 3):
-        raise ValueError(f"classical must be the triple (alpha, w, theta), got {classical!r}")
-    alpha, w, theta = classical
+    alpha, w, theta = require_rows([classical], 3, "classical")[0]
     alpha, w, theta = require_finite(alpha=alpha, w=w, theta=theta)
     alpha, w, theta = np.atleast_1d(alpha), np.atleast_2d(w), np.atleast_1d(theta)
     if alpha.ndim != 1 or alpha.size == 0:
@@ -343,6 +342,7 @@ def protocol_duration(net: NetworkSpec, schedule) -> float:
             f"qubit {j} sources qubit {k} of its own layer {layer[j]}: "
             "the layer cannot run as one ramp"
         )
+    _validate_schedule(schedule)
     return len(net.layer_sizes) * schedule.tf
 
 

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._io import as_index, float_if_scalar, require_finite, require_type, write_rows
+from ._io import as_index, float_if_scalar, require_finite, require_rows, require_type, write_rows
 from .activation import ActivationKind, ALGEBRAIC, _check_kind, chi, dchi_dx
 from .register import PerceptronGateSpec, QuantumRegister, _in_place, _rotation_step
 
@@ -45,7 +45,7 @@ __all__ = [
 _HALF_PI = math.pi / 2.0
 _CONVERGED_RMS = 0.15
 _RESTARTS = 6  # random starts per orientation pattern
-_MAX_CYCLES = 6  # 63 patterns of 6 fits each, about a minute
+_MAX_CYCLES = 6  # 63 patterns of 6 fits each, about 15 s
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,9 @@ class Sampled:
     points: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        if not all(hasattr(p, "__len__") and len(p) == 2 for p in pts):
-            raise ValueError(f"points must be (x, angle) pairs, got {pts!r}")
+        pts = require_rows(self.points, 2, "points")
         xs, angles = require_finite(**{"sampled point x": [x for x, _ in pts],
                                        "sampled angles": [a for _, a in pts]})
-        if not pts:
-            raise ValueError("sampled target needs at least one point")
         if not np.all((0.0 <= angles) & (angles <= _HALF_PI + 1e-12)):
             raise ValueError("sampled angles must lie in [0, pi/2]")
         object.__setattr__(self, "points", tuple(sorted(zip(xs.tolist(), angles.tolist()))))
@@ -122,12 +118,8 @@ class CompositionSpec:
     activation: ActivationKind = ALGEBRAIC
 
     def __post_init__(self):
-        rows = tuple(self.cycles)
-        if not all(hasattr(r, "__len__") and len(r) == 3 for r in rows):
-            raise ValueError(f"cycles must be (weight, threshold, orientation) rows, got {rows!r}")
+        rows = require_rows(self.cycles, 3, "cycles")
         orients = [as_index(o, "orientation") for _, _, o in rows]
-        if not rows:
-            raise ValueError("composition needs at least one cycle")
         if any(o not in (-1, 1) for o in orients):
             raise ValueError("orientation must be +1 or -1")
         w_th = require_finite(cycles=[(w, th) for w, th, _ in rows]).tolist()

@@ -28,7 +28,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ._io import as_index, check_bits, read_rows, require_finite, require_type, write_rows
+from ._io import (
+    as_index, check_bits, read_rows, require_finite, require_rows, require_type, write_rows)
 from .network import NetworkSpec, _cross_entropy, _MixtureEngine, _network_dict, _pass
 from .register import conditional_probability
 
@@ -63,14 +64,9 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "n_bits", as_index(self.n_bits, "n_bits"))
-        pairs = tuple(self.pairs)
-        bad = [p for p in pairs if isinstance(p, str) or not (hasattr(p, "__len__") and len(p) == 2)]
-        if bad:  # a 2-character bitstring is no (bits, label) row
-            raise ValueError(f"pairs must be (bits, label) rows, got row {bad[0]!r}")
+        pairs = require_rows(self.pairs, 2, "pairs")  # a 2-character bitstring is no row
         labels = require_finite(labels=[y for _, y in pairs]).tolist()
         pairs = tuple(zip((str(x) for x, _ in pairs), labels))
-        if not pairs:
-            raise ValueError("dataset must hold at least one pair")
         seen = set()
         for x, y in pairs:
             check_bits(x, self.n_bits, "input")

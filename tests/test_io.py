@@ -8,16 +8,21 @@ solves in the shared oracles;
 the shared argument checks, driven through every entry point that uses
 them, a guard that keeps finiteness and bitstring checks in them and one
 that keeps the reads of real arguments in _io.require_finite; a
-guard that keeps the bit order in register._view; and the scalar-in,
-float-out rule of every entry point."""
+guard that keeps the bit order in register._view; the scalar-in,
+float-out rule of every entry point; and the in-place writes of every
+writer."""
 import ast
+import functools
 import importlib
 import inspect
 import io
 import math
+import os
 import pathlib
 import re
+import stat
 import struct
+import tempfile
 import types
 import warnings
 
@@ -27,9 +32,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qperceptron
-from qperceptron import dynamics
-from qperceptron._io import read_rows, write_rows
-from qperceptron.control import faquad_schedule
+from qperceptron import _io, dynamics
+from qperceptron._io import open_text, read_rows, write_rows
+from qperceptron.cli import main
+from qperceptron.control import faquad_schedule, schedule_to_csv
 from qperceptron.dynamics import FidelityReport, report_to_csv, response_curve, response_to_csv
 from qperceptron.synthesis import (
     Peak,
@@ -54,6 +60,17 @@ def bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
+@functools.lru_cache(maxsize=None)
+def _tree(text):
+    return ast.parse(text)
+
+
+def parsed(path):
+    """The module at ``path`` as an ``ast`` tree, parsed once per source text and shared by
+    the guards here and in test_register.py; a guard walks the tree and never changes it."""
+    return _tree(path.read_text(encoding="utf-8"))
+
+
 def call_name(call):
     """The bare name a call invokes: ``f`` of both ``f(...)`` and ``m.f(...)``."""
     f = call.func
@@ -64,7 +81,7 @@ def io_offences(path):
     """(line, what) for each file or stream operation the module makes itself,
     a bare ``print`` call included."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(path)):
         if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
             found.append((node.lineno, "import csv"))
         elif isinstance(node, ast.ImportFrom) and node.module == "csv":
@@ -92,7 +109,7 @@ def layer_offences(path):
     file's own in LAYERS, relative or absolute; "qperceptron" for the whole package."""
     rank = {m: i for i, m in enumerate(LAYERS)}
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(path)):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -111,7 +128,7 @@ def layer_offences(path):
 
 def scipy_imports(path):
     """Lines where the module imports scipy or one of its submodules, at any depth."""
-    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    return [node.lineno for node in ast.walk(parsed(path))
             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy"
                                                     for a in node.names)
             or isinstance(node, ast.ImportFrom) and not node.level
@@ -120,7 +137,7 @@ def scipy_imports(path):
 
 def row_writer_uses(path):
     """Lines where the module imports or reaches ``write_rows``, the shared CSV row writer."""
-    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    return [node.lineno for node in ast.walk(parsed(path))
             if isinstance(node, ast.ImportFrom) and any(a.name == "write_rows" for a in node.names)
             or isinstance(node, ast.Attribute) and node.attr == "write_rows"]
 
@@ -299,7 +316,7 @@ def solve_ivp_calls(path):
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else scope)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    visit(parsed(path), "<module>")
     return found
 
 
@@ -344,7 +361,7 @@ def handwritten_checks(path):
     """(line, message text) of each raise whose message is a finiteness or
     bitstring check, written out instead of calling the shared one in _io."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(path)):
         if isinstance(node, ast.Raise) and node.exc is not None:
             text = "".join(c.value for c in ast.walk(node.exc)
                            if isinstance(c, ast.Constant) and isinstance(c.value, str))
@@ -376,7 +393,7 @@ def real_reads(path):
         params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
         return isinstance(expr, ast.Name) and expr.id in params - {"self"}
 
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = parsed(path)
     methods = [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body]
     found = []
     for fn in tree.body + methods:
@@ -460,7 +477,7 @@ def bit_order_offences(path):
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else scope)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    visit(parsed(path), "<module>")
     return found
 
 
@@ -731,6 +748,15 @@ _NAN, _INF = math.nan, math.inf
     (ValueError, "pairs", lambda: qperceptron.Dataset(2, ["01"])),
     (ValueError, "classical", lambda: qperceptron.build_universal_approximator(
         ([1.0], [[1.0]]), 0.1)),
+    # a str of the row's width is no row, and an empty table is refused by name: _io.require_rows
+    (ValueError, "points", lambda: Sampled(["ab"])),
+    (ValueError, "cycles", lambda: qperceptron.CompositionSpec(["abc"])),
+    (ValueError, "classical", lambda: qperceptron.build_universal_approximator("abc", 0.1)),
+    (ValueError, "points", lambda: Sampled(())),
+    (ValueError, "cycles", lambda: qperceptron.CompositionSpec(())),
+    (ValueError, "pairs", lambda: qperceptron.Dataset(2, ())),
+    # a schedule read through dynamics._validate_schedule, as forward reads it
+    (ValueError, "invalid schedule:", lambda: qperceptron.protocol_duration(_net(), "s")),
 ], ids=["linear", "linear_str", "linear_huge_int", "linear_complex", "faquad", "perturbed", "design_field", "table_ts", "table_omegas",
         "eigensystem_nan", "eigensystem_inf", "eigensystem_x", "eigensystem_str",
         "eigensystem_ragged", "constant_mu",
@@ -765,7 +791,9 @@ _NAN, _INF = math.nan, math.inf
         "dataset_csv_str", "train_dataset_str", "train_net_str", "train_config_str",
         "report_csv_str", "fit_json_str", "train_json_str", "composition_csv_result_str",
         "composition_angle_spec_str", "rectangle_rect_str", "perturbed_base_str",
-        "dataset_pair_short", "dataset_pair_str", "approximator_classical_pair"])
+        "dataset_pair_short", "dataset_pair_str", "approximator_classical_pair",
+        "sampled_point_str", "composition_cycle_str", "approximator_classical_str",
+        "sampled_empty", "composition_empty", "dataset_empty", "duration_schedule_str"])
 def test_bad_argument_is_refused_by_name(error, name, call):
     # warnings are errors: a bad count once gave nan and two RuntimeWarnings
     with warnings.catch_warnings():
@@ -774,6 +802,17 @@ def test_bad_argument_is_refused_by_name(error, name, call):
             call()
     assert err.type is error
     assert str(err.value).startswith(f"{name} "), str(err.value)
+
+
+@pytest.mark.parametrize("call, row", [
+    (lambda: Sampled([(0.0, 0.1), "ab", (1.0,)]), "'ab'"),
+    (lambda: qperceptron.CompositionSpec([(1.0, 0.0, 1), (1.0, 0.0), "abc"]), "(1.0, 0.0)"),
+    (lambda: qperceptron.Dataset(2, [("01", 1.0), "10", ("11",)]), "'10'"),
+], ids=["sampled", "composition", "dataset"])
+def test_rows_refusal_quotes_the_first_bad_row_only(call, row):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value).endswith(f"values, got row {row}"), str(err.value)
 
 
 def test_reals_held_as_objects_or_bools_are_read():
@@ -867,3 +906,110 @@ class TestWriteOnlyFormatsReadBack:
         ang = composition_angle(spec, x)
         written = np.column_stack([x, target_angle(rect, x), ang, np.sin(ang) ** 2])
         assert bits(np.ravel(back)) == bits(written.ravel())
+
+
+def _text(n):
+    """n bytes of LF-terminated ASCII lines."""
+    return ("0123456789abcde\n" * (n // 16 + 1))[:n]
+
+
+class TestWriteInPlace:
+    """A path opened for writing is written over in place and then cut to the
+    bytes written, never truncated first: on ext4 mounted with discard, an
+    O_TRUNC open of a file whose blocks are written took 50-100 ms."""
+
+    @given(old=st.none() | st.integers(0, 9000), new=st.integers(0, 9000))
+    @example(old=None, new=0)
+    @example(old=0, new=0)
+    @example(old=4097, new=4096)
+    @example(old=4096, new=4097)
+    @example(old=9000, new=1)
+    @example(old=1, new=9000)
+    def test_file_holds_exactly_the_new_bytes(self, old, new):
+        with tempfile.TemporaryDirectory() as d:
+            path = pathlib.Path(d) / "out.txt"
+            if old is not None:
+                path.write_bytes(b"o" * old)
+            with open_text(path, "w") as fh:
+                fh.write(_text(new))
+            assert path.read_bytes() == _text(new).encode()
+
+    def test_links_stay_links_and_their_target_is_written(self, tmp_path):
+        target, soft, hard = tmp_path / "target.csv", tmp_path / "soft.csv", tmp_path / "hard.csv"
+        target.write_text(_text(9000))
+        soft.symlink_to(target)
+        os.link(target, hard)
+        write_rows(soft, "x", [(1.0,)])
+        assert soft.is_symlink() and os.path.samefile(target, hard)
+        assert target.read_bytes() == hard.read_bytes() == b"x\n1.0\n"
+
+    def test_permissions_are_kept(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text(_text(5000))
+        path.chmod(0o640)
+        write_rows(path, "x", [(1.0,)])
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_bytes() == b"x\n1.0\n"
+
+    def test_dev_null_is_written(self):
+        write_rows(os.devnull, "x", [(float(k),) for k in range(2000)])
+        with open_text(pathlib.Path(os.devnull), "w") as fh:
+            fh.write(_text(9000))
+
+    def test_an_error_mid_write_leaves_the_bytes_written_before_it(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text(_text(9000))
+        with pytest.raises(TypeError):
+            write_rows(path, "x", [(1.0,), (2.0,), (object(),)])
+        assert path.read_bytes() == b"x\n1.0\n2.0\n"
+
+    def test_no_writer_opens_an_existing_path_truncating(self, tmp_path):
+        truncating = []
+        builtin_open, os_open = open, os.open
+
+        def guarded_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, bytes, os.PathLike)) and "w" in mode and os.path.exists(file):
+                truncating.append((pathlib.Path(file).name, mode))
+            return builtin_open(file, mode, *args, **kwargs)
+
+        def guarded_os_open(path, flags, *args, **kwargs):
+            if flags & os.O_TRUNC and os.path.exists(path):
+                truncating.append((pathlib.Path(path).name, "O_TRUNC"))
+            return os_open(path, flags, *args, **kwargs)
+
+        rect = Rectangle(0.0, 2.0)
+        ramp = faquad_schedule(100.0, 1.0, 10.0, 1.272)
+        report = FidelityReport(np.array([1.0, 2.0]), np.array([0.5, 0.25]),
+                                np.array([0.25, 0.125]), 1.0, 0.5, 0.25)
+        result = SynthesisResult(analytic_rectangle(rect, 6.0), 0.0, True)
+        writers = {
+            "schedule_to_csv": lambda out: schedule_to_csv(ramp, out),
+            "response_to_csv": lambda out: response_to_csv([(0.0, 0.5), (1.0, 0.75)], out),
+            "report_to_csv": lambda out: report_to_csv(report, out),
+            "composition_to_csv": lambda out: composition_to_csv(result, rect, [0.0, 1.0], out),
+            "dataset_to_csv": lambda out: qperceptron.dataset_to_csv(qperceptron.prime_dataset(2), out),
+        }
+        assert set(writers) == {name for name in dir(qperceptron) if name.endswith("_to_csv")}
+        cli = {
+            "response": ["--points", "5", "--xmax", "1"],
+            "benchmark": ["--tf-min", "1", "--tf-max", "2", "--tf-points", "4"],
+            "train": ["--bits", "2", "--hidden", "1", "--iters", "5", "--restarts", "0"],
+            "synthesize": ["--cycles", "1"],
+        }
+        for name in [*writers, *cli]:
+            (tmp_path / name).write_text(_text(50_000))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_io, "open", guarded_open, raising=False)
+            mp.setattr(os, "open", guarded_os_open)
+            for name, write in writers.items():
+                write(tmp_path / name)
+            for name, flags in cli.items():
+                assert main([name, *flags, "--out", str(tmp_path / name)]) == 0
+        assert truncating == []
+        for name, write in writers.items():  # each written over holds the fresh bytes alone
+            buf = io.StringIO()
+            write(buf)
+            assert (tmp_path / name).read_text(encoding="utf-8") == buf.getvalue()
+        for name, flags in cli.items():
+            assert main([name, *flags, "--out", str(tmp_path / f"{name}.fresh")]) == 0
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"{name}.fresh").read_bytes()

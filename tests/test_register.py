@@ -25,6 +25,7 @@ from qperceptron.network import NetworkSpec, layered_network
 from qperceptron.synthesis import CompositionSpec, apply_composition
 from qperceptron.training import batch_state_forward, cross_entropy_cost, prime_dataset
 from ode_oracles import H2, SZ, apply_hadamard, dop853_ising_passage, kron_on
+from test_io import parsed
 from test_register_properties import dense_gate
 
 X_REF = 1.2720196495140690
@@ -479,7 +480,7 @@ def names_in(path, names):
                 found.append((name, scope))
             visit(child, child.name if is_def else scope)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    visit(parsed(path), "<module>")
     return found
 
 
@@ -494,7 +495,7 @@ def names_by_module(names):
 
 def imported_from(path, module):
     """Sorted names a module imports from the package's ``module`` by a relative import."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = parsed(path)
     return sorted(alias.name for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
                   for alias in node.names)
